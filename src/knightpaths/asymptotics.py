@@ -22,9 +22,7 @@ import mpmath
 
 from . import closedforms, recurrences
 from .counting import grand_row_stats
-from .laurent import RationalGF
-
-_GRAND_TOTAL = RationalGF([1], [1, -2, -2])
+from .series import GRAND_TOTAL_GF
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ class _Formula:
 
 
 def _exact_grand_all(n_list):
-    row = _GRAND_TOTAL.expand(max(n_list) + 1)
+    row = GRAND_TOTAL_GF.expand(max(n_list) + 1)
     return [Fraction(row[n]) for n in n_list]
 
 
@@ -315,6 +313,8 @@ def convergence_report(
     """
     if not n_list or sorted(n_list) != list(n_list):
         raise ValueError("n_list must be non-empty and ascending")
+    if n_list[0] < 0:
+        raise ValueError("sizes must be non-negative")
     entry = _lookup(formula)
     if entry.exact is None:
         raise ValueError(f"{formula} has no exact source")

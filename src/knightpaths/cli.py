@@ -132,6 +132,8 @@ def _closed_count(size: int, altitude, c: PathConstraints) -> int | None:
 def cmd_count(args) -> int:
     try:
         c = _constraints(args)
+        if args.size < 0:
+            raise ValueError("size must be non-negative")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -178,10 +180,12 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     c = PathConstraints(zigzag=args.zigzag)
-    rows = []
-    dists = [counting.altitude_distribution(n, c) for n in range(args.n_max + 1)]
-    for k in range(args.k_max + 1):
-        rows.append([dists[n].get(k, 0) for n in range(args.n_max + 1)])
+    try:
+        dists = list(counting.altitude_distributions(args.n_max, c))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    rows = [[dist.get(k, 0) for dist in dists] for k in range(args.k_max + 1)]
     if args.header:
         print("k\\n," + ",".join(str(n) for n in range(args.n_max + 1)))
     for k, row in enumerate(rows):
@@ -335,8 +339,8 @@ def cmd_biject(args) -> int:
 
 
 def cmd_asym(args) -> int:
-    n_list = sorted(int(t) for t in args.n_list.replace(",", " ").split())
     try:
+        n_list = sorted(int(t) for t in args.n_list.replace(",", " ").split())
         report = asymptotics.convergence_report(args.formula, n_list, m=args.m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,19 +1,23 @@
 """Exact dynamic-programming path counting and exhaustive generation.
 
-This is the ground-truth engine: a forward DP over the x-coordinate with
-state (y, last direction), handling every combination of PathConstraints.
-All counts are exact Python integers.
+The ground-truth engine.  Every counting entry point is a view over one
+forward sweep along x (_sweep) with state (y, last direction), plus the
+steps used when asked; the last direction is 0 for the empty prefix.  Steps
+advance x by 1 or 2, so the sweep keeps a rolling window of three columns:
+O(n) memory for a size-n count (O(n^2) when steps are tracked).  It yields
+every column, so a whole row of sizes costs one pass.  The band is clipped
+to |y| <= 2n, which no size-n path leaves.  Counts are exact integers.
 
-The DP state keeps last direction = 0 for the empty prefix so that zigzag
-pruning and first-direction filtering need no special cases.  The altitude
-band is clipped to |y| <= 2n (a size-n path cannot leave it).
+generate() shares no code with the sweep: it is the independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import add
+from typing import Callable, Iterator
 
-from .paths import DOWN, STEP_ORDER, UP, Path, PathConstraints, Step
+from .paths import STEP_ORDER, Path, PathConstraints, Step
 
 #: Altitude filter: an int selects that exact altitude; these select sets.
 ALL = "all"
@@ -39,60 +43,94 @@ class CountQuery:
             raise ValueError(f"unknown altitude filter {self.altitude!r}")
 
 
-def _end_states(size: int, c: PathConstraints) -> dict[tuple[int, int], int]:
-    """DP over x = 0..size; returns counts keyed by (altitude, last_dir)."""
-    band_lo = -2 * size if c.min_y is None else max(c.min_y, -2 * size)
-    band_hi = 2 * size if c.max_y is None else min(c.max_y, 2 * size)
-    track_steps = c.steps is not None
-    # state key: (y, dir) or (y, dir, steps_used)
-    cols: list[dict[tuple, int]] = [{} for _ in range(size + 1)]
-    start = (0, 0, 0) if track_steps else (0, 0)
-    cols[0][start] = 1
-    for x in range(size):
-        for state, cnt in cols[x].items():
-            y, d = state[0], state[1]
+def _floor(n_max: int, c: PathConstraints) -> int:
+    """Lowest altitude of the sweep's band; index 0 of every column list."""
+    return -2 * n_max if c.min_y is None else max(c.min_y, -2 * n_max)
+
+
+def _sweep(n_max: int, c: PathConstraints, by_steps: bool = False) -> Iterator[dict]:
+    """Yield the DP column at x = 0, 1, ..., n_max.
+
+    A column maps (last direction, steps used) to a list of counts indexed
+    by y - _floor(n_max, c).  Steps used are tracked when by_steps or
+    c.steps asks for them (and stay 0 otherwise); prefixes stop growing at
+    c.steps steps.  The caller may clear cells of a yielded column: the
+    sweep extends what it finds there.
+    """
+    by_steps = by_steps or c.steps is not None
+    lo = _floor(n_max, c)
+    hi = 2 * n_max if c.max_y is None else min(c.max_y, 2 * n_max)
+    width = hi - lo + 1
+    col = {(0, 0): [0] * -lo + [1] + [0] * hi}  # the empty path
+    ahead: list[dict] = [{}, {}]  # the columns at x + 1 and x + 2
+    for x in range(n_max + 1):
+        yield col
+        for (d, used), row in col.items():
+            if by_steps and used == c.steps:
+                continue
+            # a prefix has |y| <= 2x, and |y| <= 3 * used - x once it has `used` steps
+            reach = 3 * used - x if by_steps else 2 * x
             for step in STEP_ORDER:
                 if c.zigzag and d == step.direction:
                     continue
-                if d == 0 and c.first_dir is not None and step.direction != c.first_dir:
+                if d == 0 and c.first_dir not in (None, step.direction):
                     continue
-                nx = x + step.dx
-                if nx > size:
+                if x + step.dx > n_max:
                     continue
-                ny = y + step.dy
-                if ny < band_lo or ny > band_hi:
-                    continue
-                if track_steps:
-                    used = state[2] + 1
-                    if used > c.steps:
-                        continue
-                    key = (ny, step.direction, used)
-                else:
-                    key = (ny, step.direction)
-                cols[nx][key] = cols[nx].get(key, 0) + cnt
-    out: dict[tuple[int, int], int] = {}
-    for state, cnt in cols[size].items():
-        y, d = state[0], state[1]
-        if c.steps is not None and (len(state) < 3 or state[2] != c.steps):
-            continue
+                dy = step.dy
+                i0 = max(0, -dy, -reach - lo)
+                i1 = min(width, width - dy, reach - lo + 1)
+                if i0 >= i1:
+                    continue  # no cell of this row can take the step
+                key = (step.direction, used + 1 if by_steps else 0)
+                target = ahead[step.dx - 1].get(key)
+                if target is None:
+                    target = ahead[step.dx - 1][key] = [0] * width
+                target[i0 + dy : i1 + dy] = map(add, target[i0 + dy : i1 + dy], row[i0:i1])
+        col, ahead = ahead[0], [ahead[1], {}]
+
+
+def _final(size: int, c: PathConstraints, by_steps: bool = False) -> dict:
+    """The sweep's column at x = size."""
+    for col in _sweep(size, c, by_steps):
+        pass
+    return col
+
+
+def _tally(col: dict, lo: int, c: PathConstraints, key: Callable) -> dict:
+    """Counts of a column's paths that pass the end filters, by key(y, dir, steps)."""
+    out: dict = {}
+    for (d, used), row in col.items():
+        if d == 0 and c.first_dir is not None:
+            continue  # the empty path has no first step
         if c.last_dir is not None and d != c.last_dir:
             continue
-        if c.first_dir is not None and d == 0:
-            continue  # empty path has no first step
-        key = (y, d)
-        out[key] = out.get(key, 0) + cnt
+        if c.steps is not None and used != c.steps:
+            continue
+        for i, n in enumerate(row):
+            if n:
+                k = key(lo + i, d, used)
+                out[k] = out.get(k, 0) + n
     return out
+
+
+def _end_states(size: int, c: PathConstraints) -> dict[tuple[int, int], int]:
+    """Counts of the matching size-`size` paths keyed by (altitude, last_dir)."""
+    return _tally(_final(size, c), _floor(size, c), c, lambda y, d, used: (y, d))
+
+
+def _select(dist: dict[int, int], altitude: AltitudeFilter) -> int:
+    """Apply an altitude filter to a distribution by final altitude."""
+    if isinstance(altitude, int):
+        return dist.get(altitude, 0)
+    if altitude == NONNEG:
+        return sum(n for y, n in dist.items() if y >= 0)
+    return sum(dist.values())
 
 
 def count(query: CountQuery) -> int:
     """Exact number of paths matching the query."""
-    end = _end_states(query.size, query.constraints)
-    alt = query.altitude
-    if isinstance(alt, int):
-        return sum(c for (y, _), c in end.items() if y == alt)
-    if alt == NONNEG:
-        return sum(c for (y, _), c in end.items() if y >= 0)
-    return sum(end.values())
+    return _select(altitude_distribution(query.size, query.constraints), query.altitude)
 
 
 def count_paths(
@@ -113,56 +151,42 @@ def count_row(
     **kwargs,
 ) -> list[int]:
     """[count(size=0), ..., count(size=n_max)] for a fixed query template."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
     c = constraints if constraints is not None else PathConstraints(**kwargs)
-    return [count(CountQuery(n, altitude, c)) for n in range(n_max + 1)]
+    CountQuery(0, altitude, c)  # validates the altitude filter
+    return [_select(dist, altitude) for dist in altitude_distributions(n_max, c)]
 
 
 def altitude_distribution(
     size: int, constraints: PathConstraints
 ) -> dict[int, int]:
     """Counts of matching paths by final altitude."""
-    end = _end_states(size, constraints)
     out: dict[int, int] = {}
-    for (y, _), c in end.items():
+    for (y, _), c in _end_states(size, constraints).items():
         out[y] = out.get(y, 0) + c
     return out
+
+
+def altitude_distributions(
+    n_max: int, constraints: PathConstraints
+) -> Iterator[dict[int, int]]:
+    """altitude_distribution(n, constraints) for n = 0..n_max, from one sweep."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    lo = _floor(n_max, constraints)
+    for col in _sweep(n_max, constraints):
+        yield _tally(col, lo, constraints, lambda y, d, used: y)
 
 
 def step_count_distribution(
     size: int, constraints: PathConstraints
 ) -> dict[tuple[int, int], int]:
-    """Counts keyed by (final altitude, number of steps)."""
-    c = constraints
-    band_lo = -2 * size if c.min_y is None else max(c.min_y, -2 * size)
-    band_hi = 2 * size if c.max_y is None else min(c.max_y, 2 * size)
-    cols: list[dict[tuple[int, int, int], int]] = [{} for _ in range(size + 1)]
-    cols[0][(0, 0, 0)] = 1
-    for x in range(size):
-        for (y, d, used), cnt in cols[x].items():
-            for step in STEP_ORDER:
-                if c.zigzag and d == step.direction:
-                    continue
-                if d == 0 and c.first_dir is not None and step.direction != c.first_dir:
-                    continue
-                nx = x + step.dx
-                if nx > size:
-                    continue
-                ny = y + step.dy
-                if ny < band_lo or ny > band_hi:
-                    continue
-                key = (ny, step.direction, used + 1)
-                cols[nx][key] = cols[nx].get(key, 0) + cnt
-    out: dict[tuple[int, int], int] = {}
-    for (y, d, used), cnt in cols[size].items():
-        if c.last_dir is not None and d != c.last_dir:
-            continue
-        if c.first_dir is not None and d == 0:
-            continue
-        key = (y, used)
-        out[key] = out.get(key, 0) + cnt
-    return out
+    """Counts keyed by (final altitude, number of steps).
+
+    The steps filter is not applied: every step count is listed.
+    """
+    c = replace(constraints, steps=None)
+    col, lo = _final(size, c, by_steps=True), _floor(size, c)
+    return _tally(col, lo, c, lambda y, d, used: (y, used))
 
 
 def generate(
@@ -215,31 +239,17 @@ def _accept(p: Path, c: PathConstraints) -> bool:
 def count_primitive(size: int) -> int:
     """Zigzag paths of altitude 0 whose interior vertices avoid the x-axis.
 
-    The empty path counts as 1.  Dedicated DP with y != 0 enforced for
-    0 < x < size, so no exponential path generation is needed.
+    The empty path counts as 1.  The sweep's arrivals at y = 0 are cleared
+    in every column strictly inside (0, size), so none is extended.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    if size == 0:
-        return 1
-    cols: list[dict[tuple[int, int], int]] = [{} for _ in range(size + 1)]
-    cols[0][(0, 0)] = 1
-    for x in range(size):
-        for (y, d), cnt in cols[x].items():
-            for step in STEP_ORDER:
-                if d == step.direction:
-                    continue
-                nx = x + step.dx
-                if nx > size:
-                    continue
-                ny = y + step.dy
-                if abs(ny) > 2 * size:
-                    continue
-                if ny == 0 and nx < size:
-                    continue
-                key = (ny, step.direction)
-                cols[nx][key] = cols[nx].get(key, 0) + cnt
-    return sum(c for (y, _), c in cols[size].items() if y == 0)
+    axis = 2 * size  # index of y = 0
+    for x, col in enumerate(_sweep(size, PathConstraints(zigzag=True))):
+        if 0 < x < size:
+            for row in col.values():
+                row[axis] = 0
+    return sum(row[axis] for row in col.values())
 
 
 def grand_row_stats(n_max: int) -> dict[str, list[int]]:
@@ -249,27 +259,13 @@ def grand_row_stats(n_max: int) -> dict[str, list[int]]:
     count ending at y > 0, count ending on the axis, and the sum of final
     altitudes over paths ending at y > 0.
     """
-    cols: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    cols[0][0] = 1
     total, nonneg, positive, axis, alt_sum = [], [], [], [], []
-    for x in range(n_max + 1):
-        col = cols[x]
-        total.append(sum(col.values()))
-        nonneg.append(sum(c for y, c in col.items() if y >= 0))
-        positive.append(sum(c for y, c in col.items() if y > 0))
-        axis.append(col.get(0, 0))
-        alt_sum.append(sum(y * c for y, c in col.items() if y > 0))
-        if x < n_max:
-            for y, cnt in col.items():
-                for step in STEP_ORDER:
-                    nx = x + step.dx
-                    if nx <= n_max:
-                        ny = y + step.dy
-                        cols[nx][ny] = cols[nx].get(ny, 0) + cnt
-    return {
-        "total": total,
-        "nonneg": nonneg,
-        "positive": positive,
-        "axis": axis,
-        "altitude_sum": alt_sum,
-    }
+    zero = 2 * n_max  # index of y = 0
+    for col in _sweep(n_max, PathConstraints()):
+        row = [sum(cells) for cells in zip(*col.values())]
+        total.append(sum(row))
+        nonneg.append(sum(row[zero:]))
+        positive.append(sum(row[zero + 1 :]))
+        axis.append(row[zero])
+        alt_sum.append(sum(y * n for y, n in enumerate(row[zero:])))
+    return dict(total=total, nonneg=nonneg, positive=positive, axis=axis, altitude_sum=alt_sum)

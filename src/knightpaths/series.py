@@ -54,11 +54,6 @@ def _ensure_order(series: LaurentSeries, needed: int, what: str) -> LaurentSerie
     return series
 
 
-def sqrt_series(series: LaurentSeries, order: int | None = None) -> LaurentSeries:
-    """Square root of a series (Newton iteration; see LaurentSeries.sqrt)."""
-    return series.sqrt(order=order)
-
-
 def z_coefficients(series: LaurentSeries, count: int) -> list[Fraction]:
     """Read z-coefficients 0..count-1 out of a w-series (w**2 = z).
 

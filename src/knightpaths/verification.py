@@ -43,8 +43,7 @@ def check_table_fixtures(level: str = "quick") -> tuple[bool, str]:
         k: series.z_coefficients(series.grand_altitude_gf(k, 12), 10)
         for k in range(10)
     }
-    for n in range(10):
-        dist = counting.altitude_distribution(n, PathConstraints())
+    for n, dist in enumerate(counting.altitude_distributions(9, PathConstraints())):
         for k in range(10):
             want = GRAND_TABLE[n][k]
             if dist.get(k, 0) != want:
@@ -55,8 +54,7 @@ def check_table_fixtures(level: str = "quick") -> tuple[bool, str]:
         k: series.int_coefficients(series.zigzag_altitude_gf(k, 18), 16)
         for k in range(5)
     }
-    for n in range(16):
-        dist = counting.altitude_distribution(n, _zigzag())
+    for n, dist in enumerate(counting.altitude_distributions(15, _zigzag())):
         for k in range(5):
             want = ZIGZAG_TABLE[k][n]
             if dist.get(k, 0) != want:
@@ -70,31 +68,29 @@ def check_table_fixtures(level: str = "quick") -> tuple[bool, str]:
         row = series.int_coefficients(series.span_exact_gf(k, 18), 17)
         if tuple(row) != SPAN_TABLE[k - 1]:
             problems.append(f"span GF k={k}: {row}")
-        dp_row = [_span_count_dp(n, k) for n in range(17)]
+        dp_row = _span_row_dp(16, k)
         if tuple(dp_row) != SPAN_TABLE[k - 1]:
             problems.append(f"span DP k={k}: {dp_row}")
     return not problems, "; ".join(problems) or "3 tables, 2 engines each"
 
 
-def _span_count_dp(n: int, k: int) -> int:
-    """Exact-span count via banded DP totals and inclusion-exclusion."""
-    total = 0
-    for m in range(0, k + 1):
-        lo, hi = m, k - m
-        inside = _band_count(n, lo, hi)
-        sub_lo = _band_count(n, lo - 1, hi) if lo > 0 else 0
-        sub_hi = _band_count(n, lo, hi - 1) if hi > 0 else 0
-        sub_both = _band_count(n, lo - 1, hi - 1) if lo > 0 and hi > 0 else 0
-        total += inside - sub_lo - sub_hi + sub_both
-    return total
+def _span_row_dp(n_max: int, k: int) -> list[int]:
+    """Exact-span counts for sizes 0..n_max from banded DP rows.
 
+    S(j) sums the rows of the span-j bands [-m, j - m], m = 0..j.  A path of
+    span s lies in max(0, j - s + 1) of them, so by inclusion-exclusion the
+    paths of span exactly k number S(k) - 2 S(k - 1) + S(k - 2).
+    """
 
-def _band_count(n: int, m: int, M: int) -> int:
-    if m < 0 or M < 0:
-        return 0
-    if m == 0 and M == 0:
-        return 1 if n == 0 else 0
-    return counting.count_paths(n, ALL, _zigzag(min_y=-m, max_y=M))
+    def spans(j: int) -> list[int]:
+        total = [0] * (n_max + 1)
+        for m in range(j + 1):
+            row = counting.count_row(n_max, ALL, _zigzag(min_y=-m, max_y=j - m))
+            total = [a + b for a, b in zip(total, row)]
+        return total
+
+    s_k, s_k1, s_k2 = spans(k), spans(k - 1), spans(k - 2)
+    return [a - 2 * b + c for a, b, c in zip(s_k, s_k1, s_k2)]
 
 
 # -- criterion 2: sequence fixtures ------------------------------------------
@@ -154,8 +150,7 @@ def check_cross_engine(level: str = "quick") -> tuple[bool, str]:
         k: series.int_coefficients(series.zigzag_altitude_gf(k, n_top + 2), n_top + 1)
         for k in range(k_top + 1)
     }
-    for n in range(n_top + 1):
-        dist = counting.altitude_distribution(n, _zigzag())
+    for n, dist in enumerate(counting.altitude_distributions(n_top, _zigzag())):
         for k in range(-k_top, k_top + 1):
             dp = dist.get(k, 0)
             closed = closedforms.zigzag_count_closed(n, k)
@@ -372,9 +367,10 @@ def check_tiling(level: str = "quick") -> tuple[bool, str]:
     problems = []
     band = _zigzag(min_y=-1, max_y=1)
     axis_row = series.TUBE1_AXIS_GF.expand(2 * top + 5)
+    dp_row = counting.count_row(2 * top + 4, 0, band)
     for n in range(top + 1):
         tiles = bijections.tiling_count(n)
-        paths = counting.count_paths(2 * n + 4, 0, band)
+        paths = dp_row[2 * n + 4]
         if 2 * tiles != paths:
             problems.append(f"n={n}: 2*{tiles} != {paths}")
         if 2 * tiles != axis_row[2 * n + 4]:

@@ -88,6 +88,12 @@ def test_count_bad_flags_exit_two(capsys):
     assert code == 2 and "error" in err
 
 
+def test_count_negative_size_exits_two(capsys):
+    code, out, err = run(capsys, "count", "--size", "-3")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_count_engine_gf_unsupported_query(capsys):
     code, _, err = run(
         capsys,
@@ -169,6 +175,13 @@ def test_asym_report(capsys):
     payload = json.loads(out)
     assert payload["rows"][0]["exact"] == "18272"
     assert abs(payload["rows"][1]["ratio"] - 1) < 1e-6
+
+
+def test_asym_bad_size_list_exits_two(capsys):
+    for n_list in ("abc", "-5"):
+        code, out, err = run(capsys, "asym", "--formula", "grand-all", "--n-list", n_list)
+        assert code == 2, n_list
+        assert out == "" and err.startswith("error:"), n_list
 
 
 def test_verify_quick_passes(capsys):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knightpaths import fixtures
 from knightpaths.counting import (
@@ -198,3 +203,50 @@ def test_grand_row_stats_consistency():
     for n in range(13):
         assert stats["nonneg"][n] == stats["positive"][n] + stats["axis"][n]
         assert stats["total"][n] == 2 * stats["nonneg"][n] - stats["axis"][n]
+
+
+directions = st.sampled_from([None, UP, DOWN])
+constraints = st.builds(
+    PathConstraints,
+    zigzag=st.booleans(),
+    min_y=st.none() | st.integers(-4, 0),
+    max_y=st.none() | st.integers(0, 4),
+    steps=st.none() | st.integers(1, 12),
+    first_dir=directions,
+    last_dir=directions,
+)
+altitudes = st.sampled_from([ALL, NONNEG]) | st.integers(-6, 6)
+
+
+def _alt_ok(p: Path, altitude) -> bool:
+    if altitude == ALL:
+        return True
+    if altitude == NONNEG:
+        return p.altitude >= 0
+    return p.altitude == altitude
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(constraints, st.integers(0, 12), altitudes)
+def test_sweep_views_match_generation(c, n_max, altitude):
+    row = count_row(n_max, altitude, c)
+    for k in range(n_max + 1):
+        want = sum(_alt_ok(p, altitude) for p in generate(k, c))
+        assert row[k] == count_paths(k, altitude, c) == want, (k, c, altitude)
+    # step_count_distribution lists every step count, so compare it with
+    # the paths the other filters keep
+    table: dict[tuple[int, int], int] = {}
+    for p in generate(n_max, replace(c, steps=None)):
+        key = (p.altitude, p.step_count)
+        table[key] = table.get(key, 0) + 1
+    assert step_count_distribution(n_max, c) == table
+
+
+def test_count_memory_stays_linear():
+    tracemalloc.start()
+    try:
+        count_paths(300, NONNEG, ZZ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
