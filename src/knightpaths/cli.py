@@ -254,6 +254,9 @@ GF_NAMES = (
 
 
 def cmd_gf(args) -> int:
+    if args.order < 1:
+        print(f"error: --order must be >= 1, got {args.order}", file=sys.stderr)
+        return 2
     try:
         coeffs = _gf_by_name(args.name, args.order, args.k, args.m, args.M)
     except SystemExit as exc:

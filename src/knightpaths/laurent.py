@@ -7,16 +7,24 @@ operation propagates the largest order that remains exact, so results never
 silently invent or drop coefficients — asking for a coefficient at or past
 the truncation order is an error, not a zero.
 
+Coefficients are integer numerators `nums` over one positive denominator
+`den` (FLINT's fmpq_poly layout), kept canonical: gcd(den, *nums) is 1 and
+leading zeros are stripped (trailing ones too when exact), so equal series
+are structurally equal.  Rationals are converted once, at construction; the
+arithmetic runs on ints and normalises once per result.
+
 The variable is abstract.  The grand-knight engine uses series in w with
 w**2 = z (the kernel radicals need half-integer powers of z); the zigzag
 engine uses ordinary series in z.  Division and square root follow the
-truncated-Newton/long-division schemes and are exact over Fraction.
+truncated-Newton/long-division schemes and are exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Mapping
 
 Rat = int | Fraction
@@ -27,44 +35,55 @@ def _min_order(*orders: int | None) -> int | None:
     return min(finite) if finite else None
 
 
-def _as_ints(coeffs: list[Fraction]) -> list[int] | None:
-    """Numerators if every coefficient is integral, else None.
+def _make(valuation: int, nums: list[int], den: int, order: int | None) -> LaurentSeries:
+    """sum(nums[i] / den * x**(valuation + i)), canonical; den > 0, nums not mutated."""
+    lo, hi = 0, len(nums)
+    while lo < hi and not nums[lo]:
+        lo += 1
+    valuation += lo
+    if order is None:
+        while hi > lo and not nums[hi - 1]:
+            hi -= 1
+    elif order - valuation < hi - lo:
+        raise ValueError("coefficient window extends past the stated order")
+    nums = nums[lo:hi] if lo or hi < len(nums) else nums
+    if not nums:
+        valuation = order if order is not None else 0
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = [n // g for n in nums], den // g
+    s = object.__new__(LaurentSeries)
+    s.valuation, s.nums, s.den, s.order = valuation, nums, den, order
+    return s
 
-    Most series here count things, so convolutions usually run on plain
-    ints; that skips Fraction's per-operation gcd normalisation.
-    """
-    if all(c.denominator == 1 for c in coeffs):
-        return [c.numerator for c in coeffs]
-    return None
+
+def _convolve(xs: list[int], ys: list[int], n: int) -> list[int]:
+    """First n coefficients of the product of two integer sequences."""
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
+    out = [0] * n
+    for i, x in enumerate(xs[:n]):
+        if x:  # add x times the longer factor, shifted by i, in one C-level pass
+            t = min(len(ys), n - i)
+            out[i : i + t] = map(add, out[i : i + t], map(mul, ys[:t], repeat(x)))
+    return out
 
 
 class LaurentSeries:
-    __slots__ = ("valuation", "coeffs", "order")
+    __slots__ = ("valuation", "nums", "den", "order")
 
     def __init__(self, valuation: int, coeffs: Iterable[Rat], order: int | None):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            valuation += 1
-        if order is not None:
-            keep = order - valuation
-            if keep < len(cs):
-                raise ValueError("coefficient window extends past the stated order")
-        else:
-            while cs and cs[-1] == 0:
-                cs.pop()
-        if not cs:
-            valuation = order if order is not None else 0
-        self.valuation = valuation
-        self.coeffs = cs
-        self.order = order
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        s = _make(valuation, [c.numerator * (den // c.denominator) for c in cs], den, order)
+        self.valuation, self.nums, self.den, self.order = s.valuation, s.nums, s.den, s.order
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_poly(cls, terms: Mapping[int, Rat]) -> LaurentSeries:
         """Exact Laurent polynomial, e.g. from_poly({2: 1}) for x**2."""
-        terms = {e: Fraction(c) for e, c in terms.items() if c != 0}
+        terms = {e: c for e, c in terms.items() if c != 0}
         if not terms:
             return cls(0, [], None)
         lo, hi = min(terms), max(terms)
@@ -72,13 +91,18 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, order: int | None = None) -> LaurentSeries:
-        return cls(order if order is not None else 0, [], order)
+        return _make(order if order is not None else 0, [], 1, order)
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> list[Fraction]:
+        """The coefficient window as Fractions (a fresh list on every read)."""
+        return [Fraction(n, self.den) for n in self.nums]
+
     def is_zero(self) -> bool:
         """True if every known coefficient is zero (to the stated order)."""
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, exponent: int) -> Fraction:
         if self.order is not None and exponent >= self.order:
@@ -87,44 +111,38 @@ class LaurentSeries:
                 f"exact below order {self.order}"
             )
         i = exponent - self.valuation
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
 
-    def coefficients(self, lo: int, hi: int) -> list[Fraction]:
-        """Coefficients of x**lo .. x**(hi-1)."""
-        return [self.coefficient(i) for i in range(lo, hi)]
+    def numerators(self, lo: int, hi: int) -> list[int]:
+        """Numerators over `den` of x**lo .. x**(hi-1); no check against the order."""
+        i, j = lo - self.valuation, hi - self.valuation
+        head = [0] * max(min(j, 0) - i, 0)
+        tail = [0] * max(j - max(i, len(self.nums)), 0)
+        return head + self.nums[max(i, 0) : max(j, 0)] + tail
 
     def truncate(self, order: int) -> LaurentSeries:
         if self.order is not None and order > self.order:
             raise ValueError("cannot extend a truncated series")
         keep = max(order - self.valuation, 0)
-        return LaurentSeries(self.valuation, self.coeffs[:keep], order)
-
-    def agrees_with(self, other: LaurentSeries, upto: int) -> bool:
-        """Coefficient-wise equality on exponents below `upto`."""
-        lo = min(self.valuation, other.valuation, 0)
-        return all(
-            self.coefficient(i) == other.coefficient(i) for i in range(lo, upto)
-        )
+        return _make(self.valuation, self.nums[:keep], self.den, order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (
-            self.valuation == other.valuation
-            and self.coeffs == other.coeffs
-            and self.order == other.order
-        )
+        mine = (self.valuation, self.den, self.nums, self.order)
+        return mine == (other.valuation, other.den, other.nums, other.order)
 
     def __hash__(self) -> int:
-        return hash((self.valuation, tuple(self.coeffs), self.order))
+        return hash((self.valuation, tuple(self.nums), self.den, self.order))
 
     def __repr__(self) -> str:
         head = ", ".join(
-            f"{c}*x^{self.valuation + i}" for i, c in enumerate(self.coeffs[:4])
+            f"{Fraction(n, self.den)}*x^{self.valuation + i}"
+            for i, n in enumerate(self.nums[:4])
         )
-        if len(self.coeffs) > 4:
+        if len(self.nums) > 4:
             head += ", ..."
         tail = "" if self.order is None else f" + O(x^{self.order})"
         return f"<LaurentSeries {head or '0'}{tail}>"
@@ -134,27 +152,25 @@ class LaurentSeries:
     def __add__(self, other: LaurentSeries | Rat) -> LaurentSeries:
         other = _coerce(other)
         order = _min_order(self.order, other.order)
-        if self.is_zero() and other.is_zero():
+        terms = [s for s in (self, other) if not s.is_zero()]
+        if not terms:
             return LaurentSeries.zero(order)
-        vals = [s.valuation for s in (self, other) if not s.is_zero()]
-        lo = min(vals)
-        hi = max(
-            s.valuation + len(s.coeffs) for s in (self, other) if not s.is_zero()
-        )
-        if order is not None:
-            hi = min(hi, order)
-        out = [Fraction(0)] * (hi - lo)
-        for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                e = s.valuation + i
-                if lo <= e < hi:
-                    out[e - lo] += c
-        return LaurentSeries(lo, out, order)
+        lo = min(s.valuation for s in terms)
+        hi = _min_order(max(s.valuation + len(s.nums) for s in terms), order)
+        den = math.lcm(*(s.den for s in terms))
+        out = [0] * (hi - lo)
+        for s in terms:
+            nums = s.nums[: max(hi - s.valuation, 0)]
+            if s.den != den:
+                nums = list(map(mul, nums, repeat(den // s.den)))
+            i = s.valuation - lo
+            out[i : i + len(nums)] = map(add, out[i : i + len(nums)], nums)
+        return _make(lo, out, den, order)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentSeries:
-        return LaurentSeries(self.valuation, [-c for c in self.coeffs], self.order)
+        return _make(self.valuation, [-n for n in self.nums], self.den, self.order)
 
     def __sub__(self, other: LaurentSeries | Rat) -> LaurentSeries:
         return self + (-_coerce(other))
@@ -164,9 +180,8 @@ class LaurentSeries:
 
     def __mul__(self, other: LaurentSeries | Rat) -> LaurentSeries:
         if isinstance(other, (int, Fraction)):
-            return LaurentSeries(
-                self.valuation, [c * other for c in self.coeffs], self.order
-            )
+            nums = [n * other.numerator for n in self.nums]
+            return _make(self.valuation, nums, self.den * other.denominator, self.order)
         a, b = self, other
         # error(a)*lead(b) enters at order_a + val_b, and symmetrically
         if a.is_zero() or b.is_zero():
@@ -184,21 +199,10 @@ class LaurentSeries:
             None if b.order is None else b.order + a.valuation,
         )
         v = a.valuation + b.valuation
-        n = len(a.coeffs) + len(b.coeffs) - 1
+        n = len(a.nums) + len(b.nums) - 1
         if order is not None:
             n = min(n, order - v)
-        a_ints = _as_ints(a.coeffs)
-        b_ints = _as_ints(b.coeffs) if a_ints is not None else None
-        xs = a_ints if b_ints is not None else a.coeffs
-        ys = b_ints if b_ints is not None else b.coeffs
-        out = [0 if b_ints is not None else Fraction(0)] * n
-        for i, x in enumerate(xs):
-            if x == 0:
-                continue
-            top = min(len(ys), n - i)
-            for j in range(top):
-                out[i + j] += x * ys[j]
-        return LaurentSeries(v, out, order)
+        return _make(v, _convolve(a.nums, b.nums, n), a.den * b.den, order)
 
     __rmul__ = __mul__
 
@@ -216,34 +220,28 @@ class LaurentSeries:
         return result
 
     def inverse(self, order: int | None = None) -> LaurentSeries:
-        """Multiplicative inverse, exact to the propagated relative order."""
+        """Multiplicative inverse, exact to the propagated relative order.
+
+        The recurrence h_n = -(g_1 h_(n-1) + ... + g_n h_0) / g_0 on the numerators
+        g runs on ints over one denominator, grown only when a division is inexact.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of a series that is zero to its order")
-        rel = _min_order(
-            None if self.order is None else self.order - self.valuation, order
-        )
-        if rel is None:
-            raise ValueError("inverse of an exact polynomial needs a truncation order")
-        lead = self.coeffs[0]
-        ints = _as_ints(self.coeffs)
-        if ints is not None and abs(ints[0]) == 1:
-            sign = ints[0]
-            out_i = [0] * rel
-            out_i[0] = sign
-            for n in range(1, rel):
-                s = 0
-                for i in range(1, min(n, len(ints) - 1) + 1):
-                    s += ints[i] * out_i[n - i]
-                out_i[n] = -s * sign
-            return LaurentSeries(-self.valuation, out_i, -self.valuation + rel)
-        out = [Fraction(0)] * rel
-        out[0] = 1 / lead
+        rel = self._relative_order(order, "inverse")
+        g, lead = self.nums, self.nums[0]
+        q = math.gcd(self.den, lead) * (1 if lead > 0 else -1)
+        out, den = [self.den // q], lead // q  # h_0 = self.den / g_0 in lowest terms
+        rg, last = g[::-1], len(g) - 1
         for n in range(1, rel):
-            s = Fraction(0)
-            for i in range(1, min(n, len(self.coeffs) - 1) + 1):
-                s += self.coeffs[i] * out[n - i]
-            out[n] = -s / lead
-        return LaurentSeries(-self.valuation, out, -self.valuation + rel)
+            t = min(n, last)
+            s = -sum(map(mul, rg[last - t : last], out[n - t : n]))
+            h, r = divmod(s, lead)
+            if r:  # h_n needs a larger denominator: grow it by the missing factor
+                f = abs(lead) // math.gcd(s, lead)
+                out, den = [x * f for x in out], den * f
+                h = s * f // lead
+            out.append(h)
+        return _make(-self.valuation, out, den, -self.valuation + rel)
 
     def __truediv__(self, other: LaurentSeries | Rat) -> LaurentSeries:
         if isinstance(other, (int, Fraction)):
@@ -264,38 +262,34 @@ class LaurentSeries:
             raise ValueError("sqrt of a series that is zero to its order")
         if self.valuation % 2:
             raise ValueError(f"sqrt needs an even valuation, got {self.valuation}")
-        lead = self.coeffs[0]
+        lead = Fraction(self.nums[0], self.den)
         if lead < 0:
             raise ValueError(f"leading coefficient {lead} is negative")
-        rn = math.isqrt(lead.numerator)
-        rd = math.isqrt(lead.denominator)
+        rn, rd = math.isqrt(lead.numerator), math.isqrt(lead.denominator)
         if rn * rn != lead.numerator or rd * rd != lead.denominator:
             raise ValueError(f"leading coefficient {lead} is not a rational square")
-        rel = _min_order(
-            None if self.order is None else self.order - self.valuation, order
-        )
-        if rel is None:
-            raise ValueError("sqrt of an exact polynomial needs a truncation order")
-        unit = LaurentSeries(0, self.coeffs[:rel], rel) * (1 / lead)
-        b = LaurentSeries(0, [Fraction(1)], 1)
-        exact = 1
+        rel = self._relative_order(order, "sqrt")
+        unit = _make(0, self.nums[:rel], self.nums[0], rel)  # self / lead
+        b, exact = _make(0, [1], 1, 1), 1
         while exact < rel:
             exact = min(2 * exact, rel)
-            cur = LaurentSeries(0, b.coeffs, exact)
+            cur = _make(0, b.nums, b.den, exact)
             b = (cur + unit.truncate(exact).divide(cur)) * Fraction(1, 2)
         half_val = self.valuation // 2
-        return LaurentSeries(half_val, (b * Fraction(rn, rd)).coeffs, half_val + rel)
+        return _make(half_val, [n * rn for n in b.nums], b.den * rd, half_val + rel)
 
     def derivative(self) -> LaurentSeries:
         """Term-by-term derivative with respect to the series variable."""
-        out = {
-            self.valuation + i - 1: c * (self.valuation + i)
-            for i, c in enumerate(self.coeffs)
-        }
-        order = None if self.order is None else self.order - 1
-        lo = self.valuation - 1
-        hi = lo + len(self.coeffs)
-        return LaurentSeries(lo, [out.get(i, 0) for i in range(lo, hi)], order)
+        v, order = self.valuation, self.order
+        nums = [n * (v + i) for i, n in enumerate(self.nums)]
+        return _make(v - 1, nums, self.den, None if order is None else order - 1)
+
+    def _relative_order(self, order: int | None, what: str) -> int:
+        """How many terms an inverse or sqrt yields: up to self.order, capped by order."""
+        rel = _min_order(None if self.order is None else self.order - self.valuation, order)
+        if rel is None:
+            raise ValueError(f"{what} of an exact polynomial needs a truncation order")
+        return rel
 
 
 def _coerce(value: LaurentSeries | Rat) -> LaurentSeries:
@@ -322,16 +316,15 @@ class RationalGF:
     def expand(self, count: int) -> list[int]:
         """First `count` series coefficients."""
         num, den = self.num, self.den
-        d0 = Fraction(den[0])
         out: list[int] = []
         for n in range(count):
-            s = Fraction(num[n]) if n < len(num) else Fraction(0)
+            s = num[n] if n < len(num) else 0
             for j in range(1, min(n, len(den) - 1) + 1):
                 s -= den[j] * out[n - j]
-            q = s / d0
-            if q.denominator != 1:
+            q, r = divmod(s, den[0])
+            if r:
                 raise ArithmeticError(
-                    f"coefficient {n} is not an integer: {q}"
+                    f"coefficient {n} is not an integer: {Fraction(s, den[0])}"
                 )
-            out.append(int(q))
+            out.append(q)
         return out

@@ -1,10 +1,10 @@
 """Integer coefficient recurrences for the sequences needed at large sizes.
 
 The asymptotic checks compare against exact values at sizes in the
-thousands.  Expanding the algebraic generating functions with rational
-series arithmetic would work but wastes time on gcd bookkeeping; every
-zigzag-side sequence here has an integer recurrence driven by the small
-kernel root, which itself satisfies
+thousands.  These come from code independent of the series engine, so
+every asymptotic row has its own exact source: each zigzag-side sequence
+here has an integer recurrence driven by the small kernel root, which
+itself satisfies
 
     root = z^3 + (z^2 + z^4) * root + z^3 * root^2,
 

@@ -64,12 +64,15 @@ def z_coefficients(series: LaurentSeries, count: int) -> list[Fraction]:
     if series.order is not None:
         top = min(top, series.order)
     lo = min(series.valuation, 0)
-    for i in range(lo, top):
-        if i % 2 and series.coefficient(i) != 0:
+    nums = series.numerators(lo, top)
+    for i, n in enumerate(nums, lo):
+        if i % 2 and n:
             raise ArithmeticError(
-                f"odd half-power coefficient at w^{i} is {series.coefficient(i)}"
+                f"odd half-power coefficient at w^{i} is {Fraction(n, series.den)}"
             )
-    return [series.coefficient(2 * i) for i in range(count)]
+    if count > 0 and 2 * (count - 1) >= top:
+        series.coefficient(max(top + top % 2, 0))  # past the order: raises
+    return [Fraction(n, series.den) for n in nums[-lo::2]]
 
 
 def z_derivative(series_w: LaurentSeries) -> LaurentSeries:
@@ -82,12 +85,17 @@ def z_derivative(series_w: LaurentSeries) -> LaurentSeries:
 
 def int_coefficients(series: LaurentSeries, count: int) -> list[int]:
     """Coefficients 0..count-1 of an ordinary series, demanded integral."""
-    out = []
-    for i in range(count):
-        c = series.coefficient(i)
-        if c.denominator != 1:
-            raise ArithmeticError(f"coefficient of index {i} is not integral: {c}")
-        out.append(int(c))
+    top = count if series.order is None else max(min(count, series.order), 0)
+    out, den = series.numerators(0, top), series.den
+    if den != 1:
+        for i, n in enumerate(out):
+            if n % den:
+                raise ArithmeticError(
+                    f"coefficient of index {i} is not integral: {Fraction(n, den)}"
+                )
+        out = [n // den for n in out]
+    if top < count:
+        series.coefficient(top)  # past the order: raises
     return out
 
 
@@ -565,15 +573,17 @@ def span_exact_gf(k: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    bands: dict[tuple[int, int], LaurentSeries] = {}
 
     def band_total(m: int, M: int) -> LaurentSeries:
         if m < 0 or M < 0:
             return LaurentSeries.zero(None)
         if m == 0 and M == 0:
             return _mono(0)  # only the empty path keeps y identically 0
-        if m > M:
-            m, M = M, m  # totals are reflection-invariant
-        return tube_total_gf(m, M, order)
+        key = (min(m, M), max(m, M))  # totals are reflection-invariant
+        if key not in bands:
+            bands[key] = tube_total_gf(*key, order)
+        return bands[key]
 
     acc = LaurentSeries.zero(None)
     for m in range(k + 1):

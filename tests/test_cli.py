@@ -137,6 +137,18 @@ def test_gf_missing_parameter(capsys):
     assert code == 2 and "--m" in err
 
 
+def test_gf_negative_order_exits_two(capsys):
+    code, out, err = run(capsys, "gf", "--name", "zigzag-total", "--order", "-1")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_gf_zero_order_exits_two(capsys):
+    code, out, err = run(capsys, "gf", "--name", "grand-nonneg", "--order", "0")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_biject_phi_inv(capsys):
     code, out, _ = run(capsys, "biject", "--map", "phi-inv", "--input", "N Nb")
     assert code == 0

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knightpaths.laurent import LaurentSeries, RationalGF
@@ -16,6 +17,18 @@ small_series = st.builds(
     st.lists(st.integers(-9, 9), min_size=1, max_size=8),
     st.integers(0, 3),
 )
+
+rational_series = st.builds(
+    lambda val, coeffs, pad: LaurentSeries(val, coeffs, val + len(coeffs) + pad),
+    st.integers(-4, 4),
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, 3),
+)
+rational_settings = settings(deadline=None, derandomize=True, max_examples=150)
 
 
 def poly(d):
@@ -131,8 +144,6 @@ def test_square_then_sqrt(a):
     if sq.is_zero() or sq.coeffs[0] < 0:
         return
     lead = sq.coeffs[0]
-    import math
-
     if math.isqrt(lead.numerator) ** 2 != lead.numerator:
         return
     if math.isqrt(lead.denominator) ** 2 != lead.denominator:
@@ -174,3 +185,97 @@ def test_rational_gf_rejects_zero_constant():
 def test_rational_gf_demands_integrality():
     with pytest.raises(ArithmeticError):
         RationalGF([1], [2, 1]).expand(3)
+
+
+def test_rational_coefficients_share_one_denominator():
+    s = LaurentSeries(0, [Fraction(2, 4), Fraction(3, 6), Fraction(1, 3)], None)
+    assert (s.nums, s.den) == ([3, 3, 2], 6)
+    assert s.coeffs == [Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]
+    assert s.coefficient(2) == Fraction(1, 3)
+    assert (s * 6).den == 1 and (s * 6).coeffs == [3, 3, 2]
+
+
+def test_equal_values_compare_and_hash_equal():
+    a = LaurentSeries(0, [Fraction(2, 2), Fraction(1, 3)], 4)
+    b = LaurentSeries(0, [1, Fraction(2, 6)], 4)
+    assert a == b and hash(a) == hash(b)
+    c = poly({0: 3, 1: 1}) * Fraction(1, 3) * 3 * Fraction(1, 3)
+    d = poly({0: 1, 1: Fraction(1, 3)})
+    assert c == d and hash(c) == hash(d)
+    assert a != LaurentSeries(0, [1, Fraction(1, 3)], 5)
+    assert a != LaurentSeries(0, [1, Fraction(1, 4)], 4)
+
+
+def _naive_product(a, b):
+    out = {}
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            e = a.valuation + b.valuation + i + j
+            out[e] = out.get(e, Fraction(0)) + Fraction(x) * Fraction(y)
+    return out
+
+
+@rational_settings
+@given(rational_series, rational_series)
+def test_rational_mul_matches_naive_convolution(a, b):
+    if a.is_zero() or b.is_zero():
+        return
+    c = a * b
+    assert c.order == min(a.order + b.valuation, b.order + a.valuation)
+    want = _naive_product(a, b)
+    for e in range(a.valuation + b.valuation, c.order):
+        assert c.coefficient(e) == want.get(e, 0), e
+
+
+@rational_settings
+@given(rational_series, rational_series)
+def test_rational_product_division_round_trip(a, b):
+    if b.is_zero():
+        return
+    q = (a * b).divide(b)
+    for i in range(min(a.valuation, q.order), q.order):
+        assert q.coefficient(i) == a.coefficient(i)
+
+
+@rational_settings
+@given(rational_series)
+def test_rational_inverse_times_self_is_one(a):
+    if a.is_zero():
+        return
+    one = a.inverse() * a
+    assert one.order == a.order - a.valuation
+    for e in range(min(one.valuation, 0), one.order):
+        assert one.coefficient(e) == (1 if e == 0 else 0), e
+
+
+@rational_settings
+@given(rational_series)
+def test_rational_sqrt_of_square(a):
+    if a.is_zero():
+        return
+    root = (a * a).sqrt()  # the lead of a*a is the square of a rational
+    sign = 1 if a.coefficient(a.valuation) > 0 else -1
+    assert (root.valuation, root.order) == (a.valuation, a.order)
+    for e in range(a.valuation, a.order):
+        assert root.coefficient(e) == sign * a.coefficient(e), e
+
+
+@rational_settings
+@given(rational_series)
+def test_rational_canonical_form(a):
+    assert a.den > 0
+    assert math.gcd(a.den, *a.nums) == 1
+    rebuilt = LaurentSeries(a.valuation, a.coeffs, a.order)
+    halves = (a + a) * Fraction(1, 2)
+    assert rebuilt == a == halves and hash(rebuilt) == hash(a) == hash(halves)
+
+
+@pytest.mark.parametrize("pad", [0, 7, 1000])
+def test_long_rational_mul_matches_naive_convolution(pad):
+    # long factors, with the product truncated (pad 0, 7) and whole (pad 1000)
+    a = LaurentSeries(-3, [Fraction((7 * i) % 11 - 5, 1 + i % 6) for i in range(45)], 42 + pad)
+    b = LaurentSeries(2, [Fraction((5 * i) % 13 - 6, 1 + i % 4) for i in range(38)], 40 + pad)
+    c = a * b
+    want = _naive_product(a, b)
+    for e in range(-1, c.order if c.order < 200 else 81):
+        assert c.coefficient(e) == want.get(e, 0), e

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from knightpaths import fixtures, series
@@ -268,6 +270,42 @@ def test_span_sums_to_total():
         row = ints(series.span_exact_gf(k, n_top + 1), n_top + 1)
         acc = [a + r for a, r in zip(acc, row)]
     assert acc[0] == 0 and acc[1:] == [t for t in total[1:]]
+
+
+def test_coefficient_readers_keep_their_guards():
+    assert ints(series.LaurentSeries(0, [2, 4, 6], 3) * Fraction(1, 2), 3) == [1, 2, 3]
+    half = series.LaurentSeries(0, [1, Fraction(1, 2), 3], 3)
+    with pytest.raises(ArithmeticError, match="index 1 is not integral: 1/2"):
+        ints(half, 3)
+    with pytest.raises(ArithmeticError, match="index 1"):
+        ints(half, 5)  # the integrality guard fires before the order check
+    with pytest.raises(ValueError, match="exact below order 3"):
+        ints(series.LaurentSeries(0, [1, 2, 3], 3), 4)
+    odd = series.LaurentSeries(0, [1, 0, 0, Fraction(1, 3)], 6)
+    with pytest.raises(ArithmeticError, match=r"w\^3 is 1/3"):
+        series.z_coefficients(odd, 2)
+    even = series.LaurentSeries(-2, [4, 0, 1, 0, Fraction(5, 2)], 5)
+    assert series.z_coefficients(even, 3) == [1, Fraction(5, 2), 0]
+    with pytest.raises(ValueError, match=r"x\*\*6 requested"):
+        series.z_coefficients(even, 4)
+
+
+def test_span_solves_each_band_once(monkeypatch):
+    calls = []
+    solve = series.tube_total_gf
+
+    def counted(m, M, order=series.DEFAULT_ORDER):
+        calls.append((m, M))
+        return solve(m, M, order)
+
+    monkeypatch.setattr(series, "tube_total_gf", counted)
+    for k in (1, 3, 5):
+        calls.clear()
+        row = ints(series.span_exact_gf(k, 12), 12)
+        assert len(calls) == len(set(calls)), (k, calls)
+        assert all(m <= M for m, M in calls)
+        if k <= 3:
+            assert row == list(fixtures.SPAN_TABLE[k - 1][:12])
 
 
 def test_truncation_consistency_across_orders():
