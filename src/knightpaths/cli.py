@@ -21,17 +21,20 @@ from .paths import DOWN, UP, ParseError, Path, PathConstraints, parse_path
 ENV_ORDER = "KNIGHTPATHS_ORDER"
 
 
-def _default_order() -> int:
+def _order(args) -> int:
+    """--order if given, else KNIGHTPATHS_ORDER, else the series default."""
+    if args.order is not None:
+        return args.order
     raw = os.environ.get(ENV_ORDER)
     if raw is None:
         return series.DEFAULT_ORDER
     try:
         value = int(raw)
-        if value < 8:
-            raise ValueError
-        return value
     except ValueError:
-        raise SystemExit(f"{ENV_ORDER} must be an integer >= 8, got {raw!r}")
+        value = 0
+    if value < 8:
+        raise ValueError(f"{ENV_ORDER} must be an integer >= 8, got {raw!r}")
+    return value
 
 
 def _constraints(args) -> PathConstraints:
@@ -130,10 +133,12 @@ def _closed_count(size: int, altitude, c: PathConstraints) -> int | None:
 
 
 def cmd_count(args) -> int:
+    engines = ["dp", "gf", "closed"] if args.engine == "all" else [args.engine]
     try:
         c = _constraints(args)
         if args.size < 0:
             raise ValueError("size must be non-negative")
+        order = _order(args) if "gf" in engines else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -143,9 +148,7 @@ def cmd_count(args) -> int:
         altitude = NONNEG
     else:
         altitude = args.altitude if args.altitude is not None else ALL
-    order = args.order
     results: dict[str, int] = {}
-    engines = ["dp", "gf", "closed"] if args.engine == "all" else [args.engine]
     for engine in engines:
         if engine == "dp":
             results["dp"] = counting.count_paths(args.size, altitude, c)
@@ -200,7 +203,7 @@ def cmd_table(args) -> int:
 def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | None) -> list[int]:
     def need(value, what):
         if value is None:
-            raise SystemExit(f"error: gf {name!r} needs --{what}")
+            raise ValueError(f"gf {name!r} needs --{what}")
         return value
 
     if name == "grand-total":
@@ -243,7 +246,7 @@ def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | No
         return series.TUBE1_AXIS_GF.expand(order)
     if name == "span-exact":
         return series.int_coefficients(series.span_exact_gf(need(k, "k"), order + 1), order)
-    raise SystemExit(f"error: unknown gf name {name!r}")
+    raise ValueError(f"unknown gf name {name!r}")
 
 
 GF_NAMES = (
@@ -254,20 +257,21 @@ GF_NAMES = (
 
 
 def cmd_gf(args) -> int:
-    if args.order < 1:
-        print(f"error: --order must be >= 1, got {args.order}", file=sys.stderr)
-        return 2
     try:
-        coeffs = _gf_by_name(args.name, args.order, args.k, args.m, args.M)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
+        order = _order(args)
+        if order < 1:
+            raise ValueError(f"--order must be >= 1, got {order}")
+        # the series functions reject out-of-range parameters with ValueError
+        coeffs = _gf_by_name(args.name, order, args.k, args.m, args.M)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "name": args.name,
-                    "order": args.order,
+                    "order": order,
                     "coeffs": [str(c) for c in coeffs],
                 },
                 sort_keys=True,
@@ -428,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--last", choices=["up", "down"], default=None)
     p.add_argument("--engine", choices=["dp", "gf", "closed", "all"], default="dp")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    p.add_argument("--order", type=int, default=_default_order())
+    p.add_argument("--order", type=int, default=None)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("table", help="size-by-altitude count grid as CSV")
@@ -440,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf", help="expand a named generating function")
     p.add_argument("--name", required=True, choices=GF_NAMES)
-    p.add_argument("--order", type=int, default=_default_order())
+    p.add_argument("--order", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--M", type=int, default=None)

@@ -1,128 +1,256 @@
-"""Integer coefficient recurrences for the sequences needed at large sizes.
+"""Integer coefficient recurrences for the zigzag sequences needed at large sizes.
 
 The asymptotic checks compare against exact values at sizes in the
 thousands.  These come from code independent of the series engine, so
-every asymptotic row has its own exact source: each zigzag-side sequence
-here has an integer recurrence driven by the small kernel root, which
-itself satisfies
+every asymptotic row has its own exact source.  Each row costs
+O(n * small degree) big-integer steps.
 
-    root = z^3 + (z^2 + z^4) * root + z^3 * root^2,
+Every zigzag-side series here lies in the quadratic extension Q(z)(r) of
+the small kernel root r, the power series root (valuation 3) of
 
-so everything reduces to integer convolutions.  The unbounded grand-side
-sequences come from the O(n^2) dynamic program in counting.grand_row_stats.
+    z^3 r^2 + (z^4 + z^2 - 1) r + z^3 = 0,
 
-All divisions below are exact by construction and are checked.
+so r = (L - S) / (2 z^3) with L = 1 - z^2 - z^4 and S = sqrt(Delta),
+Delta = L^2 - 4 z^6 = 1 - 2z^2 - z^4 - 2z^6 + z^8.  S is D-finite: from
+S^2 = Delta it satisfies 2 Delta S' = Delta' S, whose coefficients give
+
+    2n s_n = -sum_{j in 2, 4, 6, 8} Delta_j (2n - 3j) s_{n-j},    s_0 = 1,
+
+four terms per coefficient.  Each row is written once, as in its
+kernel-method derivation, in a small private field arithmetic that keeps
+every element as (A + B r) / D with integer polynomials A, B, D.  Products
+reduce r^2 = (L r - z^3) / z^3; inverses multiply by the conjugate root
+1/r = L/z^3 - r, whose norm is a polynomial.  A row is expanded as the
+polynomial-times-series A + B r followed by division by the polynomial D,
+a linear recurrence of order deg D.
+
+The unbounded grand-side sequences come from the O(n^2) dynamic program
+in counting.grand_row_stats.
+
+Every division is exact by construction and is checked: a remainder
+raises ArithmeticError, nothing is rounded.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
+from operator import add, mul
 
-def _conv(a: list[int], b: list[int], order: int) -> list[int]:
-    n = min(order, len(a) + len(b) - 1) if a and b else 0
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        top = min(len(b), n - i)
-        for j in range(top):
-            out[i + j] += x * b[j]
-    return out
+# Delta = 1 - 2z^2 - z^4 - 2z^6 + z^8 as (j, Delta_j) for j >= 1
+_DELTA = ((2, -2), (4, -1), (6, -2), (8, 1))
+_L = [1, 0, -1, 0, -1]
 
 
-def _div(num: list[int], den: list[int], order: int) -> list[int]:
-    """Series division; den[0] must be +-1 so the result stays integral."""
-    d0 = den[0]
-    if d0 not in (1, -1):
-        raise ValueError("denominator must have a unit constant term")
-    out = [0] * order
-    for n in range(order):
-        s = num[n] if n < len(num) else 0
-        for j in range(1, min(n, len(den) - 1) + 1):
-            s -= den[j] * out[n - j]
-        out[n] = s * d0
-    return out
-
-
-def _add(*arrays: list[int]) -> list[int]:
-    n = max(len(a) for a in arrays)
-    out = [0] * n
-    for a in arrays:
-        for i, x in enumerate(a):
-            out[i] += x
-    return out
-
-
-def _scale_shift(a: list[int], shift: int, factor: int = 1) -> list[int]:
-    return [0] * shift + [factor * x for x in a]
-
-
-def _shift_down(a: list[int], k: int) -> list[int]:
-    if any(x != 0 for x in a[:k]):
-        raise ArithmeticError(f"expected the first {k} coefficients to vanish")
-    return a[k:]
+def _sqrt_delta(order: int) -> list[int]:
+    """Coefficients of sqrt(Delta) from its first-order ODE (odd ones vanish)."""
+    s = [1] + [0] * (order - 1)
+    for n in range(2, order, 2):
+        acc = 0
+        for j, dj in _DELTA:
+            if j > n:
+                break
+            acc -= dj * (2 * n - 3 * j) * s[n - j]
+        q, rem = divmod(acc, 2 * n)
+        if rem:
+            raise ArithmeticError(f"sqrt(Delta) coefficient {n} is not an integer")
+        s[n] = q
+    return s
 
 
 def small_root_coeffs(order: int) -> list[int]:
     """Coefficients of the small zigzag kernel root (valuation 3)."""
-    r = [0] * order
-    if order > 3:
-        r[3] = 1
-    for n in range(4, order):
-        acc = (r[n - 2] if n >= 2 else 0) + (r[n - 4] if n >= 4 else 0)
-        # (root^2)_{n-3}: both factors have valuation 3
-        acc += sum(r[i] * r[n - 3 - i] for i in range(3, n - 5))
-        r[n] = acc
+    if order <= 0:
+        return []
+    s = _sqrt_delta(order + 3)
+    r = []
+    for n in range(3, order + 3):
+        q, rem = divmod((_L[n] if n < len(_L) else 0) - s[n], 2)
+        if rem:
+            raise ArithmeticError(f"root coefficient {n - 3} is not an integer")
+        r.append(q)
     return r
+
+
+# -- integer polynomials, low degree first, no trailing zeros -------------------
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _padd(p: list[int], q: list[int]) -> list[int]:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out)
+
+
+def _pmul(p: list[int], q: list[int]) -> list[int]:
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        if c:
+            for j, e in enumerate(q):
+                out[i + j] += c * e
+    return out
+
+
+def _pshift(p: list[int], k: int, factor: int = 1) -> list[int]:
+    """factor * z^k * p."""
+    return [0] * k + [factor * c for c in p] if p else []
+
+
+def _valuation(p: list[int]) -> int:
+    return next(i for i, c in enumerate(p) if c)
+
+
+class _Elt:
+    """(a + b r) / d in Q(z)(r).
+
+    Kept with no common z-power or integer content, and with the lowest
+    nonzero coefficient of d positive.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: list[int], b: list[int] = (), d: list[int] = (1,)):
+        a, b, d = _trim(list(a)), _trim(list(b)), _trim(list(d))
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        k = min(_valuation(p) for p in (a, b, d) if p)
+        g = math.gcd(*a, *b, *d)
+        if d[_valuation(d)] < 0:
+            g = -g
+        self.a = [c // g for c in a[k:]]
+        self.b = [c // g for c in b[k:]]
+        self.d = [c // g for c in d[k:]]
+
+    def __add__(self, other) -> _Elt:
+        o = _lift(other)
+        return _Elt(
+            _padd(_pmul(self.a, o.d), _pmul(o.a, self.d)),
+            _padd(_pmul(self.b, o.d), _pmul(o.b, self.d)),
+            _pmul(self.d, o.d),
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> _Elt:
+        return _Elt([-c for c in self.a], [-c for c in self.b], self.d)
+
+    def __sub__(self, other) -> _Elt:
+        return self + -_lift(other)
+
+    def __rsub__(self, other) -> _Elt:
+        return _lift(other) - self
+
+    def __mul__(self, other) -> _Elt:
+        o = _lift(other)
+        bb = _pmul(self.b, o.b)
+        # r^2 = (L r - z^3) / z^3
+        return _Elt(
+            _padd(_pshift(_pmul(self.a, o.a), 3), _pshift(bb, 3, -1)),
+            _padd(_pshift(_padd(_pmul(self.a, o.b), _pmul(self.b, o.a)), 3), _pmul(_L, bb)),
+            _pshift(_pmul(self.d, o.d), 3),
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> _Elt:
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _Elt(d, [], a)
+        # (a + b r)(z^3 a + b L - z^3 b r) = z^3 a^2 + a b L + z^3 b^2
+        return _Elt(
+            _pmul(d, _padd(_pshift(a, 3), _pmul(b, _L))),
+            _pmul(d, _pshift(b, 3, -1)),
+            _padd(_pshift(_padd(_pmul(a, a), _pmul(b, b)), 3), _pmul(_pmul(a, b), _L)),
+        )
+
+    def __truediv__(self, other) -> _Elt:
+        return self * _lift(other).inverse()
+
+    def __pow__(self, e: int) -> _Elt:
+        out = _Elt([1])
+        for _ in range(e):
+            out = out * self
+        return out
+
+
+def _lift(x) -> _Elt:
+    return x if isinstance(x, _Elt) else _Elt([x])
+
+
+_Z = _Elt([0, 1])
+_R = _Elt([], [1])
+
+
+def _expand(x: _Elt, count: int) -> list[int]:
+    """The first count coefficients of the power series x."""
+    if count <= 0:
+        return []
+    k = _valuation(x.d)
+    d = x.d[k:]
+    width = count + k
+    num = (x.a + [0] * width)[:width]
+    if x.b:
+        r = small_root_coeffs(width)
+        for i, c in enumerate(x.b[:width]):
+            if c:
+                num[i:] = map(add, num[i:], map(mul, repeat(c), r))
+    if any(num[:k]):
+        raise ArithmeticError(f"expected the first {k} coefficients to vanish")
+    num = num[k:]
+    d0, taps = d[0], [(j, c) for j, c in enumerate(d) if c and j]
+    out = []
+    for n in range(count):
+        acc = num[n]
+        for j, c in taps:
+            if j > n:
+                break
+            acc -= c * out[n - j]
+        q, rem = divmod(acc, d0)
+        if rem:
+            raise ArithmeticError(f"coefficient {n} is not an integer")
+        out.append(q)
+    return out
 
 
 def zigzag_total_row(count: int) -> list[int]:
     """All zigzag paths by size: (1 + z + z^2)/(1 - z - z^2)."""
-    return _div([1, 1, 1], [1, -1, -1], count)
+    return _expand((1 + _Z + _Z**2) / (1 - _Z - _Z**2), count)
 
 
-def _boundary(order: int) -> tuple[list[int], list[int]]:
-    """(small root, axis-up boundary series) to the given order."""
-    r = small_root_coeffs(order)
-    # boundary = r(z - 1) / (z^3 (r z^2 + z - 1)); both sides shifted by z^3
-    num = _shift_down(_add(_scale_shift(r, 1), [-x for x in r]), 3)
-    den = _add(_scale_shift(r, 2), [0, 0, 0])
-    den[0] -= 1
-    den[1] += 1
-    return r, _div(num, den, order)
+def _boundary() -> tuple[_Elt, _Elt, _Elt]:
+    """(up, alt1, bundle) for the rows ending at altitude >= 0.
+
+    up = r (z - 1) / (z^3 (r z^2 + z - 1)) is the axis-up boundary series,
+    alt1 = (r^2 + z r + 2 z^2 r up) / z^2 the altitude-1 series and
+    bundle = 1 + z^2 alt1.
+    """
+    up = _R * (_Z - 1) / (_Z**3 * (_R * _Z**2 + _Z - 1))
+    lifted = _R**2 + _Z * _R + 2 * _Z**2 * _R * up
+    return up, lifted / _Z**2, 1 + lifted
 
 
 def zigzag_nonneg_row(count: int) -> list[int]:
     """Zigzag paths ending at altitude >= 0, by size."""
-    W = count + 10
-    r, up_axis = _boundary(W)
-    gamma = [2 * x for x in up_axis]
-    gamma[0] -= 1
-    r2 = _conv(r, r, W)
-    r_up = _conv(r, up_axis, W)
-    alt1 = _shift_down(_add(r2, _scale_shift(r, 1), _scale_shift(r_up, 2, 2))[:W], 2)
-    bundle = _add(r2, _scale_shift(r, 1), _scale_shift(r_up, 2, 2))[:W]
-    bundle[0] += 1
-    one_minus_r = [-x for x in r]
-    one_minus_r[0] += 1
-    tail = _div(_shift_down(_conv(bundle, r, W), 2), one_minus_r, W)
-    return _add(gamma[:W], alt1[:W], tail)[:count]
+    up, alt1, bundle = _boundary()
+    tail = bundle * _R / (_Z**2 * (1 - _R))
+    return _expand(2 * up - 1 + alt1 + tail, count)
 
 
 def zigzag_altitude_sum_row(count: int) -> list[int]:
     """Sum of final altitudes over zigzag paths ending at altitude >= 0."""
-    W = count + 10
-    r, up_axis = _boundary(W)
-    r2 = _conv(r, r, W)
-    r_up = _conv(r, up_axis, W)
-    alt1 = _shift_down(_add(r2, _scale_shift(r, 1), _scale_shift(r_up, 2, 2))[:W], 2)
-    bundle = _add(r2, _scale_shift(r, 1), _scale_shift(r_up, 2, 2))[:W]
-    bundle[0] += 1
-    one_minus_r = [-x for x in r]
-    one_minus_r[0] += 1
-    den2 = _conv(one_minus_r, one_minus_r, W)
-    two_r_minus_r2 = _add([2 * x for x in r], [-x for x in r2])[:W]
-    tail = _div(_shift_down(_conv(bundle, two_r_minus_r2, W)[:W], 2), den2, W)
-    return _add(alt1[:W], tail)[:count]
+    _, alt1, bundle = _boundary()
+    tail = bundle * (2 * _R - _R**2) / (_Z**2 * (1 - _R) ** 2)
+    return _expand(alt1 + tail, count)
 
 
 def above_axis_row(count: int) -> list[int]:
@@ -131,12 +259,7 @@ def above_axis_row(count: int) -> list[int]:
     Summing the per-altitude boundary expressions telescopes to
     root (1 + z + z^2) / (z^3 (1 - root)).
     """
-    W = count + 6
-    r = small_root_coeffs(W)
-    one_minus_r = [-x for x in r]
-    one_minus_r[0] += 1
-    num = _conv(_shift_down(r, 3), [1, 1, 1], W)
-    return _div(num, one_minus_r, count)
+    return _expand(_R * (1 + _Z + _Z**2) / (_Z**3 * (1 - _R)), count)
 
 
 def above_axis_altitude_sum_row(count: int) -> list[int]:
@@ -144,14 +267,8 @@ def above_axis_altitude_sum_row(count: int) -> list[int]:
 
     Telescoped form: root (z^2 + 2z + root - z*root) / (z^3 (1 - root)^2).
     """
-    W = count + 8
-    r = small_root_coeffs(W)
-    one_minus_r = [-x for x in r]
-    one_minus_r[0] += 1
-    den2 = _conv(one_minus_r, one_minus_r, W)
-    inner = _add([0, 2, 1], r, [-x for x in _scale_shift(r, 1)])[:W]
-    num = _shift_down(_conv(r, inner, W), 3)
-    return _div(num, den2, count)
+    inner = _Z**2 + 2 * _Z + _R - _Z * _R
+    return _expand(_R * inner / (_Z**3 * (1 - _R) ** 2), count)
 
 
 def above_line_row(m: int, count: int) -> list[int]:
@@ -160,17 +277,6 @@ def above_line_row(m: int, count: int) -> list[int]:
         raise ValueError("m must be non-negative")
     if m == 0:
         return above_axis_row(count)
-    W = count + 4
-    r = small_root_coeffs(W)
-    powers = {0: [1]}
-    acc = [1]
-    for k in range(1, m + 2):
-        acc = _conv(acc, r, W)
-        powers[k] = acc
-    num = _add(
-        _scale_shift(powers[m - 1], 1),
-        _scale_shift(powers[m], 2),
-        powers[m + 1][:W],
-        [-1, -1, -1],
-    )[:W]
-    return _div(num, [-1, 1, 1], count)
+    low = _R ** (m - 1)
+    num = _Z * low + _Z**2 * low * _R + low * _R**2 - 1 - _Z - _Z**2
+    return _expand(num / (_Z**2 + _Z - 1), count)

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import knightpaths
 from knightpaths.cli import main
 from knightpaths.fixtures import SPAN_TABLE, ZIGZAG_TABLE
 
@@ -243,5 +248,50 @@ def test_order_env_override(capsys, monkeypatch):
     assert code == 0
     assert len(out.split()) == 9
     monkeypatch.setenv("KNIGHTPATHS_ORDER", "banana")
-    with pytest.raises(SystemExit):
-        run(capsys, "gf", "--name", "zigzag-total")
+    code, out, err = run(capsys, "gf", "--name", "zigzag-total")
+    assert code == 2
+    assert out == "" and err.startswith("error: KNIGHTPATHS_ORDER")
+
+
+def test_bad_order_env_exits_two_only_where_used(capsys, monkeypatch):
+    monkeypatch.setenv("KNIGHTPATHS_ORDER", "abc")
+    code, out, _ = run(capsys, "biject", "--map", "phi", "--input", "X=1 ; Y=1")
+    assert (code, out) == (0, "N Nb\n")
+    code, out, _ = run(capsys, "count", "--size", "7", "--altitude", "0", "--zigzag")
+    assert (code, out) == (0, "6\n")
+    code, out, err = run(capsys, "gf", "--name", "zigzag-total")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    code, out, err = run(capsys, "count", "--size", "7", "--zigzag", "--engine", "gf")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    code, out, _ = run(capsys, "gf", "--name", "zigzag-total", "--order", "3")
+    assert (code, out) == (0, "1 2 4\n")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--name", "above-line", "--m", "0"),
+        ("--name", "span-exact", "--k", "0"),
+        ("--name", "tube", "--m", "0", "--M", "0"),
+        ("--name", "tube-axis", "--M", "0"),
+    ],
+)
+def test_gf_bad_series_parameter_exits_two(capsys, flags):
+    code, out, err = run(capsys, "gf", *flags, "--order", "5")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_cli_import_does_not_load_sympy():
+    src = str(Path(knightpaths.__file__).resolve().parents[1])
+    code = "import sys, knightpaths.cli; print('sympy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n")

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import pytest
+
 from knightpaths import recurrences, series
 from knightpaths.counting import ALL, NONNEG, altitude_distribution, count_row
 from knightpaths.paths import PathConstraints
@@ -59,3 +64,179 @@ def test_rows_extend_cheaply():
     row = recurrences.zigzag_nonneg_row(400)
     assert row[16] == 1973
     assert row[399] > 10 ** 80  # growth near the golden ratio reciprocal
+
+
+def test_small_root_satisfies_kernel_to_order_600():
+    n = 600
+    r = recurrences.small_root_coeffs(n)
+    lhs = [0] * n  # z^3 r^2 + (z^4 + z^2 - 1) r + z^3, truncated at z^n
+    lhs[3] += 1
+    for i, x in enumerate(r):
+        for j in range(n - 3 - i):
+            lhs[i + j + 3] += x * r[j]
+        for shift, c in ((0, -1), (2, 1), (4, 1)):
+            if i + shift < n:
+                lhs[i + shift] += c * x
+    assert lhs == [0] * n
+
+
+# -- naive O(n^2) reference: the kernel-method formulas on truncated series ----
+
+N = 400
+W = N + 16  # the top few coefficients are lost to divisions by z^k
+
+
+def _mul(a, b):
+    out = [0] * W
+    for i, x in enumerate(a):
+        if x:
+            for j in range(W - i):
+                out[i + j] += x * b[j]
+    return out
+
+
+def _shift(a, k):
+    """z^k a; for k < 0 the dropped coefficients must vanish."""
+    if k < 0:
+        assert not any(a[:-k])
+        return a[-k:] + [0] * -k
+    return ([0] * k + a)[:W]
+
+
+def _add(*terms):
+    return [sum(t[i] for t in terms) for i in range(W)]
+
+
+def _poly(*coeffs):
+    return list(coeffs) + [0] * (W - len(coeffs))
+
+
+def _div(a, b):
+    assert b[0] in (1, -1)
+    out = [0] * W
+    for n in range(W):
+        out[n] = (a[n] - sum(b[j] * out[n - j] for j in range(1, n + 1))) * b[0]
+    return out
+
+
+def _naive_root():
+    r = [0] * W
+    r[3] = 1
+    for n in range(4, W):
+        r[n] = r[n - 2] + r[n - 4] + sum(r[i] * r[n - 3 - i] for i in range(3, n - 5))
+    return r
+
+
+def _naive_rows():
+    r = _naive_root()
+    one, z, z2 = _poly(1), _poly(0, 1), _poly(0, 0, 1)
+    one_minus_r = _add(one, [-x for x in r])
+    up = _shift(_div(_mul(r, _poly(-1, 1)), _add(_shift(r, 2), _poly(-1, 1))), -3)
+    lifted = _add(_mul(r, r), _mul(z, r), [2 * x for x in _mul(z2, _mul(r, up))])
+    alt1, bundle = _shift(lifted, -2), _add(one, lifted)
+    tail = _shift(_div(_mul(bundle, r), one_minus_r), -2)
+    nonneg = _add([2 * x for x in up], [-x for x in one], alt1, tail)
+    den2 = _mul(one_minus_r, one_minus_r)
+    two_r_minus_r2 = _add([2 * x for x in r], [-x for x in _mul(r, r)])
+    altsum = _add(alt1, _shift(_div(_mul(bundle, two_r_minus_r2), den2), -2))
+    axis = _shift(_div(_mul(r, _poly(1, 1, 1)), one_minus_r), -3)
+    inner = _add(_poly(0, 2, 1), r, [-x for x in _mul(z, r)])
+    axis_sum = _shift(_div(_mul(r, inner), den2), -3)
+    total = _div(_poly(1, 1, 1), _poly(1, -1, -1))
+    return {
+        "small_root_coeffs": r,
+        "zigzag_total_row": total,
+        "zigzag_nonneg_row": nonneg,
+        "zigzag_altitude_sum_row": altsum,
+        "above_axis_row": axis,
+        "above_axis_altitude_sum_row": axis_sum,
+    }, r
+
+
+def _naive_above_line(r, m):
+    power = [1] + [0] * (W - 1)
+    powers = [power]
+    for _ in range(m + 1):
+        power = _mul(power, r)
+        powers.append(power)
+    num = _add(
+        _shift(powers[m - 1], 1), _shift(powers[m], 2), powers[m + 1], _poly(-1, -1, -1)
+    )
+    return _div(num, _poly(-1, 1, 1))
+
+
+def test_rows_match_naive_reference_to_400():
+    rows, r = _naive_rows()
+    for name, want in rows.items():
+        assert getattr(recurrences, name)(N) == want[:N], name
+    for m in (1, 2, 5):
+        assert recurrences.above_line_row(m, N) == _naive_above_line(r, m)[:N], m
+
+
+def test_above_line_rows_vs_dp_to_40():
+    for m in range(7):
+        dp = count_row(40, ALL, PathConstraints(zigzag=True, min_y=-m))
+        assert recurrences.above_line_row(m, 41) == dp, m
+
+
+ROWS = (
+    recurrences.small_root_coeffs,
+    recurrences.zigzag_total_row,
+    recurrences.zigzag_nonneg_row,
+    recurrences.zigzag_altitude_sum_row,
+    recurrences.above_axis_row,
+    recurrences.above_axis_altitude_sum_row,
+    lambda count: recurrences.above_line_row(3, count),
+)
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_edge_counts(row):
+    full = row(12)
+    assert len(full) == 12
+    for count in range(4):
+        assert row(count) == full[:count]
+
+
+def test_negative_m_is_rejected():
+    with pytest.raises(ValueError):
+        recurrences.above_line_row(-1, 10)
+
+
+@pytest.mark.parametrize(
+    "tap, where",
+    [((2, -3), "sqrt"), ((4, 1), "root")],
+)
+def test_corrupt_delta_raises_not_rounds(monkeypatch, tap, where):
+    taps = [t for t in recurrences._DELTA if t[0] != tap[0]] + [tap]
+    monkeypatch.setattr(recurrences, "_DELTA", tuple(sorted(taps)))
+    with pytest.raises(ArithmeticError, match=where):
+        recurrences.small_root_coeffs(2)
+
+
+def test_corrupt_row_element_raises_not_rounds():
+    Z, Elt = recurrences._Z, recurrences._Elt
+    up = recurrences._boundary()[0]
+    assert up.d[0] == 0  # so the expansion strips a z-power from a + b r
+    recurrences._expand(up, 30)
+    bad_a = [up.a[0] + 1, *up.a[1:]]
+    with pytest.raises(ArithmeticError, match="vanish"):
+        recurrences._expand(Elt(bad_a, up.b, up.d), 30)
+    total = (1 + Z + Z**2) / (1 - Z - Z**2)
+    assert recurrences._expand(total, 30) == recurrences.zigzag_total_row(30)
+    bad_d = [2 * total.d[0], *total.d[1:]]
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        recurrences._expand(Elt(total.a, total.b, bad_d), 30)
+
+
+def test_module_imports_no_other_engine():
+    source = Path(recurrences.__file__).read_text()
+    banned = {"series", "laurent", "counting", "sympy", "mpmath"}
+    seen = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            seen.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            seen.update((node.module or "").split("."))
+            seen.update(a.name for a in node.names)
+    assert not seen & banned
