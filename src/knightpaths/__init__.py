@@ -3,7 +3,8 @@
 Four mutually cross-checking engines over the same combinatorial objects:
 
 * counting   — big-integer dynamic programming and exhaustive generation;
-* series     — exact truncated power/Laurent series from the kernel method;
+* series     — exact truncated power/Laurent series from the kernel method,
+  and transfer, rational generating functions for two-sided bands;
 * closedforms — binomial-sum formulas;
 * bijections — constructive maps to composition pairs, plus a tiling counter.
 

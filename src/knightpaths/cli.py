@@ -14,20 +14,18 @@ import os
 import sys
 from fractions import Fraction
 
-from . import asymptotics, bijections, closedforms, counting, series, verification
+from . import asymptotics, bijections, closedforms, counting, series, transfer, verification
 from .counting import ALL, NONNEG
 from .paths import DOWN, UP, ParseError, Path, PathConstraints, parse_path
 
 ENV_ORDER = "KNIGHTPATHS_ORDER"
 
 
-def _order(args) -> int:
-    """--order if given, else KNIGHTPATHS_ORDER, else the series default."""
-    if args.order is not None:
-        return args.order
+def _env_order() -> int | None:
+    """KNIGHTPATHS_ORDER, or None when unset; a malformed value raises ValueError."""
     raw = os.environ.get(ENV_ORDER)
     if raw is None:
-        return series.DEFAULT_ORDER
+        return None
     try:
         value = int(raw)
     except ValueError:
@@ -62,8 +60,17 @@ def _emit(payload: dict, fmt: str, plain_keys: list[str]) -> None:
 # -- count ---------------------------------------------------------------------
 
 
-def _gf_count(size: int, altitude, c: PathConstraints, order: int) -> int | None:
-    """Series-engine count, or None when no generating function applies."""
+def _gf_count(size: int, altitude, c: PathConstraints) -> int | None:
+    """Generating-function count, or None when no generating function applies.
+
+    Two-sided bands go to the transfer-matrix engine, which is exact at any
+    size; the kernel-method series are truncated at size + 2, past the
+    coefficient asked for.
+    """
+    order = size + 2
+    band = transfer.band_count(size, altitude, c)
+    if band is not None:
+        return band
     if c.steps is not None or c.first_dir is not None or c.last_dir is not None:
         return None
     bounded = c.min_y is not None or c.max_y is not None
@@ -73,36 +80,23 @@ def _gf_count(size: int, altitude, c: PathConstraints, order: int) -> int | None
         if altitude == ALL:
             return series.GRAND_TOTAL_GF.expand(size + 1)[size]
         if altitude == NONNEG:
-            h1, _ = series.grand_totals(size + 1)
+            h1, _ = series.grand_totals(order)
             return int(series.z_coefficients(h1, size + 1)[size])
-        gf = series.grand_altitude_gf(abs(altitude), size + 1)
+        gf = series.grand_altitude_gf(abs(altitude), order)
         return int(series.z_coefficients(gf, size + 1)[size])
     if not bounded:
         if altitude == ALL:
             return series.zigzag_rational(size + 1)[size]
         if altitude == NONNEG:
-            return series.int_coefficients(series.zigzag_nonneg_gf(size + 2), size + 1)[size]
-        gf = series.zigzag_altitude_gf(abs(altitude), size + 2)
+            return series.int_coefficients(series.zigzag_nonneg_gf(order), size + 1)[size]
+        gf = series.zigzag_altitude_gf(abs(altitude), order)
         return series.int_coefficients(gf, size + 1)[size]
-    # banded zigzag
-    m = -c.min_y if c.min_y is not None else None
-    top = c.max_y
-    if top is None:
-        if altitude != ALL or m < 1:
-            return None
-        total, _ = series.above_line_gf(m, size + 2)
-        return series.int_coefficients(total, size + 1)[size]
-    if m is None:
-        return None  # bounded above only: reflect at the caller if needed
-    band = series.tube_gf(m, top, size + 2) if m <= top else series.tube_gf(top, m, size + 2)
-    if altitude == ALL:
-        return series.int_coefficients(band.total(), size + 1)[size]
-    if altitude == NONNEG:
+    # one bound only: staying above -m and staying below +m are mirror images
+    m = -c.min_y if c.min_y is not None else c.max_y
+    if altitude != ALL or m < 1:
         return None
-    y = altitude if m <= top else -altitude  # reflected band flips altitudes
-    if not -band.m <= y <= band.M:
-        return 0
-    return series.int_coefficients(band.altitude(y), size + 1)[size]
+    total, _ = series.above_line_gf(m, order)
+    return series.int_coefficients(total, size + 1)[size]
 
 
 def _closed_count(size: int, altitude, c: PathConstraints) -> int | None:
@@ -138,7 +132,8 @@ def cmd_count(args) -> int:
         c = _constraints(args)
         if args.size < 0:
             raise ValueError("size must be non-negative")
-        order = _order(args) if "gf" in engines else None
+        if "gf" in engines:
+            _env_order()  # the value is not used, but a malformed one is an error
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -153,7 +148,7 @@ def cmd_count(args) -> int:
         if engine == "dp":
             results["dp"] = counting.count_paths(args.size, altitude, c)
         elif engine == "gf":
-            got = _gf_count(args.size, altitude, c, order)
+            got = _gf_count(args.size, altitude, c)
             if got is not None:
                 results["gf"] = got
             elif args.engine == "gf":
@@ -200,6 +195,12 @@ def cmd_table(args) -> int:
 # -- gf ----------------------------------------------------------------------------
 
 
+def _zigzag_band(m: int, M: int, order: int, altitude=ALL) -> list[int]:
+    """Coefficients 0..order-1 of a zigzag band [-m, M], from the transfer matrix."""
+    c = PathConstraints(zigzag=True, min_y=-m, max_y=M)
+    return transfer.band_gf(c, altitude).expand(order)
+
+
 def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | None) -> list[int]:
     def need(value, what):
         if value is None:
@@ -234,18 +235,20 @@ def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | No
     if name == "above-line":
         total, _ = series.above_line_gf(need(m, "m"), order + 1)
         return series.int_coefficients(total, order)
+    # the transfer engine takes any band; these names keep the series' domain
     if name == "sym-tube":
-        total, _ = series.symmetric_tube_gf(need(m, "m"), order + 1)
-        return series.int_coefficients(total, order)
+        series.check_positive("m", need(m, "m"))
+        return _zigzag_band(m, m, order)
     if name == "tube":
-        gf = series.tube_total_gf(need(m, "m"), need(M, "M"), order + 1)
-        return series.int_coefficients(gf, order)
+        series.check_band(need(m, "m"), need(M, "M"))
+        return _zigzag_band(m, M, order)
     if name == "tube-axis":
-        return series.int_coefficients(series.tube_axis_gf(need(M, "M"), order + 1), order)
+        series.check_positive("M", need(M, "M"))
+        return _zigzag_band(0, M, order, altitude=0)
     if name == "tube1-axis":
         return series.TUBE1_AXIS_GF.expand(order)
     if name == "span-exact":
-        return series.int_coefficients(series.span_exact_gf(need(k, "k"), order + 1), order)
+        return transfer.span_exact_row(need(k, "k"), order)
     raise ValueError(f"unknown gf name {name!r}")
 
 
@@ -258,7 +261,9 @@ GF_NAMES = (
 
 def cmd_gf(args) -> int:
     try:
-        order = _order(args)
+        order = args.order
+        if order is None:
+            order = _env_order() or series.DEFAULT_ORDER
         if order < 1:
             raise ValueError(f"--order must be >= 1, got {order}")
         # the series functions reject out-of-range parameters with ValueError
@@ -432,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--last", choices=["up", "down"], default=None)
     p.add_argument("--engine", choices=["dp", "gf", "closed", "all"], default="dp")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    p.add_argument("--order", type=int, default=None)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("table", help="size-by-altitude count grid as CSV")

@@ -17,11 +17,7 @@ from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Callable, Iterator
 
-from .paths import STEP_ORDER, Path, PathConstraints, Step
-
-#: Altitude filter: an int selects that exact altitude; these select sets.
-ALL = "all"
-NONNEG = "nonneg"
+from .paths import ALL, NONNEG, STEP_ORDER, Path, PathConstraints, Step
 
 AltitudeFilter = int | str
 
@@ -63,6 +59,8 @@ def _sweep(n_max: int, c: PathConstraints, by_steps: bool = False) -> Iterator[d
     width = hi - lo + 1
     col = {(0, 0): [0] * -lo + [1] + [0] * hi}  # the empty path
     ahead: list[dict] = [{}, {}]  # the columns at x + 1 and x + 2
+    moves = tuple((s.direction, s.dx, s.dy) for s in STEP_ORDER)  # plain ints, read per cell row
+    zigzag, first = c.zigzag, c.first_dir
     for x in range(n_max + 1):
         yield col
         for (d, used), row in col.items():
@@ -70,22 +68,21 @@ def _sweep(n_max: int, c: PathConstraints, by_steps: bool = False) -> Iterator[d
                 continue
             # a prefix has |y| <= 2x, and |y| <= 3 * used - x once it has `used` steps
             reach = 3 * used - x if by_steps else 2 * x
-            for step in STEP_ORDER:
-                if c.zigzag and d == step.direction:
+            for direction, dx, dy in moves:
+                if zigzag and d == direction:
                     continue
-                if d == 0 and c.first_dir not in (None, step.direction):
+                if d == 0 and first not in (None, direction):
                     continue
-                if x + step.dx > n_max:
+                if x + dx > n_max:
                     continue
-                dy = step.dy
                 i0 = max(0, -dy, -reach - lo)
                 i1 = min(width, width - dy, reach - lo + 1)
                 if i0 >= i1:
                     continue  # no cell of this row can take the step
-                key = (step.direction, used + 1 if by_steps else 0)
-                target = ahead[step.dx - 1].get(key)
+                key = (direction, used + 1 if by_steps else 0)
+                target = ahead[dx - 1].get(key)
                 if target is None:
-                    target = ahead[step.dx - 1][key] = [0] * width
+                    target = ahead[dx - 1][key] = [0] * width
                 target[i0 + dy : i1 + dy] = map(add, target[i0 + dy : i1 + dy], row[i0:i1])
         col, ahead = ahead[0], [ahead[1], {}]
 

@@ -18,6 +18,10 @@ from functools import cached_property
 UP = 1
 DOWN = -1
 
+#: Altitude filters: an int selects that exact altitude; these select sets.
+ALL = "all"
+NONNEG = "nonneg"
+
 
 class Step(Enum):
     """The four knight moves, each with horizontal and vertical displacement."""

@@ -45,6 +45,20 @@ def _mono(exponent: int, coeff=1) -> LaurentSeries:
     return LaurentSeries.from_poly({exponent: coeff})
 
 
+def check_positive(name: str, value: int) -> None:
+    """Raise ValueError unless a band parameter is at least 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def check_band(m: int, M: int) -> None:
+    """Raise ValueError unless [-m, +M] is a band tube_gf solves."""
+    if not 0 <= m <= M:
+        raise ValueError("band bounds must satisfy 0 <= m <= M")
+    if M == 0:
+        raise ValueError("band [-0, +0] admits no steps; only the empty path")
+
+
 def _ensure_order(series: LaurentSeries, needed: int, what: str) -> LaurentSeries:
     if series.order is not None and series.order < needed:
         raise ArithmeticError(
@@ -335,8 +349,7 @@ def above_line_gf(
     bottom_edge is the boundary series for paths ending at altitude -m+1
     with a rising step (the empty path included when m = 1).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_positive("m", m)
     work = order + 3 * (m + 2) + 12
     small, _ = zigzag_kernel_roots(work)
     z, z2 = _mono(1), _mono(2)
@@ -364,8 +377,7 @@ def symmetric_tube_gf(
     boundary series: small^m (1 + small z^2 + small^2 z) over
     z (small z + z^2 + small^(2m+1)); total = (2 z f - z^2 - z - 1)/(z^2+z-1).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_positive("m", m)
     work = order + 6 * (m + 2) + 12
     small, _ = zigzag_kernel_roots(work)
     z, z2 = _mono(1), _mono(2)
@@ -425,10 +437,7 @@ def tube_gf(m: int, M: int, order: int = DEFAULT_ORDER) -> TubeSeries:
     Requires m <= M; a band with the deeper side below is the reflection of
     one with it above, so swap the bounds and flip altitudes at the caller.
     """
-    if not 0 <= m <= M:
-        raise ValueError("band bounds must satisfy 0 <= m <= M")
-    if M == 0:
-        raise ValueError("band [-0, +0] admits no steps; only the empty path")
+    check_band(m, M)
     span = m + M
     work = order + 3 * (span + 3) + 18
     small, large = zigzag_kernel_roots(work)
@@ -511,8 +520,7 @@ def tube_total_gf(m: int, M: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
 
 def tube_axis_gf(M: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
     """Counts of zigzag paths staying inside [0, +M] and ending on the axis."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    check_positive("M", M)
     return tube_gf(0, M, order).axis()
 
 
@@ -571,8 +579,7 @@ def span_exact_gf(k: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
     Folding to half the windows with a factor 2 would overcount when k is
     even: the symmetric window is its own mirror image.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_positive("k", k)
     bands: dict[tuple[int, int], LaurentSeries] = {}
 
     def band_total(m: int, M: int) -> LaurentSeries:

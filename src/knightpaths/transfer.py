@@ -1,0 +1,291 @@
+"""Transfer-matrix engine: exact rational generating functions for bands.
+
+A path confined to a two-sided band [lo, hi] is a walk on a finite graph, so
+its generating function by size is rational: P/Q with Q = det(I - T) for the
+graph's transfer matrix T (Flajolet & Sedgewick, *Analytic Combinatorics*,
+2009, V.4-V.6; Banderier & Flajolet, "Basic analytic combinatorics of
+directed lattice paths", TCS 281, 2002).
+
+States.  A grand path's state is its altitude.  A zigzag path alternates
+rising and falling steps, so its state is the altitude reached after a
+falling step, and a transition is a rise followed by a fall (degree <= 4 in
+z).  The start is a state of its own in both worlds: nothing returns to it,
+it may fall first, and a first-direction filter restricts its row alone.
+The states are ordered by altitude, with the start last.
+
+The end vector v holds, per state, the ways to stop there: at once, or after
+one final step (a final rise in the zigzag world), filtered by altitude and
+last direction.  Then x = (I - T)^-1 v counts the paths from every state,
+and the answer is x at the start.  With the start last, one fraction-free
+Bareiss elimination of [I - T | v_1 ... v_r] over integer polynomials leaves
+Q = det(I - T) as the last pivot and, beside it, each Cramer numerator
+det(I - T with its last column replaced by v_t): no back substitution.
+Every division in the elimination is exact; each is checked and raises
+ArithmeticError if it is not.
+
+The matrix is banded: a zigzag transition moves the altitude by at most 1,
+a grand step by at most 2.  A row with zeros left of the pivot column is
+only ever scaled by the elimination, so it is left alone until the column
+reaches it, and the cost grows with the band's span, not with the order.
+
+The engine is independent of the kernel-method series (`series.tube_gf`),
+which stays the check on its numbers.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from itertools import repeat
+from operator import add, mul, sub
+from typing import Sequence
+
+from .laurent import RationalGF
+from .paths import ALL, DOWN, NONNEG, STEP_ORDER, UP, PathConstraints
+
+Poly = list[int]  # integer coefficients, lowest degree first, no trailing zeros
+
+_STEPS = tuple((s.dx, s.dy, s.direction) for s in STEP_ORDER)
+
+
+# -- integer polynomials ---------------------------------------------------------
+
+
+def _trim(p: Poly) -> Poly:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _mul(p: Poly, q: Poly) -> Poly:
+    if not p or not q:
+        return []
+    if len(p) > len(q):
+        p, q = q, p
+    out = [0] * (len(p) + len(q) - 1)
+    t = len(q)
+    for i, c in enumerate(p):
+        if c:  # add c times q, shifted by i, in one C-level pass
+            out[i : i + t] = map(add, out[i : i + t], map(mul, q, repeat(c)))
+    return out
+
+
+def _sub(p: Poly, q: Poly) -> Poly:
+    out = p + [0] * (len(q) - len(p))
+    out[: len(q)] = map(sub, out, q)
+    return _trim(out)
+
+
+def _divexact(num: Poly, den: Poly) -> Poly:
+    """num / den, which must divide exactly; raises ArithmeticError otherwise.
+
+    The quotient comes from the low end, one coefficient per division by
+    den[0]; the top len(den) - 1 coefficients of num must then agree with
+    den * quotient.
+    """
+    if not num:
+        return []
+    last = len(den) - 1
+    nq = len(num) - last
+    if nq <= 0:
+        raise ArithmeticError(f"degree {len(num) - 1} polynomial is not divisible by degree {last}")
+    d0, rden = den[0], den[::-1]
+    q: Poly = []
+    for i in range(nq):
+        t = min(i, last)
+        s = num[i] - sum(map(mul, rden[last - t : last], q[i - t : i]))
+        h, r = divmod(s, d0)
+        if r:
+            raise ArithmeticError(f"inexact division at z^{i}: {s} / {d0}")
+        q.append(h)
+    for i in range(nq, len(num)):
+        j = i - nq + 1  # the lowest power of den that still meets the quotient
+        if num[i] != sum(map(mul, den[j : i + 1], reversed(q[max(i - last, 0) : nq]))):
+            raise ArithmeticError(f"inexact division: remainder at z^{i}")
+    return q
+
+
+# -- the band's state graph ---------------------------------------------------------
+
+
+def _selector(altitude):
+    if isinstance(altitude, int):
+        return lambda y: y == altitude
+    if altitude == ALL:
+        return lambda y: True
+    if altitude == NONNEG:
+        return lambda y: y >= 0
+    raise ValueError(f"unknown altitude filter {altitude!r}")
+
+
+def _moves(c: PathConstraints, y: int, start: bool) -> tuple[list, list]:
+    """(transitions, finals) out of the state at altitude y.
+
+    Each is a list of (altitude reached, degree in z, first direction, last
+    direction); 0 marks the empty path, which has neither.  Finals end the
+    path: a grand path stops where it stands (or, under a last-direction
+    filter, after one final step); a zigzag path stops after its fall or
+    after one final rise.
+    """
+    lo, hi = c.min_y, c.max_y
+    steps = [(y + dy, dx, d) for dx, dy, d in _STEPS if lo <= y + dy <= hi]
+    if not c.zigzag:
+        moves = [(y2, dx, d, d) for y2, dx, d in steps]
+        if c.last_dir is not None:
+            return moves, moves
+        return moves, [(y, 0, 0, 0)]
+    rises = [(y2, dx, UP, UP) for y2, dx, d in steps if d == UP]
+    moves = [
+        (y2 + dy, dx1 + dx, UP, DOWN)
+        for y2, dx1, _, _ in rises
+        for dx, dy, d in _STEPS
+        if d == DOWN and y2 + dy >= lo
+    ]
+    if start:
+        moves += [(y2, dx, DOWN, DOWN) for y2, dx, d in steps if d == DOWN]
+    here = 0 if start else DOWN
+    return moves, rises + [(y, 0, here, here)]
+
+
+def _system(c: PathConstraints, altitudes: Sequence) -> list[list[Poly]]:
+    """The augmented matrix [I - T | v_1 ... v_r], one end vector per altitude filter."""
+    states = list(range(c.min_y, c.max_y if c.zigzag else c.max_y + 1))
+    n = len(states) + 1
+    index = {y: i for i, y in enumerate(states)}
+    selectors = [_selector(a) for a in altitudes]
+    rows = []
+    for i in range(n):
+        start = i == n - 1
+        moves, finals = _moves(c, 0 if start else states[i], start)
+        if start and c.first_dir is not None:
+            moves = [mv for mv in moves if mv[2] == c.first_dir]
+            finals = [mv for mv in finals if mv[2] == c.first_dir]
+        if c.last_dir is not None:
+            finals = [mv for mv in finals if mv[3] == c.last_dir]
+        row: list[Poly] = [[] for _ in range(n + len(selectors))]
+        row[i] = [1]
+        for y, degree, _, _ in moves:
+            _bump(row, index[y], degree, -1)
+        for t, sel in enumerate(selectors):
+            for y, degree, _, _ in finals:
+                if sel(y):
+                    _bump(row, n + t, degree, 1)
+        rows.append([_trim(p) for p in row])
+    return rows
+
+
+def _bump(row: list[Poly], j: int, degree: int, c: int) -> None:
+    p = row[j]
+    if len(p) <= degree:
+        p.extend([0] * (degree + 1 - len(p)))
+    p[degree] += c
+
+
+# -- elimination ------------------------------------------------------------------------
+
+
+def _bareiss_step(rows: list[list[Poly]], k: int, prev: Poly, touched: list[bool]) -> None:
+    """Eliminate column k below the pivot rows[k][k], dividing by the last pivot.
+
+    Afterwards rows[i][j] (i, j > k) is the minor of rows 0..k, i and columns
+    0..k, j of the original matrix, a polynomial: the division by prev is
+    exact unless an entry was corrupted, and then it raises.  A row with
+    zeros in columns 0..k would only be scaled, to pivot times itself, so it
+    is left as it was; once column k is nonzero the minor of such a row is
+    pivot * row - row[k] * pivot row, with no division.
+    """
+    pivot = rows[k]
+    p = pivot[k]
+    for i in range(k + 1, len(rows)):
+        row = rows[i]
+        a = row[k]
+        if not (a or touched[i]):
+            continue
+        for j in range(k + 1, len(row)):
+            x, y = row[j], pivot[j]
+            if a and y:
+                num = _sub(_mul(p, x), _mul(a, y))
+            elif x:
+                num = _mul(p, x)
+            else:
+                continue  # zero stays zero
+            row[j] = num if prev == [1] or not touched[i] else _divexact(num, prev)
+        row[k] = []
+        touched[i] = True
+
+
+def _solve(rows: list[list[Poly]]) -> tuple[Poly, list[Poly]]:
+    """(det(I - T), Cramer numerators for the last state) of an augmented matrix."""
+    prev: Poly = [1]
+    touched = [False] * len(rows)
+    for k in range(len(rows)):
+        if not touched[k]:  # left as it was by every step so far: stands for prev * row
+            rows[k] = [_mul(prev, x) for x in rows[k]]
+        _bareiss_step(rows, k, prev, touched)
+        prev = rows[k][k]
+    if not prev or prev[0] != 1:
+        raise ArithmeticError(f"det(I - T) must be 1 at z = 0, got {prev[:1] or [0]}")
+    return prev, rows[-1][len(rows) :]
+
+
+# -- public entry points ----------------------------------------------------------------
+
+
+def band_gfs(c: PathConstraints, altitudes: Sequence) -> list[RationalGF]:
+    """Rational generating functions, one per altitude filter, for a two-sided band.
+
+    c must bound both sides and carry no step-count filter; zigzag, first
+    and last direction are honoured.  All filters share one elimination.
+    """
+    if c.min_y is None or c.max_y is None:
+        raise ValueError("the transfer engine needs both min_y and max_y")
+    if c.steps is not None:
+        raise ValueError("the transfer engine does not count steps")
+    q, numerators = _solve(_system(c, altitudes))
+    return [RationalGF(p, q) for p in numerators]
+
+
+def band_gf(c: PathConstraints, altitude=ALL) -> RationalGF:
+    """The rational generating function of one altitude filter in a band."""
+    return band_gfs(c, (altitude,))[0]
+
+
+def band_count(size: int, altitude, c: PathConstraints) -> int | None:
+    """Paths of the given size matching the query, or None when no two-sided
+    band applies (a bound is missing, or steps are filtered).
+
+    No path of this size leaves [-2 size, 2 size], so the band is clamped to
+    it first, as the DP does: the cost is bounded by the size, however wide
+    the band.
+    """
+    if c.min_y is None or c.max_y is None or c.steps is not None:
+        return None
+    c = replace(c, min_y=max(c.min_y, -2 * size), max_y=min(c.max_y, 2 * size))
+    return band_gf(c, altitude).expand(size + 1)[size]
+
+
+def span_exact_row(k: int, count: int) -> list[int]:
+    """Zigzag paths of sizes 0..count-1 whose altitude range is exactly k.
+
+    Inclusion-exclusion over the band rows [-m, k-m], m = 0..k, as in
+    `series.span_exact_gf`; band totals are reflection-invariant, so each
+    band and its mirror image are derived once.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rows: dict[tuple[int, int], list[int]] = {}
+
+    def band(m: int, top: int) -> list[int]:
+        if m < 0 or top < 0:
+            return [0] * count
+        key = (min(m, top), max(m, top))
+        if key not in rows:
+            c = PathConstraints(zigzag=True, min_y=-key[0], max_y=key[1])
+            rows[key] = band_gf(c).expand(count)
+        return rows[key]
+
+    out = [0] * count
+    for m in range(k + 1):
+        top = k - m
+        out = list(map(add, out, map(sub, band(m, top), band(m - 1, top))))
+        out = list(map(sub, out, map(sub, band(m, top - 1), band(m - 1, top - 1))))
+    return out

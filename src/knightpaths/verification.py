@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from . import asymptotics, bijections, closedforms, counting, series
+from . import asymptotics, bijections, closedforms, counting, series, transfer
 from .counting import ALL, NONNEG
 from .fixtures import GRAND_TABLE, SEQUENCES, SPAN_TABLE, ZIGZAG_TABLE
 from .paths import DOWN, UP, Path, PathConstraints, Step, validate_path
@@ -172,6 +172,10 @@ def check_cross_engine(level: str = "quick") -> tuple[bool, str]:
                 series.tube_total_gf(m, M, band_top + 1), band_top + 1
             )
             dp_row = counting.count_row(band_top, ALL, _zigzag(min_y=-m, max_y=M))
+            if level == "full":
+                band = transfer.band_gf(_zigzag(min_y=-m, max_y=M)).expand(band_top + 1)
+                if band != dp_row:
+                    problems.append(f"tube m={m} M={M}: transfer={band} dp={dp_row}")
         if gf_row != dp_row:
             problems.append(f"{kind} m={m} M={M}: gf={gf_row} dp={dp_row}")
     scope = f"n<={n_top}, |k|<={k_top}, bands n<={band_top}"

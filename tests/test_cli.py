@@ -295,3 +295,72 @@ def test_cli_import_does_not_load_sympy():
         timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_count_takes_no_order(capsys, monkeypatch):
+    """count's series run to size + 2 whatever KNIGHTPATHS_ORDER says, and
+    --order is not a count flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--size", "3", "--engine", "gf", "--order", "40"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    monkeypatch.setenv("KNIGHTPATHS_ORDER", "9")
+    argv = ("count", "--size", "30", "--zigzag", "--nonneg")
+    code, out, err = run(capsys, *argv, "--engine", "all")
+    assert (code, out, err) == (0, run(capsys, *argv)[1], "")
+    code, out, err = run(capsys, "count", "--size", "64", "--engine", "all", "--min-y", "-3", "--max-y", "3")
+    assert code == 0 and err == ""
+
+
+def test_count_order_follows_the_size(capsys, monkeypatch):
+    import knightpaths.cli as cli_mod
+
+    seen = []
+    real = cli_mod.series.zigzag_nonneg_gf
+    monkeypatch.setattr(cli_mod.series, "zigzag_nonneg_gf", lambda order: seen.append(order) or real(order))
+    monkeypatch.setenv("KNIGHTPATHS_ORDER", "40")
+    run(capsys, "count", "--size", "10", "--zigzag", "--nonneg", "--engine", "gf")
+    assert seen == [12]
+
+
+@pytest.mark.parametrize("engine", ["gf", "all"])
+def test_count_zero_width_zigzag_band(capsys, engine):
+    for size, want in enumerate(["1", "0", "0", "0"]):
+        code, out, err = run(
+            capsys, "count", "--size", str(size), "--zigzag", "--min-y", "0", "--max-y", "0",
+            "--engine", engine,
+        )
+        assert (code, out, err) == (0, want + "\n", ""), size
+
+
+def test_count_upper_bound_only_reflects_above_line(capsys):
+    from knightpaths.counting import count_paths
+
+    for top in (1, 2, 3):
+        for size in (0, 1, 5, 12, 19):
+            code, out, _ = run(
+                capsys, "count", "--size", str(size), "--zigzag", "--max-y", str(top),
+                "--engine", "gf", "--format", "json",
+            )
+            assert code == 0
+            want = count_paths(size, "all", zigzag=True, max_y=top)
+            assert json.loads(out) == {"gf": str(want), "count": str(want)}, (top, size)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--min-y", "-1", "--max-y", "2"),
+        ("--min-y", "-2", "--max-y", "1", "--altitude", "-1"),
+        ("--zigzag", "--min-y", "-1", "--max-y", "3", "--nonneg"),
+        ("--zigzag", "--min-y", "-2", "--max-y", "2", "--first", "down", "--last", "up"),
+    ],
+)
+def test_band_queries_gain_the_transfer_engine(capsys, flags):
+    argv = ("count", "--size", "17", *flags)
+    _, plain_dp, _ = run(capsys, *argv)
+    code, plain_all, _ = run(capsys, *argv, "--engine", "all")
+    assert code == 0 and plain_all == plain_dp
+    code, out, _ = run(capsys, *argv, "--engine", "all", "--format", "json")
+    payload = json.loads(out)
+    assert payload["gf"] == payload["dp"] == payload["count"] == plain_dp.strip()

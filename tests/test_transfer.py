@@ -1,0 +1,232 @@
+"""Transfer-matrix band engine against the kernel-method series and the DP."""
+
+from __future__ import annotations
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knightpaths import series, transfer
+from knightpaths.counting import ALL, NONNEG, altitude_distributions, count_paths, count_row
+from knightpaths.paths import DOWN, UP, PathConstraints
+
+ORDER = 60
+
+
+def bands(max_span: int, floor: int = 0):
+    """(m, M) of every band [-m, M] with m, M >= 0 and span floor..max_span."""
+    return [
+        (m, M) for m in range(max_span + 1) for M in range(max_span + 1) if floor <= m + M <= max_span
+    ]
+
+
+def dp_rows(n_max: int, c: PathConstraints, altitudes) -> list[list[int]]:
+    """DP rows for several altitude filters, from one sweep."""
+    dists = list(altitude_distributions(n_max, c))
+    rows = []
+    for a in altitudes:
+        if a == ALL:
+            rows.append([sum(d.values()) for d in dists])
+        elif a == NONNEG:
+            rows.append([sum(v for y, v in d.items() if y >= 0) for d in dists])
+        else:
+            rows.append([d.get(a, 0) for d in dists])
+    return rows
+
+
+def ints(s, n):
+    return series.int_coefficients(s, n)
+
+
+@pytest.mark.parametrize("m,M", [(m, M) for m, M in bands(6, floor=1) if m <= M])
+def test_zigzag_band_vs_series_and_dp(m, M):
+    """Both orientations of the band: total, y >= 0 and every altitude."""
+    solved = series.tube_gf(m, M, ORDER + 1)
+    for lo, hi, flip in ((m, M, 1), (M, m, -1)):
+        c = PathConstraints(zigzag=True, min_y=-lo, max_y=hi)
+        altitudes = [ALL, NONNEG, *range(-lo, hi + 1)]
+        got = [g.expand(ORDER) for g in transfer.band_gfs(c, altitudes)]
+        assert got == dp_rows(ORDER - 1, c, altitudes), (lo, hi)
+        assert got[0] == ints(solved.total(), ORDER)
+        for y, row in zip(altitudes[2:], got[2:]):
+            assert row == ints(solved.altitude(flip * y), ORDER), (lo, hi, y)
+        nonneg = [0] * ORDER
+        for y in range(-lo, hi + 1):
+            if y >= 0:
+                nonneg = [a + b for a, b in zip(nonneg, ints(solved.altitude(flip * y), ORDER))]
+        assert got[1] == nonneg
+
+
+@pytest.mark.parametrize("m,M", bands(6))
+def test_grand_band_vs_dp(m, M):
+    c = PathConstraints(min_y=-m, max_y=M)
+    altitudes = [ALL, NONNEG, *range(-m, M + 1)]
+    got = [g.expand(ORDER) for g in transfer.band_gfs(c, altitudes)]
+    assert got == dp_rows(ORDER - 1, c, altitudes)
+
+
+def test_empty_band_holds_only_the_empty_path():
+    for zigzag in (True, False):
+        c = PathConstraints(zigzag=zigzag, min_y=0, max_y=0)
+        assert transfer.band_gf(c).expand(6) == [1, 0, 0, 0, 0, 0]
+        assert [transfer.band_count(n, 0, c) for n in range(4)] == [1, 0, 0, 0]
+
+
+def test_first_and_last_direction_vs_dp():
+    for zigzag in (True, False):
+        for first in (None, UP, DOWN):
+            for last in (None, UP, DOWN):
+                c = PathConstraints(zigzag=zigzag, min_y=-2, max_y=3, first_dir=first, last_dir=last)
+                altitudes = [ALL, NONNEG, -2, 0, 3]
+                got = [g.expand(30) for g in transfer.band_gfs(c, altitudes)]
+                assert got == dp_rows(29, c, altitudes), (zigzag, first, last)
+
+
+@st.composite
+def band_queries(draw):
+    m, M = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    c = PathConstraints(
+        zigzag=draw(st.booleans()),
+        min_y=-m,
+        max_y=M,
+        first_dir=draw(st.sampled_from([None, UP, DOWN])),
+        last_dir=draw(st.sampled_from([None, UP, DOWN])),
+    )
+    altitude = draw(st.one_of(st.sampled_from([ALL, NONNEG]), st.integers(-6, 6)))
+    return draw(st.integers(0, 30)), altitude, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(band_queries())
+def test_band_count_matches_dp(query):
+    size, altitude, c = query
+    assert transfer.band_count(size, altitude, c) == count_paths(size, altitude, c)
+
+
+@pytest.mark.parametrize("zigzag,m,M", [(True, 2, 3), (False, 1, 2)])
+def test_large_size_vs_dp(zigzag, m, M):
+    c = PathConstraints(zigzag=zigzag, min_y=-m, max_y=M)
+    assert transfer.band_gf(c).expand(2001) == count_row(2000, ALL, c)
+
+
+@pytest.mark.parametrize("zigzag", [True, False])
+def test_wide_band_is_clamped_to_the_size(zigzag, monkeypatch):
+    """A band far wider than any path of the size costs no more than [-2n, 2n]."""
+    widths = []
+    real = transfer._system
+    monkeypatch.setattr(transfer, "_system", lambda c, alts: widths.append(c.max_y - c.min_y) or real(c, alts))
+    for size in range(6):
+        for altitude in (ALL, NONNEG, 1, -3):
+            c = PathConstraints(zigzag=zigzag, min_y=-500, max_y=400, last_dir=DOWN if size % 2 else None)
+            assert transfer.band_count(size, altitude, c) == count_paths(size, altitude, c), (size, altitude)
+    assert max(widths) == 20
+
+
+def test_coverage_needs_two_bounds_and_no_steps():
+    assert transfer.band_count(5, ALL, PathConstraints(zigzag=True, min_y=-1)) is None
+    assert transfer.band_count(5, ALL, PathConstraints(max_y=2)) is None
+    assert transfer.band_count(5, 1, PathConstraints(min_y=-1, max_y=2, steps=3)) is None
+    with pytest.raises(ValueError):
+        transfer.band_gf(PathConstraints(min_y=-1))
+    with pytest.raises(ValueError):
+        transfer.band_gf(PathConstraints(min_y=-1, max_y=1), altitude="some")
+
+
+def test_span_exact_row_vs_series():
+    for k in range(1, 6):
+        assert transfer.span_exact_row(k, 40) == ints(series.span_exact_gf(k, 41), 40), k
+    with pytest.raises(ValueError):
+        transfer.span_exact_row(0, 10)
+
+
+def test_corrupted_entry_fails_the_exact_division():
+    rows = transfer._system(PathConstraints(zigzag=True, min_y=-2, max_y=3), [ALL])
+    touched = [False] * len(rows)
+    transfer._bareiss_step(rows, 0, [1], touched)
+    assert len(rows[0][0]) > 1  # the next step divides by a non-constant pivot
+    rows[1][3] = transfer._sub(rows[1][3], [0, 1])
+    with pytest.raises(ArithmeticError):
+        transfer._bareiss_step(rows, 1, rows[0][0], touched)
+
+
+def _value(p, z):
+    return sum(c * z**i for i, c in enumerate(p))
+
+
+def _det(matrix):
+    """Determinant of a square integer matrix by Gaussian elimination over Q."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot], det = a[pivot], a[k], -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+@st.composite
+def augmented(draw):
+    """[I - T | v1 v2] with T(0) = 0 and many zero entries."""
+    n = draw(st.integers(1, 5))
+    poly = st.lists(st.integers(-3, 3), max_size=3)
+    rows = []
+    for i in range(n):
+        row = [[0] + draw(poly) if draw(st.booleans()) else [] for _ in range(n)]
+        row = [[-c for c in p] for p in row]
+        row[i] = [1] + row[i][1:]
+        rows.append([transfer._trim(p) for p in row] + [transfer._trim(draw(poly)) for _ in range(2)])
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(augmented())
+def test_elimination_matches_cramer(rows):
+    """Q and every P against determinants of the matrix evaluated at integer points."""
+    n = len(rows)
+    q, ps = transfer._solve([[list(p) for p in row] for row in rows])
+    for z in range(-6, 7):
+        a = [[_value(p, z) for p in row] for row in rows]
+        assert _value(q, z) == _det([row[:n] for row in a])
+        for t, p in enumerate(ps):
+            assert _value(p, z) == _det([row[: n - 1] + [row[n + t]] for row in a])
+
+
+def test_exact_division_checks():
+    p, q = [1, -1, -1], [1, 2, 0, 5]
+    assert transfer._divexact(transfer._mul(p, q), p) == q
+    with pytest.raises(ArithmeticError):
+        transfer._divexact([1, 0, 1], [1, 1])  # 1 + z^2 = (1 + z)(1 - z) + 2z^2
+    with pytest.raises(ArithmeticError):
+        transfer._divexact([1, 1], [2, 1])  # quotient not integral
+    with pytest.raises(ArithmeticError):
+        transfer._divexact([3, 1], [2, 1])  # z^1 agrees with 1 * (2 + z); z^0 leaves 1
+    with pytest.raises(ArithmeticError):
+        transfer._divexact([3], [1, 1])
+
+
+def test_determinant_must_be_one_at_zero():
+    with pytest.raises(ArithmeticError):
+        transfer._solve([[[2], [1]]])
+
+
+def test_module_imports_no_other_engine():
+    source = Path(transfer.__file__).read_text()
+    banned = {"series", "counting", "sympy", "mpmath"}
+    seen = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            seen.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            seen.update((node.module or "").split("."))
+            seen.update(a.name for a in node.names)
+    assert not seen & banned
