@@ -2,9 +2,9 @@
 
 Each formula evaluates in IEEE doubles (evaluate) and, for the convergence
 reports, in extended precision via mpmath so that ratios against exact
-big-integer counts never overflow.  Exact values come from the integer
-recurrence engines and the grand-path dynamic program, never from
-truncating the algebraic series at order n.
+big-integer counts never overflow.  Exact values come from the O(n) integer
+recurrences, never from truncating the algebraic series at order n.
+mpmath is imported on first use, since most commands never evaluate with it.
 
 Every constant here is pinned by the convergence tests: the exact/estimate
 ratios must approach 1 over the tested ranges.  The expected-steps formula
@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
-import mpmath
+from typing import TYPE_CHECKING, Callable
 
 from . import closedforms, recurrences
-from .counting import grand_row_stats
-from .series import GRAND_TOTAL_GF
+
+if TYPE_CHECKING:
+    import mpmath
 
 
 @dataclass(frozen=True)
@@ -134,35 +133,36 @@ class _Formula:
     takes_m: bool = False
     conjecture: bool = False
     exact: Callable | None = None  # (n_list[, m]) -> list[Fraction]
+    min_n: int = 0  # smallest size with both an estimate and an exact value
 
 
 def _exact_grand_all(n_list):
-    row = GRAND_TOTAL_GF.expand(max(n_list) + 1)
+    row = recurrences.grand_total_row(max(n_list) + 1)
     return [Fraction(row[n]) for n in n_list]
 
 
 def _exact_grand_nonneg(n_list):
-    stats = grand_row_stats(max(n_list))
-    return [Fraction(stats["nonneg"][n]) for n in n_list]
+    row = recurrences.grand_nonneg_row(max(n_list) + 1)
+    return [Fraction(row[n]) for n in n_list]
 
 
 def _exact_grand_altitude_sum(n_list):
-    stats = grand_row_stats(max(n_list))
-    return [Fraction(stats["altitude_sum"][n]) for n in n_list]
+    row = recurrences.grand_altitude_sum_row(max(n_list) + 1)
+    return [Fraction(row[n]) for n in n_list]
 
 
 def _exact_grand_expected_altitude(n_list):
-    stats = grand_row_stats(max(n_list))
-    return [
-        Fraction(stats["altitude_sum"][n], stats["nonneg"][n]) for n in n_list
-    ]
+    top = max(n_list) + 1
+    sums = recurrences.grand_altitude_sum_row(top)
+    counts = recurrences.grand_nonneg_row(top)
+    return [Fraction(sums[n], counts[n]) for n in n_list]
 
 
 def _exact_grand_expected_altitude_positive(n_list):
-    stats = grand_row_stats(max(n_list))
-    return [
-        Fraction(stats["altitude_sum"][n], stats["positive"][n]) for n in n_list
-    ]
+    top = max(n_list) + 1
+    sums = recurrences.grand_altitude_sum_row(top)
+    counts = recurrences.grand_positive_row(top)
+    return [Fraction(sums[n], counts[n]) for n in n_list]
 
 
 def _exact_zigzag_expected_altitude(n_list):
@@ -221,6 +221,7 @@ FORMULAS: dict[str, _Formula] = {
         _c_grand_expected_altitude,
         lambda M, n: M.sqrt(n),
         exact=_exact_grand_expected_altitude_positive,
+        min_n=1,  # no path of size 0 ends above the axis
     ),
     "zigzag-expected-altitude": _Formula(
         _c_zigzag_expected_altitude,
@@ -246,12 +247,14 @@ FORMULAS: dict[str, _Formula] = {
         lambda M, n: 1 / M.sqrt(n),
         takes_m=True,
         exact=_exact_above_line_prob,
+        min_n=1,
     ),
     "min-height-prob": _Formula(
         _c_min_height,
         lambda M, n: 1 / M.sqrt(n),
         takes_m=True,
         exact=_exact_min_height_prob,
+        min_n=1,
     ),
 }
 
@@ -275,6 +278,8 @@ def constant(formula: str, m: int | None = None) -> float:
 
 def constant_extended(formula: str, m: int | None = None, dps: int = 40) -> mpmath.mpf:
     """The same prefactor evaluated with mpmath at `dps` decimal digits."""
+    import mpmath
+
     entry = _lookup(formula)
     with mpmath.workdps(dps):
         if entry.takes_m:
@@ -298,6 +303,8 @@ def evaluate(formula: str, n: int, m: int | None = None) -> AsymptoticEstimate:
 
 
 def _estimate_mp(entry: _Formula, n: int, m: int | None) -> mpmath.mpf:
+    import mpmath
+
     c = entry.constant(mpmath, m) if entry.takes_m else entry.constant(mpmath)
     return c * entry.growth(mpmath, n)
 
@@ -311,6 +318,8 @@ def convergence_report(
     as the grand total at n = 2000 far exceeds double range).  Rows with an
     exact value of zero report a NaN ratio rather than failing.
     """
+    import mpmath
+
     if not n_list or sorted(n_list) != list(n_list):
         raise ValueError("n_list must be non-empty and ascending")
     if n_list[0] < 0:
@@ -318,6 +327,10 @@ def convergence_report(
     entry = _lookup(formula)
     if entry.exact is None:
         raise ValueError(f"{formula} has no exact source")
+    if n_list[0] < entry.min_n:
+        raise ValueError(
+            f"{formula} is undefined at n = {n_list[0]}; sizes must be >= {entry.min_n}"
+        )
     if entry.takes_m:
         if m is None or m < 0:
             raise ValueError(f"{formula} needs a band depth m >= 0")

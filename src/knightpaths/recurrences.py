@@ -1,8 +1,8 @@
-"""Integer coefficient recurrences for the zigzag sequences needed at large sizes.
+"""Integer coefficient recurrences for the zigzag and grand sequences needed at large sizes.
 
 The asymptotic checks compare against exact values at sizes in the
-thousands.  These come from code independent of the series engine, so
-every asymptotic row has its own exact source.  Each row costs
+thousands.  These come from code independent of the series engine and of
+the dynamic program, so every asymptotic row has its own exact source.  Each row costs
 O(n * small degree) big-integer steps.
 
 Every zigzag-side series here lies in the quadratic extension Q(z)(r) of
@@ -24,8 +24,18 @@ reduce r^2 = (L r - z^3) / z^3; inverses multiply by the conjugate root
 polynomial-times-series A + B r followed by division by the polynomial D,
 a linear recurrence of order deg D.
 
-The unbounded grand-side sequences come from the O(n^2) dynamic program
-in counting.grand_row_stats.
+The grand (non-zigzag) rows are algebraic too, hence D-finite.  All grand
+paths follow 1/(1 - 2z - 2z^2).  The paths ending on the axis and the sum of
+final altitudes each satisfy a P-recurrence
+
+    sum_{i=0}^{r} p_i(n) a(n - i) = 0    for n >= r,
+
+with integer polynomials p_i, committed below as data.  Each was guessed
+over Q from the first terms of the dynamic program (the unique solution at
+its order and degree) and is certified in the tests against the dynamic
+program to n = 300, against the kernel-method series and against the
+algebraic equation of its generating function.  The rows ending at y >= 0
+and at y > 0 then follow from the y -> -y symmetry.
 
 Every division is exact by construction and is checked: a remainder
 raises ArithmeticError, nothing is rounded.
@@ -35,7 +45,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, sub
 
 # Delta = 1 - 2z^2 - z^4 - 2z^6 + z^8 as (j, Delta_j) for j >= 1
 _DELTA = ((2, -2), (4, -1), (6, -2), (8, 1))
@@ -280,3 +290,111 @@ def above_line_row(m: int, count: int) -> list[int]:
     low = _R ** (m - 1)
     num = _Z * low + _Z**2 * low * _R + low * _R**2 - 1 - _Z - _Z**2
     return _expand(num / (_Z**2 + _Z - 1), count)
+
+
+# -- grand (non-zigzag) rows ----------------------------------------------------
+#
+# A recurrence is (coeffs, initial): coeffs[i] lists the coefficients of
+# p_i(n), constant term first, and initial holds a(0), ..., a(r - 1).  The
+# nonnegative integer roots of p_0 all lie below len(initial), so no
+# unrolled term divides by zero.
+
+# 1/(1 - 2z - 2z^2): a(n) = 2 a(n - 1) + 2 a(n - 2)
+_GRAND_TOTAL = (((1,), (-2,), (-2,)), (1, 2))
+
+# Paths ending on the axis: order 7, degree 6,
+# p_0(n) = 2 n (n - 2) (2n - 3) (575 n^3 - 6448 n^2 + 23637 n - 28324).
+_GRAND_AXIS = (
+    (
+        (0, -339888, 680180, -521590, 191720, -33842, 2300),
+        (-442080, 1483896, -1932900, 1243480, -417780, 69984, -4600),
+        (-1382592, 4118288, -4830296, 2859456, -902864, 144568, -9200),
+        (3790080, -10633368, 11768514, -6612157, 1995679, -307659, 18975),
+        (-2404032, 7116544, -7918060, 4373142, -1284944, 192210, -11500),
+        (-4612800, 12423952, -12965688, 6812152, -1919716, 277144, -16100),
+        (92160, -129024, 66368, -14896, 1232),
+        (-844800, 2222240, -2246296, 1134748, -305484, 41892, -2300),
+    ),
+    (1, 0, 2, 0, 8, 6, 44),
+)
+
+# Sum of final altitudes over paths ending at y > 0: order 8, degree 4,
+# p_0(n) = 2 (n - 1) (2n - 1) (330731 n^2 - 2629274 n + 3972518).
+_GRAND_ALTITUDE_SUM = (
+    (
+        (7945036, -29093656, 32327178, -12501482, 1322924),
+        (81615630, -114782380, 40993106, -1265880, -403104),
+        (-189140608, 369871514, -297322592, 97655024, -9777184),
+        (-270198180, 229088205, -24281965, -14433035, 1943147),
+        (1165956240, -1432488238, 690734339, -149511633, 11888018),
+        (-542777528, 1135679512, -853952976, 235530428, -20474188),
+        (-574890304, 1024580224, -683439584, 179308480, -15699208),
+        (-14555904, 71872016, -65627344, 16728612, -1322924),
+        (-119395296, 190930344, -117626620, 28310036, -2242744),
+    ),
+    (0, 2, 5, 20, 56, 180, 516, 1552),
+)
+
+
+def _horner(p: tuple[int, ...], n: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * n + c
+    return acc
+
+
+def _unroll(coeffs, initial, count: int) -> list[int]:
+    """The first count terms of sum_i p_i(n) a(n - i) = 0 from its initial terms."""
+    if count <= 0:
+        return []
+    out = list(initial[:count])
+    taps = tuple(enumerate(coeffs))[1:]
+    for n in range(len(out), count):
+        acc = 0
+        for i, p in taps:
+            acc -= _horner(p, n) * out[n - i]
+        lead = _horner(coeffs[0], n)
+        if not lead:
+            raise ArithmeticError(f"leading coefficient vanishes at n = {n}")
+        q, rem = divmod(acc, lead)
+        if rem:
+            raise ArithmeticError(f"term {n} is not an integer")
+        out.append(q)
+    return out
+
+
+def _halves(row: list[int], what: str) -> list[int]:
+    out = []
+    for n, v in enumerate(row):
+        q, rem = divmod(v, 2)
+        if rem:
+            raise ArithmeticError(f"{what} term {n} is odd")
+        out.append(q)
+    return out
+
+
+def grand_total_row(count: int) -> list[int]:
+    """All grand paths by size: 1/(1 - 2z - 2z^2)."""
+    return _unroll(*_GRAND_TOTAL, count)
+
+
+def grand_axis_row(count: int) -> list[int]:
+    """Grand paths ending on the axis, by size."""
+    return _unroll(*_GRAND_AXIS, count)
+
+
+def grand_altitude_sum_row(count: int) -> list[int]:
+    """Sum of final altitudes over grand paths ending at y > 0, by size."""
+    return _unroll(*_GRAND_ALTITUDE_SUM, count)
+
+
+def grand_nonneg_row(count: int) -> list[int]:
+    """Grand paths ending at y >= 0: (total + axis) / 2 by the y -> -y symmetry."""
+    both = map(add, grand_total_row(count), grand_axis_row(count))
+    return _halves(list(both), "total + axis")
+
+
+def grand_positive_row(count: int) -> list[int]:
+    """Grand paths ending at y > 0: (total - axis) / 2."""
+    both = map(sub, grand_total_row(count), grand_axis_row(count))
+    return _halves(list(both), "total - axis")

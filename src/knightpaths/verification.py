@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from . import asymptotics, bijections, closedforms, counting, series, transfer
+from . import asymptotics, bijections, closedforms, counting, recurrences, series, transfer
 from .counting import ALL, NONNEG
 from .fixtures import GRAND_TABLE, SEQUENCES, SPAN_TABLE, ZIGZAG_TABLE
 from .paths import DOWN, UP, Path, PathConstraints, Step, validate_path
@@ -108,11 +108,14 @@ def check_sequence_fixtures(level: str = "quick") -> tuple[bool, str]:
     compare("grand-total", series.GRAND_TOTAL_GF.expand(11))
     stats = counting.grand_row_stats(n_grand - 1)
     compare("grand-total", stats["total"][:11])
+    compare("grand-total", recurrences.grand_total_row(11))
     h1, dh1 = series.grand_totals(n_grand)
     compare("grand-nonneg", [int(c) for c in series.z_coefficients(h1, n_grand)])
     compare("grand-nonneg", stats["nonneg"])
+    compare("grand-nonneg", recurrences.grand_nonneg_row(n_grand))
     compare("grand-altitude-sum", [int(c) for c in series.z_coefficients(dh1, n_grand)])
     compare("grand-altitude-sum", stats["altitude_sum"])
+    compare("grand-altitude-sum", recurrences.grand_altitude_sum_row(n_grand))
 
     compare("zigzag-total", series.zigzag_rational(17))
     compare("zigzag-total", counting.count_row(16, ALL, _zigzag()))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
-from knightpaths import asymptotics
+from knightpaths import asymptotics, counting
 
 
 def test_constants_double_vs_extended():
@@ -129,3 +131,38 @@ def test_report_requires_ascending_sizes():
 def test_report_rows_are_exact():
     report = asymptotics.convergence_report("grand-all", [10])
     assert report.rows[0].exact == 18272
+
+
+GRAND_FORMULAS = [name for name in asymptotics.FORMULAS if name.startswith("grand-")]
+
+
+def test_grand_reports_do_not_run_the_dp(monkeypatch):
+    def refuse(n_max):
+        raise AssertionError("the O(n^2) DP ran on the asym path")
+
+    monkeypatch.setattr(counting, "grand_row_stats", refuse)
+    assert len(GRAND_FORMULAS) == 5
+    for formula in GRAND_FORMULAS:
+        report = asymptotics.convergence_report(formula, [1, 40, 400])
+        assert [row.n for row in report.rows] == [1, 40, 400], formula
+
+
+def test_module_imports_no_dp_or_series_engine():
+    # a from-import would bind grand_row_stats past the monkeypatch above
+    source = Path(asymptotics.__file__).read_text()
+    seen = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            seen.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            seen.update((node.module or "").split("."))
+            seen.update(a.name for a in node.names)
+    assert not seen & {"counting", "series"}
+
+
+def test_criterion_7_inputs_are_unchanged():
+    # the known-red gate reads grand-nonneg at n = 200; its inputs must not move
+    report = asymptotics.convergence_report("grand-nonneg", [200])
+    row = report.rows[-1]
+    assert row.exact == counting.grand_row_stats(200)["nonneg"][200]
+    assert f"{row.ratio:.4f}" == "1.0177"

@@ -201,6 +201,34 @@ def test_asym_bad_size_list_exits_two(capsys):
         assert out == "" and err.startswith("error:"), n_list
 
 
+GOLDEN_ASYM = json.loads((Path(__file__).parent / "data" / "asym_grand_golden.json").read_text())
+
+
+@pytest.mark.parametrize("formula", sorted(GOLDEN_ASYM))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_asym_grand_output_is_byte_identical(capsys, formula, fmt):
+    # captured from the DP-backed implementation; the recurrence rows must match it
+    want = GOLDEN_ASYM[formula]
+    code, out, err = run(
+        capsys, "asym", "--formula", formula, "--n-list", want["n_list"], "--format", fmt
+    )
+    assert (code, out, err) == (0, want[fmt], "")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("above-line-prob", "--m", "1"),
+        ("min-height-prob", "--m", "0"),
+        ("grand-expected-altitude-positive",),
+    ],
+)
+def test_asym_undefined_at_zero_exits_two(capsys, flags):
+    code, out, err = run(capsys, "asym", "--formula", *flags, "--n-list", "0,5")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "n = 0" in err
+
+
 def test_verify_quick_passes(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
@@ -284,9 +312,9 @@ def test_gf_bad_series_parameter_exits_two(capsys, flags):
     assert out == "" and err.startswith("error:")
 
 
-def test_cli_import_does_not_load_sympy():
+def _cli_import_reports(module: str) -> str:
     src = str(Path(knightpaths.__file__).resolve().parents[1])
-    code = "import sys, knightpaths.cli; print('sympy' in sys.modules)"
+    code = f"import sys, knightpaths.cli; print({module!r} in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -294,7 +322,17 @@ def test_cli_import_does_not_load_sympy():
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
-    assert (done.returncode, done.stdout) == (0, "False\n")
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_does_not_load_sympy():
+    assert _cli_import_reports("sympy") == "False\n"
+
+
+def test_cli_import_does_not_load_mpmath():
+    # only asym and verify evaluate in extended precision
+    assert _cli_import_reports("mpmath") == "False\n"
 
 
 def test_count_takes_no_order(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from knightpaths import recurrences, series
-from knightpaths.counting import ALL, NONNEG, altitude_distribution, count_row
+from knightpaths.counting import ALL, NONNEG, altitude_distribution, count_row, grand_row_stats
 from knightpaths.paths import PathConstraints
 
 ZZ = PathConstraints(zigzag=True)
@@ -187,6 +187,11 @@ ROWS = (
     recurrences.above_axis_row,
     recurrences.above_axis_altitude_sum_row,
     lambda count: recurrences.above_line_row(3, count),
+    recurrences.grand_total_row,
+    recurrences.grand_axis_row,
+    recurrences.grand_altitude_sum_row,
+    recurrences.grand_nonneg_row,
+    recurrences.grand_positive_row,
 )
 
 
@@ -194,6 +199,7 @@ ROWS = (
 def test_edge_counts(row):
     full = row(12)
     assert len(full) == 12
+    assert row(-1) == []
     for count in range(4):
         assert row(count) == full[:count]
 
@@ -227,6 +233,121 @@ def test_corrupt_row_element_raises_not_rounds():
     bad_d = [2 * total.d[0], *total.d[1:]]
     with pytest.raises(ArithmeticError, match="not an integer"):
         recurrences._expand(Elt(total.a, total.b, bad_d), 30)
+
+
+# -- grand rows: certified P-recurrences ------------------------------------------
+
+GRAND_ROWS = {
+    "total": recurrences.grand_total_row,
+    "axis": recurrences.grand_axis_row,
+    "altitude_sum": recurrences.grand_altitude_sum_row,
+    "nonneg": recurrences.grand_nonneg_row,
+    "positive": recurrences.grand_positive_row,
+}
+
+RECURRENCES = {
+    "total": recurrences._GRAND_TOTAL,
+    "axis": recurrences._GRAND_AXIS,
+    "altitude_sum": recurrences._GRAND_ALTITUDE_SUM,
+}
+
+
+def test_grand_rows_match_dp_to_300():
+    # far past the <= 100 terms each recurrence was fitted from
+    stats = grand_row_stats(300)
+    for key, row in GRAND_ROWS.items():
+        assert row(301) == stats[key], key
+
+
+def test_grand_rows_match_kernel_series_to_order_60():
+    n = 60
+    nonneg, altitude_sum = series.grand_totals(n)
+    axis, _ = series.grand_boundary_gfs(n)
+    assert recurrences.grand_total_row(n) == series.GRAND_TOTAL_GF.expand(n)
+    assert recurrences.grand_axis_row(n) == series.z_coefficients(axis, n)
+    assert recurrences.grand_nonneg_row(n) == series.z_coefficients(nonneg, n)
+    assert recurrences.grand_altitude_sum_row(n) == series.z_coefficients(altitude_sum, n)
+
+
+def _truncated_product(a, b, n):
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("key", ["axis", "altitude_sum"])
+def test_grand_rows_satisfy_the_kernel_algebraic_equation(key):
+    import sympy
+
+    z, v, t, x = sympy.symbols("z v t x")
+    kernel = v**2 - z * v**4 - z - z**2 * v - z**2 * v**3  # u^2 / K(u) marks altitude by u
+    dk = sympy.diff(kernel, v)
+    # [u^k] u^2 / K(u) = -sum of v^(1-k) / K'(v) over the two large roots v, k >= 0;
+    # summing k u^k over k >= 1 gives -v^2 / (K'(v) (v - 1)^2)
+    num, den = {"axis": (v, dk), "altitude_sum": (v**2, dk * (v - 1) ** 2)}[key]
+    single = sympy.resultant(kernel, t * den + num, v)  # roots -num/den at each root
+    pair = sympy.resultant(single, single.subs(t, x - t), t)  # roots: sums of two
+    n = 100
+    row = GRAND_ROWS[key](n)
+    powers = [[1] + [0] * (n - 1)]
+    for _ in range(sympy.degree(pair, x)):
+        powers.append(_truncated_product(powers[-1], row, n))
+    hits = []
+    for factor, _ in sympy.factor_list(pair, x, z)[1]:
+        value = [0] * n
+        for (i, j), c in sympy.Poly(factor, x, z).terms():
+            for k in range(n - j):
+                value[k + j] += int(c) * powers[i][k]
+        if not any(value):
+            hits.append(factor)
+    assert len(hits) == 1 and sympy.degree(hits[0], x) == 4, hits
+
+
+@pytest.mark.parametrize("key", ["axis", "altitude_sum"])
+def test_committed_recurrence_is_the_unique_fit(key):
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    coeffs, _ = RECURRENCES[key]
+    r, d = len(coeffs) - 1, max(len(p) for p in coeffs) - 1
+    unknowns = (r + 1) * (d + 1)
+    a = grand_row_stats(r + unknowns + 20)[key]  # 20 spare equations
+    rows = [
+        [QQ(n**j * a[n - i]) for i in range(r + 1) for j in range(d + 1)]
+        for n in range(r, len(a))
+    ]
+    kernel = DomainMatrix(rows, (len(rows), unknowns), QQ).nullspace().to_Matrix()
+    assert kernel.shape[0] == 1
+    want = [c for p in coeffs for c in (*p, *[0] * (d + 1 - len(p)))]
+    k = next(i for i, c in enumerate(want) if c)
+    assert [c * want[k] / kernel[k] for c in kernel] == want
+
+
+@pytest.mark.parametrize("key", sorted(RECURRENCES))
+def test_initial_terms_reach_past_leading_roots(key):
+    coeffs, initial = RECURRENCES[key]
+    lead = coeffs[0]
+    assert len(initial) == len(coeffs) - 1 and lead[-1]
+    bound = 2 + max(abs(c) for c in lead) // abs(lead[-1])  # Cauchy
+    roots = [k for k in range(bound) if recurrences._horner(lead, k) == 0]
+    assert all(k < len(initial) for k in roots), roots
+
+
+def test_corrupt_grand_recurrence_raises_not_rounds(monkeypatch):
+    coeffs, initial = recurrences._GRAND_AXIS
+    bad = (coeffs[0], (coeffs[1][0] + 1, *coeffs[1][1:]), *coeffs[2:])
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        recurrences._unroll(bad, initial, 40)
+    with pytest.raises(ArithmeticError, match="vanishes at n = 3"):
+        recurrences._unroll(((-3, 1), (0,)), (1,), 10)  # (n - 3) a(n) = 0
+    monkeypatch.setattr(recurrences, "_GRAND_AXIS", (coeffs, (1, 1, *initial[2:])))
+    with pytest.raises(ArithmeticError, match="odd"):
+        recurrences.grand_nonneg_row(2)
+    with pytest.raises(ArithmeticError, match="odd"):
+        recurrences.grand_positive_row(2)
 
 
 def test_module_imports_no_other_engine():
