@@ -266,12 +266,19 @@ def _lookup(formula: str) -> _Formula:
         raise ValueError(f"unknown formula {formula!r}") from None
 
 
+def _check_depth(formula: str, entry: _Formula, m: int | None) -> None:
+    """A formula with a band depth needs m >= 0; any other takes no m."""
+    if entry.takes_m and (m is None or m < 0):
+        raise ValueError(f"{formula} needs a band depth m >= 0")
+    if not entry.takes_m and m is not None:
+        raise ValueError(f"{formula} takes no --m")
+
+
 def constant(formula: str, m: int | None = None) -> float:
     """The n-free prefactor of the formula, in double precision."""
     entry = _lookup(formula)
+    _check_depth(formula, entry, m)
     if entry.takes_m:
-        if m is None or m < 0:
-            raise ValueError(f"{formula} needs a band depth m >= 0")
         return float(entry.constant(math, m))
     return float(entry.constant(math))
 
@@ -281,10 +288,9 @@ def constant_extended(formula: str, m: int | None = None, dps: int = 40) -> mpma
     import mpmath
 
     entry = _lookup(formula)
+    _check_depth(formula, entry, m)
     with mpmath.workdps(dps):
         if entry.takes_m:
-            if m is None or m < 0:
-                raise ValueError(f"{formula} needs a band depth m >= 0")
             return entry.constant(mpmath, m)
         return entry.constant(mpmath)
 
@@ -331,12 +337,8 @@ def convergence_report(
         raise ValueError(
             f"{formula} is undefined at n = {n_list[0]}; sizes must be >= {entry.min_n}"
         )
-    if entry.takes_m:
-        if m is None or m < 0:
-            raise ValueError(f"{formula} needs a band depth m >= 0")
-        exacts = entry.exact(n_list, m)
-    else:
-        exacts = entry.exact(n_list)
+    _check_depth(formula, entry, m)
+    exacts = entry.exact(n_list, m) if entry.takes_m else entry.exact(n_list)
     rows = []
     with mpmath.workdps(40):
         for n, exact in zip(n_list, exacts):
@@ -346,4 +348,4 @@ def convergence_report(
             else:
                 ratio = float(mpmath.mpf(exact.numerator) / exact.denominator / est)
             rows.append(ConvergenceRow(n, exact, float(est), ratio))
-    return ConvergenceReport(formula, m if entry.takes_m else None, tuple(rows), entry.conjecture)
+    return ConvergenceReport(formula, m, tuple(rows), entry.conjecture)

@@ -115,14 +115,9 @@ def _closed_count(size: int, altitude, c: PathConstraints) -> int | None:
     if c.first_dir is not None:
         return None
     if altitude == ALL:
-        return sum(
-            closedforms.zigzag_count_closed(size, k)
-            for k in range(-2 * size, 2 * size + 1)
-        )
+        return closedforms.zigzag_total_closed(size)
     if altitude == NONNEG:
-        return sum(
-            closedforms.zigzag_count_closed(size, k) for k in range(0, 2 * size + 1)
-        )
+        return closedforms.zigzag_nonneg_closed(size)
     return closedforms.zigzag_count_closed(size, altitude)
 
 

@@ -78,6 +78,32 @@ def zigzag_count_closed(n: int, k: int) -> int:
     )
 
 
+def zigzag_total_closed(n: int) -> int:
+    """Zigzag paths of size n, any altitude.
+
+    Directions alternate, so a path is its first direction times a
+    {1,2}-composition of n; one with i parts has n - i twos.  This is the
+    per-altitude sum of zigzag_count_closed collapsed by Vandermonde.
+    """
+    if n < 0:
+        return 0
+    if n == 0:
+        return 1
+    return 2 * sum(binom(i, n - i) for i in range((n + 1) // 2, n + 1))
+
+
+def zigzag_nonneg_closed(n: int) -> int:
+    """Zigzag paths of size n ending at altitude >= 0.
+
+    The up/down mirror pairs altitude k with -k, so this is half of the
+    total plus the paths on the axis.
+    """
+    twice = zigzag_total_closed(n) + zigzag_count_closed(n, 0)
+    if twice % 2:
+        raise ArithmeticError(f"total plus axis count is odd at n = {n}")
+    return twice // 2
+
+
 def zigzag_step_count(n: int, k: int, i: int, first_dir: int) -> int:
     """Zigzag paths of size n, altitude k, exactly i steps, given start.
 

@@ -6,7 +6,10 @@ steps used when asked; the last direction is 0 for the empty prefix.  Steps
 advance x by 1 or 2, so the sweep keeps a rolling window of three columns:
 O(n) memory for a size-n count (O(n^2) when steps are tracked).  It yields
 every column, so a whole row of sizes costs one pass.  The band is clipped
-to |y| <= 2n, which no size-n path leaves.  Counts are exact integers.
+to the reach of a size-n path (paths.reach: |y| <= 2n, and (n + 5) // 3
+for zigzag paths), and each column extends only the cells a path can
+occupy.  A single-size count also skips prefixes that can no longer end
+with its altitude and step count.  Counts are exact integers.
 
 generate() shares no code with the sweep: it is the independent oracle.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Callable, Iterator
 
-from .paths import ALL, NONNEG, STEP_ORDER, Path, PathConstraints, Step
+from .paths import ALL, NONNEG, STEP_ORDER, Path, PathConstraints, Step, reach
 
 AltitudeFilter = int | str
 
@@ -41,10 +44,13 @@ class CountQuery:
 
 def _floor(n_max: int, c: PathConstraints) -> int:
     """Lowest altitude of the sweep's band; index 0 of every column list."""
-    return -2 * n_max if c.min_y is None else max(c.min_y, -2 * n_max)
+    r = reach(n_max, c.zigzag)
+    return -r if c.min_y is None else max(c.min_y, -r)
 
 
-def _sweep(n_max: int, c: PathConstraints, by_steps: bool = False) -> Iterator[dict]:
+def _sweep(
+    n_max: int, c: PathConstraints, by_steps: bool = False, end: AltitudeFilter | None = None
+) -> Iterator[dict]:
     """Yield the DP column at x = 0, 1, ..., n_max.
 
     A column maps (last direction, steps used) to a list of counts indexed
@@ -52,22 +58,49 @@ def _sweep(n_max: int, c: PathConstraints, by_steps: bool = False) -> Iterator[d
     c.steps asks for them (and stay 0 otherwise); prefixes stop growing at
     c.steps steps.  The caller may clear cells of a yielded column: the
     sweep extends what it finds there.
+
+    Only the cells a counted path can occupy are extended: |y| within
+    paths.reach of the prefix and, when `end` is the altitude filter of a
+    single size-n_max query, near enough to end in it, with c.steps steps
+    when set.  With `end`, every column but the last holds only part of its
+    counts, so only the last one is an answer.
     """
     by_steps = by_steps or c.steps is not None
     lo = _floor(n_max, c)
-    hi = 2 * n_max if c.max_y is None else min(c.max_y, 2 * n_max)
+    top = reach(n_max, c.zigzag)
+    hi = top if c.max_y is None else min(c.max_y, top)
     width = hi - lo + 1
+    zigzag, first, steps = c.zigzag, c.first_dir, c.steps
+    ending = end is not None and (steps is not None or end != ALL)
+
+    def window(x: int, used: int) -> tuple[int, int]:
+        """The index range [i0, i1) of the cells a counted path can occupy."""
+        r = reach(x, zigzag, used if by_steps else None)
+        ylo, yhi = -r, r
+        if ending:
+            left = n_max - x
+            more = None if steps is None else steps - used
+            if more is not None and not more <= left <= 2 * more:
+                return 0, 0
+            back = reach(left, zigzag, more)  # how far the rest of the path moves y
+            if isinstance(end, int):
+                ylo, yhi = max(ylo, end - back), min(yhi, end + back)
+            elif end == NONNEG:
+                ylo = max(ylo, -back)
+        return max(0, ylo - lo), min(width, yhi - lo + 1)
+
     col = {(0, 0): [0] * -lo + [1] + [0] * hi}  # the empty path
     ahead: list[dict] = [{}, {}]  # the columns at x + 1 and x + 2
     moves = tuple((s.direction, s.dx, s.dy) for s in STEP_ORDER)  # plain ints, read per cell row
-    zigzag, first = c.zigzag, c.first_dir
     for x in range(n_max + 1):
         yield col
         for (d, used), row in col.items():
-            if by_steps and used == c.steps:
+            if by_steps and used == steps:
                 continue
-            # a prefix has |y| <= 2x, and |y| <= 3 * used - x once it has `used` steps
-            reach = 3 * used - x if by_steps else 2 * x
+            s0, s1 = window(x, used)
+            if s0 >= s1:
+                continue  # no cell of this row is on a counted path
+            nxt = used + 1 if by_steps else 0
             for direction, dx, dy in moves:
                 if zigzag and d == direction:
                     continue
@@ -75,11 +108,10 @@ def _sweep(n_max: int, c: PathConstraints, by_steps: bool = False) -> Iterator[d
                     continue
                 if x + dx > n_max:
                     continue
-                i0 = max(0, -dy, -reach - lo)
-                i1 = min(width, width - dy, reach - lo + 1)
+                i0, i1 = max(s0, -dy), min(s1, width - dy)
                 if i0 >= i1:
                     continue  # no cell of this row can take the step
-                key = (direction, used + 1 if by_steps else 0)
+                key = (direction, nxt)
                 target = ahead[dx - 1].get(key)
                 if target is None:
                     target = ahead[dx - 1][key] = [0] * width
@@ -87,9 +119,11 @@ def _sweep(n_max: int, c: PathConstraints, by_steps: bool = False) -> Iterator[d
         col, ahead = ahead[0], [ahead[1], {}]
 
 
-def _final(size: int, c: PathConstraints, by_steps: bool = False) -> dict:
-    """The sweep's column at x = size."""
-    for col in _sweep(size, c, by_steps):
+def _final(
+    size: int, c: PathConstraints, altitude: AltitudeFilter = ALL, by_steps: bool = False
+) -> dict:
+    """The sweep's column at x = size, for paths ending in the altitude filter."""
+    for col in _sweep(size, c, by_steps, end=altitude):
         pass
     return col
 
@@ -127,7 +161,9 @@ def _select(dist: dict[int, int], altitude: AltitudeFilter) -> int:
 
 def count(query: CountQuery) -> int:
     """Exact number of paths matching the query."""
-    return _select(altitude_distribution(query.size, query.constraints), query.altitude)
+    size, altitude, c = query.size, query.altitude, query.constraints
+    by_y = _tally(_final(size, c, altitude), _floor(size, c), c, lambda y, d, used: y)
+    return _select(by_y, altitude)
 
 
 def count_paths(
@@ -241,8 +277,9 @@ def count_primitive(size: int) -> int:
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    axis = 2 * size  # index of y = 0
-    for x, col in enumerate(_sweep(size, PathConstraints(zigzag=True))):
+    c = PathConstraints(zigzag=True)
+    axis = -_floor(size, c)  # index of y = 0
+    for x, col in enumerate(_sweep(size, c)):
         if 0 < x < size:
             for row in col.values():
                 row[axis] = 0
@@ -257,8 +294,9 @@ def grand_row_stats(n_max: int) -> dict[str, list[int]]:
     altitudes over paths ending at y > 0.
     """
     total, nonneg, positive, axis, alt_sum = [], [], [], [], []
-    zero = 2 * n_max  # index of y = 0
-    for col in _sweep(n_max, PathConstraints()):
+    c = PathConstraints()
+    zero = -_floor(n_max, c)  # index of y = 0
+    for col in _sweep(n_max, c):
         row = [sum(cells) for cells in zip(*col.values())]
         total.append(sum(row))
         nonneg.append(sum(row[zero:]))

@@ -197,6 +197,20 @@ class PathConstraints:
             raise ValueError("last_dir must be UP, DOWN, or None")
 
 
+def reach(x: int, zigzag: bool, steps: int | None = None) -> int:
+    """Largest |altitude| of a path of size x, or of one with `steps` steps.
+
+    A step moves y by 2 over dx 1 or by 1 over dx 2, so |y| <= 2x, and
+    with s steps (x - s of them wide) |y| <= 3s - x.  A zigzag path pairs a
+    rise with the fall after it, so each pair moves y by at most dx/3 and a
+    lone last step by 2 over dx 1: |y| <= (x + 5) // 3, tight at x = 1
+    (mod 3).  The bounds also hold for any run of consecutive steps.  A
+    negative result means no such path exists.
+    """
+    r = min(2 * x, (x + 5) // 3) if zigzag else 2 * x
+    return r if steps is None else min(r, 3 * steps - x)
+
+
 def validate_path(path: Path, constraints: PathConstraints) -> bool:
     """True iff the path satisfies every constraint.  Total function."""
     c = constraints

@@ -40,7 +40,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from .laurent import RationalGF
-from .paths import ALL, DOWN, NONNEG, STEP_ORDER, UP, PathConstraints
+from .paths import ALL, DOWN, NONNEG, STEP_ORDER, UP, PathConstraints, reach
 
 Poly = list[int]  # integer coefficients, lowest degree first, no trailing zeros
 
@@ -253,13 +253,14 @@ def band_count(size: int, altitude, c: PathConstraints) -> int | None:
     """Paths of the given size matching the query, or None when no two-sided
     band applies (a bound is missing, or steps are filtered).
 
-    No path of this size leaves [-2 size, 2 size], so the band is clamped to
-    it first, as the DP does: the cost is bounded by the size, however wide
-    the band.
+    No path of this size leaves [-r, r], r = paths.reach(size, c.zigzag), so
+    the band is clamped to it first, as the DP does: the cost is bounded by
+    the size, however wide the band.
     """
     if c.min_y is None or c.max_y is None or c.steps is not None:
         return None
-    c = replace(c, min_y=max(c.min_y, -2 * size), max_y=min(c.max_y, 2 * size))
+    r = reach(size, c.zigzag)
+    c = replace(c, min_y=max(c.min_y, -r), max_y=min(c.max_y, r))
     return band_gf(c, altitude).expand(size + 1)[size]
 
 

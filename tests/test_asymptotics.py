@@ -58,6 +58,12 @@ def test_evaluate_overflows_to_inf():
         asymptotics.evaluate("no-such-formula", 10)
     with pytest.raises(ValueError):
         asymptotics.evaluate("above-line-prob", 10)  # missing m
+    for takes_no_m in (
+        lambda: asymptotics.evaluate("grand-all", 10, m=1),
+        lambda: asymptotics.constant_extended("expected-steps-even", 0),
+    ):
+        with pytest.raises(ValueError, match="takes no --m"):
+            takes_no_m()
 
 
 def test_report_grand_all_is_sharp():

@@ -1,0 +1,76 @@
+"""The benchmark's layer tracer still runs on the package.
+
+bench/tracer.py wraps every function of the measured modules and reads the
+arguments of a few of them by name to count DP cells.  A signature change
+under src/ that those hooks cannot read turns every traced operation into a
+failed one; these tests catch it here instead.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from knightpaths.cli import main
+from knightpaths.counting import altitude_distribution
+from knightpaths.paths import PathConstraints
+
+ROOT = Path(__file__).resolve().parents[1]
+
+COMMANDS = [
+    ["count", "--size", "30", "--zigzag", "--altitude", "2", "--steps", "22"],
+    ["count", "--size", "40", "--zigzag", "--altitude", "-3"],
+    ["table", "--zigzag", "--n-max", "12", "--k-max", "4"],
+    # grand_row_stats and count_primitive, then step_count_distribution
+    ["verify", "--level", "quick", "--only", "2-sequence"],
+    ["verify", "--level", "quick", "--only", "8-step"],
+]
+
+TRACED = r"""
+import contextlib, io, json, sys
+
+sys.path.insert(0, sys.argv[1])
+import tracer
+
+tr = tracer.Tracer()
+tracer.install(tr)
+from knightpaths import cli, counting
+from knightpaths.paths import PathConstraints
+
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([cli.main(argv), out.getvalue()])
+# the bench's reference values call altitude_distribution, which calls _end_states
+dist = counting.altitude_distribution(8, PathConstraints(zigzag=True))
+json.dump({"runs": runs, "dist": sorted(dist.items()), "layers": tracer.metrics(tr)}, sys.stdout)
+"""
+
+
+def _untimed(text: str) -> str:
+    return re.sub(r"\(\d+\.\d+s\)", "(s)", text)
+
+
+def test_traced_commands_match_untraced(capsys):
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED, str(ROOT / "bench"), json.dumps(COMMANDS)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(done.stdout)
+    for argv, (code, out) in zip(COMMANDS, traced["runs"]):
+        want_code = main(argv)
+        want_out = capsys.readouterr().out
+        assert want_code == 0, argv
+        assert (code, _untimed(out)) == (want_code, _untimed(want_out)), argv
+    dist = altitude_distribution(8, PathConstraints(zigzag=True))
+    assert traced["dist"] == [list(kv) for kv in sorted(dist.items())]
+    assert traced["layers"]["counting.dp_cells"] > 0

@@ -229,6 +229,11 @@ def test_asym_undefined_at_zero_exits_two(capsys, flags):
     assert out == "" and err.startswith("error:") and "n = 0" in err
 
 
+def test_asym_depth_on_a_formula_without_one_exits_two(capsys):
+    code, out, err = run(capsys, "asym", "--formula", "grand-all", "--m", "5", "--n-list", "10", "--format", "json")
+    assert (code, out, err) == (2, "", "error: grand-all takes no --m\n")
+
+
 def test_verify_quick_passes(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0

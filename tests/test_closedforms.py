@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from knightpaths import closedforms, recurrences, series
 from knightpaths.bijections import composition_pairs, compositions
 from knightpaths.closedforms import (
     binom,
@@ -14,11 +15,13 @@ from knightpaths.closedforms import (
     expected_steps,
     zigzag_count_closed,
     zigzag_count_one_sided,
+    zigzag_nonneg_closed,
     zigzag_step_count,
+    zigzag_total_closed,
 )
 from knightpaths.counting import altitude_distribution, step_count_distribution
 from knightpaths.fixtures import ZIGZAG_TABLE
-from knightpaths.paths import DOWN, UP, PathConstraints
+from knightpaths.paths import DOWN, UP, PathConstraints, reach
 
 
 def test_binom_conventions():
@@ -82,6 +85,31 @@ def test_zigzag_closed_symmetry_and_parity():
             assert zigzag_count_closed(n, k) == zigzag_count_closed(n, -k)
             if (n - k) % 2 == 0 and (n, k) != (0, 0):
                 assert zigzag_count_closed(n, k) % 2 == 0, (n, k)
+
+
+def test_zigzag_closed_vanishes_beyond_the_reach():
+    for n in range(301):
+        for k in range(reach(n, True) + 1, 2 * n + 1):
+            assert zigzag_count_closed(n, k) == zigzag_count_closed(n, -k) == 0, (n, k)
+
+
+def test_zigzag_totals_vs_per_altitude_sums():
+    for n in range(60):
+        by_k = {k: zigzag_count_closed(n, k) for k in range(-2 * n, 2 * n + 1)}
+        assert zigzag_total_closed(n) == sum(by_k.values()), n
+        assert zigzag_nonneg_closed(n) == sum(v for k, v in by_k.items() if k >= 0), n
+
+
+def test_zigzag_totals_vs_series_and_recurrence():
+    assert [zigzag_total_closed(n) for n in range(400)] == series.zigzag_rational(400)
+    assert [zigzag_nonneg_closed(n) for n in range(400)] == recurrences.zigzag_nonneg_row(400)
+    assert zigzag_total_closed(-1) == 0
+
+
+def test_zigzag_nonneg_closed_rejects_an_odd_sum(monkeypatch):
+    monkeypatch.setattr(closedforms, "zigzag_total_closed", lambda n: 5)
+    with pytest.raises(ArithmeticError):
+        zigzag_nonneg_closed(3)
 
 
 def test_one_sided_chain():

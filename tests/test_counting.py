@@ -23,7 +23,7 @@ from knightpaths.counting import (
     grand_row_stats,
     step_count_distribution,
 )
-from knightpaths.paths import DOWN, UP, Path, PathConstraints, parse_path, validate_path
+from knightpaths.paths import DOWN, UP, Path, PathConstraints, parse_path, reach, validate_path
 
 ZZ = PathConstraints(zigzag=True)
 
@@ -250,3 +250,65 @@ def test_count_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
+
+
+def test_count_memory_shrinks_with_the_reach():
+    # a zigzag column spans |y| <= (n + 5) // 3, not 4n + 1 cells, and a
+    # nonneg count skips cells that cannot climb back above the axis
+    tracemalloc.start()
+    try:
+        count_paths(600, NONNEG, ZZ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
+
+
+def test_zigzag_reach_is_tight():
+    for n in range(19):
+        paths = generate(n, ZZ)
+        highest = max(max(-p.min_height, p.height) for p in paths)
+        assert highest <= reach(n, True) == min(2 * n, (n + 5) // 3), n
+        if n % 3 == 1:
+            assert max(abs(p.altitude) for p in paths) == reach(n, True), n
+
+
+def test_reach_bounds_the_altitude_by_step_count():
+    for zigzag in (False, True):
+        widest: dict[tuple[int, int], int] = {}
+        for n in range(11):
+            for p in generate(n, PathConstraints(zigzag=zigzag)):
+                key = (n, p.step_count)
+                widest[key] = max(widest.get(key, 0), abs(p.altitude))
+        for (n, s), top in widest.items():
+            assert top <= reach(n, zigzag, s), (zigzag, n, s)
+            if not zigzag:
+                assert top == reach(n, zigzag, s), (n, s)
+
+
+@st.composite
+def single_size_queries(draw):
+    """A size, a longer row and a query whose end window can bite."""
+    n_max = draw(st.integers(0, 40))
+    n = draw(st.integers(0, n_max))
+    # feasible step counts lie in [n / 2, n]; a few just outside them too
+    steps = draw(st.none() | st.integers(max(1, n // 2 - 1), n + 1))
+    c = PathConstraints(
+        zigzag=draw(st.booleans()),
+        min_y=draw(st.none() | st.integers(-6, 0)),
+        max_y=draw(st.none() | st.integers(0, 6)),
+        steps=steps,
+        first_dir=draw(directions),
+        last_dir=draw(directions),
+    )
+    altitude = draw(st.sampled_from([ALL, NONNEG]) | st.integers(-8, 8))
+    return n, n_max, altitude, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(single_size_queries())
+def test_end_window_keeps_every_count(query):
+    """count_paths skips prefixes that cannot end in the query; count_row,
+    whose every column is an answer, extends them all."""
+    n, n_max, altitude, c = query
+    assert count_paths(n, altitude, c) == count_row(n_max, altitude, c)[n], query

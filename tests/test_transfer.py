@@ -115,7 +115,8 @@ def test_large_size_vs_dp(zigzag, m, M):
 
 @pytest.mark.parametrize("zigzag", [True, False])
 def test_wide_band_is_clamped_to_the_size(zigzag, monkeypatch):
-    """A band far wider than any path of the size costs no more than [-2n, 2n]."""
+    """A band far wider than any path of the size costs no more than [-r, r],
+    r = reach(n): 2n for grand paths, (n + 5) // 3 for zigzag paths."""
     widths = []
     real = transfer._system
     monkeypatch.setattr(transfer, "_system", lambda c, alts: widths.append(c.max_y - c.min_y) or real(c, alts))
@@ -123,7 +124,7 @@ def test_wide_band_is_clamped_to_the_size(zigzag, monkeypatch):
         for altitude in (ALL, NONNEG, 1, -3):
             c = PathConstraints(zigzag=zigzag, min_y=-500, max_y=400, last_dir=DOWN if size % 2 else None)
             assert transfer.band_count(size, altitude, c) == count_paths(size, altitude, c), (size, altitude)
-    assert max(widths) == 20
+    assert max(widths) == (6 if zigzag else 20)
 
 
 def test_coverage_needs_two_bounds_and_no_steps():
