@@ -12,11 +12,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import asymptotics, bijections, closedforms, counting, series, transfer, verification
+from . import asymptotics, bijections, closedforms, counting, recurrences, series, transfer
+from . import verification
 from .counting import ALL, NONNEG
-from .paths import DOWN, UP, ParseError, Path, PathConstraints, parse_path
+from .paths import DOWN, UP, ParseError, PathConstraints, parse_path
 
 ENV_ORDER = "KNIGHTPATHS_ORDER"
 
@@ -63,40 +63,40 @@ def _emit(payload: dict, fmt: str, plain_keys: list[str]) -> None:
 def _gf_count(size: int, altitude, c: PathConstraints) -> int | None:
     """Generating-function count, or None when no generating function applies.
 
-    Two-sided bands go to the transfer-matrix engine, which is exact at any
-    size; the kernel-method series are truncated at size + 2, past the
-    coefficient asked for.
+    Two-sided bands go to the transfer-matrix engine.  The other queries
+    read coefficient `size` of a rational generating function or of an O(n)
+    row from `recurrences`; only a grand altitude other than 0 expands the
+    kernel-method series, truncated at size + 2.
     """
-    order = size + 2
     band = transfer.band_count(size, altitude, c)
     if band is not None:
         return band
     if c.steps is not None or c.first_dir is not None or c.last_dir is not None:
         return None
     bounded = c.min_y is not None or c.max_y is not None
+    count = size + 1
     if not c.zigzag:
         if bounded:
             return None
         if altitude == ALL:
-            return series.GRAND_TOTAL_GF.expand(size + 1)[size]
+            return series.GRAND_TOTAL_GF.expand(count)[size]
         if altitude == NONNEG:
-            h1, _ = series.grand_totals(order)
-            return int(series.z_coefficients(h1, size + 1)[size])
-        gf = series.grand_altitude_gf(abs(altitude), order)
-        return int(series.z_coefficients(gf, size + 1)[size])
+            return recurrences.grand_nonneg_row(count)[size]
+        if altitude == 0:
+            return recurrences.grand_axis_row(count)[size]
+        gf = series.grand_altitude_gf(abs(altitude), size + 2)
+        return int(series.z_coefficients(gf, count)[size])
     if not bounded:
         if altitude == ALL:
-            return series.zigzag_rational(size + 1)[size]
+            return series.zigzag_rational(count)[size]
         if altitude == NONNEG:
-            return series.int_coefficients(series.zigzag_nonneg_gf(order), size + 1)[size]
-        gf = series.zigzag_altitude_gf(abs(altitude), order)
-        return series.int_coefficients(gf, size + 1)[size]
+            return recurrences.zigzag_nonneg_row(count)[size]
+        return recurrences.zigzag_altitude_row(altitude, count)[size]
     # one bound only: staying above -m and staying below +m are mirror images
     m = -c.min_y if c.min_y is not None else c.max_y
     if altitude != ALL or m < 1:
         return None
-    total, _ = series.above_line_gf(m, order)
-    return series.int_coefficients(total, size + 1)[size]
+    return recurrences.above_line_row(m, count)[size]
 
 
 def _closed_count(size: int, altitude, c: PathConstraints) -> int | None:
@@ -174,6 +174,8 @@ def cmd_count(args) -> int:
 def cmd_table(args) -> int:
     c = PathConstraints(zigzag=args.zigzag)
     try:
+        if args.k_max < 0:
+            raise ValueError("k_max must be non-negative")
         dists = list(counting.altitude_distributions(args.n_max, c))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -205,17 +207,14 @@ def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | No
     if name == "grand-total":
         return series.GRAND_TOTAL_GF.expand(order)
     if name == "grand-nonneg":
-        h1, _ = series.grand_totals(order)
-        return [int(c) for c in series.z_coefficients(h1, order)]
+        return recurrences.grand_nonneg_row(order)
     if name == "grand-altitude-sum":
-        _, dh1 = series.grand_totals(order)
-        return [int(c) for c in series.z_coefficients(dh1, order)]
+        return recurrences.grand_altitude_sum_row(order)
     if name == "grand-altitude":
         gf = series.grand_altitude_gf(abs(need(k, "k")), order)
         return [int(c) for c in series.z_coefficients(gf, order)]
     if name == "grand-axis":
-        gf = series.grand_boundary_gfs(order)[0]
-        return [int(c) for c in series.z_coefficients(gf, order)]
+        return recurrences.grand_axis_row(order)
     if name == "zigzag-total":
         return series.zigzag_rational(order)
     if name == "zigzag-nonneg":

@@ -1,9 +1,10 @@
 """Integer coefficient recurrences for the zigzag and grand sequences needed at large sizes.
 
 The asymptotic checks compare against exact values at sizes in the
-thousands.  These come from code independent of the series engine and of
-the dynamic program, so every asymptotic row has its own exact source.  Each row costs
-O(n * small degree) big-integer steps.
+thousands, and the generating-function engine of `count` and the grand
+`gf` names read their coefficients here.  These come from code independent
+of the series engine and of the dynamic program, which stay their checks.
+Each row costs O(n * small degree) big-integer steps.
 
 Every zigzag-side series here lies in the quadratic extension Q(z)(r) of
 the small kernel root r, the power series root (valuation 3) of
@@ -238,7 +239,7 @@ def zigzag_total_row(count: int) -> list[int]:
 
 
 def _boundary() -> tuple[_Elt, _Elt, _Elt]:
-    """(up, alt1, bundle) for the rows ending at altitude >= 0.
+    """(up, alt1, bundle): the boundary series every per-altitude row is built from.
 
     up = r (z - 1) / (z^3 (r z^2 + z - 1)) is the axis-up boundary series,
     alt1 = (r^2 + z r + 2 z^2 r up) / z^2 the altitude-1 series and
@@ -254,6 +255,23 @@ def zigzag_nonneg_row(count: int) -> list[int]:
     up, alt1, bundle = _boundary()
     tail = bundle * _R / (_Z**2 * (1 - _R))
     return _expand(2 * up - 1 + alt1 + tail, count)
+
+
+def zigzag_altitude_row(k: int, count: int) -> list[int]:
+    """Zigzag paths ending at altitude k, by size (the counts are symmetric in k).
+
+    2 up - 1 on the axis, alt1 at |k| = 1 and r^(|k| - 1) bundle / z^2 above
+    that, whose valuation 3|k| - 5 makes a row of fewer sizes all zeros.
+    """
+    k = abs(k)
+    up, alt1, bundle = _boundary()
+    if k == 0:
+        return _expand(2 * up - 1, count)
+    if k == 1:
+        return _expand(alt1, count)
+    if count <= 3 * k - 5:
+        return [0] * count
+    return _expand(_R ** (k - 1) * bundle / _Z**2, count)
 
 
 def zigzag_altitude_sum_row(count: int) -> list[int]:

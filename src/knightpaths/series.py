@@ -524,52 +524,6 @@ def tube_axis_gf(M: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
     return tube_gf(0, M, order).axis()
 
 
-def tube_boundary_closed_forms(
-    m: int, M: int, order: int = DEFAULT_ORDER
-) -> tuple[LaurentSeries, LaurentSeries]:
-    """Direct radical closed forms for the two band boundary unknowns.
-
-    Only valid when M >= 2 (for M = 1 the initial step N exits the band and
-    the closed forms break down; tube_gf handles that case).  Used to
-    cross-check the solver.
-    """
-    if not 0 <= m <= M or M < 2:
-        raise ValueError("requires 0 <= m <= M and M >= 2")
-    span = m + M
-    work = order + 3 * (span + 4) + 18
-    small, large = zigzag_kernel_roots(work)
-    one = _mono(0)
-    z, z2, z3 = _mono(1), _mono(2), _mono(3)
-    eps = one if m == 0 else LaurentSeries.zero(None)
-    bottom_num = (one + large * z) * (
-        (eps - large**m * (one + large * z2 + large * large * z)) * small ** (span + 2)
-        + large ** (span + 1)
-        * (
-            small ** (m + 1) * (one + small * z2 + small * small * z)
-            - eps * z2 * (z + small) * (one + z * small)
-        )
-    )
-    bottom_den = large**span * z2 * (small + z * (2 * one + large * z)) - small ** (
-        span + 1
-    )
-    bottom = bottom_num.divide(bottom_den)
-    inv_large = large ** (m - 1) if m >= 1 else small  # large^(-1) = small
-    top_num = small**m + z * (z + small) * (
-        small ** (m + 1)
-        - z
-        * (
-            inv_large * (one + large * z) * (one + large * large * z + large * z2)
-            - eps * (small - large)
-        )
-    )
-    top_den = z3 * (z2 * (small + z) * (one + large * z) * large**span - small ** (span + 1))
-    top = -(top_num.divide(top_den))
-    return (
-        _ensure_order(bottom, order, "band bottom closed form"),
-        _ensure_order(top, order, "band top closed form"),
-    )
-
-
 def span_exact_gf(k: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
     """Zigzag paths whose vertex-altitude range (max - min) is exactly k.
 

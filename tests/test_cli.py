@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -9,10 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knightpaths
-from knightpaths.cli import main
+from knightpaths import series
+from knightpaths.cli import _gf_count, main
+from knightpaths.counting import ALL, NONNEG, count_paths
 from knightpaths.fixtures import SPAN_TABLE, ZIGZAG_TABLE
+from knightpaths.paths import PathConstraints
 
 
 def run(capsys, *argv):
@@ -120,6 +126,14 @@ def test_table_reproduces_zigzag_grid(capsys):
     assert code == 0
     rows = [tuple(int(v) for v in line.split(",")) for line in out.strip().splitlines()]
     assert tuple(rows) == ZIGZAG_TABLE
+
+
+@pytest.mark.parametrize("flags", [("3", "-1"), ("-1", "3")])
+def test_table_negative_bound_exits_two(capsys, flags):
+    n_max, k_max = flags
+    code, out, err = run(capsys, "table", "--n-max", n_max, "--k-max", k_max)
+    name = "k_max" if k_max == "-1" else "n_max"
+    assert (code, out, err) == (2, "", f"error: {name} must be non-negative\n")
 
 
 def test_gf_span_row(capsys):
@@ -355,15 +369,36 @@ def test_count_takes_no_order(capsys, monkeypatch):
     assert code == 0 and err == ""
 
 
-def test_count_order_follows_the_size(capsys, monkeypatch):
+def test_count_gf_reads_one_row_at_size_plus_one(capsys, monkeypatch):
     import knightpaths.cli as cli_mod
 
     seen = []
-    real = cli_mod.series.zigzag_nonneg_gf
-    monkeypatch.setattr(cli_mod.series, "zigzag_nonneg_gf", lambda order: seen.append(order) or real(order))
-    monkeypatch.setenv("KNIGHTPATHS_ORDER", "40")
-    run(capsys, "count", "--size", "10", "--zigzag", "--nonneg", "--engine", "gf")
-    assert seen == [12]
+    real = cli_mod.recurrences.zigzag_nonneg_row
+    monkeypatch.setattr(cli_mod.recurrences, "zigzag_nonneg_row", lambda count: seen.append(count) or real(count))
+    assert run(capsys, "count", "--size", "10", "--zigzag", "--nonneg", "--engine", "gf") == (0, "115\n", "")
+    assert seen == [11]
+
+
+GF_ROUTES = [
+    ["--nonneg"],
+    ["--altitude", "0"],
+    ["--altitude", "-3"],
+    ["--zigzag", "--nonneg"],
+    ["--zigzag", "--altitude", "4"],
+    ["--zigzag", "--min-y", "-2"],
+    ["--zigzag", "--max-y", "1"],
+    ["--min-y", "-1", "--max-y", "2", "--nonneg"],
+]
+
+
+@pytest.mark.parametrize("flags", GF_ROUTES)
+def test_count_order_env_changes_no_answer(capsys, monkeypatch, flags):
+    argv = ["count", "--size", "17", *flags, "--engine", "all", "--format", "json"]
+    want = run(capsys, *argv)
+    assert want[0] == 0 and '"gf"' in want[1]
+    for order in ("8", "40", "300"):
+        monkeypatch.setenv("KNIGHTPATHS_ORDER", order)
+        assert run(capsys, *argv) == want, order
 
 
 @pytest.mark.parametrize("engine", ["gf", "all"])
@@ -407,3 +442,102 @@ def test_band_queries_gain_the_transfer_engine(capsys, flags):
     code, out, _ = run(capsys, *argv, "--engine", "all", "--format", "json")
     payload = json.loads(out)
     assert payload["gf"] == payload["dp"] == payload["count"] == plain_dp.strip()
+
+
+# -- the gf engine against the DP and the kernel-method series -----------------
+
+SERIES_ORDER = 42  # past every size drawn below
+
+
+@functools.lru_cache(maxsize=None)
+def _series_row(kind: str, k: int = 0) -> tuple[int, ...]:
+    n = SERIES_ORDER
+    if kind == "grand-nonneg":
+        return tuple(map(int, series.z_coefficients(series.grand_totals(n)[0], n)))
+    if kind == "grand-altitude":
+        return tuple(map(int, series.z_coefficients(series.grand_altitude_gf(k, n), n)))
+    if kind == "zigzag-nonneg":
+        return tuple(series.int_coefficients(series.zigzag_nonneg_gf(n), n))
+    if kind == "zigzag-altitude":
+        return tuple(series.int_coefficients(series.zigzag_altitude_gf(k, n), n))
+    return tuple(series.int_coefficients(series.above_line_gf(k, n)[0], n))
+
+
+def _series_count(size: int, altitude, c: PathConstraints) -> int | None:
+    """The kernel-method series coefficient for an unbanded query, or None
+    where no series covers it."""
+    world = "zigzag" if c.zigzag else "grand"
+    if c.min_y is not None or c.max_y is not None:
+        m = -c.min_y if c.min_y is not None else c.max_y
+        if not c.zigzag or altitude != ALL or m < 1:
+            return None
+        return _series_row("above-line", m)[size]
+    if altitude == ALL:
+        total = series.GRAND_TOTAL_GF if not c.zigzag else series.ZIGZAG_TOTAL_GF
+        return total.expand(size + 1)[size]
+    if altitude == NONNEG:
+        return _series_row(f"{world}-nonneg")[size]
+    return _series_row(f"{world}-altitude", abs(altitude))[size]
+
+
+@st.composite
+def unbanded_queries(draw):
+    bound = draw(st.sampled_from([None, None, "min", "max"]))
+    depth = draw(st.sampled_from([1, 2, 3, 4, 0]))  # 0 last: the draws favour early entries
+    c = PathConstraints(
+        zigzag=draw(st.booleans()),
+        min_y=-depth if bound == "min" else None,
+        max_y=depth if bound == "max" else None,
+    )
+    altitude = draw(st.sampled_from([ALL, NONNEG, None]))
+    if altitude is None:
+        altitude = draw(st.integers(-8, 8))
+    return draw(st.integers(0, 40)), altitude, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(unbanded_queries())
+def test_gf_count_matches_dp_and_series(query):
+    size, altitude, c = query
+    got = _gf_count(size, altitude, c)
+    want = _series_count(size, altitude, c)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == count_paths(size, altitude, c) == want
+
+
+# One representative query per class, and the engines that answer it under
+# --engine all.  The classes with only "dp" are the single-engine answers.
+ENGINE_SETS = [
+    (["--all"], {"dp", "gf"}),
+    (["--nonneg"], {"dp", "gf"}),
+    (["--altitude", "-2"], {"dp", "gf"}),
+    (["--min-y", "-1"], {"dp"}),
+    (["--max-y", "2", "--nonneg"], {"dp"}),
+    (["--min-y", "-1", "--max-y", "2", "--altitude", "1"], {"dp", "gf"}),
+    (["--steps", "6"], {"dp"}),
+    (["--first", "up", "--altitude", "1"], {"dp"}),
+    (["--last", "down", "--min-y", "-2", "--max-y", "1"], {"dp", "gf"}),
+    (["--zigzag", "--all"], {"dp", "gf", "closed"}),
+    (["--zigzag", "--nonneg"], {"dp", "gf", "closed"}),
+    (["--zigzag", "--altitude", "3"], {"dp", "gf", "closed"}),
+    (["--zigzag", "--min-y", "-2"], {"dp", "gf"}),
+    (["--zigzag", "--max-y", "1"], {"dp", "gf"}),
+    (["--zigzag", "--min-y", "-2", "--nonneg"], {"dp"}),
+    (["--zigzag", "--max-y", "2", "--altitude", "1"], {"dp"}),
+    (["--zigzag", "--min-y", "0"], {"dp"}),
+    (["--zigzag", "--min-y", "-1", "--max-y", "2"], {"dp", "gf"}),
+    (["--zigzag", "--min-y", "-1", "--max-y", "2", "--steps", "5"], {"dp"}),
+    (["--zigzag", "--steps", "5", "--altitude", "1"], {"dp", "closed"}),
+    (["--zigzag", "--steps", "5"], {"dp"}),
+    (["--zigzag", "--first", "down", "--altitude", "-1"], {"dp"}),
+    (["--zigzag", "--last", "up"], {"dp"}),
+    (["--zigzag", "--first", "up", "--min-y", "-1", "--max-y", "1"], {"dp", "gf"}),
+]
+
+
+@pytest.mark.parametrize("flags, engines", ENGINE_SETS)
+def test_engine_set_per_query_class(capsys, flags, engines):
+    code, out, err = run(capsys, "count", "--size", "9", *flags, "--engine", "all", "--format", "json")
+    assert (code, err) == (0, "")
+    assert set(json.loads(out)) == engines | {"count"}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from knightpaths import recurrences, series
+from knightpaths import closedforms, recurrences, series
 from knightpaths.counting import ALL, NONNEG, altitude_distribution, count_row, grand_row_stats
 from knightpaths.paths import PathConstraints
 
@@ -36,6 +36,40 @@ def test_altitude_sum_row_vs_dp():
         dist = altitude_distribution(n, ZZ)
         assert fast[n] == sum(k * c for k, c in dist.items() if k > 0), n
     assert fast[:26] == series.int_coefficients(series.zigzag_altitude_sum_gf(27), 26)
+
+
+def test_altitude_rows_vs_engines_to_200():
+    n = 200
+    for k in range(13):
+        fast = recurrences.zigzag_altitude_row(k, n)
+        assert recurrences.zigzag_altitude_row(-k, n) == fast, k
+        assert fast == series.int_coefficients(series.zigzag_altitude_gf(k, n + 1), n), k
+        assert fast == [closedforms.zigzag_count_closed(i, k) for i in range(n)], k
+        assert fast == count_row(n - 1, k, ZZ) == count_row(n - 1, -k, ZZ), k
+        if k >= 2:  # valuation 3k - 5
+            assert not any(fast[: 3 * k - 5]) and fast[3 * k - 5], k
+
+
+def test_altitude_row_below_its_valuation_is_zero():
+    assert recurrences.zigzag_altitude_row(7, 16) == [0] * 16
+    assert recurrences.zigzag_altitude_row(7, 17)[16] == 1
+    assert recurrences.zigzag_altitude_row(-10 ** 6, 40) == [0] * 40
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_corrupt_altitude_element_raises_not_rounds(monkeypatch, k):
+    elements = []
+    real = recurrences._expand
+    monkeypatch.setattr(recurrences, "_expand", lambda x, count: elements.append(x) or real(x, count))
+    recurrences.zigzag_altitude_row(k, 40)
+    x = elements[-1]
+    assert x.d[0] == 0  # so the expansion strips a z-power from a + b r
+    Elt = recurrences._Elt
+    with pytest.raises(ArithmeticError, match="vanish"):
+        real(Elt([x.a[0] + 1, *x.a[1:]], x.b, x.d), 40)
+    v = recurrences._valuation(x.d)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        real(Elt(x.a, x.b, [*x.d[:v], 2 * x.d[v], *x.d[v + 1 :]]), 40)
 
 
 def test_above_axis_row_vs_dp():
@@ -179,6 +213,10 @@ def test_above_line_rows_vs_dp_to_40():
         assert recurrences.above_line_row(m, 41) == dp, m
 
 
+def _altitude_minus_two_row(count):
+    return recurrences.zigzag_altitude_row(-2, count)
+
+
 ROWS = (
     recurrences.small_root_coeffs,
     recurrences.zigzag_total_row,
@@ -187,6 +225,7 @@ ROWS = (
     recurrences.above_axis_row,
     recurrences.above_axis_altitude_sum_row,
     lambda count: recurrences.above_line_row(3, count),
+    _altitude_minus_two_row,
     recurrences.grand_total_row,
     recurrences.grand_axis_row,
     recurrences.grand_altitude_sum_row,

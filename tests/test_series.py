@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from knightpaths import fixtures, series
+from knightpaths import fixtures, series, transfer
 from knightpaths.counting import ALL, NONNEG, altitude_distribution, count_paths, count_row
-from knightpaths.paths import PathConstraints
+from knightpaths.paths import UP, PathConstraints
 
 ZZ = PathConstraints(zigzag=True)
 
@@ -232,17 +232,21 @@ def test_tube_altitude_slices_vs_dp():
                 assert ints(band.altitude(y), 16)[n] == dist.get(y, 0), (m, M, n, y)
 
 
-def test_tube_closed_forms_match_solver():
-    # the direct radical closed forms only hold when the band top is >= 2
-    for m, M in ((0, 2), (1, 2), (2, 2), (1, 3)):
-        bottom_cf, top_cf = series.tube_boundary_closed_forms(m, M, 24)
-        band = series.tube_gf(m, M, 24)
-        assert ints(bottom_cf, 24) == ints(band.up[1], 24), (m, M)
-        # top unknown: the falling class one short of the ceiling obeys
-        # down[M+m-1] = z^2 * up[M+m]; compare via the up slice
-        assert ints(top_cf, 24) == ints(band.up[m + M], 24), (m, M)
-    with pytest.raises(ValueError):
-        series.tube_boundary_closed_forms(1, 1, 10)
+def test_band_boundary_rows():
+    """The kernel method's two boundary unknowns, paths ending with a rise at
+    -m + 1 and at M, from the transfer engine against the DP and tube_gf,
+    for every band [-m, M] with m, M <= 3."""
+    for m in range(4):
+        for M in range(4):
+            c = PathConstraints(zigzag=True, min_y=-m, max_y=M, last_dir=UP)
+            band = series.tube_gf(m, M, 24) if m <= M and M >= 1 else None
+            for y in (1 - m, M):
+                row = transfer.band_gf(c, y).expand(24)
+                assert row == count_row(23, y, c), (m, M, y)
+                if band is not None:
+                    # tube_gf puts the empty path in the rising class at altitude 0
+                    empty = [int(y == 0)] + [0] * 23
+                    assert ints(band.up[y + m], 24) == [a + b for a, b in zip(row, empty)], (m, M, y)
 
 
 def test_tube_rejects_degenerate_band():
