@@ -9,6 +9,7 @@ renders counts as decimal strings so arbitrary precision survives parsing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -473,9 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main() call and reused after it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

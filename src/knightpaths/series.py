@@ -59,6 +59,28 @@ def check_band(m: int, M: int) -> None:
         raise ValueError("band [-0, +0] admits no steps; only the empty path")
 
 
+# The kernel roots and boundary series are derived once per process.  Each
+# memoised function keeps one entry, the result at the highest order asked
+# for so far; a request at that order or below gets the entry truncated to
+# exactly what a fresh derivation would return.  The order a derivation
+# reaches is affine in the request, with slope 1 in z and 2 in w (w**2 = z),
+# so a request `top - d` drops slope * d from each stored order.  A truncation
+# never reaches past the stored order, so every coefficient it keeps is exact.
+_memo: dict[str, tuple[int, tuple[LaurentSeries, ...]]] = {}
+
+
+def _memoised(key: str, order: int, slope: int, derive, *args) -> tuple[LaurentSeries, ...]:
+    """derive(order, *args), or the stored entry truncated to what it would return."""
+    entry = _memo.get(key)
+    if entry is not None and order <= entry[0]:
+        top, result = entry
+        drop = slope * (top - order)
+        return tuple(s.truncate(s.order - drop) for s in result)
+    result = derive(order, *args)
+    _memo[key] = (order, result)
+    return result
+
+
 def _ensure_order(series: LaurentSeries, needed: int, what: str) -> LaurentSeries:
     if series.order is not None and series.order < needed:
         raise ArithmeticError(
@@ -127,6 +149,10 @@ def grand_kernel_roots(order: int = DEFAULT_ORDER) -> tuple[LaurentSeries, Laure
     """
     if order < 4:
         raise ValueError("order must be at least 4")
+    return _memoised("grand roots", order, 2, _derive_grand_roots)
+
+
+def _derive_grand_roots(order: int) -> tuple[LaurentSeries, LaurentSeries]:
     W = 2 * order + 32
     z = _mono(2)
     # z^4 + 8z^2 + 4z = w^8 + 8w^4 + 4w^2
@@ -158,6 +184,13 @@ def grand_kernel_residuals(order: int = 50) -> tuple[LaurentSeries, LaurentSerie
 def _grand_boundary(order: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries, LaurentSeries]:
     """(axis GF, altitude-1 GF, root1, root2), all in w."""
     root1, root2 = grand_kernel_roots(order)
+    axis, alt1 = _memoised("grand boundary", order, 2, _derive_grand_boundary, root1, root2)
+    return axis, alt1, root1, root2
+
+
+def _derive_grand_boundary(
+    order: int, root1: LaurentSeries, root2: LaurentSeries
+) -> tuple[LaurentSeries, LaurentSeries]:
     z = _mono(2)
     prod = root1 * root2
     total = root1 + root2
@@ -175,8 +208,6 @@ def _grand_boundary(order: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSe
     return (
         _ensure_order(axis, needed, "grand axis gf"),
         _ensure_order(alt1, needed, "grand altitude-1 gf"),
-        root1,
-        root2,
     )
 
 
@@ -235,6 +266,10 @@ def zigzag_kernel_roots(order: int = DEFAULT_ORDER) -> tuple[LaurentSeries, Laur
     """
     if order < 6:
         raise ValueError("order must be at least 6")
+    return _memoised("zigzag roots", order, 1, _derive_zigzag_roots)
+
+
+def _derive_zigzag_roots(order: int) -> tuple[LaurentSeries, LaurentSeries]:
     W = order + 24
     disc = LaurentSeries.from_poly({8: 1, 6: -2, 4: -1, 2: -2, 0: 1})
     radical = disc.sqrt(order=W)
@@ -273,9 +308,14 @@ def zigzag_boundary_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
     rising class but has no mirror).
     """
     small, _ = zigzag_kernel_roots(order + 8)
+    (boundary,) = _memoised("zigzag boundary", order, 1, _derive_zigzag_boundary, small)
+    return boundary
+
+
+def _derive_zigzag_boundary(order: int, small: LaurentSeries) -> tuple[LaurentSeries]:
     numer = small * LaurentSeries.from_poly({1: 1, 0: -1})
     denom = _mono(3) * (small * _mono(2) + LaurentSeries.from_poly({1: 1, 0: -1}))
-    return _ensure_order(numer.divide(denom), order, "zigzag boundary gf")
+    return (_ensure_order(numer.divide(denom), order, "zigzag boundary gf"),)
 
 
 def zigzag_altitude_gf(k: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
@@ -365,32 +405,6 @@ def above_line_gf(
     return (
         _ensure_order(total, order, "above-line total"),
         _ensure_order(bottom, order, "above-line bottom edge"),
-    )
-
-
-def symmetric_tube_gf(
-    m: int, order: int = DEFAULT_ORDER
-) -> tuple[LaurentSeries, LaurentSeries]:
-    """Zigzag paths staying in the band [-m, +m] (m >= 1).
-
-    Returns (total, bottom_edge) like above_line_gf.  Closed form for the
-    boundary series: small^m (1 + small z^2 + small^2 z) over
-    z (small z + z^2 + small^(2m+1)); total = (2 z f - z^2 - z - 1)/(z^2+z-1).
-    """
-    check_positive("m", m)
-    work = order + 6 * (m + 2) + 12
-    small, _ = zigzag_kernel_roots(work)
-    z, z2 = _mono(1), _mono(2)
-    one = _mono(0)
-    numer = small**m * (one + small * z2 + small * small * z)
-    denom = z * (small * z + z2 + small ** (2 * m + 1))
-    bottom = numer.divide(denom)
-    total = (2 * z * bottom - LaurentSeries.from_poly({2: 1, 1: 1, 0: 1})).divide(
-        LaurentSeries.from_poly({2: 1, 1: 1, 0: -1}), order=work
-    )
-    return (
-        _ensure_order(total, order, "tube total"),
-        _ensure_order(bottom, order, "tube bottom edge"),
     )
 
 

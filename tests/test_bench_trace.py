@@ -56,9 +56,10 @@ def _untimed(text: str) -> str:
     return re.sub(r"\(\d+\.\d+s\)", "(s)", text)
 
 
-def test_traced_commands_match_untraced(capsys):
+def _traced(commands: list[list[str]], capsys) -> dict:
+    """Run commands under the tracer in a fresh interpreter; check them against untraced runs."""
     done = subprocess.run(
-        [sys.executable, "-c", TRACED, str(ROOT / "bench"), json.dumps(COMMANDS)],
+        [sys.executable, "-c", TRACED, str(ROOT / "bench"), json.dumps(commands)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -66,11 +67,24 @@ def test_traced_commands_match_untraced(capsys):
     )
     assert done.returncode == 0, done.stderr
     traced = json.loads(done.stdout)
-    for argv, (code, out) in zip(COMMANDS, traced["runs"]):
+    for argv, (code, out) in zip(commands, traced["runs"]):
         want_code = main(argv)
         want_out = capsys.readouterr().out
         assert want_code == 0, argv
         assert (code, _untimed(out)) == (want_code, _untimed(want_out)), argv
+    return traced
+
+
+def test_traced_commands_match_untraced(capsys):
+    traced = _traced(COMMANDS, capsys)
     dist = altitude_distribution(8, PathConstraints(zigzag=True))
     assert traced["dist"] == [list(kv) for kv in sorted(dist.items())]
     assert traced["layers"]["counting.dp_cells"] > 0
+
+
+def test_memoised_kernel_roots_are_still_traced(capsys):
+    """The kernel roots are memoised inside plain module-level functions, so
+    the tracer still wraps and counts every call to them."""
+    layers = _traced([["verify", "--level", "quick", "--only", "5-kernel"]], capsys)["layers"]
+    assert layers["series.grand_kernel_roots.calls"] > 0
+    assert layers["series.zigzag_kernel_roots.calls"] > 0

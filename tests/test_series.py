@@ -180,31 +180,35 @@ def test_above_line_bottom_edge_vs_dp():
             assert got[n] == want, (m, n)
 
 
-def test_symmetric_tube_vs_dp():
+def _symmetric_band(m, **kw):
+    return PathConstraints(zigzag=True, min_y=-m, max_y=m, **kw)
+
+
+def test_symmetric_band_total_vs_dp():
     for m in (1, 2, 3):
-        total, _ = series.symmetric_tube_gf(m, 31)
-        dp = count_row(30, ALL, PathConstraints(zigzag=True, min_y=-m, max_y=m))
-        assert ints(total, 31) == dp, m
+        c = _symmetric_band(m)
+        assert transfer.band_gf(c).expand(31) == count_row(30, ALL, c), m
 
 
-def test_symmetric_tube_matches_band_solver():
+def test_symmetric_band_matches_kernel_solver():
     for m in (1, 2, 3):
-        a = ints(series.symmetric_tube_gf(m, 41)[0], 40)
-        b = ints(series.tube_total_gf(m, m, 41), 40)
-        assert a == b, m
-        edge_closed = ints(series.symmetric_tube_gf(m, 20)[1], 20)
-        edge_solved = ints(series.tube_gf(m, m, 20).up[1], 20)
-        assert edge_closed == edge_solved, m
+        assert transfer.band_gf(_symmetric_band(m)).expand(40) == ints(
+            series.tube_total_gf(m, m, 41), 40
+        ), m
+        edge = transfer.band_gf(_symmetric_band(m, last_dir=UP), 1 - m).expand(20)
+        if m == 1:
+            edge[0] += 1  # tube_gf puts the empty path in the rising class at altitude 0
+        assert edge == ints(series.tube_gf(m, m, 20).up[1], 20), m
 
 
-def test_symmetric_tube_converges_to_unbounded():
+def test_symmetric_band_converges_to_unbounded():
     rational = series.zigzag_rational(30)
     agree = []
     for m in (1, 2, 3, 4, 5):
-        row = ints(series.symmetric_tube_gf(m, 31)[0], 30)
-        prefix = next((i for i in range(30) if row[i] != rational[i]), 30)
-        agree.append(prefix)
-    assert agree == sorted(agree) and len(set(agree)) == len(agree)
+        row = transfer.band_gf(_symmetric_band(m)).expand(30)
+        assert all(a <= b for a, b in zip(row, rational)), m
+        agree.append(next((i for i in range(30) if row[i] != rational[i]), 30))
+    assert all(a < b for a, b in zip(agree, agree[1:])), agree
 
 
 def test_tube_axis_fixture():
@@ -343,3 +347,80 @@ def test_z_derivative_in_half_power_world():
     right = 2 * axis * series.z_derivative(axis)
     for n in range(15):
         assert left.coefficient(2 * n) == right.coefficient(2 * n)
+
+
+# -- memoised kernel roots and boundary series ------------------------------------
+
+MEMOISED = {
+    "grand roots": (series.grand_kernel_roots, 4),
+    "grand boundary": (series._grand_boundary, 4),
+    "zigzag roots": (series.zigzag_kernel_roots, 6),
+    "zigzag boundary": (series.zigzag_boundary_gf, -2),
+}
+
+
+def _fields(result):
+    parts = result if isinstance(result, tuple) else (result,)
+    return [(s.valuation, s.nums, s.den, s.order) for s in parts]
+
+
+def _fresh(fn, order):
+    """fn(order) derived from scratch: the memo is empty before and after."""
+    series._memo.clear()
+    try:
+        return _fields(fn(order))
+    finally:
+        series._memo.clear()
+
+
+@pytest.mark.parametrize("key", sorted(MEMOISED))
+def test_memoised_result_equals_a_fresh_derivation(key):
+    fn, least = MEMOISED[key]
+    orders = range(least, least + 41)
+    top = least + 80
+    fresh = {o: _fresh(fn, o) for o in [*orders, top]}
+    for o in orders:  # each call derives anew and replaces the entry
+        assert _fields(fn(o)) == fresh[o], (key, o)
+        assert series._memo[key][0] == o
+    fn(top)
+    for o in reversed(orders):  # each call truncates the entry at top
+        assert _fields(fn(o)) == fresh[o], (key, o)
+        assert series._memo[key][0] == top
+    assert _fields(fn(top)) == fresh[top]
+    series._memo.clear()
+
+
+def test_order_checks_run_before_the_memo():
+    series.grand_kernel_roots(40)
+    series.zigzag_boundary_gf(40)  # caches the zigzag roots at 48
+    series._grand_boundary(40)
+    for fn, low in (
+        (series.grand_kernel_roots, 3),
+        (series.zigzag_kernel_roots, 5),
+        (series._grand_boundary, 3),
+        (series.zigzag_boundary_gf, -3),
+    ):
+        with pytest.raises(ValueError, match="order must be at least"):
+            fn(low)
+    assert len(series._memo) == 4
+
+
+def test_verify_leaves_every_memo_entry_intact():
+    from knightpaths.verification import run_checks
+
+    series._memo.clear()
+    assert all(r.passed for r in run_checks("quick") if not r.name.startswith("7"))
+    derive = {
+        "grand roots": series._derive_grand_roots,
+        "grand boundary": lambda o: series._derive_grand_boundary(
+            o, *series.grand_kernel_roots(o)
+        ),
+        "zigzag roots": series._derive_zigzag_roots,
+        "zigzag boundary": lambda o: series._derive_zigzag_boundary(
+            o, series.zigzag_kernel_roots(o + 8)[0]
+        ),
+    }
+    entries = dict(series._memo)
+    assert sorted(entries) == sorted(derive)
+    for key, (top, result) in entries.items():
+        assert _fields(result) == _fresh(derive[key], top), key
