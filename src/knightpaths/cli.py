@@ -17,7 +17,7 @@ import sys
 from . import asymptotics, bijections, closedforms, counting, recurrences, series, transfer
 from . import verification
 from .counting import ALL, NONNEG
-from .paths import DOWN, UP, ParseError, PathConstraints, parse_path
+from .paths import DOWN, UP, ParseError, PathConstraints, parse_path, reach
 
 ENV_ORDER = "KNIGHTPATHS_ORDER"
 
@@ -65,9 +65,9 @@ def _gf_count(size: int, altitude, c: PathConstraints) -> int | None:
     """Generating-function count, or None when no generating function applies.
 
     Two-sided bands go to the transfer-matrix engine.  The other queries
-    read coefficient `size` of a rational generating function or of an O(n)
-    row from `recurrences`; only a grand altitude other than 0 expands the
-    kernel-method series, truncated at size + 2.
+    read coefficient `size` of a rational generating function or of an exact
+    row from `recurrences` (O(n), or O(|k| n) for a grand altitude k), so no
+    route expands a kernel-method series.
     """
     band = transfer.band_count(size, altitude, c)
     if band is not None:
@@ -83,10 +83,7 @@ def _gf_count(size: int, altitude, c: PathConstraints) -> int | None:
             return series.GRAND_TOTAL_GF.expand(count)[size]
         if altitude == NONNEG:
             return recurrences.grand_nonneg_row(count)[size]
-        if altitude == 0:
-            return recurrences.grand_axis_row(count)[size]
-        gf = series.grand_altitude_gf(abs(altitude), size + 2)
-        return int(series.z_coefficients(gf, count)[size])
+        return recurrences.grand_altitude_row(altitude, count)[size]
     if not bounded:
         if altitude == ALL:
             return series.zigzag_rational(count)[size]
@@ -95,7 +92,7 @@ def _gf_count(size: int, altitude, c: PathConstraints) -> int | None:
         return recurrences.zigzag_altitude_row(altitude, count)[size]
     # one bound only: staying above -m and staying below +m are mirror images
     m = -c.min_y if c.min_y is not None else c.max_y
-    if altitude != ALL or m < 1:
+    if altitude != ALL or m < 0:
         return None
     return recurrences.above_line_row(m, count)[size]
 
@@ -107,11 +104,14 @@ def _closed_count(size: int, altitude, c: PathConstraints) -> int | None:
     if c.last_dir is not None:
         return None
     if c.steps is not None:
-        if not isinstance(altitude, int):
-            return None
+        if isinstance(altitude, int):
+            altitudes = (altitude,)
+        else:
+            top = reach(size, True, c.steps)
+            altitudes = range(0 if altitude == NONNEG else -top, top + 1)
         dirs = (c.first_dir,) if c.first_dir is not None else (UP, DOWN)
         return sum(
-            closedforms.zigzag_step_count(size, altitude, c.steps, d) for d in dirs
+            closedforms.zigzag_step_count(size, k, c.steps, d) for k in altitudes for d in dirs
         )
     if c.first_dir is not None:
         return None
@@ -212,8 +212,7 @@ def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | No
     if name == "grand-altitude-sum":
         return recurrences.grand_altitude_sum_row(order)
     if name == "grand-altitude":
-        gf = series.grand_altitude_gf(abs(need(k, "k")), order)
-        return [int(c) for c in series.z_coefficients(gf, order)]
+        return recurrences.grand_altitude_row(need(k, "k"), order)
     if name == "grand-axis":
         return recurrences.grand_axis_row(order)
     if name == "zigzag-total":

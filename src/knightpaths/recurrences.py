@@ -26,17 +26,27 @@ polynomial-times-series A + B r followed by division by the polynomial D,
 a linear recurrence of order deg D.
 
 The grand (non-zigzag) rows are algebraic too, hence D-finite.  All grand
-paths follow 1/(1 - 2z - 2z^2).  The paths ending on the axis and the sum of
-final altitudes each satisfy a P-recurrence
+paths follow 1/(1 - 2z - 2z^2).  The paths ending on the axis, the paths
+ending at altitude 1 and the sum of final altitudes each satisfy a
+P-recurrence
 
     sum_{i=0}^{r} p_i(n) a(n - i) = 0    for n >= r,
 
 with integer polynomials p_i, committed below as data.  Each was guessed
 over Q from the first terms of the dynamic program (the unique solution at
 its order and degree) and is certified in the tests against the dynamic
-program to n = 300, against the kernel-method series and against the
-algebraic equation of its generating function.  The rows ending at y >= 0
-and at y > 0 then follow from the y -> -y symmetry.
+program to n = 300 and against the kernel-method series; the axis and
+altitude-sum recurrences also against the algebraic equation of their
+generating functions.  The rows ending at y >= 0 and at y > 0 then follow
+from the y -> -y symmetry.
+
+The paths g(n, k) ending at altitude k >= 2 follow from the rows k - 1 and
+k - 2 by a mixed recurrence in n and k, `_GRAND_MIXED`.  It is proved, not
+guessed: applied as an operator in z d/dz and y d/dy to the shifted
+generating functions z^i y^j G, G = 1/(1 - z(y^2 + y^-2) - z^2(y + y^-1)),
+it sums to zero, which the tests check in sympy (the holonomic systems
+approach of Zeilberger, J. Comput. Appl. Math. 32, 1990).  Row k costs
+O(k n) steps.
 
 Every division is exact by construction and is checked: a remainder
 raises ArithmeticError, nothing is rounded.
@@ -336,6 +346,22 @@ _GRAND_AXIS = (
     (1, 0, 2, 0, 8, 6, 44),
 )
 
+# Paths ending at altitude 1: order 7, degree 6,
+# p_0(n) = 2 (n - 2) (2n + 1) (575 n^4 - 6344 n^3 + 24497 n^2 - 38320 n + 19520).
+_GRAND_ALT1 = (
+    (
+        (-78080, 36160, 210012, -274886, 133752, -28826, 2300),
+        (-81824, 549336, -937568, 743688, -301624, 59952, -4600),
+        (357248, 142240, -1434992, 1483984, -635560, 124504, -9200),
+        (-159392, -1964336, 4532114, -3720163, 1439271, -266277, 18975),
+        (-491936, 2481512, -3830632, 2684254, -952892, 167130, -11500),
+        (52704, 2675800, -5338660, 3973048, -1411992, 242032, -16100),
+        (-94848, 160864, -93424, 22400, -1904),
+        (5760, 482048, -931000, 668692, -227244, 36876, -2300),
+    ),
+    (0, 0, 1, 2, 6, 12, 33),
+)
+
 # Sum of final altitudes over paths ending at y > 0: order 8, degree 4,
 # p_0(n) = 2 (n - 1) (2n - 1) (330731 n^2 - 2629274 n + 3972518).
 _GRAND_ALTITUDE_SUM = (
@@ -351,6 +377,30 @@ _GRAND_ALTITUDE_SUM = (
         (-119395296, 190930344, -117626620, 28310036, -2242744),
     ),
     (0, 2, 5, 20, 56, 180, 516, 1552),
+)
+
+
+# Paths ending at altitude k, a mixed recurrence in the size n and k:
+#
+#   2(k + 2n) g(n, k) = 2(2n + 2 - k) g(n, k-2)
+#                     - 8n g(n-1, k) + 8n g(n-1, k-2)
+#                     - 3(k - 1) g(n-1, k-1) - 4(k - 1) g(n-2, k-1)
+#                     + (k - n) g(n-3, k) + (k + n - 2) g(n-3, k-2)
+#
+# for every n and k, with g = 0 at negative n.  Written as
+# sum c_ij(n, k) g(n - i, k - j) = 0, each entry is ((i, j), c_ij) with
+# c_ij = (constant, n coefficient, k coefficient), the shift (0, 0) first.
+# Its divisor 2(k + 2n) is positive for k >= 1; at k = 1 the g(n, ·) terms
+# cancel by g(n, -1) = g(n, 1), so the altitude-1 row has its own recurrence.
+_GRAND_MIXED = (
+    ((0, 0), (0, 4, 2)),
+    ((0, 2), (-4, -4, 2)),
+    ((1, 0), (0, 8, 0)),
+    ((1, 1), (-3, 0, 3)),
+    ((1, 2), (0, -8, 0)),
+    ((2, 1), (-4, 0, 4)),
+    ((3, 0), (0, 1, -1)),
+    ((3, 2), (2, -1, -1)),
 )
 
 
@@ -404,6 +454,48 @@ def grand_axis_row(count: int) -> list[int]:
 def grand_altitude_sum_row(count: int) -> list[int]:
     """Sum of final altitudes over grand paths ending at y > 0, by size."""
     return _unroll(*_GRAND_ALTITUDE_SUM, count)
+
+
+def _next_altitude(k: int, below: list[int], two_below: list[int]) -> list[int]:
+    """Row k >= 2 of grand paths by size, from rows k - 1 and k - 2.
+
+    Each term unrolls `_GRAND_MIXED` with one checked division.  A path of
+    size n reaches at most altitude 2n, so the row starts with ceil(k / 2)
+    zeros.
+    """
+    out = [0] * ((k + 1) // 2)
+    rows = {0: out, 1: below, 2: two_below}
+    (_, lead), *rest = _GRAND_MIXED
+    taps = [(i, a + c * k, b, rows[j]) for (i, j), (a, b, c) in rest]
+    for n in range(len(out), len(below)):
+        acc = 0
+        for i, a, b, row in taps:
+            if i <= n:
+                acc -= (a + b * n) * row[n - i]
+        q, rem = divmod(acc, lead[0] + lead[1] * n + lead[2] * k)
+        if rem:
+            raise ArithmeticError(f"altitude {k} term {n} is not an integer")
+        out.append(q)
+    return out
+
+
+def grand_altitude_row(k: int, count: int) -> list[int]:
+    """Grand paths ending at altitude k, by size (the counts are symmetric in k).
+
+    The axis and altitude-1 rows unroll their P-recurrences; each row above
+    them takes O(count) steps of the mixed recurrence in `_next_altitude`.
+    """
+    k = abs(k)
+    if count <= (k + 1) // 2:  # too short to reach altitude k
+        return [0] * max(count, 0)
+    if k == 0:
+        return grand_axis_row(count)
+    below = _unroll(*_GRAND_ALT1, count)
+    if k >= 2:
+        two_below = grand_axis_row(count)
+        for j in range(2, k + 1):
+            two_below, below = below, _next_altitude(j, below, two_below)
+    return below
 
 
 def grand_nonneg_row(count: int) -> list[int]:

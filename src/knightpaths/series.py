@@ -111,14 +111,6 @@ def z_coefficients(series: LaurentSeries, count: int) -> list[Fraction]:
     return [Fraction(n, series.den) for n in nums[-lo::2]]
 
 
-def z_derivative(series_w: LaurentSeries) -> LaurentSeries:
-    """d/dz of a series given in the half-power variable w (w**2 = z).
-
-    Chain rule: d/dz = (1/(2w)) d/dw.  The result is again a w-series.
-    """
-    return series_w.derivative() * _mono(-1, Fraction(1, 2))
-
-
 def int_coefficients(series: LaurentSeries, count: int) -> list[int]:
     """Coefficients 0..count-1 of an ordinary series, demanded integral."""
     top = count if series.order is None else max(min(count, series.order), 0)

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 import knightpaths
 from knightpaths import series
-from knightpaths.cli import _gf_count, main
-from knightpaths.counting import ALL, NONNEG, count_paths
+from knightpaths.cli import _closed_count, _gf_count, main
+from knightpaths.counting import ALL, NONNEG, count_paths, count_row
 from knightpaths.fixtures import SPAN_TABLE, ZIGZAG_TABLE
-from knightpaths.paths import PathConstraints
+from knightpaths.paths import DOWN, UP, PathConstraints
 
 
 def run(capsys, *argv):
@@ -469,8 +469,10 @@ def _series_count(size: int, altitude, c: PathConstraints) -> int | None:
     world = "zigzag" if c.zigzag else "grand"
     if c.min_y is not None or c.max_y is not None:
         m = -c.min_y if c.min_y is not None else c.max_y
-        if not c.zigzag or altitude != ALL or m < 1:
+        if not c.zigzag or altitude != ALL:
             return None
+        if m == 0:  # no series stays above the axis: the DP alone checks this route
+            return count_paths(size, altitude, c)
         return _series_row("above-line", m)[size]
     if altitude == ALL:
         total = series.GRAND_TOTAL_GF if not c.zigzag else series.ZIGZAG_TOTAL_GF
@@ -525,14 +527,16 @@ ENGINE_SETS = [
     (["--zigzag", "--max-y", "1"], {"dp", "gf"}),
     (["--zigzag", "--min-y", "-2", "--nonneg"], {"dp"}),
     (["--zigzag", "--max-y", "2", "--altitude", "1"], {"dp"}),
-    (["--zigzag", "--min-y", "0"], {"dp"}),
+    (["--zigzag", "--min-y", "0"], {"dp", "gf"}),
     (["--zigzag", "--min-y", "-1", "--max-y", "2"], {"dp", "gf"}),
     (["--zigzag", "--min-y", "-1", "--max-y", "2", "--steps", "5"], {"dp"}),
     (["--zigzag", "--steps", "5", "--altitude", "1"], {"dp", "closed"}),
-    (["--zigzag", "--steps", "5"], {"dp"}),
+    (["--zigzag", "--steps", "5"], {"dp", "closed"}),
     (["--zigzag", "--first", "down", "--altitude", "-1"], {"dp"}),
     (["--zigzag", "--last", "up"], {"dp"}),
     (["--zigzag", "--first", "up", "--min-y", "-1", "--max-y", "1"], {"dp", "gf"}),
+    (["--zigzag", "--max-y", "0"], {"dp", "gf"}),
+    (["--zigzag", "--steps", "4", "--nonneg", "--first", "down"], {"dp", "closed"}),
 ]
 
 
@@ -541,3 +545,33 @@ def test_engine_set_per_query_class(capsys, flags, engines):
     code, out, err = run(capsys, "count", "--size", "9", *flags, "--engine", "all", "--format", "json")
     assert (code, err) == (0, "")
     assert set(json.loads(out)) == engines | {"count"}
+
+
+@pytest.mark.parametrize("bound", ["min_y", "max_y"])
+def test_zigzag_axis_bound_gf_matches_dp(bound):
+    c = PathConstraints(zigzag=True, **{bound: 0})
+    dp = count_row(40, ALL, c)
+    assert [_gf_count(n, ALL, c) for n in range(41)] == dp
+    assert _gf_count(9, NONNEG, c) is None
+
+
+@pytest.mark.parametrize("altitude", [ALL, NONNEG])
+def test_zigzag_steps_closed_matches_dp(altitude):
+    for steps in range(1, 23):
+        for first in (None, UP, DOWN):
+            c = PathConstraints(zigzag=True, steps=steps, first_dir=first)
+            closed = [_closed_count(n, altitude, c) for n in range(22)]
+            assert closed == count_row(21, altitude, c), (steps, first)
+
+
+def test_grand_altitude_needs_no_kernel_series(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("series.grand_altitude_gf was called")
+
+    monkeypatch.setattr(series, "grand_altitude_gf", refuse)
+    for k in (-3, -2, -1, 1, 2, 3):
+        argv = ("count", "--size", "13", "--altitude", str(k))
+        code, out, err = run(capsys, *argv, "--engine", "all", "--format", "json")
+        payload = json.loads(out)
+        assert (code, err) == (0, "") and payload["gf"] == payload["dp"], k
+        assert run(capsys, "gf", "--name", "grand-altitude", "--k", str(k), "--order", "14")[0] == 0

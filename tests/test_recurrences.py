@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from knightpaths import closedforms, recurrences, series
-from knightpaths.counting import ALL, NONNEG, altitude_distribution, count_row, grand_row_stats
+from knightpaths.counting import (
+    ALL,
+    NONNEG,
+    altitude_distribution,
+    altitude_distributions,
+    count_row,
+    grand_row_stats,
+)
 from knightpaths.paths import PathConstraints
 
 ZZ = PathConstraints(zigzag=True)
@@ -217,6 +224,14 @@ def _altitude_minus_two_row(count):
     return recurrences.zigzag_altitude_row(-2, count)
 
 
+def _grand_altitude_one_row(count):
+    return recurrences.grand_altitude_row(1, count)
+
+
+def _grand_altitude_minus_three_row(count):
+    return recurrences.grand_altitude_row(-3, count)
+
+
 ROWS = (
     recurrences.small_root_coeffs,
     recurrences.zigzag_total_row,
@@ -231,6 +246,8 @@ ROWS = (
     recurrences.grand_altitude_sum_row,
     recurrences.grand_nonneg_row,
     recurrences.grand_positive_row,
+    _grand_altitude_one_row,
+    _grand_altitude_minus_three_row,
 )
 
 
@@ -287,8 +304,18 @@ GRAND_ROWS = {
 RECURRENCES = {
     "total": recurrences._GRAND_TOTAL,
     "axis": recurrences._GRAND_AXIS,
+    "alt1": recurrences._GRAND_ALT1,
     "altitude_sum": recurrences._GRAND_ALTITUDE_SUM,
 }
+
+GRAND = PathConstraints()
+
+
+def _dp_terms(key, count):
+    """The first count DP terms of the sequence a committed recurrence stands for."""
+    if key == "alt1":
+        return count_row(count - 1, 1, GRAND)
+    return grand_row_stats(count - 1)[key]
 
 
 def test_grand_rows_match_dp_to_300():
@@ -345,7 +372,7 @@ def test_grand_rows_satisfy_the_kernel_algebraic_equation(key):
     assert len(hits) == 1 and sympy.degree(hits[0], x) == 4, hits
 
 
-@pytest.mark.parametrize("key", ["axis", "altitude_sum"])
+@pytest.mark.parametrize("key", ["axis", "alt1", "altitude_sum"])
 def test_committed_recurrence_is_the_unique_fit(key):
     from sympy import QQ
     from sympy.polys.matrices import DomainMatrix
@@ -353,7 +380,7 @@ def test_committed_recurrence_is_the_unique_fit(key):
     coeffs, _ = RECURRENCES[key]
     r, d = len(coeffs) - 1, max(len(p) for p in coeffs) - 1
     unknowns = (r + 1) * (d + 1)
-    a = grand_row_stats(r + unknowns + 20)[key]  # 20 spare equations
+    a = _dp_terms(key, r + unknowns + 21)  # 20 spare equations
     rows = [
         [QQ(n**j * a[n - i]) for i in range(r + 1) for j in range(d + 1)]
         for n in range(r, len(a))
@@ -400,3 +427,61 @@ def test_module_imports_no_other_engine():
             seen.update((node.module or "").split("."))
             seen.update(a.name for a in node.names)
     assert not seen & banned
+
+
+# -- grand rows by altitude: the altitude-1 recurrence and the mixed one ------------
+
+
+def test_grand_altitude_rows_match_dp_to_300():
+    n = 300
+    dists = list(altitude_distributions(n, GRAND))
+    for k in range(-12, 13):
+        want = [dist.get(k, 0) for dist in dists]
+        assert recurrences.grand_altitude_row(k, n + 1) == want, k
+
+
+def test_grand_altitude_rows_match_kernel_series_to_order_60():
+    n = 60
+    for k in range(13):
+        gf = series.z_coefficients(series.grand_altitude_gf(k, n), n)
+        assert recurrences.grand_altitude_row(k, n) == gf, k
+        assert recurrences.grand_altitude_row(-k, n) == gf, k
+
+
+def test_grand_altitude_row_below_its_reach_is_zero():
+    assert recurrences.grand_altitude_row(6, 3) == [0, 0, 0]
+    assert recurrences.grand_altitude_row(-6, 4) == [0, 0, 0, 1]  # three N steps
+    assert recurrences.grand_altitude_row(-10 ** 6, 40) == [0] * 40
+
+
+def test_mixed_recurrence_annihilates_the_grand_generating_function():
+    import sympy
+
+    (shift, lead), *_ = recurrences._GRAND_MIXED
+    assert shift == (0, 0) and any(lead)  # the term the row divides by
+    z, y = sympy.symbols("z y")
+    G = 1 / (1 - z * (y**2 + y**-2) - z**2 * (y + 1 / y))
+    # [z^n y^k] c(z d/dz, y d/dy) [z^i y^j G] = c(n, k) g(n - i, k - j)
+    total = 0
+    for (i, j), (a, b, c) in recurrences._GRAND_MIXED:
+        f = z**i * y**j * G
+        total += a * f + b * z * sympy.diff(f, z) + c * y * sympy.diff(f, y)
+    assert sympy.cancel(sympy.together(total)) == 0
+
+
+def test_corrupt_altitude_one_recurrence_raises_not_rounds(monkeypatch):
+    coeffs, initial = recurrences._GRAND_ALT1
+    bad = (coeffs[0], (coeffs[1][0] + 1, *coeffs[1][1:]), *coeffs[2:])
+    monkeypatch.setattr(recurrences, "_GRAND_ALT1", (bad, initial))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        recurrences.grand_altitude_row(1, 40)
+
+
+@pytest.mark.parametrize("entry", range(len(recurrences._GRAND_MIXED)))
+def test_corrupt_mixed_recurrence_raises_not_rounds(monkeypatch, entry):
+    mixed = list(recurrences._GRAND_MIXED)
+    shift, (a, b, c) = mixed[entry]
+    mixed[entry] = (shift, (a + 1, b, c))
+    monkeypatch.setattr(recurrences, "_GRAND_MIXED", tuple(mixed))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        recurrences.grand_altitude_row(4, 40)

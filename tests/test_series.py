@@ -336,19 +336,6 @@ def test_parity_purity_of_final_answers():
         series.z_coefficients(gf, 40)  # raises on violation
 
 
-def test_z_derivative_in_half_power_world():
-    # d/dz (z^3) = 3 z^2, expressed as w-series
-    cubed = series.LaurentSeries.from_poly({6: 1})
-    d = series.z_derivative(cubed)
-    assert [int(c) for c in series.z_coefficients(d, 4)] == [0, 0, 3, 0]
-    # product rule spot check on a genuine engine output
-    axis, _ = series.grand_boundary_gfs(20)
-    left = series.z_derivative(axis * axis)
-    right = 2 * axis * series.z_derivative(axis)
-    for n in range(15):
-        assert left.coefficient(2 * n) == right.coefficient(2 * n)
-
-
 # -- memoised kernel roots and boundary series ------------------------------------
 
 MEMOISED = {
