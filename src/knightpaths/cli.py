@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -218,16 +219,16 @@ def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | No
     if name == "zigzag-total":
         return series.zigzag_rational(order)
     if name == "zigzag-nonneg":
-        return series.int_coefficients(series.zigzag_nonneg_gf(order + 1), order)
+        return series.int_coefficients(series.zigzag_nonneg_gf(order), order)
     if name == "zigzag-axis":
-        return series.int_coefficients(series.zigzag_altitude_gf(0, order + 1), order)
+        return series.int_coefficients(series.zigzag_altitude_gf(0, order), order)
     if name == "zigzag-altitude":
-        gf = series.zigzag_altitude_gf(abs(need(k, "k")), order + 1)
+        gf = series.zigzag_altitude_gf(abs(need(k, "k")), order)
         return series.int_coefficients(gf, order)
     if name == "zigzag-primitive":
-        return series.int_coefficients(series.zigzag_primitive_gf(order + 1), order)
+        return series.int_coefficients(series.zigzag_primitive_gf(order), order)
     if name == "above-line":
-        total, _ = series.above_line_gf(need(m, "m"), order + 1)
+        total, _ = series.above_line_gf(need(m, "m"), order)
         return series.int_coefficients(total, order)
     # the transfer engine takes any band; these names keep the series' domain
     if name == "sym-tube":
@@ -353,6 +354,8 @@ def cmd_asym(args) -> int:
         return 2
     rows = report.as_dicts()
     if args.format == "json":
+        # an exact value of 0 has a NaN ratio, which JSON cannot spell
+        json_rows = [{**r, "ratio": None if math.isnan(r["ratio"]) else r["ratio"]} for r in rows]
         print(
             json.dumps(
                 {
@@ -360,7 +363,7 @@ def cmd_asym(args) -> int:
                     "m": report.m,
                     "conjecture": report.conjecture,
                     "tail_decreasing": report.tail_is_decreasing(),
-                    "rows": rows,
+                    "rows": json_rows,
                 },
                 sort_keys=True,
             )

@@ -156,6 +156,8 @@ class LaurentSeries:
         if not terms:
             return LaurentSeries.zero(order)
         lo = min(s.valuation for s in terms)
+        if order is not None and order < lo:  # every term starts past the order
+            return LaurentSeries.zero(order)
         hi = _min_order(max(s.valuation + len(s.nums) for s in terms), order)
         den = math.lcm(*(s.den for s in terms))
         out = [0] * (hi - lo)
@@ -277,12 +279,6 @@ class LaurentSeries:
             b = (cur + unit.truncate(exact).divide(cur)) * Fraction(1, 2)
         half_val = self.valuation // 2
         return _make(half_val, [n * rn for n in b.nums], b.den * rd, half_val + rel)
-
-    def derivative(self) -> LaurentSeries:
-        """Term-by-term derivative with respect to the series variable."""
-        v, order = self.valuation, self.order
-        nums = [n * (v + i) for i, n in enumerate(self.nums)]
-        return _make(v - 1, nums, self.den, None if order is None else order - 1)
 
     def _relative_order(self, order: int | None, what: str) -> int:
         """How many terms an inverse or sqrt yields: up to self.order, capped by order."""

@@ -198,9 +198,13 @@ class _Elt:
         return self * _lift(other).inverse()
 
     def __pow__(self, e: int) -> _Elt:
-        out = _Elt([1])
-        for _ in range(e):
-            out = out * self
+        out, base = _Elt([1]), self
+        while e:  # square and multiply
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
 

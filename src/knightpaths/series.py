@@ -17,8 +17,14 @@ linear solve for the two unknown boundary series) and then recover the full
 altitude-resolved polynomial in u by exact long division; the division
 remainder must vanish identically, which doubles as a certificate.
 
-Every operation takes a truncation order in z and raises if internal
-cancellation ever eats past the requested precision.
+Every public function is exact to its requested order in z (2 * order in
+w) and raises if internal cancellation ever eats past it.  Each working
+order is the exact precision loss of its derivation, read off the
+valuations involved by the rules LaurentSeries propagates orders with: x*y
+is exact to min(order(x) + val(y), order(y) + val(x)), 1/x to
+order(x) - 2 val(x) and sqrt(x) to order(x) - val(x) / 2.  The grand roots
+have valuation -1 in w; the zigzag roots 3 (small) and -3 (large) in z.
+A surplus above the requested order is only what a derivation states.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ from fractions import Fraction
 from .laurent import LaurentSeries, RationalGF
 
 DEFAULT_ORDER = 64
+
+#: The least orders grand_kernel_roots and zigzag_kernel_roots accept; a
+#: working order below them is raised to them (and the result has surplus).
+GRAND_LEAST, ZIGZAG_LEAST = 4, 6
 
 #: All grand knight's paths by size: 1/(1 - 2z - 2z^2).
 GRAND_TOTAL_GF = RationalGF([1], [1, -2, -2])
@@ -135,26 +145,31 @@ def int_coefficients(series: LaurentSeries, count: int) -> list[int]:
 def grand_kernel_roots(order: int = DEFAULT_ORDER) -> tuple[LaurentSeries, LaurentSeries]:
     """The two large roots (in u) of u^2 - z*u^4 - z - z^2*u - z^2*u^3.
 
-    Returned as Laurent series in w (w**2 = z), both of valuation -1.  The
-    radical formulas are evaluated exactly; sqrt arguments are rescaled so
-    their leading coefficients are rational squares.
+    Returned as Laurent series in w (w**2 = z), both of valuation -1 and
+    exact to w^(2 order): their product (valuation -2) is then exact to
+    w^(2 order - 1), so z-coefficients 0..order-1 of the root sum and product
+    can be read.  The radical formulas are evaluated exactly; sqrt arguments
+    are rescaled so their leading coefficients are rational squares.
     """
-    if order < 4:
-        raise ValueError("order must be at least 4")
+    if order < GRAND_LEAST:
+        raise ValueError(f"order must be at least {GRAND_LEAST}")
     return _memoised("grand roots", order, 2, _derive_grand_roots)
 
 
 def _derive_grand_roots(order: int) -> tuple[LaurentSeries, LaurentSeries]:
-    W = 2 * order + 32
     z = _mono(2)
-    # z^4 + 8z^2 + 4z = w^8 + 8w^4 + 4w^2
-    radical = LaurentSeries.from_poly({8: 1, 4: 8, 2: 4}).sqrt(order=W + 12)
+    # z^4 + 8z^2 + 4z = w^8 + 8w^4 + 4w^2; its sqrt (valuation 1) to relative
+    # order rel is exact to w^(rel + 1), and times w^-2 / 4 to w^(rel - 1)
+    rel = 2 * order + 1
+    radical = LaurentSeries.from_poly({8: 1, 4: 8, 2: 4}).sqrt(order=rel)
     quarter_z = _mono(-2, Fraction(1, 4))
     base = LaurentSeries.from_poly({6: 1, 2: -4, 0: 2})  # z^3 - 4z + 2 in w
     eighth_z = _mono(-2, Fraction(1, 8))
     root1 = (_mono(4, -1) + radical) * quarter_z + ((base - z * radical) * eighth_z).sqrt()
     root2 = (_mono(4, -1) - radical) * quarter_z - ((base + z * radical) * eighth_z).sqrt()
-    needed = 2 * order - 2
+    # the inner sqrt (argument of valuation -2, exact to w^(rel + 1)) keeps
+    # w^(rel + 2), so both roots are exact to w^(rel - 1) = w^(2 order)
+    needed = 2 * order
     return _ensure_order(root1, needed, "grand root"), _ensure_order(
         root2, needed, "grand root"
     )
@@ -168,13 +183,22 @@ def grand_kernel_value(u: LaurentSeries) -> LaurentSeries:
 
 
 def grand_kernel_residuals(order: int = 50) -> tuple[LaurentSeries, LaurentSeries]:
-    """Kernel evaluated at both computed roots; certificate series."""
-    r1, r2 = grand_kernel_roots(order + 8)
+    """Kernel evaluated at both computed roots; certificate series.
+
+    Exact to w^(2 order + 1): one more than asked, the rounding of the roots'
+    even order.
+    """
+    # u^2 and z u^4 (u of valuation -1, exact to w^R) are exact to w^(R - 1)
+    r1, r2 = grand_kernel_roots(max(order + 1, GRAND_LEAST))
     return grand_kernel_value(r1), grand_kernel_value(r2)
 
 
 def _grand_boundary(order: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries, LaurentSeries]:
-    """(axis GF, altitude-1 GF, root1, root2), all in w."""
+    """(axis GF, altitude-1 GF, root1, root2), all in w.
+
+    The roots are exact to w^(2 order), the axis GF to w^(2 order + 1) and
+    the altitude-1 GF to w^(2 order + 2).
+    """
     root1, root2 = grand_kernel_roots(order)
     axis, alt1 = _memoised("grand boundary", order, 2, _derive_grand_boundary, root1, root2)
     return axis, alt1, root1, root2
@@ -183,6 +207,9 @@ def _grand_boundary(order: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSe
 def _derive_grand_boundary(
     order: int, root1: LaurentSeries, root2: LaurentSeries
 ) -> tuple[LaurentSeries, LaurentSeries]:
+    # prod and denom have valuation -2 and are exact to w^(R - 1) (roots to
+    # w^R); 1/denom (valuation 2) to w^(R + 3), so axis to w^(R + 1), and
+    # total/(1 + prod) (valuation 4) to w^(R + 2), so alt1 to w^(R + 2)
     z = _mono(2)
     prod = root1 * root2
     total = root1 + root2
@@ -207,17 +234,24 @@ def grand_boundary_gfs(order: int = DEFAULT_ORDER) -> tuple[LaurentSeries, Laure
     """Generating functions for paths ending at altitude 0 and altitude 1.
 
     These are the two unknowns the kernel method pins down; every other
-    grand-side generating function is built from them.
+    grand-side generating function is built from them.  Exact to
+    w^(2 order + 1) and w^(2 order + 2) (order raised to GRAND_LEAST).
     """
-    axis, alt1, _, _ = _grand_boundary(order + 4)
+    axis, alt1, _, _ = _grand_boundary(max(order, GRAND_LEAST))
     return axis, alt1
 
 
 def grand_altitude_gf(k: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Series (in w) whose z-coefficients count paths of size n, altitude k."""
+    """Series (in w) whose z-coefficients count paths of size n, altitude k.
+
+    Exact to w^(2 order + 1) for even k and to w^(2 order) for odd k, once
+    the working order is at least GRAND_LEAST.
+    """
     if k < 0:
         raise ValueError("altitude index must be >= 0 (counts are symmetric in k)")
-    axis, alt1, root1, root2 = _grand_boundary(order + 4)
+    # a and b are exact to w^(R + 1) (roots to w^R) and root^-1 has valuation 1,
+    # so a root^-k is exact to w^(R + 1 + k): R = 2 order - 1 - k, rounded up to even
+    axis, alt1, root1, root2 = _grand_boundary(max(order - (k + 1) // 2, GRAND_LEAST))
     gap = root1 - root2
     a = (axis * root1 - alt1).divide(gap)
     b = (axis * root2 - alt1).divide(gap)
@@ -229,9 +263,14 @@ def grand_totals(order: int = DEFAULT_ORDER) -> tuple[LaurentSeries, LaurentSeri
     """(count, altitude sum) series over paths ending at altitude >= 0.
 
     The second component is the u-derivative of the altitude-marked
-    generating function at u = 1, i.e. sum of final altitudes.
+    generating function at u = 1, i.e. sum of final altitudes.  Exact to
+    w^(2 order + 1) and w^(2 order + 2) (order raised to GRAND_LEAST).
     """
-    axis, alt1, root1, root2 = _grand_boundary(order + 6)
+    # (1 - r1)(1 - r2) has valuation -2 and is exact to w^(R - 1), so its
+    # inverse to w^(R + 3) and its squared inverse (valuation 4) to w^(R + 5);
+    # h1's numerator (valuation -2, exact to w^(R - 1)) leaves w^(R + 1), and
+    # dh1's (valuation -2, exact to w^(R - 2)) leaves w^(R + 2)
+    axis, alt1, root1, root2 = _grand_boundary(max(order, GRAND_LEAST))
     one = _mono(0)
     prod = root1 * root2
     h1 = (axis * prod - alt1).divide((one - root1) * (one - root2))
@@ -253,16 +292,17 @@ def zigzag_kernel_roots(order: int = DEFAULT_ORDER) -> tuple[LaurentSeries, Laur
     """(small, large) roots in u of u^2*z^3 + u*z^4 + z^2*u + z^3 - u.
 
     The small root has valuation 3; the large one is Laurent with valuation
-    -3; their product is exactly 1.  Raises if the radical numerator fails
-    to cancel below z^3 before the division by 2z^3.
+    -3; their product is exactly 1.  Both are exact to z^order.  Raises if
+    the radical numerator fails to cancel below z^3 before the division by
+    2z^3.
     """
-    if order < 6:
-        raise ValueError("order must be at least 6")
+    if order < ZIGZAG_LEAST:
+        raise ValueError(f"order must be at least {ZIGZAG_LEAST}")
     return _memoised("zigzag roots", order, 1, _derive_zigzag_roots)
 
 
 def _derive_zigzag_roots(order: int) -> tuple[LaurentSeries, LaurentSeries]:
-    W = order + 24
+    W = order + 3  # the radical is exact to z^W; the division by 2z^3 loses 3
     disc = LaurentSeries.from_poly({8: 1, 6: -2, 4: -1, 2: -2, 0: 1})
     radical = disc.sqrt(order=W)
     lead = LaurentSeries.from_poly({0: 1, 2: -1, 4: -1})
@@ -283,7 +323,9 @@ def zigzag_kernel_value(u: LaurentSeries) -> LaurentSeries:
 
 
 def zigzag_kernel_residuals(order: int = 50) -> tuple[LaurentSeries, LaurentSeries]:
-    small, large = zigzag_kernel_roots(order + 8)
+    # every term of the kernel keeps z^R at either root: z^3 u^2 at the large
+    # one is exact to z^(R - 3 + 3), and -u to z^R
+    small, large = zigzag_kernel_roots(max(order, ZIGZAG_LEAST))
     return zigzag_kernel_value(small), zigzag_kernel_value(large)
 
 
@@ -297,9 +339,11 @@ def zigzag_boundary_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
 
     The kernel-method boundary unknown for the zigzag world; the full
     axis-enders count is twice this minus one (the empty path is in the
-    rising class but has no mirror).
+    rising class but has no mirror).  Exact to z^order, for order >= 3.
     """
-    small, _ = zigzag_kernel_roots(order + 8)
+    # numer and denom both have valuation 3 and are exact to z^R and
+    # z^(R + 5); 1/denom is exact to z^(R - 1), so the quotient to z^(R - 3)
+    small, _ = zigzag_kernel_roots(order + 3)
     (boundary,) = _memoised("zigzag boundary", order, 1, _derive_zigzag_boundary, small)
     return boundary
 
@@ -311,10 +355,19 @@ def _derive_zigzag_boundary(order: int, small: LaurentSeries) -> tuple[LaurentSe
 
 
 def zigzag_altitude_gf(k: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Counts of zigzag paths of size n ending at altitude k (k >= 0)."""
+    """Counts of zigzag paths of size n ending at altitude k (k >= 0).
+
+    Exact to z^order once the working order is at least ZIGZAG_LEAST.
+    """
     if k < 0:
         raise ValueError("altitude index must be >= 0 (counts are symmetric in k)")
-    work = order + 8
+    # roots and boundary exact to z^R.  k = 0: 2 up - 1 keeps z^R.  k = 1: the
+    # numerator (valuation 1) is exact to z^R and 1/(z^2 large) has valuation 1,
+    # so z^(R + 1).  k >= 2: small^(k-1) (valuation 3(k-1)) is exact to
+    # z^(R + 3(k-2)) and the bundle (valuation 0) to z^(R + 1), so after z^-2
+    # the result is exact to z^(R + 3k - 8)
+    loss = 0 if k == 0 else -1 if k == 1 else 8 - 3 * k
+    work = max(order + loss, ZIGZAG_LEAST)
     small, large = zigzag_kernel_roots(work)
     up_axis = zigzag_boundary_gf(work)
     one = _mono(0)
@@ -330,8 +383,10 @@ def zigzag_altitude_gf(k: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
 
 
 def zigzag_nonneg_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Counts of zigzag paths ending at altitude >= 0."""
-    work = order + 8
+    """Counts of zigzag paths ending at altitude >= 0; exact to z^order."""
+    # z^2 large (2 up - 1) has valuation -1 and is exact to z^(R - 1), and
+    # 1/(z^2 (1 - large)) has valuation 1: the quotient keeps z^R
+    work = max(order, ZIGZAG_LEAST)
     small, large = zigzag_kernel_roots(work)
     up_axis = zigzag_boundary_gf(work)
     one = _mono(0)
@@ -345,13 +400,16 @@ def zigzag_altitude_sum_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
 
     Assembled from the per-altitude closed forms: the altitude-1 series
     plus sum(k * small^(k-1), k >= 2) against the shared altitude bundle.
+    Exact to z^order.
     """
-    work = order + 10
+    # the bundle times z^-2 (valuation -2) is exact to z^(R - 1) and the tail
+    # (valuation 3) to z^R, so their product to z^(R - 2)
+    work = max(order + 2, ZIGZAG_LEAST)
     small, _ = zigzag_kernel_roots(work)
     up_axis = zigzag_boundary_gf(work)
     one = _mono(0)
     z, z2 = _mono(1), _mono(2)
-    alt1 = zigzag_altitude_gf(1, work)
+    alt1 = zigzag_altitude_gf(1, order)
     bundle = one + small * (small + z) + 2 * small * z2 * up_axis
     tail = (2 * small - small * small).divide((one - small) ** 2)
     out = alt1 + bundle * _mono(-2) * tail
@@ -359,8 +417,13 @@ def zigzag_altitude_sum_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
 
 
 def zigzag_primitive_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Counts of zigzag axis-enders touching the x-axis only at the ends."""
-    work = order + 8
+    """Counts of zigzag axis-enders touching the x-axis only at the ends.
+
+    Exact to z^order.
+    """
+    # numer and denom have valuation 3 and are exact to z^R; 1/denom is
+    # exact to z^(R - 6), so the quotient to z^(R - 3)
+    work = max(order + 3, ZIGZAG_LEAST)
     small, _ = zigzag_kernel_roots(work)
     numer = (
         2 * _mono(5) * small
@@ -379,11 +442,16 @@ def above_line_gf(
 
     Returns (total, bottom_edge): total counts all such paths by size;
     bottom_edge is the boundary series for paths ending at altitude -m+1
-    with a rising step (the empty path included when m = 1).
+    with a rising step (the empty path included when m = 1).  Both are
+    exact to z^order once the working order is at least ZIGZAG_LEAST.
     """
     check_positive("m", m)
-    work = order + 3 * (m + 2) + 12
-    small, _ = zigzag_kernel_roots(work)
+    # small^j (valuation 3j) is exact to z^(R + 3j - 3), and small^0 = 1 exactly.
+    # m = 1: numer keeps z^(R + 2), bottom z^(R + 1).  m >= 2: numer keeps
+    # z^(R + 3m - 5) through z small^(m-1), bottom z^(R + 3m - 6); the exact
+    # divisor of the total is inverted to z^order
+    loss = -1 if m == 1 else 6 - 3 * m
+    small, _ = zigzag_kernel_roots(max(order + loss, ZIGZAG_LEAST))
     z, z2 = _mono(1), _mono(2)
     one = _mono(0)
     numer = (
@@ -392,7 +460,7 @@ def above_line_gf(
         + small ** (m + 1)
         - LaurentSeries.from_poly({2: 1, 1: 1, 0: 1})
     )
-    total = numer.divide(LaurentSeries.from_poly({2: 1, 1: 1, 0: -1}), order=work)
+    total = numer.divide(LaurentSeries.from_poly({2: 1, 1: 1, 0: -1}), order=order)
     bottom = (one + z * small) * small ** (m - 1) + small ** (m + 1) * _mono(-1)
     return (
         _ensure_order(total, order, "above-line total"),
@@ -442,11 +510,20 @@ def tube_gf(m: int, M: int, order: int = DEFAULT_ORDER) -> TubeSeries:
     m = M = 0 is rejected: no step keeps y = 0, so the band is trivial.
     Requires m <= M; a band with the deeper side below is the reflection of
     one with it above, so swap the bounds and flip altitudes at the caller.
+
+    up[j] is exact to z^(order + 3j) and down[j] to z^order, once the
+    working order is at least ZIGZAG_LEAST.
     """
     check_band(m, M)
     span = m + M
-    work = order + 3 * (span + 3) + 18
-    small, large = zigzag_kernel_roots(work)
+    # roots exact to z^R: z large^(m+3) in edge_rhs(large) keeps z^(R - 3m - 5),
+    # a1 (valuation 6) times it z^(R - 3m - 5), and 1/det (valuation
+    # 3 span - 3) lifts top to z^(R + 3M - 8); each of the span + 1 division
+    # steps by z^3 then loses 3, leaving up[j] exact to z^(R - 3m - 8 + 3j).
+    # M = 1 has no step N: top keeps z^(R - 1) at m = 1 (edge_rhs(large) to
+    # z^(R - 3m - 1)) and z^(R - 4) at m = 0 (a2 c1), so up[0] keeps z^(R - 7)
+    loss = 7 if M == 1 else 3 * m + 8
+    small, large = zigzag_kernel_roots(max(order + loss, ZIGZAG_LEAST))
     one = _mono(0)
     z, z2, z3 = _mono(1), _mono(2), _mono(3)
     has_n_room = M >= 2  # the single step N ends at +2 and must fit the band
@@ -510,7 +587,7 @@ def tube_gf(m: int, M: int, order: int = DEFAULT_ORDER) -> TubeSeries:
         up.append(_ensure_order(s, order, f"band [-{m},{M}] altitude slice"))
     down = []
     for j in range(span + 1):
-        acc = LaurentSeries.zero(work)
+        acc = LaurentSeries.zero(order)
         if j + 2 <= span:
             acc = acc + z * up[j + 2]
         if j + 1 <= span:

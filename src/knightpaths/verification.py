@@ -40,7 +40,7 @@ def _zigzag(**kw) -> PathConstraints:
 def check_table_fixtures(level: str = "quick") -> tuple[bool, str]:
     problems = []
     alt_gfs = {
-        k: series.z_coefficients(series.grand_altitude_gf(k, 12), 10)
+        k: series.z_coefficients(series.grand_altitude_gf(k, 10), 10)
         for k in range(10)
     }
     alt_rows = {k: recurrences.grand_altitude_row(k, 10) for k in range(10)}
@@ -54,7 +54,7 @@ def check_table_fixtures(level: str = "quick") -> tuple[bool, str]:
             if alt_rows[k][n] != want:
                 problems.append(f"grand row ({n},{k})={alt_rows[k][n]} != {want}")
     zig_gfs = {
-        k: series.int_coefficients(series.zigzag_altitude_gf(k, 18), 16)
+        k: series.int_coefficients(series.zigzag_altitude_gf(k, 16), 16)
         for k in range(5)
     }
     for n, dist in enumerate(counting.altitude_distributions(15, _zigzag())):
@@ -68,7 +68,7 @@ def check_table_fixtures(level: str = "quick") -> tuple[bool, str]:
             if got != want:
                 problems.append(f"zigzag closed ({n},{k})={got} != {want}")
     for k in (1, 2, 3):
-        row = series.int_coefficients(series.span_exact_gf(k, 18), 17)
+        row = series.int_coefficients(series.span_exact_gf(k, 17), 17)
         if tuple(row) != SPAN_TABLE[k - 1]:
             problems.append(f"span GF k={k}: {row}")
         dp_row = _span_row_dp(16, k)
@@ -122,11 +122,11 @@ def check_sequence_fixtures(level: str = "quick") -> tuple[bool, str]:
 
     compare("zigzag-total", series.zigzag_rational(17))
     compare("zigzag-total", counting.count_row(16, ALL, _zigzag()))
-    compare("zigzag-nonneg", series.int_coefficients(series.zigzag_nonneg_gf(18), 17))
+    compare("zigzag-nonneg", series.int_coefficients(series.zigzag_nonneg_gf(17), 17))
     compare("zigzag-nonneg", counting.count_row(16, NONNEG, _zigzag()))
     compare(
         "zigzag-primitive",
-        series.int_coefficients(series.zigzag_primitive_gf(24), 23),
+        series.int_coefficients(series.zigzag_primitive_gf(23), 23),
     )
     compare("zigzag-primitive", [counting.count_primitive(n) for n in range(23)])
     above2, _ = series.above_line_gf(2, 17)
@@ -135,12 +135,12 @@ def check_sequence_fixtures(level: str = "quick") -> tuple[bool, str]:
     compare("tube1-axis", series.TUBE1_AXIS_GF.expand(19))
     compare(
         "tube1-axis",
-        series.int_coefficients(series.tube_gf(1, 1, 20).axis(), 19),
+        series.int_coefficients(series.tube_gf(1, 1, 19).axis(), 19),
     )
     compare("tube1-axis", counting.count_row(18, 0, _zigzag(min_y=-1, max_y=1)))
     compare(
         "band-0-2-axis",
-        series.int_coefficients(series.tube_axis_gf(2, 20), 19),
+        series.int_coefficients(series.tube_axis_gf(2, 19), 19),
     )
     compare("band-0-2-axis", counting.count_row(18, 0, _zigzag(min_y=0, max_y=2)))
     return not problems, "; ".join(problems) or f"{len(SEQUENCES)} sequences"
@@ -153,7 +153,7 @@ def check_cross_engine(level: str = "quick") -> tuple[bool, str]:
     n_top, k_top, band_top = (20, 8, 25) if level == "full" else (12, 4, 12)
     problems = []
     gfs = {
-        k: series.int_coefficients(series.zigzag_altitude_gf(k, n_top + 2), n_top + 1)
+        k: series.int_coefficients(series.zigzag_altitude_gf(k, n_top + 1), n_top + 1)
         for k in range(k_top + 1)
     }
     for n, dist in enumerate(counting.altitude_distributions(n_top, _zigzag())):
@@ -283,7 +283,7 @@ def check_threshold_law(level: str = "quick") -> tuple[bool, str]:
         if free[cutoff] == bounded[cutoff]:
             problems.append(f"m={m}: rows agree at size {cutoff}")
         gf_row = series.int_coefficients(
-            series.above_line_gf(m, cutoff + 2)[0], cutoff + 1
+            series.above_line_gf(m, cutoff + 1)[0], cutoff + 1
         )
         rational = series.zigzag_rational(cutoff + 1)
         diff_val = next(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -14,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knightpaths
-from knightpaths import series
+from knightpaths import recurrences, series
 from knightpaths.cli import _closed_count, _gf_count, main
-from knightpaths.counting import ALL, NONNEG, count_paths, count_row
+from knightpaths.counting import ALL, NONNEG, count_paths, count_primitive, count_row
 from knightpaths.fixtures import SPAN_TABLE, ZIGZAG_TABLE
 from knightpaths.paths import DOWN, UP, PathConstraints
 
@@ -213,6 +215,21 @@ def test_asym_bad_size_list_exits_two(capsys):
         code, out, err = run(capsys, "asym", "--formula", "grand-all", "--n-list", n_list)
         assert code == 2, n_list
         assert out == "" and err.startswith("error:"), n_list
+
+
+def test_asym_json_spells_an_undefined_ratio_null(capsys):
+    argv = ("asym", "--formula", "zigzag-expected-altitude", "--n-list", "0,1")
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    rows = json.loads(out, parse_constant=reject)["rows"]
+    assert code == 0
+    assert [r["exact"] for r in rows] == ["0", "2"]
+    assert rows[0]["ratio"] is None and rows[1]["ratio"] > 1
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "0,0,0.0,nan"  # CSV keeps nan
 
 
 GOLDEN_ASYM = json.loads((Path(__file__).parent / "data" / "asym_grand_golden.json").read_text())
@@ -506,6 +523,49 @@ def test_gf_count_matches_dp_and_series(query):
     assert (got is None) == (want is None)
     if got is not None:
         assert got == count_paths(size, altitude, c) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _primitive_dp(size: int) -> int:
+    return count_primitive(size)
+
+
+def _gf_reference(name: str, param: int, order: int) -> list[int]:
+    """The first `order` coefficients of a series-backed gf name, from an
+    engine other than the kernel-method series."""
+    if name == "zigzag-nonneg":
+        return recurrences.zigzag_nonneg_row(order)
+    if name == "zigzag-axis":
+        return recurrences.zigzag_altitude_row(0, order)
+    if name == "zigzag-altitude":
+        return recurrences.zigzag_altitude_row(param, order)
+    if name == "zigzag-primitive":
+        return [_primitive_dp(n) for n in range(order)]
+    return recurrences.above_line_row(param, order)
+
+
+@st.composite
+def series_gf_queries(draw):
+    name = draw(
+        st.sampled_from(
+            ["zigzag-nonneg", "zigzag-axis", "zigzag-altitude", "zigzag-primitive", "above-line"]
+        )
+    )
+    param = draw(st.integers(0, 12) if name == "zigzag-altitude" else st.integers(1, 8))
+    top = 24 if name == "zigzag-primitive" else 90  # the DP is the primitive reference
+    return name, param, draw(st.integers(1, top))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(series_gf_queries())
+def test_series_backed_gf_names_match_rows_and_dp(query):
+    name, param, order = query
+    flag = {"zigzag-altitude": ["--k", str(param)], "above-line": ["--m", str(param)]}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["gf", "--name", name, "--order", str(order), *flag.get(name, [])])
+    assert code == 0
+    assert [int(t) for t in out.getvalue().split()] == _gf_reference(name, param, order)
 
 
 # One representative query per class, and the engines that answer it under

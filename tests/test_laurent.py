@@ -118,14 +118,12 @@ def test_pow_negative():
     assert (s ** 0).coefficient(0) == 1
 
 
-def test_derivative():
-    s = poly({-1: 2, 0: 7, 3: 5})
-    d = s.derivative()
-    assert d.coefficient(-2) == -2
-    assert d.coefficient(2) == 15
-    assert d.coefficient(0) == 0
-    t = LaurentSeries(0, [1, 1, 1, 1], 4)
-    assert t.derivative().order == 3
+def test_sum_with_an_order_below_every_term_is_zero_to_that_order():
+    assert LaurentSeries(10, [1], None) + LaurentSeries.zero(5) == LaurentSeries.zero(5)
+    assert LaurentSeries.zero(5) + LaurentSeries(10, [1], None) == LaurentSeries.zero(5)
+    high = LaurentSeries(7, [Fraction(1, 3), 2], 20) - LaurentSeries(9, [4], 12)
+    assert high + LaurentSeries.zero(6) == LaurentSeries.zero(6)
+    assert (LaurentSeries(3, [1], None) + LaurentSeries.zero(5)).coeffs == [1]
 
 
 @given(small_series, small_series)

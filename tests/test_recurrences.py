@@ -79,6 +79,17 @@ def test_corrupt_altitude_element_raises_not_rounds(monkeypatch, k):
         real(Elt(x.a, x.b, [*x.d[:v], 2 * x.d[v], *x.d[v + 1 :]]), 40)
 
 
+@pytest.mark.parametrize("name", ["r", "mixed"])
+def test_power_by_squaring_equals_the_product_loop(name):
+    Z, R = recurrences._Z, recurrences._R
+    base = R if name == "r" else (1 + Z * R - 2 * Z**2) / (1 - Z)
+    loop = recurrences._Elt([1])
+    for k in range(0, 34):
+        got = base**k
+        assert (got.a, got.b, got.d) == (loop.a, loop.b, loop.d), (name, k)
+        loop = loop * base
+
+
 def test_above_axis_row_vs_dp():
     fast = recurrences.above_axis_row(24)
     assert fast == count_row(23, ALL, PathConstraints(zigzag=True, min_y=0))

@@ -342,7 +342,7 @@ MEMOISED = {
     "grand roots": (series.grand_kernel_roots, 4),
     "grand boundary": (series._grand_boundary, 4),
     "zigzag roots": (series.zigzag_kernel_roots, 6),
-    "zigzag boundary": (series.zigzag_boundary_gf, -2),
+    "zigzag boundary": (series.zigzag_boundary_gf, 3),
 }
 
 
@@ -379,13 +379,13 @@ def test_memoised_result_equals_a_fresh_derivation(key):
 
 def test_order_checks_run_before_the_memo():
     series.grand_kernel_roots(40)
-    series.zigzag_boundary_gf(40)  # caches the zigzag roots at 48
+    series.zigzag_boundary_gf(40)  # caches the zigzag roots at 43
     series._grand_boundary(40)
     for fn, low in (
         (series.grand_kernel_roots, 3),
         (series.zigzag_kernel_roots, 5),
         (series._grand_boundary, 3),
-        (series.zigzag_boundary_gf, -3),
+        (series.zigzag_boundary_gf, 2),
     ):
         with pytest.raises(ValueError, match="order must be at least"):
             fn(low)
@@ -404,10 +404,162 @@ def test_verify_leaves_every_memo_entry_intact():
         ),
         "zigzag roots": series._derive_zigzag_roots,
         "zigzag boundary": lambda o: series._derive_zigzag_boundary(
-            o, series.zigzag_kernel_roots(o + 8)[0]
+            o, series.zigzag_kernel_roots(o + 3)[0]
         ),
     }
     entries = dict(series._memo)
     assert sorted(entries) == sorted(derive)
     for key, (top, result) in entries.items():
         assert _fields(result) == _fresh(derive[key], top), key
+
+
+# -- precision guards ------------------------------------------------------------
+#
+# Every working order is the exact loss of its derivation, so each function
+# returns a known order: its contract (order in z, 2 order in w) plus only the
+# surplus its docstring states.  A working order is never below the roots'
+# least order, and that floor is the one source of extra surplus.
+
+G, Z = series.GRAND_LEAST, series.ZIGZAG_LEAST
+
+
+def _floor_gap(work: int, least: int) -> int:
+    """How far the working order `work` is raised to reach `least`."""
+    return max(0, least - work)
+
+
+def _zigzag_altitude_loss(k: int) -> int:
+    return 0 if k == 0 else -1 if k == 1 else 8 - 3 * k
+
+
+def _above_line_loss(m: int) -> int:
+    return -1 if m == 1 else 6 - 3 * m
+
+
+def _tube_loss(m: int, M: int) -> int:
+    return 7 if M == 1 else 3 * m + 8
+
+
+def _orders(*parts):
+    return [s.order for s in parts]
+
+
+def _tube_orders(band):
+    return _orders(*band.up) + _orders(*band.down)
+
+
+def _bands(span_top: int):
+    return [(m, s - m) for s in range(1, span_top + 1) for m in range(s // 2 + 1)]
+
+
+# name: (least order, params, got(order, p), surplus(order, p), w-world)
+GUARDS = {
+    "grand_kernel_roots": (
+        G, [None],
+        lambda o, _: _orders(*series.grand_kernel_roots(o)),
+        lambda o, _: [0, 0], True,
+    ),
+    "grand_kernel_residuals": (
+        1, [None],
+        lambda o, _: _orders(*series.grand_kernel_residuals(o)),
+        lambda o, _: [1 + 2 * _floor_gap(o + 1, G)] * 2, True,
+    ),
+    "_grand_boundary": (
+        G, [None],
+        lambda o, _: _orders(*series._grand_boundary(o)),
+        lambda o, _: [1, 2, 0, 0], True,
+    ),
+    "grand_boundary_gfs": (
+        1, [None],
+        lambda o, _: _orders(*series.grand_boundary_gfs(o)),
+        lambda o, _: [1 + 2 * _floor_gap(o, G), 2 + 2 * _floor_gap(o, G)], True,
+    ),
+    "grand_altitude_gf": (
+        1, [*range(8), 11, 20, 30],
+        lambda o, k: _orders(series.grand_altitude_gf(k, o)),
+        lambda o, k: [(k + 1) % 2 + 2 * _floor_gap(o - (k + 1) // 2, G)], True,
+    ),
+    "grand_totals": (
+        1, [None],
+        lambda o, _: _orders(*series.grand_totals(o)),
+        lambda o, _: [1 + 2 * _floor_gap(o, G), 2 + 2 * _floor_gap(o, G)], True,
+    ),
+    "zigzag_kernel_roots": (
+        Z, [None],
+        lambda o, _: _orders(*series.zigzag_kernel_roots(o)),
+        lambda o, _: [0, 0], False,
+    ),
+    "zigzag_kernel_residuals": (
+        1, [None],
+        lambda o, _: _orders(*series.zigzag_kernel_residuals(o)),
+        lambda o, _: [_floor_gap(o, Z)] * 2, False,
+    ),
+    "zigzag_boundary_gf": (
+        3, [None],
+        lambda o, _: _orders(series.zigzag_boundary_gf(o)),
+        lambda o, _: [0], False,
+    ),
+    "zigzag_altitude_gf": (
+        1, [*range(8), 11, 20, 30],
+        lambda o, k: _orders(series.zigzag_altitude_gf(k, o)),
+        lambda o, k: [_floor_gap(o + _zigzag_altitude_loss(k), Z)], False,
+    ),
+    "zigzag_nonneg_gf": (
+        1, [None],
+        lambda o, _: _orders(series.zigzag_nonneg_gf(o)),
+        lambda o, _: [_floor_gap(o, Z)], False,
+    ),
+    "zigzag_altitude_sum_gf": (
+        1, [None],
+        lambda o, _: _orders(series.zigzag_altitude_sum_gf(o)),
+        lambda o, _: [_floor_gap(o + 2, Z)], False,
+    ),
+    "zigzag_primitive_gf": (
+        1, [None],
+        lambda o, _: _orders(series.zigzag_primitive_gf(o)),
+        lambda o, _: [_floor_gap(o + 3, Z)], False,
+    ),
+    "above_line_gf": (
+        1, [1, 2, 3, 4, 5, 8, 13, 20],
+        lambda o, m: _orders(*series.above_line_gf(m, o)),
+        lambda o, m: [0, _floor_gap(o + _above_line_loss(m), Z)], False,
+    ),
+    "tube_gf": (
+        1, _bands(12),
+        lambda o, b: _tube_orders(series.tube_gf(*b, o)),
+        lambda o, b: [3 * j + _floor_gap(o + _tube_loss(*b), Z) for j in range(sum(b) + 1)]
+        + [0] * (sum(b) + 1),
+        False,
+    ),
+}
+
+GUARD_ORDERS = (*range(1, 10), 17, 41, 96, 200)
+
+
+@pytest.mark.parametrize("name", sorted(GUARDS))
+def test_every_guard_meets_its_contract_with_only_its_stated_surplus(name):
+    least, params, got, surplus, in_w = GUARDS[name]
+    for o in (o for o in GUARD_ORDERS if o >= least):
+        contract = 2 * o if in_w else o
+        # past order 41, only the first and the last parameter
+        for p in params if o <= 41 else {*params[:1], *params[-1:]}:
+            extra = surplus(o, p)
+            assert all(e >= 0 for e in extra), (name, o, p)
+            assert got(o, p) == [contract + e for e in extra], (name, o, p)
+
+
+def test_a_short_guard_raises_instead_of_rounding(monkeypatch):
+    real = series.zigzag_kernel_roots
+
+    def one_short(order):
+        return tuple(r.truncate(r.order - 1) for r in real(order))
+
+    monkeypatch.setattr(series, "zigzag_kernel_roots", one_short)
+    series._memo.clear()
+    try:
+        with pytest.raises(ArithmeticError, match="left only order 29, needed 30"):
+            series.zigzag_nonneg_gf(30)
+        with pytest.raises(ArithmeticError, match=r"band \[-1,2\] altitude slice"):
+            series.tube_gf(1, 2, 30)
+    finally:
+        series._memo.clear()  # drop the boundary series derived from short roots
