@@ -1,10 +1,10 @@
 """Asymptotic formulas and empirical convergence diagnostics.
 
 Each formula evaluates in IEEE doubles (evaluate) and, for the convergence
-reports, in extended precision via mpmath so that ratios against exact
-big-integer counts never overflow.  Exact values come from the O(n) integer
-recurrences, never from truncating the algebraic series at order n.
-mpmath is imported on first use, since most commands never evaluate with it.
+reports, in 40-digit stdlib decimal arithmetic with an unbounded exponent,
+so that ratios against exact big-integer counts never overflow.  Exact
+values come from the O(n) integer recurrences, never from truncating the
+algebraic series at order n.
 
 Every constant here is pinned by the convergence tests: the exact/estimate
 ratios must approach 1 over the tested ranges.  The expected-steps formula
@@ -13,15 +13,14 @@ for odd sizes is conjectural; it is reported but never gated.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from . import closedforms, recurrences
-
-if TYPE_CHECKING:
-    import mpmath
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,26 @@ class ConvergenceReport:
 # -- formula definitions -----------------------------------------------------
 #
 # Each entry maps to (constant, growth) callables over a math namespace M
-# (math or mpmath), so every constant has a double and an extended-precision
+# (math or _Decimal), so every constant has a double and an extended-precision
 # evaluation path.  value(n) = constant * growth(n).
+
+
+class _Decimal:
+    """The part of the math namespace the formulas use, in decimal arithmetic.
+
+    Results round to the digits of the active decimal context.
+    """
+
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")  # 60 digits
+
+    @staticmethod
+    def sqrt(x: int | Decimal) -> Decimal:
+        return Decimal(x).sqrt()
+
+
+def _context(digits: int) -> decimal.Context:
+    """A decimal context at `digits` digits whose exponent never overflows."""
+    return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _c_grand_all(M):
@@ -283,16 +300,14 @@ def constant(formula: str, m: int | None = None) -> float:
     return float(entry.constant(math))
 
 
-def constant_extended(formula: str, m: int | None = None, dps: int = 40) -> mpmath.mpf:
-    """The same prefactor evaluated with mpmath at `dps` decimal digits."""
-    import mpmath
-
+def constant_extended(formula: str, m: int | None = None, dps: int = 40) -> Decimal:
+    """The same prefactor evaluated in decimal arithmetic at `dps` digits."""
     entry = _lookup(formula)
     _check_depth(formula, entry, m)
-    with mpmath.workdps(dps):
+    with decimal.localcontext(_context(dps)):
         if entry.takes_m:
-            return entry.constant(mpmath, m)
-        return entry.constant(mpmath)
+            return entry.constant(_Decimal, m)
+        return entry.constant(_Decimal)
 
 
 def evaluate(formula: str, n: int, m: int | None = None) -> AsymptoticEstimate:
@@ -308,11 +323,9 @@ def evaluate(formula: str, n: int, m: int | None = None) -> AsymptoticEstimate:
     return AsymptoticEstimate(formula, n, value, c)
 
 
-def _estimate_mp(entry: _Formula, n: int, m: int | None) -> mpmath.mpf:
-    import mpmath
-
-    c = entry.constant(mpmath, m) if entry.takes_m else entry.constant(mpmath)
-    return c * entry.growth(mpmath, n)
+def _estimate_extended(entry: _Formula, n: int, m: int | None) -> Decimal:
+    c = entry.constant(_Decimal, m) if entry.takes_m else entry.constant(_Decimal)
+    return c * entry.growth(_Decimal, n)
 
 
 def convergence_report(
@@ -324,8 +337,6 @@ def convergence_report(
     as the grand total at n = 2000 far exceeds double range).  Rows with an
     exact value of zero report a NaN ratio rather than failing.
     """
-    import mpmath
-
     if not n_list or sorted(n_list) != list(n_list):
         raise ValueError("n_list must be non-empty and ascending")
     if n_list[0] < 0:
@@ -340,12 +351,12 @@ def convergence_report(
     _check_depth(formula, entry, m)
     exacts = entry.exact(n_list, m) if entry.takes_m else entry.exact(n_list)
     rows = []
-    with mpmath.workdps(40):
+    with decimal.localcontext(_context(40)):
         for n, exact in zip(n_list, exacts):
-            est = _estimate_mp(entry, n, m)
+            est = _estimate_extended(entry, n, m)
             if exact == 0:
                 ratio = math.nan
             else:
-                ratio = float(mpmath.mpf(exact.numerator) / exact.denominator / est)
+                ratio = float(Decimal(exact.numerator) / exact.denominator / est)
             rows.append(ConvergenceRow(n, exact, float(est), ratio))
     return ConvergenceReport(formula, m, tuple(rows), entry.conjecture)

@@ -483,6 +483,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact counts run past the default 4,300 digits
     args = _parser().parse_args(argv)
     return args.fn(args)
 

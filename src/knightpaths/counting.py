@@ -2,14 +2,18 @@
 
 The ground-truth engine.  Every counting entry point is a view over one
 forward sweep along x (_sweep) with state (y, last direction), plus the
-steps used when asked; the last direction is 0 for the empty prefix.  Steps
-advance x by 1 or 2, so the sweep keeps a rolling window of three columns:
-O(n) memory for a size-n count (O(n^2) when steps are tracked).  It yields
-every column, so a whole row of sizes costs one pass.  The band is clipped
-to the reach of a size-n path (paths.reach: |y| <= 2n, and (n + 5) // 3
-for zigzag paths), and each column extends only the cells a path can
-occupy.  A single-size count also skips prefixes that can no longer end
-with its altitude and step count.  Counts are exact integers.
+steps used when asked; the last direction is 0 for the empty prefix, and it
+is tracked only where the query reads it (always for zigzag paths, for grand
+paths only under a last_dir filter).  A zigzag sweep over a band symmetric
+about the axis, with no first_dir, builds only its rising rows and reads
+each falling row as their mirror image.  Steps advance x by 1 or 2, so
+the sweep keeps a rolling window of three columns: O(n) memory for a size-n
+count (O(n^2) when steps are tracked).  It yields every column, so a whole
+row of sizes costs one pass.  The band is clipped to the reach of a size-n
+path (paths.reach: |y| <= 2n, and (n + 5) // 3 for zigzag paths), and each
+column extends only the cells a path can occupy.  A single-size count also
+skips prefixes that can no longer end with its altitude and step count.
+Counts are exact integers.
 
 generate() shares no code with the sweep: it is the independent oracle.
 """
@@ -20,11 +24,14 @@ from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Callable, Iterator
 
-from .paths import ALL, NONNEG, STEP_ORDER, Path, PathConstraints, Step, reach
+from .paths import ALL, DOWN, NONNEG, STEP_ORDER, UP, Path, PathConstraints, Step, reach
 
 AltitudeFilter = int | str
 
 GENERATE_CAP = 20
+
+#: Row key of the grand prefixes whose last direction the sweep does not track.
+ANY = None
 
 
 @dataclass(frozen=True)
@@ -54,16 +61,29 @@ def _sweep(
     """Yield the DP column at x = 0, 1, ..., n_max.
 
     A column maps (last direction, steps used) to a list of counts indexed
-    by y - _floor(n_max, c).  Steps used are tracked when by_steps or
-    c.steps asks for them (and stay 0 otherwise); prefixes stop growing at
-    c.steps steps.  The caller may clear cells of a yielded column: the
-    sweep extends what it finds there.
+    by y - _floor(n_max, c).  The empty path has direction 0.  A row is
+    keyed by its last direction only where something reads it: a grand
+    path's is read by a last_dir filter alone, so without one every grand
+    prefix but the empty one sits in a single row keyed ANY.  Steps used
+    are tracked when by_steps or c.steps asks for them (and stay 0
+    otherwise); prefixes stop growing at c.steps steps.  The caller may
+    clear cells of a yielded column: the sweep extends what it finds there.
+
+    A zigzag sweep with no first_dir, over a band that is symmetric about
+    the axis once clipped to the reach, is its own up/down mirror image
+    (y -> -y swaps rising and falling steps).  So only the rising rows are
+    built: each falling row is yielded as the reverse of its rising twin,
+    and it extends into rising targets alone, whose mirror images are the
+    falling targets.  A caller that clears cells of such a column must
+    clear a mirror-symmetric set in every row.
 
     Only the cells a counted path can occupy are extended: |y| within
     paths.reach of the prefix and, when `end` is the altitude filter of a
     single size-n_max query, near enough to end in it, with c.steps steps
-    when set.  With `end`, every column but the last holds only part of its
-    counts, so only the last one is an answer.
+    when set.  Under the mirror a falling row is extended over the least
+    mirror-symmetric range holding those cells, so a counted path's mirror
+    image is kept too.  With `end`, every column but the last holds only
+    part of its counts, so only the last one is an answer.
     """
     by_steps = by_steps or c.steps is not None
     lo = _floor(n_max, c)
@@ -72,6 +92,7 @@ def _sweep(
     width = hi - lo + 1
     zigzag, first, steps = c.zigzag, c.first_dir, c.steps
     ending = end is not None and (steps is not None or end != ALL)
+    mirror = zigzag and lo == -hi and first is None
 
     def window(x: int, used: int) -> tuple[int, int]:
         """The index range [i0, i1) of the cells a counted path can occupy."""
@@ -89,19 +110,32 @@ def _sweep(
                 ylo = max(ylo, -back)
         return max(0, ylo - lo), min(width, yhi - lo + 1)
 
+    # plain ints, read per cell row: (direction, dx, dy, key of the target row)
+    moves = tuple(
+        (s.direction, s.dx, s.dy, s.direction if zigzag or c.last_dir is not None else ANY)
+        for s in STEP_ORDER
+        if not mirror or s.direction == UP
+    )
     col = {(0, 0): [0] * -lo + [1] + [0] * hi}  # the empty path
     ahead: list[dict] = [{}, {}]  # the columns at x + 1 and x + 2
-    moves = tuple((s.direction, s.dx, s.dy) for s in STEP_ORDER)  # plain ints, read per cell row
     for x in range(n_max + 1):
+        if mirror:
+            for d, used in list(col):
+                if d == UP:
+                    col[DOWN, used] = col[UP, used][::-1]
         yield col
         for (d, used), row in col.items():
             if by_steps and used == steps:
                 continue
+            if mirror and d == UP:
+                continue  # its falls are the mirror images of its twin's rises
             s0, s1 = window(x, used)
             if s0 >= s1:
                 continue  # no cell of this row is on a counted path
+            if mirror:
+                s0, s1 = min(s0, width - s1), max(s1, width - s0)
             nxt = used + 1 if by_steps else 0
-            for direction, dx, dy in moves:
+            for direction, dx, dy, to in moves:
                 if zigzag and d == direction:
                     continue
                 if d == 0 and first not in (None, direction):
@@ -111,7 +145,7 @@ def _sweep(
                 i0, i1 = max(s0, -dy), min(s1, width - dy)
                 if i0 >= i1:
                     continue  # no cell of this row can take the step
-                key = (direction, nxt)
+                key = (to, nxt)
                 target = ahead[dx - 1].get(key)
                 if target is None:
                     target = ahead[dx - 1][key] = [0] * width
@@ -145,8 +179,12 @@ def _tally(col: dict, lo: int, c: PathConstraints, key: Callable) -> dict:
     return out
 
 
-def _end_states(size: int, c: PathConstraints) -> dict[tuple[int, int], int]:
-    """Counts of the matching size-`size` paths keyed by (altitude, last_dir)."""
+def _end_states(size: int, c: PathConstraints) -> dict[tuple[int, int | None], int]:
+    """Counts of the matching size-`size` paths keyed by (altitude, last_dir).
+
+    last_dir is 0 for the empty path and ANY for a grand path when c has no
+    last_dir filter: the sweep does not track what no filter reads.
+    """
     return _tally(_final(size, c), _floor(size, c), c, lambda y, d, used: (y, d))
 
 

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,25 @@ def test_asym_grand_output_is_byte_identical(capsys, formula, fmt):
     assert (code, out, err) == (0, want[fmt], "")
 
 
+GOLDEN_ZIGZAG_ASYM = json.loads(
+    (Path(__file__).parent / "data" / "asym_zigzag_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ZIGZAG_ASYM))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_asym_zigzag_output_is_byte_identical(capsys, case, fmt):
+    # every formula outside the grand family, captured from the mpmath-backed
+    # implementation; the decimal evaluation must print the same bytes
+    want = GOLDEN_ZIGZAG_ASYM[case]
+    depth = [] if want["m"] is None else ["--m", str(want["m"])]
+    code, out, err = run(
+        capsys, "asym", "--formula", want["formula"], *depth,
+        "--n-list", want["n_list"], "--format", fmt,
+    )
+    assert (code, out, err) == (0, want[fmt], "")
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -348,16 +368,20 @@ def test_gf_bad_series_parameter_exits_two(capsys, flags):
     assert out == "" and err.startswith("error:")
 
 
-def _cli_import_reports(module: str) -> str:
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the package under test."""
     src = str(Path(knightpaths.__file__).resolve().parents[1])
-    code = f"import sys, knightpaths.cli; print({module!r} in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
+        timeout=120,
     )
+
+
+def _cli_import_reports(module: str) -> str:
+    done = _python("-c", f"import sys, knightpaths.cli; print({module!r} in sys.modules)")
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -367,8 +391,38 @@ def test_cli_import_does_not_load_sympy():
 
 
 def test_cli_import_does_not_load_mpmath():
-    # only asym and verify evaluate in extended precision
-    assert _cli_import_reports("mpmath") == "False\n"
+    # asym and verify evaluate in stdlib decimal; an import of mpmath fails here
+    code = """
+import contextlib, io, sys
+sys.modules["mpmath"] = None
+from knightpaths import asymptotics
+from knightpaths.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for formula, entry in sorted(asymptotics.FORMULAS.items()):
+        depth = ["--m", "1"] if entry.takes_m else []
+        for fmt in ("csv", "json"):
+            argv = ["asym", "--formula", formula, *depth, "--n-list", "40,200", "--format", fmt]
+            codes.append(main(argv))
+    codes.append(main(["verify", "--level", "quick"]))
+print(codes)
+"""
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[0] * (2 * len(knightpaths.asymptotics.FORMULAS) + 1)}\n"
+
+
+def test_counts_past_the_int_string_cap_print_in_full():
+    # Python >= 3.11 refuses int -> str past 4,300 digits unless the cap is
+    # lifted; str(Decimal(n)) spells n in full without touching the cap
+    done = _python("-m", "knightpaths.cli", "count", "--size", "21000", "--zigzag", "--engine", "gf")
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-300:]
+    want = str(Decimal(recurrences.zigzag_total_row(21001)[21000]))
+    assert len(want) > 4300 and done.stdout == want + "\n"
+    done = _python("-m", "knightpaths.cli", "asym", "--formula", "grand-all", "--n-list", "10000")
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-300:]
+    want = str(Decimal(recurrences.grand_total_row(10001)[10000]))
+    assert len(want) > 4300 and done.stdout.split(",")[:2] == ["10000", want]
 
 
 def test_count_takes_no_order(capsys, monkeypatch):

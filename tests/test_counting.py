@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knightpaths import fixtures
+from knightpaths import closedforms, fixtures, recurrences, transfer
 from knightpaths.counting import (
     ALL,
+    ANY,
     NONNEG,
     CountQuery,
+    _end_states,
     altitude_distribution,
     count,
     count_paths,
@@ -312,3 +314,69 @@ def test_end_window_keeps_every_count(query):
     whose every column is an answer, extends them all."""
     n, n_max, altitude, c = query
     assert count_paths(n, altitude, c) == count_row(n_max, altitude, c)[n], query
+
+
+@st.composite
+def row_layout_queries(draw):
+    """Queries weighted to the sweep's merged and mirrored row layouts:
+    bands symmetric about the axis, last_dir without first_dir, step counts."""
+    zigzag = draw(st.booleans())
+    n_max = draw(st.integers(0, 14 if zigzag else 10))
+    m = draw(st.none() | st.integers(0, 5))
+    lo, hi = (None, None) if m is None else (-m, m)
+    if draw(st.integers(0, 3)) == 0:  # now and then a one-sided or lopsided band
+        lo = draw(st.none() | st.integers(-5, 0))
+    c = PathConstraints(
+        zigzag=zigzag,
+        min_y=lo,
+        max_y=hi,
+        steps=draw(st.none() | st.integers(max(1, n_max // 2 - 1), n_max + 1)),
+        first_dir=draw(st.sampled_from([None, None, None, UP, DOWN])),
+        last_dir=draw(directions),
+    )
+    altitude = draw(st.sampled_from([ALL, NONNEG]) | st.integers(-6, 6))
+    return n_max, altitude, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(row_layout_queries())
+def test_row_layouts_match_generation(query):
+    n_max, altitude, c = query
+    row = count_row(n_max, altitude, c)
+    for k in range(n_max + 1):
+        want = sum(_alt_ok(p, altitude) for p in generate(k, c))
+        assert row[k] == want, (k, query)
+    assert count_paths(n_max, altitude, c) == row[n_max], query
+    # end states carry the last direction where the sweep tracks it, and a
+    # key no step direction and not the empty path's where it does not
+    assert ANY not in (0, UP, DOWN)
+    tracked = c.zigzag or c.last_dir is not None
+    ends: dict[tuple[int, int | None], int] = {}
+    steps: dict[tuple[int, int], int] = {}
+    for p in generate(n_max, replace(c, steps=None)):
+        key = (p.altitude, p.step_count)
+        steps[key] = steps.get(key, 0) + 1
+        if c.steps is None or p.step_count == c.steps:
+            last = 0 if not p.steps else p.steps[-1].direction if tracked else ANY
+            ends[p.altitude, last] = ends.get((p.altitude, last), 0) + 1
+    assert _end_states(n_max, c) == ends, query
+    assert step_count_distribution(n_max, c) == steps, query
+    if c.zigzag:
+        # count_primitive clears the axis, a mirror-symmetric set
+        brute = sum(
+            p.altitude == 0 and all(y != 0 for (_, y) in p.vertices()[1:-1])
+            for p in generate(n_max, ZZ)
+        )
+        assert count_primitive(n_max) == brute, n_max
+
+
+def test_large_counts_match_independent_engines():
+    n = 600
+    assert count_paths(n, ALL, ZZ) == closedforms.zigzag_total_closed(n)
+    assert count_paths(n, NONNEG, ZZ) == closedforms.zigzag_nonneg_closed(n)
+    for k in (6, -6):
+        assert count_paths(n, k, ZZ) == recurrences.zigzag_altitude_row(6, n + 1)[n], k
+        assert count_paths(n, k, ZZ) == closedforms.zigzag_count_closed(n, k), k
+    assert count_paths(200, ALL, PathConstraints()) == recurrences.grand_total_row(201)[200]
+    band = PathConstraints(zigzag=True, min_y=-3, max_y=3)
+    assert count_row(300, 1, band) == transfer.band_gf(band, 1).expand(301)
