@@ -1,10 +1,9 @@
 """Asymptotic formulas and empirical convergence diagnostics.
 
-Each formula evaluates in IEEE doubles (evaluate) and, for the convergence
-reports, in 40-digit stdlib decimal arithmetic with an unbounded exponent,
-so that ratios against exact big-integer counts never overflow.  Exact
-values come from the O(n) integer recurrences, never from truncating the
-algebraic series at order n.
+Each formula evaluates in 40-digit stdlib decimal arithmetic with an
+unbounded exponent, so that ratios against exact big-integer counts never
+overflow.  Exact values come from the O(n) integer recurrences, never from
+truncating the algebraic series at order n.
 
 Every constant here is pinned by the convergence tests: the exact/estimate
 ratios must approach 1 over the tested ranges.  The expected-steps formula
@@ -24,19 +23,17 @@ from . import closedforms, recurrences
 
 
 @dataclass(frozen=True)
-class AsymptoticEstimate:
-    formula: str
-    n: int
-    value: float
-    constant: float
-
-
-@dataclass(frozen=True)
 class ConvergenceRow:
     n: int
     exact: Fraction
-    estimate: float
+    estimate: Decimal
     ratio: float
+
+
+def _spell(estimate: Decimal) -> float | str:
+    """The estimate as a double, or past the double range as 17 significant digits."""
+    value = float(estimate)
+    return value if math.isfinite(value) else format(estimate, ".16e")
 
 
 @dataclass(frozen=True)
@@ -52,11 +49,12 @@ class ConvergenceReport:
         return all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def as_dicts(self) -> list[dict]:
+        """One dict per row; an estimate past the double range is a string."""
         return [
             {
                 "n": r.n,
                 "exact": str(r.exact) if r.exact.denominator != 1 else str(r.exact.numerator),
-                "estimate": r.estimate,
+                "estimate": _spell(r.estimate),
                 "ratio": r.ratio,
             }
             for r in self.rows
@@ -65,22 +63,14 @@ class ConvergenceReport:
 
 # -- formula definitions -----------------------------------------------------
 #
-# Each entry maps to (constant, growth) callables over a math namespace M
-# (math or _Decimal), so every constant has a double and an extended-precision
-# evaluation path.  value(n) = constant * growth(n).
+# Each entry maps to (constant, growth) callables; value(n) = constant *
+# growth(n).  They round to the digits of the active decimal context.
+
+pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")  # 60 digits
 
 
-class _Decimal:
-    """The part of the math namespace the formulas use, in decimal arithmetic.
-
-    Results round to the digits of the active decimal context.
-    """
-
-    pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")  # 60 digits
-
-    @staticmethod
-    def sqrt(x: int | Decimal) -> Decimal:
-        return Decimal(x).sqrt()
+def sqrt(x: int | Decimal) -> Decimal:
+    return Decimal(x).sqrt()
 
 
 def _context(digits: int) -> decimal.Context:
@@ -88,65 +78,65 @@ def _context(digits: int) -> decimal.Context:
     return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-def _c_grand_all(M):
-    return M.sqrt(3) / 6
+def _c_grand_all():
+    return sqrt(3) / 6
 
 
-def _c_grand_nonneg(M):
-    return M.sqrt(3) / 12
+def _c_grand_nonneg():
+    return sqrt(3) / 12
 
 
-def _c_grand_altitude_sum(M):
+def _c_grand_altitude_sum():
     # the /12 is load-bearing: doubling it makes every exact ratio ~0.5
-    return (4 * M.sqrt(3) + 7) * M.sqrt(2) * M.sqrt(137 * M.sqrt(3) - 237) / 12
+    return (4 * sqrt(3) + 7) * sqrt(2) * sqrt(137 * sqrt(3) - 237) / 12
 
 
-def _c_grand_expected_altitude(M):
+def _c_grand_expected_altitude():
     # altitude-sum prefactor over count prefactor; inherits the 1/2 above
-    return (5 + 3 * M.sqrt(3)) * M.sqrt(137 * M.sqrt(3) - 237) * M.sqrt(
-        2 / (3 * M.pi)
+    return (5 + 3 * sqrt(3)) * sqrt(137 * sqrt(3) - 237) * sqrt(
+        2 / (3 * pi)
     ) / 2
 
 
-def _c_zigzag_expected_altitude(M):
-    return 2 * (M.sqrt(5) - 2) / M.sqrt(7 * M.sqrt(5) - 15) / M.sqrt(M.pi)
+def _c_zigzag_expected_altitude():
+    return 2 * (sqrt(5) - 2) / sqrt(7 * sqrt(5) - 15) / sqrt(pi)
 
 
-def _c_zigzag_above_axis_altitude(M):
-    return (5 + M.sqrt(5)) * M.sqrt(7 * M.sqrt(5) - 15) / 20 * M.sqrt(M.pi)
+def _c_zigzag_above_axis_altitude():
+    return (5 + sqrt(5)) * sqrt(7 * sqrt(5) - 15) / 20 * sqrt(pi)
 
 
-def _c_expected_steps(M):
-    return (1 + M.sqrt(5)) / (2 * M.sqrt(5))
+def _c_expected_steps():
+    return (1 + sqrt(5)) / (2 * sqrt(5))
 
 
-def _c_above_line(M, m: int):
-    base = M.sqrt((7 * M.sqrt(5) - 15) / M.pi)
+def _c_above_line(m: int):
+    base = sqrt((7 * sqrt(5) - 15) / pi)
     if m == 0:
-        return (2 + M.sqrt(5)) / 2 * base
-    return (4 * m + 3 - M.sqrt(5)) / (4 * (M.sqrt(5) - 2)) * base
+        return (2 + sqrt(5)) / 2 * base
+    return (4 * m + 3 - sqrt(5)) / (4 * (sqrt(5) - 2)) * base
 
 
-def _c_min_height(M, m: int):
-    base = M.sqrt((7 * M.sqrt(5) - 15) / M.pi)
+def _c_min_height(m: int):
+    base = sqrt((7 * sqrt(5) - 15) / pi)
     if m == 0:
-        return (2 + M.sqrt(5)) / 2 * base
+        return (2 + sqrt(5)) / 2 * base
     if m == 1:
-        return (5 + 3 * M.sqrt(5)) / 4 * base
-    return (2 + M.sqrt(5)) * base  # identical for every m >= 2
+        return (5 + 3 * sqrt(5)) / 4 * base
+    return (2 + sqrt(5)) * base  # identical for every m >= 2
 
 
 def _pow_growth(offset: int) -> Callable:
-    def growth(M, n):
-        return (1 + M.sqrt(3)) ** (n + offset)
+    def growth(n):
+        return (1 + sqrt(3)) ** (n + offset)
 
     return growth
 
 
 @dataclass(frozen=True)
 class _Formula:
-    constant: Callable  # (M[, m]) -> number
-    growth: Callable  # (M, n) -> number
+    constant: Callable  # ([m]) -> Decimal
+    growth: Callable  # (n) -> Decimal
     takes_m: bool = False
     conjecture: bool = False
     exact: Callable | None = None  # (n_list[, m]) -> list[Fraction]
@@ -226,49 +216,49 @@ FORMULAS: dict[str, _Formula] = {
     ),
     "grand-altitude-sum": _Formula(
         _c_grand_altitude_sum,
-        lambda M, n: M.sqrt(n / M.pi) * (1 + M.sqrt(3)) ** n,
+        lambda n: sqrt(n / pi) * (1 + sqrt(3)) ** n,
         exact=_exact_grand_altitude_sum,
     ),
     "grand-expected-altitude": _Formula(
         _c_grand_expected_altitude,
-        lambda M, n: M.sqrt(n),
+        lambda n: sqrt(n),
         exact=_exact_grand_expected_altitude,
     ),
     "grand-expected-altitude-positive": _Formula(
         _c_grand_expected_altitude,
-        lambda M, n: M.sqrt(n),
+        lambda n: sqrt(n),
         exact=_exact_grand_expected_altitude_positive,
         min_n=1,  # no path of size 0 ends above the axis
     ),
     "zigzag-expected-altitude": _Formula(
         _c_zigzag_expected_altitude,
-        lambda M, n: M.sqrt(n),
+        lambda n: sqrt(n),
         exact=_exact_zigzag_expected_altitude,
     ),
     "zigzag-above-axis-altitude": _Formula(
         _c_zigzag_above_axis_altitude,
-        lambda M, n: M.sqrt(n),
+        lambda n: sqrt(n),
         exact=_exact_zigzag_above_axis_altitude,
     ),
     "expected-steps-even": _Formula(
-        _c_expected_steps, lambda M, n: n, exact=_exact_expected_steps
+        _c_expected_steps, lambda n: n, exact=_exact_expected_steps
     ),
     "expected-steps-odd": _Formula(
         _c_expected_steps,
-        lambda M, n: n,
+        lambda n: n,
         conjecture=True,
         exact=_exact_expected_steps,
     ),
     "above-line-prob": _Formula(
         _c_above_line,
-        lambda M, n: 1 / M.sqrt(n),
+        lambda n: 1 / sqrt(n),
         takes_m=True,
         exact=_exact_above_line_prob,
         min_n=1,
     ),
     "min-height-prob": _Formula(
         _c_min_height,
-        lambda M, n: 1 / M.sqrt(n),
+        lambda n: 1 / sqrt(n),
         takes_m=True,
         exact=_exact_min_height_prob,
         min_n=1,
@@ -291,41 +281,12 @@ def _check_depth(formula: str, entry: _Formula, m: int | None) -> None:
         raise ValueError(f"{formula} takes no --m")
 
 
-def constant(formula: str, m: int | None = None) -> float:
-    """The n-free prefactor of the formula, in double precision."""
-    entry = _lookup(formula)
-    _check_depth(formula, entry, m)
-    if entry.takes_m:
-        return float(entry.constant(math, m))
-    return float(entry.constant(math))
-
-
 def constant_extended(formula: str, m: int | None = None, dps: int = 40) -> Decimal:
-    """The same prefactor evaluated in decimal arithmetic at `dps` digits."""
+    """The n-free prefactor of the formula, in decimal arithmetic at `dps` digits."""
     entry = _lookup(formula)
     _check_depth(formula, entry, m)
     with decimal.localcontext(_context(dps)):
-        if entry.takes_m:
-            return entry.constant(_Decimal, m)
-        return entry.constant(_Decimal)
-
-
-def evaluate(formula: str, n: int, m: int | None = None) -> AsymptoticEstimate:
-    """Double-precision value of the formula at n (may overflow to inf)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    entry = _lookup(formula)
-    c = constant(formula, m)
-    try:
-        value = c * float(entry.growth(math, n))
-    except OverflowError:
-        value = math.inf
-    return AsymptoticEstimate(formula, n, value, c)
-
-
-def _estimate_extended(entry: _Formula, n: int, m: int | None) -> Decimal:
-    c = entry.constant(_Decimal, m) if entry.takes_m else entry.constant(_Decimal)
-    return c * entry.growth(_Decimal, n)
+        return entry.constant(m) if entry.takes_m else entry.constant()
 
 
 def convergence_report(
@@ -350,13 +311,14 @@ def convergence_report(
         )
     _check_depth(formula, entry, m)
     exacts = entry.exact(n_list, m) if entry.takes_m else entry.exact(n_list)
+    c = constant_extended(formula, m)
     rows = []
     with decimal.localcontext(_context(40)):
         for n, exact in zip(n_list, exacts):
-            est = _estimate_extended(entry, n, m)
+            est = c * entry.growth(n)
             if exact == 0:
                 ratio = math.nan
             else:
                 ratio = float(Decimal(exact.numerator) / exact.denominator / est)
-            rows.append(ConvergenceRow(n, exact, float(est), ratio))
+            rows.append(ConvergenceRow(n, exact, est, ratio))
     return ConvergenceReport(formula, m, tuple(rows), entry.conjecture)

@@ -87,7 +87,7 @@ def _gf_count(size: int, altitude, c: PathConstraints) -> int | None:
         return recurrences.grand_altitude_row(altitude, count)[size]
     if not bounded:
         if altitude == ALL:
-            return series.zigzag_rational(count)[size]
+            return series.ZIGZAG_TOTAL_GF.expand(count)[size]
         if altitude == NONNEG:
             return recurrences.zigzag_nonneg_row(count)[size]
         return recurrences.zigzag_altitude_row(altitude, count)[size]
@@ -129,8 +129,6 @@ def cmd_count(args) -> int:
         c = _constraints(args)
         if args.size < 0:
             raise ValueError("size must be non-negative")
-        if "gf" in engines:
-            _env_order()  # the value is not used, but a malformed one is an error
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -194,12 +192,6 @@ def cmd_table(args) -> int:
 # -- gf ----------------------------------------------------------------------------
 
 
-def _zigzag_band(m: int, M: int, order: int, altitude=ALL) -> list[int]:
-    """Coefficients 0..order-1 of a zigzag band [-m, M], from the transfer matrix."""
-    c = PathConstraints(zigzag=True, min_y=-m, max_y=M)
-    return transfer.band_gf(c, altitude).expand(order)
-
-
 def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | None) -> list[int]:
     def need(value, what):
         if value is None:
@@ -217,7 +209,7 @@ def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | No
     if name == "grand-axis":
         return recurrences.grand_axis_row(order)
     if name == "zigzag-total":
-        return series.zigzag_rational(order)
+        return series.ZIGZAG_TOTAL_GF.expand(order)
     if name == "zigzag-nonneg":
         return series.int_coefficients(series.zigzag_nonneg_gf(order), order)
     if name == "zigzag-axis":
@@ -233,13 +225,13 @@ def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | No
     # the transfer engine takes any band; these names keep the series' domain
     if name == "sym-tube":
         series.check_positive("m", need(m, "m"))
-        return _zigzag_band(m, m, order)
+        return transfer.band_gf(PathConstraints(zigzag=True, min_y=-m, max_y=m)).expand(order)
     if name == "tube":
         series.check_band(need(m, "m"), need(M, "M"))
-        return _zigzag_band(m, M, order)
+        return transfer.band_gf(PathConstraints(zigzag=True, min_y=-m, max_y=M)).expand(order)
     if name == "tube-axis":
         series.check_positive("M", need(M, "M"))
-        return _zigzag_band(0, M, order, altitude=0)
+        return transfer.band_gf(PathConstraints(zigzag=True, min_y=0, max_y=M), 0).expand(order)
     if name == "tube1-axis":
         return series.TUBE1_AXIS_GF.expand(order)
     if name == "span-exact":

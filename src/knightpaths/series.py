@@ -12,10 +12,12 @@ Two worlds share the LaurentSeries type:
   has roots that are ordinary Laurent series in z itself, so the zigzag side
   works directly in z.
 
-The bounded-band engines cancel the kernel numerator at both roots (a 2x2
-linear solve for the two unknown boundary series) and then recover the full
-altitude-resolved polynomial in u by exact long division; the division
-remainder must vanish identically, which doubles as a certificate.
+The bounded-band engine, tube_gf, cancels the kernel numerator at both
+roots (a 2x2 linear solve for the two unknown boundary series) and then
+recovers the full altitude-resolved polynomial in u by exact long division;
+the division remainder must vanish identically, which doubles as a
+certificate.  Band queries are answered by the transfer-matrix engine
+(knightpaths.transfer); tube_gf is the independent check on its numbers.
 
 Every public function is exact to its requested order in z (2 * order in
 w) and raises if internal cancellation ever eats past it.  Each working
@@ -329,11 +331,6 @@ def zigzag_kernel_residuals(order: int = 50) -> tuple[LaurentSeries, LaurentSeri
     return zigzag_kernel_value(small), zigzag_kernel_value(large)
 
 
-def zigzag_rational(count: int) -> list[int]:
-    """Counts of all zigzag paths by size, via the rational recurrence."""
-    return ZIGZAG_TOTAL_GF.expand(count)
-
-
 def zigzag_boundary_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
     """Axis-enders whose final step rises, plus the empty path.
 
@@ -594,49 +591,3 @@ def tube_gf(m: int, M: int, order: int = DEFAULT_ORDER) -> TubeSeries:
             acc = acc + z2 * up[j + 1]
         down.append(_ensure_order(acc, order, f"band [-{m},{M}] altitude slice"))
     return TubeSeries(m, M, tuple(up), tuple(down))
-
-
-def tube_total_gf(m: int, M: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Counts of zigzag paths staying inside [-m, +M]."""
-    return tube_gf(m, M, order).total()
-
-
-def tube_axis_gf(M: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Counts of zigzag paths staying inside [0, +M] and ending on the axis."""
-    check_positive("M", M)
-    return tube_gf(0, M, order).axis()
-
-
-def span_exact_gf(k: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Zigzag paths whose vertex-altitude range (max - min) is exactly k.
-
-    A path of span exactly k fits a unique window [-m, k-m] (m is how far
-    it dips); inclusion-exclusion over the window's walls counts the paths
-    that touch both.  Summing every window m = 0..k counts each path once.
-    Folding to half the windows with a factor 2 would overcount when k is
-    even: the symmetric window is its own mirror image.
-    """
-    check_positive("k", k)
-    bands: dict[tuple[int, int], LaurentSeries] = {}
-
-    def band_total(m: int, M: int) -> LaurentSeries:
-        if m < 0 or M < 0:
-            return LaurentSeries.zero(None)
-        if m == 0 and M == 0:
-            return _mono(0)  # only the empty path keeps y identically 0
-        key = (min(m, M), max(m, M))  # totals are reflection-invariant
-        if key not in bands:
-            bands[key] = tube_total_gf(*key, order)
-        return bands[key]
-
-    acc = LaurentSeries.zero(None)
-    for m in range(k + 1):
-        M = k - m
-        acc = (
-            acc
-            + band_total(m, M)
-            - band_total(m - 1, M)
-            - band_total(m, M - 1)
-            + band_total(m - 1, M - 1)
-        )
-    return _ensure_order(acc, order, f"span {k} gf")

@@ -267,9 +267,12 @@ def band_count(size: int, altitude, c: PathConstraints) -> int | None:
 def span_exact_row(k: int, count: int) -> list[int]:
     """Zigzag paths of sizes 0..count-1 whose altitude range is exactly k.
 
-    Inclusion-exclusion over the band rows [-m, k-m], m = 0..k, as in
-    `series.span_exact_gf`; band totals are reflection-invariant, so each
-    band and its mirror image are derived once.
+    A path of span exactly k fits a unique window [-m, k-m] (m is how far it
+    dips); inclusion-exclusion over the window's walls counts the paths that
+    touch both, and summing every window m = 0..k counts each path once.
+    Folding to half the windows with a factor 2 would overcount when k is
+    even: the symmetric window is its own mirror image.  Band totals are
+    reflection-invariant, so each band and its mirror image are derived once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

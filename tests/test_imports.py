@@ -1,0 +1,44 @@
+"""Engine independence: which knightpaths modules each engine may not import.
+
+Two engines that check each other must not share code, so each engine's
+source is parsed and its imports are compared against the engines it is
+checked against.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+# module: the modules and packages it must not import
+BANNED = {
+    # the O(n) rows check the DP, the kernel series and the Laurent type
+    "recurrences": {"series", "laurent", "counting", "sympy", "mpmath"},
+    # asym reads the rows alone; a from-import of the DP would also slip
+    # past the monkeypatch in test_grand_reports_do_not_run_the_dp
+    "asymptotics": {"counting", "series"},
+    # the band engine is checked against series.tube_gf and the DP
+    "transfer": {"series", "counting", "sympy", "mpmath"},
+    "closedforms": {"series", "counting", "recurrences", "transfer", "laurent"},
+    "counting": {"series", "transfer", "recurrences", "closedforms", "laurent"},
+}
+
+
+def _imports(module: str) -> set[str]:
+    source = Path(importlib.import_module(f"knightpaths.{module}").__file__).read_text()
+    seen = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            seen.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            seen.update((node.module or "").split("."))
+            seen.update(a.name for a in node.names)
+    return seen
+
+
+@pytest.mark.parametrize("module", sorted(BANNED))
+def test_module_imports_no_other_engine(module):
+    assert not _imports(module) & BANNED[module]

@@ -8,7 +8,7 @@ import pytest
 
 from knightpaths import fixtures, series, transfer
 from knightpaths.counting import ALL, NONNEG, altitude_distribution, count_paths, count_row
-from knightpaths.paths import UP, PathConstraints
+from knightpaths.paths import UP, PathConstraints, reach
 
 ZZ = PathConstraints(zigzag=True)
 
@@ -83,7 +83,7 @@ def test_grand_total_rational():
 
 
 def test_zigzag_rational_row():
-    row = series.zigzag_rational(61)
+    row = series.ZIGZAG_TOTAL_GF.expand(61)
     assert row[:17] == list(fixtures.SEQUENCES["zigzag-total"].terms)
     assert row[16] == 3194
     for n in range(3, 61):
@@ -91,7 +91,7 @@ def test_zigzag_rational_row():
 
 
 def test_rational_gfs_vs_dp_to_forty():
-    assert series.zigzag_rational(41) == count_row(40, ALL, ZZ)
+    assert series.ZIGZAG_TOTAL_GF.expand(41) == count_row(40, ALL, ZZ)
     assert series.GRAND_TOTAL_GF.expand(41) == count_row(40, ALL, PathConstraints())
     band = PathConstraints(zigzag=True, min_y=-1, max_y=1)
     assert series.TUBE1_AXIS_GF.expand(41) == count_row(40, 0, band)
@@ -125,7 +125,7 @@ def test_zigzag_altitude_rows():
 
 
 def test_zigzag_altitude_reconstructs_total():
-    total = series.zigzag_rational(26)
+    total = series.ZIGZAG_TOTAL_GF.expand(26)
     acc = [0] * 26
     for k in range(0, 52):
         row = ints(series.zigzag_altitude_gf(k, 27), 26)
@@ -158,7 +158,7 @@ def test_above_line_fixture_and_dp():
 
 
 def test_above_line_threshold_valuations():
-    rational = series.zigzag_rational(16)
+    rational = series.ZIGZAG_TOTAL_GF.expand(16)
     for m in range(1, 6):
         cutoff = 3 * m - 2
         row = ints(series.above_line_gf(m, cutoff + 2)[0], cutoff + 1)
@@ -193,7 +193,7 @@ def test_symmetric_band_total_vs_dp():
 def test_symmetric_band_matches_kernel_solver():
     for m in (1, 2, 3):
         assert transfer.band_gf(_symmetric_band(m)).expand(40) == ints(
-            series.tube_total_gf(m, m, 41), 40
+            series.tube_gf(m, m, 41).total(), 40
         ), m
         edge = transfer.band_gf(_symmetric_band(m, last_dir=UP), 1 - m).expand(20)
         if m == 1:
@@ -202,7 +202,7 @@ def test_symmetric_band_matches_kernel_solver():
 
 
 def test_symmetric_band_converges_to_unbounded():
-    rational = series.zigzag_rational(30)
+    rational = series.ZIGZAG_TOTAL_GF.expand(30)
     agree = []
     for m in (1, 2, 3, 4, 5):
         row = transfer.band_gf(_symmetric_band(m)).expand(30)
@@ -212,7 +212,7 @@ def test_symmetric_band_converges_to_unbounded():
 
 
 def test_tube_axis_fixture():
-    row = ints(series.tube_axis_gf(2, 20), 19)
+    row = ints(series.tube_gf(0, 2, 20).axis(), 19)
     assert row == list(fixtures.SEQUENCES["band-0-2-axis"].terms)
     narrow = ints(series.tube_gf(1, 1, 20).axis(), 19)
     assert narrow == list(fixtures.SEQUENCES["tube1-axis"].terms)
@@ -221,7 +221,7 @@ def test_tube_axis_fixture():
 
 def test_tube_totals_vs_dp():
     for m, M in ((0, 1), (1, 2), (2, 3), (1, 3)):
-        row = ints(series.tube_total_gf(m, M, 26), 26)
+        row = ints(series.tube_gf(m, M, 26).total(), 26)
         dp = count_row(25, ALL, PathConstraints(zigzag=True, min_y=-m, max_y=M))
         assert row == dp, (m, M)
 
@@ -262,22 +262,20 @@ def test_tube_rejects_degenerate_band():
 
 def test_span_rows():
     for k in (1, 2, 3):
-        row = ints(series.span_exact_gf(k, 18), 17)
-        assert row == list(fixtures.SPAN_TABLE[k - 1]), k
-    row1 = ints(series.span_exact_gf(1, 40), 40)
+        assert transfer.span_exact_row(k, 17) == list(fixtures.SPAN_TABLE[k - 1]), k
+    row1 = transfer.span_exact_row(1, 40)
     assert all(row1[n] == (2 if n >= 2 and n % 2 == 0 else 0) for n in range(40))
-    assert ints(series.span_exact_gf(3, 17), 17)[16] == 1612
+    assert transfer.span_exact_row(3, 17)[16] == 1612
 
 
 def test_span_sums_to_total():
-    # every nonempty path has some span 1..2n
-    n_top = 8
-    total = series.zigzag_rational(n_top + 1)
+    # every nonempty path has some span 1..2 reach(n)
+    n_top = 16
+    total = series.ZIGZAG_TOTAL_GF.expand(n_top + 1)
     acc = [0] * (n_top + 1)
-    for k in range(1, 2 * n_top + 1):
-        row = ints(series.span_exact_gf(k, n_top + 1), n_top + 1)
-        acc = [a + r for a, r in zip(acc, row)]
-    assert acc[0] == 0 and acc[1:] == [t for t in total[1:]]
+    for k in range(1, 2 * reach(n_top, True) + 1):
+        acc = [a + r for a, r in zip(acc, transfer.span_exact_row(k, n_top + 1))]
+    assert acc == [0] + total[1:]
 
 
 def test_coefficient_readers_keep_their_guards():
@@ -300,16 +298,16 @@ def test_coefficient_readers_keep_their_guards():
 
 def test_span_solves_each_band_once(monkeypatch):
     calls = []
-    solve = series.tube_total_gf
+    solve = transfer.band_gf
 
-    def counted(m, M, order=series.DEFAULT_ORDER):
-        calls.append((m, M))
-        return solve(m, M, order)
+    def counted(c, altitude=ALL):
+        calls.append((-c.min_y, c.max_y))
+        return solve(c, altitude)
 
-    monkeypatch.setattr(series, "tube_total_gf", counted)
+    monkeypatch.setattr(transfer, "band_gf", counted)
     for k in (1, 3, 5):
         calls.clear()
-        row = ints(series.span_exact_gf(k, 12), 12)
+        row = transfer.span_exact_row(k, 12)
         assert len(calls) == len(set(calls)), (k, calls)
         assert all(m <= M for m, M in calls)
         if k <= 3:
@@ -320,7 +318,7 @@ def test_truncation_consistency_across_orders():
     pairs = [
         (series.zigzag_nonneg_gf(30), series.zigzag_nonneg_gf(60)),
         (series.grand_totals(30)[0], series.grand_totals(60)[0]),
-        (series.tube_total_gf(1, 2, 30), series.tube_total_gf(1, 2, 60)),
+        (series.tube_gf(1, 2, 30).total(), series.tube_gf(1, 2, 60).total()),
     ]
     for low, high in pairs:
         for i in range(30):

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
-import ast
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knightpaths import series, transfer
-from knightpaths.counting import ALL, NONNEG, altitude_distributions, count_paths, count_row
-from knightpaths.paths import DOWN, UP, PathConstraints
+from knightpaths.counting import (
+    ALL,
+    NONNEG,
+    altitude_distributions,
+    count_paths,
+    count_row,
+    generate,
+)
+from knightpaths.paths import DOWN, UP, PathConstraints, reach
+from knightpaths.verification import _span_row_dp
 
 ORDER = 60
 
@@ -137,11 +143,28 @@ def test_coverage_needs_two_bounds_and_no_steps():
         transfer.band_gf(PathConstraints(min_y=-1, max_y=1), altitude="some")
 
 
-def test_span_exact_row_vs_series():
-    for k in range(1, 6):
-        assert transfer.span_exact_row(k, 40) == ints(series.span_exact_gf(k, 41), 40), k
+def test_span_exact_row_vs_brute_force():
+    """Every zigzag path of size n <= 14, grouped by max - min of its heights:
+    a count that shares no formula with any engine."""
+    n_top = 14
+    spans: dict[int, list[int]] = {}
+    for n in range(n_top + 1):
+        for path in generate(n, PathConstraints(zigzag=True)):
+            lo, hi = path.heights
+            spans.setdefault(hi - lo, [0] * (n_top + 1))[n] += 1
+    assert spans[0] == [1] + [0] * n_top  # only the empty path has span 0
+    # no path of these sizes spans more than 2 reach; two rows past it must be 0
+    widest = 2 * reach(n_top, True)
+    assert max(spans) <= widest
+    for k in range(1, widest + 3):
+        assert transfer.span_exact_row(k, n_top + 1) == spans.get(k, [0] * (n_top + 1)), k
     with pytest.raises(ValueError):
         transfer.span_exact_row(0, 10)
+
+
+def test_span_exact_row_vs_banded_dp():
+    for k in range(1, 7):
+        assert transfer.span_exact_row(k, 41) == _span_row_dp(40, k), k
 
 
 def test_corrupted_entry_fails_the_exact_division():
@@ -218,16 +241,3 @@ def test_exact_division_checks():
 def test_determinant_must_be_one_at_zero():
     with pytest.raises(ArithmeticError):
         transfer._solve([[[2], [1]]])
-
-
-def test_module_imports_no_other_engine():
-    source = Path(transfer.__file__).read_text()
-    banned = {"series", "counting", "sympy", "mpmath"}
-    seen = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            seen.update(part for a in node.names for part in a.name.split("."))
-        elif isinstance(node, ast.ImportFrom):
-            seen.update((node.module or "").split("."))
-            seen.update(a.name for a in node.names)
-    assert not seen & banned
