@@ -8,9 +8,10 @@ Four mutually cross-checking engines over the same combinatorial objects:
 * closedforms — binomial-sum formulas;
 * bijections — constructive maps to composition pairs, plus a tiling counter.
 
-asymptotics evaluates the growth formulas and checks them against exact
-values; verification wires everything into one suite (also exposed through
-the `knightpaths verify` command).
+engines is the router: it decides which engine answers a count or a named
+generating function.  asymptotics evaluates the growth formulas and checks
+them against exact values; verification wires everything into one suite
+(also exposed through the `knightpaths verify` command).
 """
 
 from .bijections import Composition, CompositionPair

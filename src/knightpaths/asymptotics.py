@@ -137,9 +137,9 @@ def _pow_growth(offset: int) -> Callable:
 class _Formula:
     constant: Callable  # ([m]) -> Decimal
     growth: Callable  # (n) -> Decimal
+    exact: Callable  # (n_list[, m]) -> list[Fraction]
     takes_m: bool = False
     conjecture: bool = False
-    exact: Callable | None = None  # (n_list[, m]) -> list[Fraction]
     min_n: int = 0  # smallest size with both an estimate and an exact value
 
 
@@ -303,8 +303,6 @@ def convergence_report(
     if n_list[0] < 0:
         raise ValueError("sizes must be non-negative")
     entry = _lookup(formula)
-    if entry.exact is None:
-        raise ValueError(f"{formula} has no exact source")
     if n_list[0] < entry.min_n:
         raise ValueError(
             f"{formula} is undefined at n = {n_list[0]}; sizes must be >= {entry.min_n}"

@@ -12,42 +12,11 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
-from . import asymptotics, bijections, closedforms, counting, recurrences, series, transfer
-from . import verification
-from .counting import ALL, NONNEG
-from .paths import DOWN, UP, ParseError, PathConstraints, parse_path, reach
-
-ENV_ORDER = "KNIGHTPATHS_ORDER"
-
-
-def _env_order() -> int | None:
-    """KNIGHTPATHS_ORDER, or None when unset; a malformed value raises ValueError."""
-    raw = os.environ.get(ENV_ORDER)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 8:
-        raise ValueError(f"{ENV_ORDER} must be an integer >= 8, got {raw!r}")
-    return value
-
-
-def _constraints(args) -> PathConstraints:
-    first = {None: None, "up": UP, "down": DOWN}[args.first]
-    last = {None: None, "up": UP, "down": DOWN}[getattr(args, "last", None)]
-    return PathConstraints(
-        zigzag=args.zigzag,
-        min_y=args.min_y,
-        max_y=args.max_y,
-        steps=args.steps,
-        first_dir=first,
-        last_dir=last,
-    )
+from . import asymptotics, bijections, counting, engines, series, verification
+from .counting import ALL, NONNEG, CountQuery
+from .paths import DOWN, UP, ParseError, PathConstraints, parse_path
 
 
 def _emit(payload: dict, fmt: str, plain_keys: list[str]) -> None:
@@ -62,109 +31,45 @@ def _emit(payload: dict, fmt: str, plain_keys: list[str]) -> None:
 # -- count ---------------------------------------------------------------------
 
 
-def _gf_count(size: int, altitude, c: PathConstraints) -> int | None:
-    """Generating-function count, or None when no generating function applies.
-
-    Two-sided bands go to the transfer-matrix engine.  The other queries
-    read coefficient `size` of a rational generating function or of an exact
-    row from `recurrences` (O(n), or O(|k| n) for a grand altitude k), so no
-    route expands a kernel-method series.
-    """
-    band = transfer.band_count(size, altitude, c)
-    if band is not None:
-        return band
-    if c.steps is not None or c.first_dir is not None or c.last_dir is not None:
-        return None
-    bounded = c.min_y is not None or c.max_y is not None
-    count = size + 1
-    if not c.zigzag:
-        if bounded:
-            return None
-        if altitude == ALL:
-            return series.GRAND_TOTAL_GF.expand(count)[size]
-        if altitude == NONNEG:
-            return recurrences.grand_nonneg_row(count)[size]
-        return recurrences.grand_altitude_row(altitude, count)[size]
-    if not bounded:
-        if altitude == ALL:
-            return series.ZIGZAG_TOTAL_GF.expand(count)[size]
-        if altitude == NONNEG:
-            return recurrences.zigzag_nonneg_row(count)[size]
-        return recurrences.zigzag_altitude_row(altitude, count)[size]
-    # one bound only: staying above -m and staying below +m are mirror images
-    m = -c.min_y if c.min_y is not None else c.max_y
-    if altitude != ALL or m < 0:
-        return None
-    return recurrences.above_line_row(m, count)[size]
+def count_query(args) -> CountQuery:
+    """The query of a parsed `count` command; raises ValueError for bad flags."""
+    direction = {None: None, "up": UP, "down": DOWN}
+    c = PathConstraints(
+        zigzag=args.zigzag,
+        min_y=args.min_y,
+        max_y=args.max_y,
+        steps=args.steps,
+        first_dir=direction[args.first],
+        last_dir=direction[args.last],
+    )
+    altitude = NONNEG if args.nonneg else ALL if args.altitude is None else args.altitude
+    return CountQuery(args.size, altitude, c)
 
 
-def _closed_count(size: int, altitude, c: PathConstraints) -> int | None:
-    """Closed-form count, or None when no binomial formula applies."""
-    if not c.zigzag or c.min_y is not None or c.max_y is not None:
-        return None
-    if c.last_dir is not None:
-        return None
-    if c.steps is not None:
-        if isinstance(altitude, int):
-            altitudes = (altitude,)
-        else:
-            top = reach(size, True, c.steps)
-            altitudes = range(0 if altitude == NONNEG else -top, top + 1)
-        dirs = (c.first_dir,) if c.first_dir is not None else (UP, DOWN)
-        return sum(
-            closedforms.zigzag_step_count(size, k, c.steps, d) for k in altitudes for d in dirs
-        )
-    if c.first_dir is not None:
-        return None
-    if altitude == ALL:
-        return closedforms.zigzag_total_closed(size)
-    if altitude == NONNEG:
-        return closedforms.zigzag_nonneg_closed(size)
-    return closedforms.zigzag_count_closed(size, altitude)
+UNCOVERED = {"gf": "no generating function", "closed": "no closed form"}
 
 
 def cmd_count(args) -> int:
-    engines = ["dp", "gf", "closed"] if args.engine == "all" else [args.engine]
     try:
-        c = _constraints(args)
-        if args.size < 0:
-            raise ValueError("size must be non-negative")
+        query = count_query(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.all:
-        altitude = ALL
-    elif args.nonneg:
-        altitude = NONNEG
-    else:
-        altitude = args.altitude if args.altitude is not None else ALL
     results: dict[str, int] = {}
-    for engine in engines:
-        if engine == "dp":
-            results["dp"] = counting.count_paths(args.size, altitude, c)
-        elif engine == "gf":
-            got = _gf_count(args.size, altitude, c)
-            if got is not None:
-                results["gf"] = got
-            elif args.engine == "gf":
-                print("error: no generating function covers this query", file=sys.stderr)
-                return 2
-        elif engine == "closed":
-            got = _closed_count(args.size, altitude, c)
-            if got is not None:
-                results["closed"] = got
-            elif args.engine == "closed":
-                print("error: no closed form covers this query", file=sys.stderr)
-                return 2
-    values = set(results.values())
+    for engine in engines.ENGINES if args.engine == "all" else [args.engine]:
+        got = engines.count(query, engine)
+        if got is not None:
+            results[engine] = got
+        elif args.engine != "all":
+            print(f"error: {UNCOVERED[engine]} covers this query", file=sys.stderr)
+            return 2
+    agree = len(set(results.values())) == 1
     payload = {k: str(v) for k, v in sorted(results.items())}
-    payload["count"] = str(next(iter(results.values())))
-    if len(values) > 1:
-        payload["count"] = "DISAGREEMENT"
-        _emit(payload, args.format, ["count"])
+    payload["count"] = str(next(iter(results.values()))) if agree else "DISAGREEMENT"
+    _emit(payload, args.format, ["count"])
+    if not agree:
         print(f"engines disagree: {results}", file=sys.stderr)
         return 1
-    _emit(payload, args.format, ["count"])
     return 0
 
 
@@ -192,69 +97,11 @@ def cmd_table(args) -> int:
 # -- gf ----------------------------------------------------------------------------
 
 
-def _gf_by_name(name: str, order: int, k: int | None, m: int | None, M: int | None) -> list[int]:
-    def need(value, what):
-        if value is None:
-            raise ValueError(f"gf {name!r} needs --{what}")
-        return value
-
-    if name == "grand-total":
-        return series.GRAND_TOTAL_GF.expand(order)
-    if name == "grand-nonneg":
-        return recurrences.grand_nonneg_row(order)
-    if name == "grand-altitude-sum":
-        return recurrences.grand_altitude_sum_row(order)
-    if name == "grand-altitude":
-        return recurrences.grand_altitude_row(need(k, "k"), order)
-    if name == "grand-axis":
-        return recurrences.grand_axis_row(order)
-    if name == "zigzag-total":
-        return series.ZIGZAG_TOTAL_GF.expand(order)
-    if name == "zigzag-nonneg":
-        return series.int_coefficients(series.zigzag_nonneg_gf(order), order)
-    if name == "zigzag-axis":
-        return series.int_coefficients(series.zigzag_altitude_gf(0, order), order)
-    if name == "zigzag-altitude":
-        gf = series.zigzag_altitude_gf(abs(need(k, "k")), order)
-        return series.int_coefficients(gf, order)
-    if name == "zigzag-primitive":
-        return series.int_coefficients(series.zigzag_primitive_gf(order), order)
-    if name == "above-line":
-        total, _ = series.above_line_gf(need(m, "m"), order)
-        return series.int_coefficients(total, order)
-    # the transfer engine takes any band; these names keep the series' domain
-    if name == "sym-tube":
-        series.check_positive("m", need(m, "m"))
-        return transfer.band_gf(PathConstraints(zigzag=True, min_y=-m, max_y=m)).expand(order)
-    if name == "tube":
-        series.check_band(need(m, "m"), need(M, "M"))
-        return transfer.band_gf(PathConstraints(zigzag=True, min_y=-m, max_y=M)).expand(order)
-    if name == "tube-axis":
-        series.check_positive("M", need(M, "M"))
-        return transfer.band_gf(PathConstraints(zigzag=True, min_y=0, max_y=M), 0).expand(order)
-    if name == "tube1-axis":
-        return series.TUBE1_AXIS_GF.expand(order)
-    if name == "span-exact":
-        return transfer.span_exact_row(need(k, "k"), order)
-    raise ValueError(f"unknown gf name {name!r}")
-
-
-GF_NAMES = (
-    "grand-total grand-nonneg grand-altitude-sum grand-altitude grand-axis "
-    "zigzag-total zigzag-nonneg zigzag-axis zigzag-altitude zigzag-primitive "
-    "above-line sym-tube tube tube-axis tube1-axis span-exact"
-).split()
-
-
 def cmd_gf(args) -> int:
     try:
-        order = args.order
-        if order is None:
-            order = _env_order() or series.DEFAULT_ORDER
-        if order < 1:
-            raise ValueError(f"--order must be >= 1, got {order}")
-        # the series functions reject out-of-range parameters with ValueError
-        coeffs = _gf_by_name(args.name, order, args.k, args.m, args.M)
+        if args.order < 1:
+            raise ValueError(f"--order must be >= 1, got {args.order}")
+        coeffs = engines.gf_row(args.name, args.order, args.k, args.m, args.M)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -263,7 +110,7 @@ def cmd_gf(args) -> int:
             json.dumps(
                 {
                     "name": args.name,
-                    "order": order,
+                    "order": args.order,
                     "coeffs": [str(c) for c in coeffs],
                 },
                 sort_keys=True,
@@ -436,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("gf", help="expand a named generating function")
-    p.add_argument("--name", required=True, choices=GF_NAMES)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--name", required=True, choices=list(engines.GF_ROWS))
+    p.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--M", type=int, default=None)

@@ -1,0 +1,157 @@
+"""Which engine answers a query: the one router over the counting engines.
+
+count(query, engine) asks one engine for a count: "dp" (counting, which
+covers every query), "gf" (exact rows of generating functions) or "closed"
+(binomial sums).  An engine that does not cover the query returns None, so
+`count --engine all` prints exactly the engines listed here for it.
+
+GF_ROWS is the table behind `gf --name`: each name's coefficient row and
+the engine that computes it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from . import closedforms, counting, recurrences, series, transfer
+from .counting import CountQuery
+from .paths import ALL, DOWN, NONNEG, UP, PathConstraints, reach
+
+ENGINES = ("dp", "gf", "closed")
+
+
+def count(query: CountQuery, engine: str) -> int | None:
+    """The query's count from one engine, or None when it does not cover the query."""
+    if engine == "dp":
+        return counting.count(query)
+    if engine == "gf":
+        return _gf_count(query)
+    if engine == "closed":
+        return _closed_count(query)
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def _gf_count(query: CountQuery) -> int | None:
+    """Coefficient `size` of a generating function, or None when none applies.
+
+    Two-sided bands go to the transfer-matrix engine.  The other queries
+    read coefficient `size` of a rational generating function or of an exact
+    row from `recurrences` (O(n), or O(|k| n) for a grand altitude k), so no
+    route expands a kernel-method series.
+    """
+    size, altitude, c = query.size, query.altitude, query.constraints
+    order = size + 1
+    if c.min_y is not None and c.max_y is not None and c.steps is None:
+        # no path of this size leaves [-r, r], so the band's cost is bounded by the size
+        r = reach(size, c.zigzag)
+        c = replace(c, min_y=max(c.min_y, -r), max_y=min(c.max_y, r))
+        return transfer.band_gf(c, altitude).expand(order)[size]
+    if c.steps is not None or c.first_dir is not None or c.last_dir is not None:
+        return None
+    bounded = c.min_y is not None or c.max_y is not None
+    if not c.zigzag:
+        if bounded:
+            return None
+        if altitude == ALL:
+            return series.GRAND_TOTAL_GF.expand(order)[size]
+        if altitude == NONNEG:
+            return recurrences.grand_nonneg_row(order)[size]
+        return recurrences.grand_altitude_row(altitude, order)[size]
+    if not bounded:
+        if altitude == ALL:
+            return series.ZIGZAG_TOTAL_GF.expand(order)[size]
+        if altitude == NONNEG:
+            return recurrences.zigzag_nonneg_row(order)[size]
+        return recurrences.zigzag_altitude_row(altitude, order)[size]
+    if altitude != ALL:
+        return None
+    # one bound only: staying above -m and staying below +m are mirror images
+    m = -c.min_y if c.min_y is not None else c.max_y
+    return recurrences.above_line_row(m, order)[size]
+
+
+def _closed_count(query: CountQuery) -> int | None:
+    """A binomial-sum count, or None when no closed form applies."""
+    size, altitude, c = query.size, query.altitude, query.constraints
+    if not c.zigzag or c.min_y is not None or c.max_y is not None or c.last_dir is not None:
+        return None
+    if c.steps is not None:
+        if isinstance(altitude, int):
+            altitudes = (altitude,)
+        else:
+            top = reach(size, True, c.steps)
+            altitudes = range(0 if altitude == NONNEG else -top, top + 1)
+        dirs = (c.first_dir,) if c.first_dir is not None else (UP, DOWN)
+        return sum(
+            closedforms.zigzag_step_count(size, k, c.steps, d) for k in altitudes for d in dirs
+        )
+    if c.first_dir is not None:
+        return None
+    if altitude == ALL:
+        return closedforms.zigzag_total_closed(size)
+    if altitude == NONNEG:
+        return closedforms.zigzag_nonneg_closed(size)
+    return closedforms.zigzag_count_closed(size, altitude)
+
+
+# -- named rows --------------------------------------------------------------------
+
+
+def _band_row(n: int, lo: int, hi: int, altitude=ALL) -> list[int]:
+    return transfer.band_gf(PathConstraints(zigzag=True, min_y=lo, max_y=hi), altitude).expand(n)
+
+
+def _tube(n: int, m: int, M: int) -> list[int]:
+    series.check_band(m, M)
+    return _band_row(n, -m, M)
+
+
+def _positive(name: str, value: int) -> int:
+    series.check_positive(name, value)
+    return value
+
+
+# name -> (n, need) -> the first n coefficients, where need("k") reads --k.
+# The grand names read exact rows and the zigzag names expand the kernel
+# series.  The transfer engine takes any band; the band names keep the
+# series' domain.
+GF_ROWS = {
+    "grand-total": lambda n, need: series.GRAND_TOTAL_GF.expand(n),
+    "grand-nonneg": lambda n, need: recurrences.grand_nonneg_row(n),
+    "grand-altitude-sum": lambda n, need: recurrences.grand_altitude_sum_row(n),
+    "grand-altitude": lambda n, need: recurrences.grand_altitude_row(need("k"), n),
+    "grand-axis": lambda n, need: recurrences.grand_axis_row(n),
+    "zigzag-total": lambda n, need: series.ZIGZAG_TOTAL_GF.expand(n),
+    "zigzag-nonneg": lambda n, need: series.int_coefficients(series.zigzag_nonneg_gf(n), n),
+    "zigzag-axis": lambda n, need: series.int_coefficients(series.zigzag_altitude_gf(0, n), n),
+    "zigzag-altitude": lambda n, need: series.int_coefficients(
+        series.zigzag_altitude_gf(abs(need("k")), n), n
+    ),
+    "zigzag-primitive": lambda n, need: series.int_coefficients(series.zigzag_primitive_gf(n), n),
+    "above-line": lambda n, need: series.int_coefficients(series.above_line_gf(need("m"), n)[0], n),
+    "sym-tube": lambda n, need: _tube(n, _positive("m", need("m")), need("m")),
+    "tube": lambda n, need: _tube(n, need("m"), need("M")),
+    "tube-axis": lambda n, need: _band_row(n, 0, _positive("M", need("M")), 0),
+    "tube1-axis": lambda n, need: series.TUBE1_AXIS_GF.expand(n),
+    "span-exact": lambda n, need: transfer.span_exact_row(need("k"), n),
+}
+
+
+def gf_row(
+    name: str, order: int, k: int | None = None, m: int | None = None, M: int | None = None
+) -> list[int]:
+    """The first `order` coefficients of the named generating function.
+
+    Raises ValueError for an unknown name, for a parameter the name needs
+    and was not given, and for one outside the name's domain.
+    """
+    if name not in GF_ROWS:
+        raise ValueError(f"unknown gf name {name!r}")
+    params = {"k": k, "m": m, "M": M}
+
+    def need(what: str) -> int:
+        if params[what] is None:
+            raise ValueError(f"gf {name!r} needs --{what}")
+        return params[what]
+
+    return GF_ROWS[name](order, need)

@@ -34,7 +34,6 @@ which stays the check on its numbers.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import repeat
 from operator import add, mul, sub
 from typing import Sequence
@@ -249,21 +248,6 @@ def band_gf(c: PathConstraints, altitude=ALL) -> RationalGF:
     return band_gfs(c, (altitude,))[0]
 
 
-def band_count(size: int, altitude, c: PathConstraints) -> int | None:
-    """Paths of the given size matching the query, or None when no two-sided
-    band applies (a bound is missing, or steps are filtered).
-
-    No path of this size leaves [-r, r], r = paths.reach(size, c.zigzag), so
-    the band is clamped to it first, as the DP does: the cost is bounded by
-    the size, however wide the band.
-    """
-    if c.min_y is None or c.max_y is None or c.steps is not None:
-        return None
-    r = reach(size, c.zigzag)
-    c = replace(c, min_y=max(c.min_y, -r), max_y=min(c.max_y, r))
-    return band_gf(c, altitude).expand(size + 1)[size]
-
-
 def span_exact_row(k: int, count: int) -> list[int]:
     """Zigzag paths of sizes 0..count-1 whose altitude range is exactly k.
 
@@ -273,14 +257,19 @@ def span_exact_row(k: int, count: int) -> list[int]:
     Folding to half the windows with a factor 2 would overcount when k is
     even: the symmetric window is its own mirror image.  Band totals are
     reflection-invariant, so each band and its mirror image are derived once.
+    No zigzag path of these sizes leaves [-r, r], r = paths.reach(count - 1,
+    True), so a wall past r is never touched: each window is clamped to
+    [-r, r] first, and the cost is bounded by the sizes, however large k is.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     rows: dict[tuple[int, int], list[int]] = {}
+    r = max(reach(count - 1, True), 0)
 
     def band(m: int, top: int) -> list[int]:
         if m < 0 or top < 0:
             return [0] * count
+        m, top = min(m, r), min(top, r)
         key = (min(m, top), max(m, top))
         if key not in rows:
             c = PathConstraints(zigzag=True, min_y=-key[0], max_y=key[1])

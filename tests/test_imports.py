@@ -2,7 +2,8 @@
 
 Two engines that check each other must not share code, so each engine's
 source is parsed and its imports are compared against the engines it is
-checked against.
+checked against.  No engine imports the router (`engines`), and the CLI
+reaches the engines through it.
 """
 
 from __future__ import annotations
@@ -16,14 +17,19 @@ import pytest
 # module: the modules and packages it must not import
 BANNED = {
     # the O(n) rows check the DP, the kernel series and the Laurent type
-    "recurrences": {"series", "laurent", "counting", "sympy", "mpmath"},
+    "recurrences": {"series", "laurent", "counting", "sympy", "mpmath", "engines"},
     # asym reads the rows alone; a from-import of the DP would also slip
     # past the monkeypatch in test_grand_reports_do_not_run_the_dp
-    "asymptotics": {"counting", "series"},
+    "asymptotics": {"counting", "series", "engines"},
     # the band engine is checked against series.tube_gf and the DP
-    "transfer": {"series", "counting", "sympy", "mpmath"},
-    "closedforms": {"series", "counting", "recurrences", "transfer", "laurent"},
-    "counting": {"series", "transfer", "recurrences", "closedforms", "laurent"},
+    "transfer": {"series", "counting", "sympy", "mpmath", "engines"},
+    "closedforms": {"series", "counting", "recurrences", "transfer", "laurent", "engines"},
+    "counting": {"series", "transfer", "recurrences", "closedforms", "laurent", "engines"},
+    "series": {"engines"},
+    "laurent": {"engines"},
+    "bijections": {"engines"},
+    # the router alone decides which engine answers a query
+    "cli": {"closedforms", "recurrences", "transfer"},
 }
 
 

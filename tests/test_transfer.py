@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knightpaths import series, transfer
+from knightpaths import engines, series, transfer
 from knightpaths.counting import (
     ALL,
     NONNEG,
+    CountQuery,
     altitude_distributions,
     count_paths,
     count_row,
@@ -21,6 +22,11 @@ from knightpaths.paths import DOWN, UP, PathConstraints, reach
 from knightpaths.verification import _span_row_dp
 
 ORDER = 60
+
+
+def band_count(size: int, altitude, c: PathConstraints) -> int | None:
+    """The gf route's count, which sends every two-sided band to this engine."""
+    return engines.count(CountQuery(size, altitude, c), "gf")
 
 
 def bands(max_span: int, floor: int = 0):
@@ -79,7 +85,7 @@ def test_empty_band_holds_only_the_empty_path():
     for zigzag in (True, False):
         c = PathConstraints(zigzag=zigzag, min_y=0, max_y=0)
         assert transfer.band_gf(c).expand(6) == [1, 0, 0, 0, 0, 0]
-        assert [transfer.band_count(n, 0, c) for n in range(4)] == [1, 0, 0, 0]
+        assert [band_count(n, 0, c) for n in range(4)] == [1, 0, 0, 0]
 
 
 def test_first_and_last_direction_vs_dp():
@@ -110,7 +116,7 @@ def band_queries(draw):
 @given(band_queries())
 def test_band_count_matches_dp(query):
     size, altitude, c = query
-    assert transfer.band_count(size, altitude, c) == count_paths(size, altitude, c)
+    assert band_count(size, altitude, c) == count_paths(size, altitude, c)
 
 
 @pytest.mark.parametrize("zigzag,m,M", [(True, 2, 3), (False, 1, 2)])
@@ -129,18 +135,34 @@ def test_wide_band_is_clamped_to_the_size(zigzag, monkeypatch):
     for size in range(6):
         for altitude in (ALL, NONNEG, 1, -3):
             c = PathConstraints(zigzag=zigzag, min_y=-500, max_y=400, last_dir=DOWN if size % 2 else None)
-            assert transfer.band_count(size, altitude, c) == count_paths(size, altitude, c), (size, altitude)
+            assert band_count(size, altitude, c) == count_paths(size, altitude, c), (size, altitude)
     assert max(widths) == (6 if zigzag else 20)
 
 
-def test_coverage_needs_two_bounds_and_no_steps():
-    assert transfer.band_count(5, ALL, PathConstraints(zigzag=True, min_y=-1)) is None
-    assert transfer.band_count(5, ALL, PathConstraints(max_y=2)) is None
-    assert transfer.band_count(5, 1, PathConstraints(min_y=-1, max_y=2, steps=3)) is None
+def test_coverage_needs_two_bounds_and_no_steps(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("transfer.band_gfs was called")
+
+    monkeypatch.setattr(transfer, "band_gfs", refuse)
+    one_bound = PathConstraints(zigzag=True, min_y=-1)  # the above-line row answers it
+    assert band_count(5, ALL, one_bound) == count_paths(5, ALL, one_bound)
+    assert band_count(5, ALL, PathConstraints(max_y=2)) is None
+    assert band_count(5, 1, PathConstraints(min_y=-1, max_y=2, steps=3)) is None
+    monkeypatch.undo()
     with pytest.raises(ValueError):
         transfer.band_gf(PathConstraints(min_y=-1))
     with pytest.raises(ValueError):
         transfer.band_gf(PathConstraints(min_y=-1, max_y=1), altitude="some")
+
+
+def test_span_exact_row_is_clamped_to_the_sizes(monkeypatch):
+    """A span wider than any path of the sizes reads bands no wider than
+    [-r, r], r = reach(count - 1), and its row is all zeros."""
+    widths = []
+    real = transfer._system
+    monkeypatch.setattr(transfer, "_system", lambda c, alts: widths.append(c.max_y - c.min_y) or real(c, alts))
+    assert transfer.span_exact_row(30, 10) == [0] * 10
+    assert max(widths) <= 2 * reach(9, True)
 
 
 def test_span_exact_row_vs_brute_force():
