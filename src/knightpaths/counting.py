@@ -11,9 +11,17 @@ the sweep keeps a rolling window of three columns: O(n) memory for a size-n
 count (O(n^2) when steps are tracked).  It yields every column, so a whole
 row of sizes costs one pass.  The band is clipped to the reach of a size-n
 path (paths.reach: |y| <= 2n, and (n + 5) // 3 for zigzag paths), and each
-column extends only the cells a path can occupy.  A single-size count also
-skips prefixes that can no longer end with its altitude and step count.
-Counts are exact integers.
+column extends only the cells a path can occupy.
+
+A single-size count with no line bound and no first or last direction
+sweeps only to h = ceil(n/2) and joins that sweep's columns (_join): every
+size-n path has one last vertex with x <= h, at x = h or at h - 1 before a
+wide step, and the rest of the path, reversed, is a path from the origin
+of the same size, altitude change and step count whose last direction is
+the rest's first, so the sweep's own columns at n - h and n - h - 1 count
+it.  Any other single-size count (a band, one line, a first or last
+direction) sweeps to n and skips prefixes that can no longer end with its
+altitude and step count.  Counts are exact integers.
 
 generate() shares no code with the sweep: it is the independent oracle.
 """
@@ -21,7 +29,8 @@ generate() shares no code with the sweep: it is the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 from typing import Callable, Iterator
 
 from .paths import ALL, DOWN, NONNEG, STEP_ORDER, UP, Path, PathConstraints, Step, reach
@@ -197,9 +206,62 @@ def _select(dist: dict[int, int], altitude: AltitudeFilter) -> int:
     return sum(dist.values())
 
 
+def _joined(a: list[int], b: list[int], z: int, altitude: AltitudeFilter) -> int:
+    """Sum of a[i] * b[j] over the cells whose joined altitude i + j - z passes the filter."""
+    if altitude == ALL:
+        return sum(a) * sum(b)
+    w = len(a)
+    if altitude == NONNEG:
+        rb = list(accumulate(reversed(b)))  # rb[w - 1 - j]: b's paths at index j or above
+        p, below = z, rb[-1]  # an i past p joins every path of b
+    else:
+        rb = b[::-1]  # rb[w - 1 - j] = b[j]
+        p, below = z + altitude, 0
+    i0, i1 = max(0, p - w + 1), max(0, min(w, p + 1))  # the i with 0 <= p - i < w
+    return sum(map(mul, a[i0:i1], rb[w - 1 - p + i0 : w - 1 - p + i1])) + below * sum(a[i1:])
+
+
+def _join(size: int, altitude: AltitudeFilter, c: PathConstraints) -> int:
+    """count() of a query with no line bound and no first or last direction.
+
+    One sweep to h = ceil(size / 2).  A path splits at its last vertex with
+    x <= h: a prefix at x = h and a rest of size - h, or a prefix at h - 1,
+    a wide step and a rest of size - h - 1.  The rest, reversed, is a path
+    of the sweep's column at its size, keyed by the rest's first direction,
+    and it moves y and uses steps as the rest does.
+    """
+    h = (size + 1) // 2
+    keep = (h - 1, h, size - h, size - h - 1)
+    cols = {x: col for x, col in enumerate(_sweep(h, c)) if x in keep}
+    z = -2 * _floor(h, c)  # i + j of two cells whose altitudes add up to 0
+    joins = [(cols[h], cols[size - h], None)]
+    if size - h - 1 >= 0:
+        joins += [(cols[h - 1], cols[size - h - 1], s) for s in STEP_ORDER if s.dx == 2]
+    total = 0
+    for head, tail, step in joins:
+        dy, extra = (0, 0) if step is None else (step.dy, 1)
+        rests: dict[int, list] = {}  # the rest's rows by steps used
+        for (d, used), row in tail.items():
+            rests.setdefault(used, []).append((d, row))
+        for (da, used), a in head.items():
+            want = 0 if c.steps is None else c.steps - used - extra
+            for db, b in rests.get(want, ()):
+                if c.zigzag and (da == db != 0 if step is None else step.direction in (da, db)):
+                    continue  # two rises or two falls in a row; 0 is the empty path
+                total += _joined(a, b, z - dy, altitude)
+    return total
+
+
 def count(query: CountQuery) -> int:
-    """Exact number of paths matching the query."""
+    """Exact number of paths matching the query.
+
+    With no min_y, max_y, first_dir or last_dir, from half a sweep joined
+    with itself (_join); otherwise from a sweep to the size whose end
+    window skips the prefixes that cannot end in the query.
+    """
     size, altitude, c = query.size, query.altitude, query.constraints
+    if (c.min_y, c.max_y, c.first_dir, c.last_dir) == (None,) * 4:
+        return _join(size, altitude, c)
     by_y = _tally(_final(size, c, altitude), _floor(size, c), c, lambda y, d, used: y)
     return _select(by_y, altitude)
 

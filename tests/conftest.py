@@ -1,0 +1,24 @@
+"""Fixtures shared by the test modules."""
+
+from __future__ import annotations
+
+from functools import cache
+
+import pytest
+
+from knightpaths.counting import generate
+from knightpaths.paths import Path, PathConstraints
+
+
+@cache
+def _generated(size: int, constraints: PathConstraints = PathConstraints()) -> tuple[Path, ...]:
+    return tuple(generate(size, constraints))
+
+
+@pytest.fixture(scope="session")
+def paths_of():
+    """generate(size, constraints), built once per test session.
+
+    Each result is a tuple, so no test can change what another one reads.
+    """
+    return _generated

@@ -18,7 +18,7 @@ from knightpaths.bijections import (
     tiling_count,
 )
 from knightpaths.closedforms import zigzag_count_one_sided
-from knightpaths.counting import count_paths, generate
+from knightpaths.counting import count_paths
 from knightpaths.fixtures import SEQUENCES
 from knightpaths.paths import DOWN, UP, PathConstraints, Step, parse_path, validate_path
 
@@ -99,7 +99,7 @@ def test_inverse_rejects_non_images():
         path_to_pair_falling(parse_path("N Nb"))
 
 
-def test_narrow_band_examples():
+def test_narrow_band_examples(paths_of):
     assert str(narrow_band_path(Composition((1,)))) == "E Nb N Eb"
     two_a = narrow_band_path(Composition((2,)))
     two_b = narrow_band_path(Composition((1, 1)))
@@ -108,16 +108,16 @@ def test_narrow_band_examples():
     assert two_a.size == two_b.size == 8
     starters = [
         p
-        for p in generate(8, BAND)
+        for p in paths_of(8, BAND)
         if p.altitude == 0 and p.steps and p.steps[0] is Step.E
     ]
     assert sorted(map(str, starters)) == sorted([str(two_a), str(two_b)])
 
 
-def test_narrow_band_round_trip_exhaustive():
+def test_narrow_band_round_trip_exhaustive(paths_of):
     for size in range(4, 17, 2):
         matched = 0
-        for path in generate(size, BAND):
+        for path in paths_of(size, BAND):
             if path.altitude != 0 or not path.steps or path.steps[0] is not Step.E:
                 continue
             comp = narrow_band_composition(path)

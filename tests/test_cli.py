@@ -346,8 +346,7 @@ def test_engine_disagreement_is_fatal(capsys, monkeypatch):
     assert "DISAGREEMENT" in out
 
 
-def test_bad_order_env_exits_two_only_where_used(capsys, monkeypatch):
-    monkeypatch.setenv("KNIGHTPATHS_ORDER", "abc")
+def test_gf_default_order_is_64(capsys):
     code, out, _ = run(capsys, "biject", "--map", "phi", "--input", "X=1 ; Y=1")
     assert (code, out) == (0, "N Nb\n")
     code, out, _ = run(capsys, "count", "--size", "7", "--altitude", "0", "--zigzag")
@@ -466,13 +465,11 @@ GF_ROUTES = [
 
 
 @pytest.mark.parametrize("flags", GF_ROUTES)
-def test_count_order_env_changes_no_answer(capsys, monkeypatch, flags):
+def test_count_routes_print_a_gf_engine(capsys, flags):
     argv = ["count", "--size", "17", *flags, "--engine", "all", "--format", "json"]
     want = run(capsys, *argv)
     assert want[0] == 0 and '"gf"' in want[1]
-    for order in ("8", "40", "300"):
-        monkeypatch.setenv("KNIGHTPATHS_ORDER", order)
-        assert run(capsys, *argv) == want, order
+    assert run(capsys, *argv) == want
 
 
 @pytest.mark.parametrize("engine", ["gf", "all"])

@@ -9,13 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knightpaths import closedforms, fixtures, recurrences, transfer
+from knightpaths import closedforms, counting, fixtures, recurrences, series, transfer
 from knightpaths.counting import (
     ALL,
     ANY,
     NONNEG,
     CountQuery,
     _end_states,
+    _final,
+    _floor,
+    _joined,
+    _select,
+    _tally,
     altitude_distribution,
     count,
     count_paths,
@@ -100,14 +105,14 @@ def test_total_equals_altitude_sum():
         assert count_paths(n, ALL, ZZ) == sum(dist.values())
 
 
-def test_generate_small_zigzag_axis():
-    got = {str(p) for p in generate(4, PathConstraints(zigzag=True))}
-    axis = {str(p) for p in generate(4, ZZ) if p.altitude == 0}
+def test_generate_small_zigzag_axis(paths_of):
+    got = {str(p) for p in paths_of(4, PathConstraints(zigzag=True))}
+    axis = {str(p) for p in paths_of(4, ZZ) if p.altitude == 0}
     assert axis == {"N Nb N Nb", "Nb N Nb N", "E Eb", "Eb E"}
     assert len(got) == 10
 
 
-def test_generate_length_matches_count():
+def test_generate_length_matches_count(paths_of):
     grids = [
         PathConstraints(),
         ZZ,
@@ -119,7 +124,7 @@ def test_generate_length_matches_count():
     ]
     for c in grids:
         for n in range(0, 13):
-            paths = generate(n, c)
+            paths = paths_of(n, c)
             assert len(paths) == count_paths(n, ALL, c), (n, c)
             assert len(set(paths)) == len(paths)
             for p in paths:
@@ -127,9 +132,9 @@ def test_generate_length_matches_count():
     # lexicographic in step order
     from knightpaths.paths import STEP_ORDER
 
-    paths = generate(6, ZZ)
+    paths = paths_of(6, ZZ)
     rank = {s: i for i, s in enumerate(STEP_ORDER)}
-    assert paths == sorted(paths, key=lambda p: [rank[s] for s in p.steps])
+    assert list(paths) == sorted(paths, key=lambda p: [rank[s] for s in p.steps])
 
 
 def test_generate_cap():
@@ -137,7 +142,7 @@ def test_generate_cap():
         generate(21, ZZ)
 
 
-def test_primitive_counts():
+def test_primitive_counts(paths_of):
     want = list(fixtures.SEQUENCES["zigzag-primitive"].terms)
     assert [count_primitive(n) for n in range(23)] == want
     assert count_primitive(9) == 2
@@ -146,7 +151,7 @@ def test_primitive_counts():
     # vertices avoid the axis
     for n in range(1, 13):
         brute = 0
-        for p in generate(n, ZZ):
+        for p in paths_of(n, ZZ):
             if p.altitude != 0:
                 continue
             interior = [y for (x, y) in p.vertices()[1:-1]]
@@ -155,10 +160,10 @@ def test_primitive_counts():
         assert count_primitive(n) == brute, n
 
 
-def test_primitive_size_ten_paths():
+def test_primitive_size_ten_paths(paths_of):
     brute = [
         p
-        for p in generate(10, ZZ)
+        for p in paths_of(10, ZZ)
         if p.altitude == 0 and all(y != 0 for (x, y) in p.vertices()[1:-1])
     ]
     assert len(brute) == 6
@@ -230,15 +235,15 @@ def _alt_ok(p: Path, altitude) -> bool:
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(constraints, st.integers(0, 12), altitudes)
-def test_sweep_views_match_generation(c, n_max, altitude):
+def test_sweep_views_match_generation(paths_of, c, n_max, altitude):
     row = count_row(n_max, altitude, c)
     for k in range(n_max + 1):
-        want = sum(_alt_ok(p, altitude) for p in generate(k, c))
+        want = sum(_alt_ok(p, altitude) for p in paths_of(k, c))
         assert row[k] == count_paths(k, altitude, c) == want, (k, c, altitude)
     # step_count_distribution lists every step count, so compare it with
     # the paths the other filters keep
     table: dict[tuple[int, int], int] = {}
-    for p in generate(n_max, replace(c, steps=None)):
+    for p in paths_of(n_max, replace(c, steps=None)):
         key = (p.altitude, p.step_count)
         table[key] = table.get(key, 0) + 1
     assert step_count_distribution(n_max, c) == table
@@ -266,20 +271,20 @@ def test_count_memory_shrinks_with_the_reach():
     assert peak < 200_000, peak
 
 
-def test_zigzag_reach_is_tight():
+def test_zigzag_reach_is_tight(paths_of):
     for n in range(19):
-        paths = generate(n, ZZ)
+        paths = paths_of(n, ZZ)
         highest = max(max(-p.min_height, p.height) for p in paths)
         assert highest <= reach(n, True) == min(2 * n, (n + 5) // 3), n
         if n % 3 == 1:
             assert max(abs(p.altitude) for p in paths) == reach(n, True), n
 
 
-def test_reach_bounds_the_altitude_by_step_count():
+def test_reach_bounds_the_altitude_by_step_count(paths_of):
     for zigzag in (False, True):
         widest: dict[tuple[int, int], int] = {}
         for n in range(11):
-            for p in generate(n, PathConstraints(zigzag=zigzag)):
+            for p in paths_of(n, PathConstraints(zigzag=zigzag)):
                 key = (n, p.step_count)
                 widest[key] = max(widest.get(key, 0), abs(p.altitude))
         for (n, s), top in widest.items():
@@ -340,11 +345,11 @@ def row_layout_queries(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(row_layout_queries())
-def test_row_layouts_match_generation(query):
+def test_row_layouts_match_generation(paths_of, query):
     n_max, altitude, c = query
     row = count_row(n_max, altitude, c)
     for k in range(n_max + 1):
-        want = sum(_alt_ok(p, altitude) for p in generate(k, c))
+        want = sum(_alt_ok(p, altitude) for p in paths_of(k, c))
         assert row[k] == want, (k, query)
     assert count_paths(n_max, altitude, c) == row[n_max], query
     # end states carry the last direction where the sweep tracks it, and a
@@ -353,7 +358,7 @@ def test_row_layouts_match_generation(query):
     tracked = c.zigzag or c.last_dir is not None
     ends: dict[tuple[int, int | None], int] = {}
     steps: dict[tuple[int, int], int] = {}
-    for p in generate(n_max, replace(c, steps=None)):
+    for p in paths_of(n_max, replace(c, steps=None)):
         key = (p.altitude, p.step_count)
         steps[key] = steps.get(key, 0) + 1
         if c.steps is None or p.step_count == c.steps:
@@ -365,7 +370,7 @@ def test_row_layouts_match_generation(query):
         # count_primitive clears the axis, a mirror-symmetric set
         brute = sum(
             p.altitude == 0 and all(y != 0 for (_, y) in p.vertices()[1:-1])
-            for p in generate(n_max, ZZ)
+            for p in paths_of(n_max, ZZ)
         )
         assert count_primitive(n_max) == brute, n_max
 
@@ -380,3 +385,49 @@ def test_large_counts_match_independent_engines():
     assert count_paths(200, ALL, PathConstraints()) == recurrences.grand_total_row(201)[200]
     band = PathConstraints(zigzag=True, min_y=-3, max_y=3)
     assert count_row(300, 1, band) == transfer.band_gf(band, 1).expand(301)
+
+
+def test_middle_column_join_matches_the_full_sweep():
+    # n = 0, 1 and 2 included: the rest of the path is empty, there is no
+    # wide-step join, or the wide-step join starts at column 0
+    for zigzag in (False, True):
+        for n in range(19):
+            for steps in (None, *range(1, n + 1)):
+                c = PathConstraints(zigzag=zigzag, steps=steps)
+                by_y = _tally(_final(n, c), _floor(n, c), c, lambda y, d, used: y)
+                for altitude in (ALL, NONNEG, *range(-8, 9)):
+                    want = _select(by_y, altitude)
+                    assert count(CountQuery(n, altitude, c)) == want, (n, altitude, c)
+
+
+def test_joined_pairs_cells_by_their_altitude_sum():
+    a, b, z = [1, 2, 3], [5, 7, 11], 1  # cells i, j join at altitude i + j - 1
+    pairs = [(i + j - z, a[i] * b[j]) for i in range(3) for j in range(3)]
+    for altitude in (ALL, NONNEG, *range(-3, 6)):
+        want = sum(n for y, n in pairs if _select({y: 1}, altitude))
+        assert _joined(a, b, z, altitude) == want, altitude
+
+
+def test_middle_column_join_at_bench_sizes():
+    nonneg = recurrences.zigzag_nonneg_row(601)
+    grand = series.GRAND_TOTAL_GF.expand(171)
+    for n in (599, 600):
+        assert count_paths(n, NONNEG, ZZ) == nonneg[n], n
+    for n in (169, 170):
+        assert count_paths(n, ALL) == grand[n], n
+    for n in (400, 401):
+        for k in (6, -6):
+            assert count_paths(n, k, ZZ) == closedforms.zigzag_count_closed(n, k), (n, k)
+
+
+def test_only_unbounded_counts_take_the_join(monkeypatch):
+    sweep, ends = counting._sweep, []
+    monkeypatch.setattr(
+        counting, "_sweep", lambda n_max, *args, **kw: ends.append(n_max) or sweep(n_max, *args, **kw)
+    )
+    count_paths(9, NONNEG, zigzag=True, steps=6)
+    count_paths(9, 1)
+    for bound in (dict(min_y=-2), dict(max_y=2), dict(first_dir=UP), dict(last_dir=DOWN)):
+        count_paths(9, 1, zigzag=True, **bound)
+    count_row(9, ALL, ZZ)
+    assert ends == [5, 5, 9, 9, 9, 9, 9]

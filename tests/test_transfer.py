@@ -16,7 +16,6 @@ from knightpaths.counting import (
     altitude_distributions,
     count_paths,
     count_row,
-    generate,
 )
 from knightpaths.paths import DOWN, UP, PathConstraints, reach
 from knightpaths.verification import _span_row_dp
@@ -165,13 +164,13 @@ def test_span_exact_row_is_clamped_to_the_sizes(monkeypatch):
     assert max(widths) <= 2 * reach(9, True)
 
 
-def test_span_exact_row_vs_brute_force():
+def test_span_exact_row_vs_brute_force(paths_of):
     """Every zigzag path of size n <= 14, grouped by max - min of its heights:
     a count that shares no formula with any engine."""
     n_top = 14
     spans: dict[int, list[int]] = {}
     for n in range(n_top + 1):
-        for path in generate(n, PathConstraints(zigzag=True)):
+        for path in paths_of(n, PathConstraints(zigzag=True)):
             lo, hi = path.heights
             spans.setdefault(hi - lo, [0] * (n_top + 1))[n] += 1
     assert spans[0] == [1] + [0] * n_top  # only the empty path has span 0
