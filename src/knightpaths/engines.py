@@ -71,22 +71,36 @@ def _gf_count(query: CountQuery) -> int | None:
 
 
 def _closed_count(query: CountQuery) -> int | None:
-    """A binomial-sum count, or None when no closed form applies."""
+    """A binomial-sum count, or None when no closed form applies.
+
+    Without a line bound, reversing a path's steps keeps its size, altitude,
+    step count and alternation and swaps its first and last directions, so
+    `--last d` counts as `--first d`.
+    """
     size, altitude, c = query.size, query.altitude, query.constraints
-    if not c.zigzag or c.min_y is not None or c.max_y is not None or c.last_dir is not None:
+    if not c.zigzag or c.min_y is not None or c.max_y is not None:
         return None
+    if c.first_dir is not None and c.last_dir is not None:
+        return None
+    first = c.last_dir if c.first_dir is None else c.first_dir
+    dirs = (UP, DOWN) if first is None else (first,)
     if c.steps is not None:
         if isinstance(altitude, int):
             altitudes = (altitude,)
         else:
             top = reach(size, True, c.steps)
             altitudes = range(0 if altitude == NONNEG else -top, top + 1)
-        dirs = (c.first_dir,) if c.first_dir is not None else (UP, DOWN)
         return sum(
             closedforms.zigzag_step_count(size, k, c.steps, d) for k in altitudes for d in dirs
         )
-    if c.first_dir is not None:
-        return None
+    if first is not None:
+        if altitude == NONNEG:
+            return None  # a sum over every altitude and step count
+        if size == 0:  # the empty path has no first step
+            return 0
+        if altitude == ALL:  # the up/down mirror halves the total
+            return closedforms.zigzag_total_closed(size) // 2
+        return sum(closedforms.zigzag_step_count(size, altitude, i, first) for i in range(size + 1))
     if altitude == ALL:
         return closedforms.zigzag_total_closed(size)
     if altitude == NONNEG:

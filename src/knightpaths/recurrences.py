@@ -50,10 +50,19 @@ O(k n) steps.
 
 Every division is exact by construction and is checked: a remainder
 raises ArithmeticError, nothing is rounded.
+
+The rows that take no parameter, and the boundary series the zigzag rows
+are built from, are derived once per process: `_memo` keeps each row at
+the longest count asked for so far, a shorter request gets a fresh copy of
+its prefix and a longer one derives the row again and replaces it.  Rows
+that take a parameter (a zigzag or grand altitude |k| >= 2, a line m >= 1)
+keep nothing and build on the stored ones, so the memo holds at most
+eleven rows, each at the largest count asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import repeat
 from operator import add, mul, sub
@@ -61,6 +70,25 @@ from operator import add, mul, sub
 # Delta = 1 - 2z^2 - z^4 - 2z^6 + z^8 as (j, Delta_j) for j >= 1
 _DELTA = ((2, -2), (4, -1), (6, -2), (8, 1))
 _L = [1, 0, -1, 0, -1]
+
+# name -> the stored row, or "boundary" -> the elements of `_boundary`
+_memo: dict[str, object] = {}
+
+
+def _stored(derive):
+    """derive as a row function whose row is kept at the longest count asked for."""
+    name = derive.__name__
+
+    @functools.wraps(derive)
+    def row(count: int) -> list[int]:
+        if count <= 0:
+            return []
+        kept = _memo.get(name)
+        if kept is None or len(kept) < count:
+            kept = _memo[name] = derive(count)
+        return kept[:count]
+
+    return row
 
 
 def _sqrt_delta(order: int) -> list[int]:
@@ -247,6 +275,7 @@ def _expand(x: _Elt, count: int) -> list[int]:
     return out
 
 
+@_stored
 def zigzag_total_row(count: int) -> list[int]:
     """All zigzag paths by size: (1 + z + z^2)/(1 - z - z^2)."""
     return _expand((1 + _Z + _Z**2) / (1 - _Z - _Z**2), count)
@@ -257,13 +286,16 @@ def _boundary() -> tuple[_Elt, _Elt, _Elt]:
 
     up = r (z - 1) / (z^3 (r z^2 + z - 1)) is the axis-up boundary series,
     alt1 = (r^2 + z r + 2 z^2 r up) / z^2 the altitude-1 series and
-    bundle = 1 + z^2 alt1.
+    bundle = 1 + z^2 alt1.  Built once per process.
     """
-    up = _R * (_Z - 1) / (_Z**3 * (_R * _Z**2 + _Z - 1))
-    lifted = _R**2 + _Z * _R + 2 * _Z**2 * _R * up
-    return up, lifted / _Z**2, 1 + lifted
+    if "boundary" not in _memo:
+        up = _R * (_Z - 1) / (_Z**3 * (_R * _Z**2 + _Z - 1))
+        lifted = _R**2 + _Z * _R + 2 * _Z**2 * _R * up
+        _memo["boundary"] = up, lifted / _Z**2, 1 + lifted
+    return _memo["boundary"]
 
 
+@_stored
 def zigzag_nonneg_row(count: int) -> list[int]:
     """Zigzag paths ending at altitude >= 0, by size."""
     up, alt1, bundle = _boundary()
@@ -278,16 +310,26 @@ def zigzag_altitude_row(k: int, count: int) -> list[int]:
     that, whose valuation 3|k| - 5 makes a row of fewer sizes all zeros.
     """
     k = abs(k)
-    up, alt1, bundle = _boundary()
     if k == 0:
-        return _expand(2 * up - 1, count)
+        return _zigzag_axis_row(count)
     if k == 1:
-        return _expand(alt1, count)
+        return _zigzag_alt1_row(count)
     if count <= 3 * k - 5:
         return [0] * count
-    return _expand(_R ** (k - 1) * bundle / _Z**2, count)
+    return _expand(_R ** (k - 1) * _boundary()[2] / _Z**2, count)
 
 
+@_stored
+def _zigzag_axis_row(count: int) -> list[int]:
+    return _expand(2 * _boundary()[0] - 1, count)
+
+
+@_stored
+def _zigzag_alt1_row(count: int) -> list[int]:
+    return _expand(_boundary()[1], count)
+
+
+@_stored
 def zigzag_altitude_sum_row(count: int) -> list[int]:
     """Sum of final altitudes over zigzag paths ending at altitude >= 0."""
     _, alt1, bundle = _boundary()
@@ -295,6 +337,7 @@ def zigzag_altitude_sum_row(count: int) -> list[int]:
     return _expand(alt1 + tail, count)
 
 
+@_stored
 def above_axis_row(count: int) -> list[int]:
     """Zigzag paths staying weakly above the x-axis, by size.
 
@@ -304,6 +347,7 @@ def above_axis_row(count: int) -> list[int]:
     return _expand(_R * (1 + _Z + _Z**2) / (_Z**3 * (1 - _R)), count)
 
 
+@_stored
 def above_axis_altitude_sum_row(count: int) -> list[int]:
     """Sum of final altitudes over zigzag paths staying weakly above the axis.
 
@@ -445,16 +489,19 @@ def _halves(row: list[int], what: str) -> list[int]:
     return out
 
 
+@_stored
 def grand_total_row(count: int) -> list[int]:
     """All grand paths by size: 1/(1 - 2z - 2z^2)."""
     return _unroll(*_GRAND_TOTAL, count)
 
 
+@_stored
 def grand_axis_row(count: int) -> list[int]:
     """Grand paths ending on the axis, by size."""
     return _unroll(*_GRAND_AXIS, count)
 
 
+@_stored
 def grand_altitude_sum_row(count: int) -> list[int]:
     """Sum of final altitudes over grand paths ending at y > 0, by size."""
     return _unroll(*_GRAND_ALTITUDE_SUM, count)
@@ -494,12 +541,17 @@ def grand_altitude_row(k: int, count: int) -> list[int]:
         return [0] * max(count, 0)
     if k == 0:
         return grand_axis_row(count)
-    below = _unroll(*_GRAND_ALT1, count)
+    below = _grand_alt1_row(count)
     if k >= 2:
         two_below = grand_axis_row(count)
         for j in range(2, k + 1):
             two_below, below = below, _next_altitude(j, below, two_below)
     return below
+
+
+@_stored
+def _grand_alt1_row(count: int) -> list[int]:
+    return _unroll(*_GRAND_ALT1, count)
 
 
 def grand_nonneg_row(count: int) -> list[int]:

@@ -88,3 +88,12 @@ def test_memoised_kernel_roots_are_still_traced(capsys):
     layers = _traced([["verify", "--level", "quick", "--only", "5-kernel"]], capsys)["layers"]
     assert layers["series.grand_kernel_roots.calls"] > 0
     assert layers["series.zigzag_kernel_roots.calls"] > 0
+
+
+def test_stored_recurrence_rows_are_still_traced(capsys):
+    """The rows of `recurrences` are kept inside plain module-level functions,
+    so the tracer counts a request the stored row answers as well."""
+    commands = [["count", "--size", n, "--zigzag", "--nonneg", "--engine", "gf"] for n in ("30", "20")]
+    layers = _traced(commands, capsys)["layers"]
+    assert layers["recurrences.calls"] == 2
+    assert layers["recurrences.coeffs"] == 31 + 21

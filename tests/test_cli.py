@@ -646,8 +646,8 @@ ENGINE_SETS = [
     (["--zigzag", "--min-y", "-1", "--max-y", "2", "--steps", "5"], {"dp"}),
     (["--zigzag", "--steps", "5", "--altitude", "1"], {"dp", "closed"}),
     (["--zigzag", "--steps", "5"], {"dp", "closed"}),
-    (["--zigzag", "--first", "down", "--altitude", "-1"], {"dp"}),
-    (["--zigzag", "--last", "up"], {"dp"}),
+    (["--zigzag", "--first", "down", "--altitude", "-1"], {"dp", "closed"}),
+    (["--zigzag", "--last", "up"], {"dp", "closed"}),
     (["--zigzag", "--first", "up", "--min-y", "-1", "--max-y", "1"], {"dp", "gf"}),
     (["--zigzag", "--max-y", "0"], {"dp", "gf"}),
     (["--zigzag", "--steps", "4", "--nonneg", "--first", "down"], {"dp", "closed"}),
@@ -673,13 +673,29 @@ def test_zigzag_axis_bound_gf_matches_dp(bound):
     assert engines.count(CountQuery(9, NONNEG, c), "gf") is None
 
 
+# no direction, or one --first or --last direction
+DIRECTIONS = [{}, *({side: d} for side in ("first_dir", "last_dir") for d in (UP, DOWN))]
+
+
 @pytest.mark.parametrize("altitude", [ALL, NONNEG])
 def test_zigzag_steps_closed_matches_dp(altitude):
     for steps in range(1, 23):
-        for first in (None, UP, DOWN):
-            c = PathConstraints(zigzag=True, steps=steps, first_dir=first)
+        for direction in DIRECTIONS:
+            c = PathConstraints(zigzag=True, steps=steps, **direction)
             closed = [engines.count(CountQuery(n, altitude, c), "closed") for n in range(22)]
-            assert closed == count_row(21, altitude, c), (steps, first)
+            assert closed == count_row(21, altitude, c), (steps, direction)
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS[1:])
+def test_zigzag_direction_closed_matches_dp(direction):
+    """Reversing a path's steps swaps its first and last directions."""
+    c = PathConstraints(zigzag=True, **direction)
+    for altitude in (ALL, *range(-8, 9)):
+        closed = [engines.count(CountQuery(n, altitude, c), "closed") for n in range(22)]
+        assert closed == count_row(21, altitude, c), altitude
+    assert engines.count(CountQuery(9, NONNEG, c), "closed") is None
+    both = PathConstraints(zigzag=True, first_dir=UP, last_dir=DOWN)
+    assert engines.count(CountQuery(9, ALL, both), "closed") is None
 
 
 def test_grand_altitude_needs_no_kernel_series(capsys, monkeypatch):

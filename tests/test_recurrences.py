@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from knightpaths import closedforms, recurrences, series
@@ -16,6 +18,15 @@ from knightpaths.counting import (
 from knightpaths.paths import PathConstraints
 
 ZZ = PathConstraints(zigzag=True)
+
+
+@pytest.fixture
+def fresh_rows():
+    """No stored row before or after the test: a patched recurrence or element
+    is derived afresh, and a row derived from it is not kept."""
+    recurrences._memo.clear()
+    yield
+    recurrences._memo.clear()
 
 
 def test_small_root_matches_series_engine():
@@ -61,7 +72,7 @@ def test_altitude_row_below_its_valuation_is_zero():
 
 
 @pytest.mark.parametrize("k", [0, 1, 4])
-def test_corrupt_altitude_element_raises_not_rounds(monkeypatch, k):
+def test_corrupt_altitude_element_raises_not_rounds(monkeypatch, fresh_rows, k):
     elements = []
     real = recurrences._expand
     monkeypatch.setattr(recurrences, "_expand", lambda x, count: elements.append(x) or real(x, count))
@@ -268,6 +279,66 @@ def test_edge_counts(row):
         assert row(count) == full[:count]
 
 
+# -- rows derived once per process ------------------------------------------------
+
+STORED = (
+    "zigzag_total_row",
+    "zigzag_nonneg_row",
+    "_zigzag_axis_row",
+    "_zigzag_alt1_row",
+    "zigzag_altitude_sum_row",
+    "above_axis_row",
+    "above_axis_altitude_sum_row",
+    "grand_total_row",
+    "grand_axis_row",
+    "_grand_alt1_row",
+    "grand_altitude_sum_row",
+)
+
+
+@pytest.mark.parametrize("name", STORED)
+def test_stored_row_equals_a_fresh_derivation(fresh_rows, name):
+    row = getattr(recurrences, name)
+    derive = row.__wrapped__  # the row's derivation, which stores nothing
+    counts = list(range(201))
+    random.Random(name).shuffle(counts)
+    longest = 0
+    for count in counts:
+        assert row(count) == derive(count), (name, count)
+        longest = max(longest, count)
+        assert len(recurrences._memo.get(name, [])) == longest, (name, count)
+
+
+@pytest.mark.parametrize("name", STORED)
+def test_a_returned_row_is_the_callers_own(fresh_rows, name):
+    row = getattr(recurrences, name)
+    want = row.__wrapped__(40)
+    for count in (40, 30, 40):
+        got = row(count)
+        got[count // 2] += 1
+        got.append(7)
+        assert row(40) == want, (name, count)
+
+
+def test_rows_with_a_parameter_store_nothing_of_their_own(fresh_rows):
+    for k in range(2, 41):
+        recurrences.zigzag_altitude_row(k, 200)
+    assert sorted(recurrences._memo) == ["boundary"]
+    for k in range(2, 41):
+        recurrences.grand_altitude_row(k, 200)
+    for m in range(1, 6):
+        recurrences.above_line_row(m, 200)
+    assert sorted(recurrences._memo) == ["_grand_alt1_row", "boundary", "grand_axis_row"]
+    assert len(recurrences._memo["grand_axis_row"]) == 200
+
+
+def test_the_boundary_is_built_once(fresh_rows):
+    first = recurrences._boundary()
+    recurrences.zigzag_nonneg_row(30)
+    recurrences.zigzag_altitude_row(5, 30)
+    assert recurrences._boundary() is first
+
+
 def test_negative_m_is_rejected():
     with pytest.raises(ValueError):
         recurrences.above_line_row(-1, 10)
@@ -410,7 +481,7 @@ def test_initial_terms_reach_past_leading_roots(key):
     assert all(k < len(initial) for k in roots), roots
 
 
-def test_corrupt_grand_recurrence_raises_not_rounds(monkeypatch):
+def test_corrupt_grand_recurrence_raises_not_rounds(monkeypatch, fresh_rows):
     coeffs, initial = recurrences._GRAND_AXIS
     bad = (coeffs[0], (coeffs[1][0] + 1, *coeffs[1][1:]), *coeffs[2:])
     with pytest.raises(ArithmeticError, match="not an integer"):
@@ -464,7 +535,7 @@ def test_mixed_recurrence_annihilates_the_grand_generating_function():
     assert sympy.cancel(sympy.together(total)) == 0
 
 
-def test_corrupt_altitude_one_recurrence_raises_not_rounds(monkeypatch):
+def test_corrupt_altitude_one_recurrence_raises_not_rounds(monkeypatch, fresh_rows):
     coeffs, initial = recurrences._GRAND_ALT1
     bad = (coeffs[0], (coeffs[1][0] + 1, *coeffs[1][1:]), *coeffs[2:])
     monkeypatch.setattr(recurrences, "_GRAND_ALT1", (bad, initial))
