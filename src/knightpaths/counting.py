@@ -4,14 +4,19 @@ The ground-truth engine.  Every counting entry point is a view over one
 forward sweep along x (_sweep) with state (y, last direction), plus the
 steps used when asked; the last direction is 0 for the empty prefix, and it
 is tracked only where the query reads it (always for zigzag paths, for grand
-paths only under a last_dir filter).  A zigzag sweep over a band symmetric
-about the axis, with no first_dir, builds only its rising rows and reads
-each falling row as their mirror image.  Steps advance x by 1 or 2, so
-the sweep keeps a rolling window of three columns: O(n) memory for a size-n
-count (O(n^2) when steps are tracked).  It yields every column, so a whole
-row of sizes costs one pass.  The band is clipped to the reach of a size-n
-path (paths.reach: |y| <= 2n, and (n + 5) // 3 for zigzag paths), and each
-column extends only the cells a path can occupy.
+paths only under a last_dir filter).  The altitude y is likewise tracked
+only where the query reads it: a single-size count with no line bound and
+any final altitude (ALL) sweeps one cell per row, every move's dy taken as
+0, and the view functions, which return distributions, keep full columns.
+A zigzag sweep over a band symmetric about the axis, with no first_dir,
+builds only its rising rows and reads each falling row as their mirror
+image.  A row's first contribution is copied into it; only later ones are
+added cell by cell.  Steps advance x by 1 or 2, so the sweep keeps a
+rolling window of three columns: O(n) memory for a size-n count (O(n^2)
+when steps are tracked; O(1) and O(n) without y).  It yields every
+column, so a whole row of sizes costs one pass.  The band is clipped to
+the reach of a size-n path (paths.reach: |y| <= 2n, and (n + 5) // 3 for
+zigzag paths), and each column extends only the cells a path can occupy.
 
 A single-size count with no line bound and no first or last direction
 sweeps only to h = ceil(n/2) and joins that sweep's columns (_join): every
@@ -58,24 +63,38 @@ class CountQuery:
             raise ValueError(f"unknown altitude filter {self.altitude!r}")
 
 
-def _floor(n_max: int, c: PathConstraints) -> int:
-    """Lowest altitude of the sweep's band; index 0 of every column list."""
+def _floor(n_max: int, c: PathConstraints, by_y: bool = True) -> int:
+    """Lowest altitude of the sweep's band; index 0 of every column list.
+
+    0 when the sweep does not track y: each of its rows is one cell.
+    """
+    if not by_y:
+        return 0
     r = reach(n_max, c.zigzag)
     return -r if c.min_y is None else max(c.min_y, -r)
 
 
 def _sweep(
-    n_max: int, c: PathConstraints, by_steps: bool = False, end: AltitudeFilter | None = None
+    n_max: int,
+    c: PathConstraints,
+    by_steps: bool = False,
+    end: AltitudeFilter | None = None,
+    by_y: bool = True,
 ) -> Iterator[dict]:
     """Yield the DP column at x = 0, 1, ..., n_max.
 
     A column maps (last direction, steps used) to a list of counts indexed
-    by y - _floor(n_max, c).  The empty path has direction 0.  A row is
-    keyed by its last direction only where something reads it: a grand
+    by y - _floor(n_max, c, by_y).  The empty path has direction 0.  A row
+    is keyed by its last direction only where something reads it: a grand
     path's is read by a last_dir filter alone, so without one every grand
     prefix but the empty one sits in a single row keyed ANY.  Steps used
     are tracked when by_steps or c.steps asks for them (and stay 0
-    otherwise); prefixes stop growing at c.steps steps.  The caller may
+    otherwise); prefixes stop growing at c.steps steps.  Without by_y,
+    which only a sweep with no line bound and `end` None or ALL may drop,
+    y is not tracked: every row is one cell and every move keeps y at 0.
+
+    A row's first contribution is copied into it, later ones added cell by
+    cell, and every yielded row is a list of its own, so the caller may
     clear cells of a yielded column: the sweep extends what it finds there.
 
     A zigzag sweep with no first_dir, over a band that is symmetric about
@@ -95,8 +114,8 @@ def _sweep(
     part of its counts, so only the last one is an answer.
     """
     by_steps = by_steps or c.steps is not None
-    lo = _floor(n_max, c)
-    top = reach(n_max, c.zigzag)
+    lo = _floor(n_max, c, by_y)
+    top = reach(n_max, c.zigzag) if by_y else 0
     hi = top if c.max_y is None else min(c.max_y, top)
     width = hi - lo + 1
     zigzag, first, steps = c.zigzag, c.first_dir, c.steps
@@ -120,8 +139,9 @@ def _sweep(
         return max(0, ylo - lo), min(width, yhi - lo + 1)
 
     # plain ints, read per cell row: (direction, dx, dy, key of the target row)
+    keyed = zigzag or c.last_dir is not None
     moves = tuple(
-        (s.direction, s.dx, s.dy, s.direction if zigzag or c.last_dir is not None else ANY)
+        (s.direction, s.dx, s.dy if by_y else 0, s.direction if keyed else ANY)
         for s in STEP_ORDER
         if not mirror or s.direction == UP
     )
@@ -156,17 +176,23 @@ def _sweep(
                     continue  # no cell of this row can take the step
                 key = (to, nxt)
                 target = ahead[dx - 1].get(key)
-                if target is None:
+                if target is None:  # the row's first contribution: a copy, no adds
                     target = ahead[dx - 1][key] = [0] * width
-                target[i0 + dy : i1 + dy] = map(add, target[i0 + dy : i1 + dy], row[i0:i1])
+                    target[i0 + dy : i1 + dy] = row[i0:i1]
+                else:
+                    target[i0 + dy : i1 + dy] = map(add, target[i0 + dy : i1 + dy], row[i0:i1])
         col, ahead = ahead[0], [ahead[1], {}]
 
 
 def _final(
-    size: int, c: PathConstraints, altitude: AltitudeFilter = ALL, by_steps: bool = False
+    size: int,
+    c: PathConstraints,
+    altitude: AltitudeFilter = ALL,
+    by_steps: bool = False,
+    by_y: bool = True,
 ) -> dict:
     """The sweep's column at x = size, for paths ending in the altitude filter."""
-    for col in _sweep(size, c, by_steps, end=altitude):
+    for col in _sweep(size, c, by_steps, end=altitude, by_y=by_y):
         pass
     return col
 
@@ -221,7 +247,7 @@ def _joined(a: list[int], b: list[int], z: int, altitude: AltitudeFilter) -> int
     return sum(map(mul, a[i0:i1], rb[w - 1 - p + i0 : w - 1 - p + i1])) + below * sum(a[i1:])
 
 
-def _join(size: int, altitude: AltitudeFilter, c: PathConstraints) -> int:
+def _join(size: int, altitude: AltitudeFilter, c: PathConstraints, by_y: bool) -> int:
     """count() of a query with no line bound and no first or last direction.
 
     One sweep to h = ceil(size / 2).  A path splits at its last vertex with
@@ -232,8 +258,8 @@ def _join(size: int, altitude: AltitudeFilter, c: PathConstraints) -> int:
     """
     h = (size + 1) // 2
     keep = (h - 1, h, size - h, size - h - 1)
-    cols = {x: col for x, col in enumerate(_sweep(h, c)) if x in keep}
-    z = -2 * _floor(h, c)  # i + j of two cells whose altitudes add up to 0
+    cols = {x: col for x, col in enumerate(_sweep(h, c, by_y=by_y)) if x in keep}
+    z = -2 * _floor(h, c, by_y)  # i + j of two cells whose altitudes add up to 0
     joins = [(cols[h], cols[size - h], None)]
     if size - h - 1 >= 0:
         joins += [(cols[h - 1], cols[size - h - 1], s) for s in STEP_ORDER if s.dx == 2]
@@ -257,13 +283,15 @@ def count(query: CountQuery) -> int:
 
     With no min_y, max_y, first_dir or last_dir, from half a sweep joined
     with itself (_join); otherwise from a sweep to the size whose end
-    window skips the prefixes that cannot end in the query.
+    window skips the prefixes that cannot end in the query.  Either sweep
+    tracks y only under a line bound or an altitude filter other than ALL.
     """
     size, altitude, c = query.size, query.altitude, query.constraints
+    by_y = (c.min_y, c.max_y, altitude) != (None, None, ALL)  # does anything read y?
     if (c.min_y, c.max_y, c.first_dir, c.last_dir) == (None,) * 4:
-        return _join(size, altitude, c)
-    by_y = _tally(_final(size, c, altitude), _floor(size, c), c, lambda y, d, used: y)
-    return _select(by_y, altitude)
+        return _join(size, altitude, c, by_y)
+    col, lo = _final(size, c, altitude, by_y=by_y), _floor(size, c, by_y)
+    return _select(_tally(col, lo, c, lambda y, d, used: y), altitude)
 
 
 def count_paths(

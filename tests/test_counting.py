@@ -149,7 +149,7 @@ def test_primitive_counts(paths_of):
     assert count_primitive(1) == 0
     # cross-check against exhaustive generation: axis paths whose interior
     # vertices avoid the axis
-    for n in range(1, 13):
+    for n in range(1, 15):
         brute = 0
         for p in paths_of(n, ZZ):
             if p.altitude != 0:
@@ -431,3 +431,90 @@ def test_only_unbounded_counts_take_the_join(monkeypatch):
         count_paths(9, 1, zigzag=True, **bound)
     count_row(9, ALL, ZZ)
     assert ends == [5, 5, 9, 9, 9, 9, 9]
+
+
+def test_counts_that_read_no_altitude_at_bench_sizes():
+    # each of these sweeps one cell per row; every engine it is checked
+    # against here tracks the altitude
+    total = recurrences.zigzag_total_row(601)
+    for n in (599, 600):
+        assert count_paths(n, ALL, ZZ) == total[n], n
+    steps_queries = [(120, PathConstraints(zigzag=True, steps=96))]
+    steps_queries += [(120, PathConstraints(zigzag=True, steps=96, last_dir=d)) for d in (UP, DOWN)]
+    steps_queries += [(60, PathConstraints(steps=s)) for s in (30, 41, 52, 60)]
+    steps_queries += [(60, PathConstraints(steps=45, last_dir=UP))]
+    for n, c in steps_queries:
+        dist = step_count_distribution(n, c)
+        want = sum(m for (y, used), m in dist.items() if used == c.steps)
+        assert count_paths(n, ALL, c) == want, (n, c)
+    half = closedforms.zigzag_total_closed(200) // 2  # the up/down mirror
+    for d in (UP, DOWN):
+        assert count_paths(200, ALL, zigzag=True, first_dir=d) == half, d
+        assert count_paths(200, ALL, zigzag=True, last_dir=d) == half, d
+
+
+def test_only_counts_that_read_no_altitude_drop_it(monkeypatch):
+    sweep, widths = counting._sweep, []
+
+    def spy(*args, **kw):
+        cols = sweep(*args, **kw)
+        first = next(cols)
+        widths.append(len(first[0, 0]))  # the empty path's row
+        yield first
+        yield from cols
+
+    monkeypatch.setattr(counting, "_sweep", spy)
+    for c in (
+        ZZ,
+        PathConstraints(),
+        PathConstraints(zigzag=True, steps=6),
+        PathConstraints(steps=6),
+        PathConstraints(zigzag=True, first_dir=UP),
+        PathConstraints(zigzag=True, last_dir=DOWN),
+        PathConstraints(last_dir=UP, steps=7),
+    ):
+        count_paths(9, ALL, c)
+    assert widths == [1] * 7
+    widths.clear()
+    count_paths(9, NONNEG, ZZ)
+    count_paths(9, 1)
+    count_paths(9, ALL, zigzag=True, min_y=-2)
+    count_paths(9, ALL, max_y=2)
+    count_paths(9, 0, zigzag=True, first_dir=UP)
+    count_row(9, ALL, ZZ)
+    altitude_distribution(9, ZZ)
+    _end_states(9, PathConstraints())
+    step_count_distribution(9, ZZ)
+    grand_row_stats(9)
+    count_primitive(9)
+    assert len(widths) == 11 and min(widths) > 1, widths
+
+
+@pytest.mark.parametrize(
+    "c, kw",
+    [
+        (ZZ, {}),  # mirrored
+        (PathConstraints(), {}),
+        (PathConstraints(last_dir=UP), {}),
+        (PathConstraints(zigzag=True, first_dir=DOWN), {}),  # not mirrored
+        (PathConstraints(zigzag=True, steps=7), {}),  # mirrored, with steps
+        (PathConstraints(steps=8), dict(end=ALL)),
+        (PathConstraints(zigzag=True, min_y=-2, max_y=3), {}),  # a band
+        (PathConstraints(zigzag=True, min_y=-2, max_y=2, steps=9), dict(end=1)),
+        (PathConstraints(min_y=-1), dict(end=NONNEG)),
+        (ZZ, dict(by_y=False)),
+        (PathConstraints(steps=8), dict(by_y=False, end=ALL)),
+        (PathConstraints(zigzag=True, last_dir=UP), dict(by_y=False)),
+    ],
+)
+def test_yielded_rows_are_their_own_lists(c, kw):
+    cols = list(counting._sweep(12, c, **kw))
+    for x, col in enumerate(cols):
+        for row in col.values():
+            assert not any(row is old for earlier in cols[:x] for old in earlier.values()), x
+    # clearing one column's cells changes no column already yielded after it
+    later = [{k: list(row) for k, row in col.items()} for col in cols]
+    for x, col in enumerate(cols):
+        for row in col.values():
+            row[:] = [0] * len(row)
+        assert cols[x + 1 :] == later[x + 1 :], x
