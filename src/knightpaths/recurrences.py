@@ -35,9 +35,10 @@ P-recurrence
 with integer polynomials p_i, committed below as data.  Each was guessed
 over Q from the first terms of the dynamic program (the unique solution at
 its order and degree) and is certified in the tests against the dynamic
-program to n = 300 and against the kernel-method series; the axis and
-altitude-sum recurrences also against the algebraic equation of their
-generating functions.  The rows ending at y >= 0 and at y > 0 then follow
+program to n = 300 and against the kernel-method series.  The axis and
+altitude-sum generating functions are algebraic of degree 4; their
+equations are committed too, and `verify` evaluates each on its row with
+integer products alone.  The rows ending at y >= 0 and at y > 0 then follow
 from the y -> -y symmetry.
 
 The paths g(n, k) ending at altitude k >= 2 follow from the rows k - 1 and
@@ -425,6 +426,30 @@ _GRAND_ALTITUDE_SUM = (
         (-119395296, 190930344, -117626620, 28310036, -2242744),
     ),
     (0, 2, 5, 20, 56, 180, 516, 1552),
+)
+
+# The algebraic equations sum_i c_i(z) a^i = 0 of the axis and altitude-sum
+# generating functions a(z): entry i lists c_i, constant term first.  Each is
+# the one vanishing factor, of degree 4 in a, of the resultants that
+# eliminate the two large grand kernel roots (found and checked in the
+# tests); `verify` evaluates it on its row.
+_GRAND_AXIS_EQUATION = (
+    (0, 0, 0, 1),
+    (),
+    (-4, 24, -48, 30, 24, -40, 0, 8),
+    (),
+    (4, -24, 32, 65, -232, 216, 96, -248, 96, 96, 0, 16),
+)
+
+_GRAND_ALTITUDE_SUM_EQUATION = (
+    (0, 0, 0, 16, -48, 68, -16, -24, 20, 24, 8, 1),
+    (),
+    (0, -4, 16, 72, -504, 912, -168, -1410, 1392, 728, -1136, -64, 704, 480, 192, 32),
+    (),
+    (
+        4, -56, 288, -511, -848, 4840, -5072, -7216, 18560, -1952,
+        -25664, 13920, 20224, -14464, -11008, 7424, 7168, 2560, 1024, 256,
+    ),
 )
 
 

@@ -387,6 +387,11 @@ RECURRENCES = {
     "altitude_sum": recurrences._GRAND_ALTITUDE_SUM,
 }
 
+EQUATIONS = {
+    "axis": recurrences._GRAND_AXIS_EQUATION,
+    "altitude_sum": recurrences._GRAND_ALTITUDE_SUM_EQUATION,
+}
+
 GRAND = PathConstraints()
 
 
@@ -449,6 +454,11 @@ def test_grand_rows_satisfy_the_kernel_algebraic_equation(key):
         if not any(value):
             hits.append(factor)
     assert len(hits) == 1 and sympy.degree(hits[0], x) == 4, hits
+    # the committed equation, which verify evaluates without sympy, is that factor
+    committed = sum(
+        c * x**i * z**j for i, p in enumerate(EQUATIONS[key]) for j, c in enumerate(p)
+    )
+    assert sympy.expand(committed - hits[0]) == 0 or sympy.expand(committed + hits[0]) == 0
 
 
 @pytest.mark.parametrize("key", ["axis", "alt1", "altitude_sum"])

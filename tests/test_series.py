@@ -396,10 +396,6 @@ def test_verify_leaves_every_memo_entry_intact():
     series._memo.clear()
     assert all(r.passed for r in run_checks("quick") if not r.name.startswith("7"))
     derive = {
-        "grand roots": series._derive_grand_roots,
-        "grand boundary": lambda o: series._derive_grand_boundary(
-            o, *series.grand_kernel_roots(o)
-        ),
         "zigzag roots": series._derive_zigzag_roots,
         "zigzag boundary": lambda o: series._derive_zigzag_boundary(
             o, series.zigzag_kernel_roots(o + 3)[0]

@@ -1,0 +1,120 @@
+"""The verify checks certify the engines that answer, and each can fail.
+
+Check 5 evaluates committed algebraic equations on the grand rows and the
+zigzag kernel on the small root; check 3 compares every band's transfer
+row with the DP.  Each test below corrupts one input and expects its check
+to go red, so a check that always passes would show here.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from knightpaths import recurrences, series, transfer, verification
+from knightpaths.paths import PathConstraints
+
+
+def _corrupted(row: list[int], index: int, by: int = 1) -> list[int]:
+    row = list(row)
+    row[index] += by
+    return row
+
+
+def _check(name: str, level: str = "quick") -> tuple[bool, str]:
+    return verification.CHECKS[name](level)
+
+
+@pytest.mark.parametrize(
+    "row, label",
+    [("grand_axis_row", "grand axis row"), ("grand_altitude_sum_row", "grand altitude-sum row")],
+)
+@pytest.mark.parametrize("index", [5, 30, 47])
+def test_a_corrupted_grand_row_fails_check_5(monkeypatch, row, label, index):
+    honest = getattr(recurrences, row)
+    monkeypatch.setattr(recurrences, row, lambda count: _corrupted(honest(count), index))
+    passed, detail = _check("5-kernel-certificates")
+    assert not passed and detail.startswith(f"{label}: equation fails"), detail
+
+
+@pytest.mark.parametrize("name", ["_GRAND_AXIS_EQUATION", "_GRAND_ALTITUDE_SUM_EQUATION"])
+@pytest.mark.parametrize("power", [0, 2, 4])
+def test_a_corrupted_committed_coefficient_fails_check_5(monkeypatch, name, power):
+    equation = [list(c) for c in getattr(recurrences, name)]
+    equation[power][-1] += 1
+    monkeypatch.setattr(recurrences, name, tuple(map(tuple, equation)))
+    passed, detail = _check("5-kernel-certificates")
+    assert not passed and "equation fails" in detail, detail
+
+
+@pytest.mark.parametrize("index", [3, 20, 49])
+def test_a_wrong_small_root_coefficient_fails_check_5(monkeypatch, index):
+    honest = recurrences.small_root_coeffs
+    monkeypatch.setattr(
+        recurrences, "small_root_coeffs", lambda order: _corrupted(honest(order), index)
+    )
+    passed, detail = _check("5-kernel-certificates")
+    assert not passed and detail.startswith("small zigzag root: equation fails"), detail
+
+
+def test_a_wrong_sqrt_delta_coefficient_fails_check_5(monkeypatch):
+    # by 2, so that the small root built on it stays integral
+    honest = recurrences._sqrt_delta
+    monkeypatch.setattr(recurrences, "_sqrt_delta", lambda order: _corrupted(honest(order), 12, 2))
+    passed, detail = _check("5-kernel-certificates")
+    assert not passed and "sqrt(Delta): equation fails" in detail, detail
+
+
+def test_a_corrupted_transfer_band_row_fails_check_3_at_quick(monkeypatch):
+    honest = transfer.band_gf
+    target = PathConstraints(zigzag=True, min_y=-1, max_y=2)
+
+    class Corrupted:
+        def __init__(self, gf):
+            self.gf = gf
+
+        def expand(self, count):
+            return _corrupted(self.gf.expand(count), 7)
+
+    def band_gf(c, altitude=transfer.ALL):
+        gf = honest(c, altitude)
+        return Corrupted(gf) if c == target else gf
+
+    monkeypatch.setattr(transfer, "band_gf", band_gf)
+    passed, detail = _check("3-cross-engine")
+    assert not passed and detail.startswith("band m=1 M=2: transfer="), detail
+
+
+@pytest.mark.parametrize(
+    "row, param, index, want",
+    [
+        ("zigzag_altitude_row", -2, 8, "(8,-2): "),
+        ("zigzag_altitude_row", 4, 11, "(11,4): "),
+        ("above_line_row", 3, 9, "above m=3: "),
+    ],
+)
+def test_a_corrupted_answering_row_fails_check_3_at_quick(monkeypatch, row, param, index, want):
+    """Check 3 reads the rows that `count --engine gf` prints for zigzag."""
+    honest = getattr(recurrences, row)
+
+    def patched(k, count):
+        got = honest(k, count)
+        return _corrupted(got, index) if k == param else got
+
+    monkeypatch.setattr(recurrences, row, patched)
+    passed, detail = _check("3-cross-engine")
+    assert not passed and detail.startswith(want), detail
+
+
+def test_verify_builds_no_grand_or_band_kernel_series(monkeypatch):
+    """No check reads a grand kernel series or a kernel-method band: every
+    answer for those comes from the rows and the transfer engine."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grand or band kernel series was built")
+
+    for name in ("grand_kernel_roots", "_grand_boundary", "grand_totals", "grand_altitude_gf", "tube_gf"):
+        monkeypatch.setattr(series, name, refuse)
+    quick = list(verification.run_checks("quick"))
+    assert len(quick) == 9 and all(r.passed for r in quick), [r for r in quick if not r.passed]
+    failed = [r.name for r in verification.run_checks("full") if not r.passed]
+    assert failed == ["7-asymptotics"]
