@@ -42,10 +42,7 @@ def _gf_count(query: CountQuery) -> int | None:
     size, altitude, c = query.size, query.altitude, query.constraints
     order = size + 1
     if c.min_y is not None and c.max_y is not None and c.steps is None:
-        # no path of this size leaves [-r, r], so the band's cost is bounded by the size
-        r = reach(size, c.zigzag)
-        c = replace(c, min_y=max(c.min_y, -r), max_y=min(c.max_y, r))
-        return transfer.band_gf(c, altitude).expand(order)[size]
+        return transfer.band_gf(_within_reach(c, size), altitude).expand(order)[size]
     if c.steps is not None or c.first_dir is not None or c.last_dir is not None:
         return None
     bounded = c.min_y is not None or c.max_y is not None
@@ -66,8 +63,21 @@ def _gf_count(query: CountQuery) -> int | None:
     if altitude != ALL:
         return None
     # one bound only: staying above -m and staying below +m are mirror images
+    c = _within_reach(c, size)
     m = -c.min_y if c.min_y is not None else c.max_y
     return recurrences.above_line_row(m, order)[size]
+
+
+def _within_reach(c: PathConstraints, size: int) -> PathConstraints:
+    """c with its line bounds moved in to [-r, r], r = reach(size).
+
+    No path of this size or less leaves [-r, r], so a bound past r never
+    binds, and the cost of a band or a line is bounded by the size.
+    """
+    r = max(reach(size, c.zigzag), 0)
+    lo = None if c.min_y is None else max(c.min_y, -r)
+    hi = None if c.max_y is None else min(c.max_y, r)
+    return replace(c, min_y=lo, max_y=hi)
 
 
 def _closed_count(query: CountQuery) -> int | None:
@@ -112,7 +122,8 @@ def _closed_count(query: CountQuery) -> int | None:
 
 
 def _band_row(n: int, lo: int, hi: int, altitude=ALL) -> list[int]:
-    return transfer.band_gf(PathConstraints(zigzag=True, min_y=lo, max_y=hi), altitude).expand(n)
+    c = _within_reach(PathConstraints(zigzag=True, min_y=lo, max_y=hi), n - 1)
+    return transfer.band_gf(c, altitude).expand(n)
 
 
 def _tube(n: int, m: int, M: int) -> list[int]:
@@ -127,8 +138,8 @@ def _positive(name: str, value: int) -> int:
 
 # name -> (n, need) -> the first n coefficients, where need("k") reads --k.
 # The grand names read exact rows and the zigzag names expand the kernel
-# series.  The transfer engine takes any band; the band names keep the
-# series' domain.
+# series.  The band names read the transfer engine, which takes any band;
+# they accept only m <= M (series.check_band).
 GF_ROWS = {
     "grand-total": lambda n, need: series.GRAND_TOTAL_GF.expand(n),
     "grand-nonneg": lambda n, need: recurrences.grand_nonneg_row(n),
@@ -142,7 +153,7 @@ GF_ROWS = {
         series.zigzag_altitude_gf(abs(need("k")), n), n
     ),
     "zigzag-primitive": lambda n, need: series.int_coefficients(series.zigzag_primitive_gf(n), n),
-    "above-line": lambda n, need: series.int_coefficients(series.above_line_gf(need("m"), n)[0], n),
+    "above-line": lambda n, need: series.int_coefficients(series.above_line_gf(need("m"), n), n),
     "sym-tube": lambda n, need: _tube(n, _positive("m", need("m")), need("m")),
     "tube": lambda n, need: _tube(n, need("m"), need("M")),
     "tube-axis": lambda n, need: _band_row(n, 0, _positive("M", need("M")), 0),

@@ -13,9 +13,8 @@ leading zeros are stripped (trailing ones too when exact), so equal series
 are structurally equal.  Rationals are converted once, at construction; the
 arithmetic runs on ints and normalises once per result.
 
-The variable is abstract.  The grand-knight engine uses series in w with
-w**2 = z (the kernel radicals need half-integer powers of z); the zigzag
-engine uses ordinary series in z.  Division and square root follow the
+The variable is abstract; the zigzag kernel series of `series` are
+ordinary series in z.  Division and square root follow the
 truncated-Newton/long-division schemes and are exact.
 """
 
@@ -128,25 +127,6 @@ class LaurentSeries:
         keep = max(order - self.valuation, 0)
         return _make(self.valuation, self.nums[:keep], self.den, order)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        mine = (self.valuation, self.den, self.nums, self.order)
-        return mine == (other.valuation, other.den, other.nums, other.order)
-
-    def __hash__(self) -> int:
-        return hash((self.valuation, tuple(self.nums), self.den, self.order))
-
-    def __repr__(self) -> str:
-        head = ", ".join(
-            f"{Fraction(n, self.den)}*x^{self.valuation + i}"
-            for i, n in enumerate(self.nums[:4])
-        )
-        if len(self.nums) > 4:
-            head += ", ..."
-        tail = "" if self.order is None else f" + O(x^{self.order})"
-        return f"<LaurentSeries {head or '0'}{tail}>"
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: LaurentSeries | Rat) -> LaurentSeries:
@@ -169,16 +149,11 @@ class LaurentSeries:
             out[i : i + len(nums)] = map(add, out[i : i + len(nums)], nums)
         return _make(lo, out, den, order)
 
-    __radd__ = __add__
-
     def __neg__(self) -> LaurentSeries:
         return _make(self.valuation, [-n for n in self.nums], self.den, self.order)
 
     def __sub__(self, other: LaurentSeries | Rat) -> LaurentSeries:
         return self + (-_coerce(other))
-
-    def __rsub__(self, other: Rat) -> LaurentSeries:
-        return _coerce(other) - self
 
     def __mul__(self, other: LaurentSeries | Rat) -> LaurentSeries:
         if isinstance(other, (int, Fraction)):
@@ -244,11 +219,6 @@ class LaurentSeries:
                 h = s * f // lead
             out.append(h)
         return _make(-self.valuation, out, den, -self.valuation + rel)
-
-    def __truediv__(self, other: LaurentSeries | Rat) -> LaurentSeries:
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return self * other.inverse()
 
     def divide(self, other: LaurentSeries, order: int | None = None) -> LaurentSeries:
         """self / other with an explicit truncation order for exact divisors."""

@@ -3,7 +3,8 @@
 The asymptotic checks compare against exact values at sizes in the
 thousands, and the generating-function engine of `count` and the grand
 `gf` names read their coefficients here.  These come from code independent
-of the series engine and of the dynamic program, which stay their checks.
+of the series engine and of the dynamic program: the DP checks every row,
+and the zigzag kernel series check the zigzag ones.
 Each row costs O(n * small degree) big-integer steps.
 
 Every zigzag-side series here lies in the quadratic extension Q(z)(r) of
@@ -35,10 +36,9 @@ P-recurrence
 with integer polynomials p_i, committed below as data.  Each was guessed
 over Q from the first terms of the dynamic program (the unique solution at
 its order and degree) and is certified in the tests against the dynamic
-program to n = 300 and against the kernel-method series.  The axis and
-altitude-sum generating functions are algebraic of degree 4; their
-equations are committed too, and `verify` evaluates each on its row with
-integer products alone.  The rows ending at y >= 0 and at y > 0 then follow
+program to n = 300.  The axis and altitude-sum generating functions are
+algebraic of degree 4; their equations are committed too, and `verify`
+evaluates each on its row with integer products alone.  The rows ending at y >= 0 and at y > 0 then follow
 from the y -> -y symmetry.
 
 The paths g(n, k) ending at altitude k >= 2 follow from the rows k - 1 and

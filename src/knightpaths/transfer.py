@@ -28,9 +28,8 @@ a grand step by at most 2.  A row with zeros left of the pivot column is
 only ever scaled by the elimination, so it is left alone until the column
 reaches it, and the cost grows with the band's span, not with the order.
 
-The engine is independent of the DP and of the kernel-method series
-(`series.tube_gf`).  `verify` checks its bands against the DP; the tests
-check them against both.
+The engine is independent of the DP and of the kernel-method series.
+`verify` and the tests check its bands against the DP.
 """
 
 from __future__ import annotations

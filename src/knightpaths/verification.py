@@ -7,9 +7,8 @@ disagreement, never a formatting artifact.
 
 Each check compares the engines that print numbers: the DP, the closed
 forms, the integer rows of `recurrences`, the transfer engine for bands and
-the zigzag kernel series that the zigzag `gf` names expand.  No check builds a
-grand kernel series or a kernel-method band; the grand rows are certified
-instead against their committed algebraic equations (check 5).
+the zigzag kernel series that the zigzag `gf` names expand.  The grand rows
+are certified against their committed algebraic equations (check 5).
 
 Levels: "quick" runs reduced ranges; "full" runs the complete ranges,
 including the large-size asymptotic gates.  On a 2-core VM the checks take
@@ -127,8 +126,7 @@ def check_sequence_fixtures(level: str = "quick") -> tuple[bool, str]:
         series.int_coefficients(series.zigzag_primitive_gf(23), 23),
     )
     compare("zigzag-primitive", [counting.count_primitive(n) for n in range(23)])
-    above2, _ = series.above_line_gf(2, 17)
-    compare("above-line-m2", series.int_coefficients(above2, 16))
+    compare("above-line-m2", series.int_coefficients(series.above_line_gf(2, 17), 16))
     compare("above-line-m2", counting.count_row(15, ALL, _zigzag(min_y=-2)))
     compare("tube1-axis", series.TUBE1_AXIS_GF.expand(19))
     for name, lo, hi in (("tube1-axis", -1, 1), ("band-0-2-axis", 0, 2)):
@@ -162,9 +160,7 @@ def check_cross_engine(level: str = "quick") -> tuple[bool, str]:
                 problems.append(f"({n},{k}): dp={dp} closed={closed} gf={gf} row={row}")
     for m in (1, 2, 3):
         dp_row = counting.count_row(band_top, ALL, _zigzag(min_y=-m))
-        gf_row = series.int_coefficients(
-            series.above_line_gf(m, band_top + 1)[0], band_top + 1
-        )
+        gf_row = series.int_coefficients(series.above_line_gf(m, band_top + 1), band_top + 1)
         row = recurrences.above_line_row(m, band_top + 1)
         if not dp_row == gf_row == row:
             problems.append(f"above m={m}: gf={gf_row} row={row} dp={dp_row}")
@@ -308,9 +304,7 @@ def check_threshold_law(level: str = "quick") -> tuple[bool, str]:
             problems.append(f"m={m}: rows differ before size {cutoff}")
         if free[cutoff] == bounded[cutoff]:
             problems.append(f"m={m}: rows agree at size {cutoff}")
-        gf_row = series.int_coefficients(
-            series.above_line_gf(m, cutoff + 1)[0], cutoff + 1
-        )
+        gf_row = series.int_coefficients(series.above_line_gf(m, cutoff + 1), cutoff + 1)
         rational = series.ZIGZAG_TOTAL_GF.expand(cutoff + 1)
         diff_val = next(
             (i for i in range(cutoff + 1) if gf_row[i] != rational[i]), None

@@ -84,11 +84,8 @@ def test_traced_commands_match_untraced(capsys):
 
 def test_memoised_kernel_roots_are_still_traced(capsys):
     """The kernel roots are memoised inside plain module-level functions, so
-    the tracer still wraps and counts every call to them.  The kernel
-    certificates check the grand rows against their committed equations and
-    build no grand kernel root."""
+    the tracer still wraps and counts every call to them."""
     layers = _traced([["verify", "--level", "quick", "--only", "5-kernel"]], capsys)["layers"]
-    assert layers["series.grand_kernel_roots.calls"] == 0
     assert layers["series.zigzag_kernel_roots.calls"] > 0
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knightpaths import counting, engines
+from knightpaths import counting, engines, recurrences, transfer
 from knightpaths.counting import ALL, NONNEG, CountQuery
-from knightpaths.paths import DOWN, UP, PathConstraints
+from knightpaths.paths import DOWN, UP, PathConstraints, reach
 
 
 @st.composite
@@ -57,3 +57,46 @@ def test_unknown_engine_raises():
 def test_gf_row_rejects_bad_names_and_parameters(name, params, message):
     with pytest.raises(ValueError, match=message):
         engines.gf_row(name, 5, **params)
+
+
+# -- bounds past every path's reach ----------------------------------------------
+#
+# No path of size n leaves [-r, r], r = reach(n), so a bound past r never
+# binds.  The gf routes move such a bound in to r, so their cost is bounded by
+# the size.  Each spy refuses a bound past the reach before any work is done.
+
+HUGE = 10**6
+
+
+@pytest.mark.parametrize("bound", [{"min_y": -HUGE}, {"max_y": HUGE}])
+def test_gf_count_moves_a_line_past_the_reach_in(monkeypatch, bound):
+    row = recurrences.above_line_row
+
+    def within_reach(m, count):
+        assert m <= reach(count - 1, True), (m, count)
+        return row(m, count)
+
+    monkeypatch.setattr(recurrences, "above_line_row", within_reach)
+    c = PathConstraints(zigzag=True, **bound)
+    got = [engines.count(CountQuery(n, ALL, c), "gf") for n in range(41)]
+    assert got == counting.count_row(40, ALL, c)
+
+
+@pytest.mark.parametrize(
+    "name, params, lo, hi, altitude",
+    [
+        ("tube", {"m": 1, "M": HUGE}, -1, HUGE, ALL),
+        ("sym-tube", {"m": HUGE}, -HUGE, HUGE, ALL),
+        ("tube-axis", {"M": HUGE}, 0, HUGE, 0),
+    ],
+)
+def test_band_rows_move_a_side_past_the_reach_in(monkeypatch, name, params, lo, hi, altitude):
+    band_gf, r = transfer.band_gf, reach(29, True)
+
+    def within_reach(c, altitude=ALL):
+        assert -r <= c.min_y and c.max_y <= r, (c.min_y, c.max_y)
+        return band_gf(c, altitude)
+
+    monkeypatch.setattr(transfer, "band_gf", within_reach)
+    c = PathConstraints(zigzag=True, min_y=lo, max_y=hi)
+    assert engines.gf_row(name, 30, **params) == counting.count_row(29, altitude, c)

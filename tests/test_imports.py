@@ -21,7 +21,7 @@ BANNED = {
     # asym reads the rows alone; a from-import of the DP would also slip
     # past the monkeypatch in test_grand_reports_do_not_run_the_dp
     "asymptotics": {"counting", "series", "engines"},
-    # the band engine is checked against the DP, and in the tests also against series.tube_gf
+    # the band engine is checked against the DP
     "transfer": {"series", "counting", "sympy", "mpmath", "engines"},
     "closedforms": {"series", "counting", "recurrences", "transfer", "laurent", "engines"},
     "counting": {"series", "transfer", "recurrences", "closedforms", "laurent", "engines"},

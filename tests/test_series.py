@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from knightpaths import fixtures, series, transfer
-from knightpaths.counting import ALL, NONNEG, altitude_distribution, count_paths, count_row
+from knightpaths import engines, fixtures, recurrences, series, transfer
+from knightpaths.counting import ALL, count_row
 from knightpaths.paths import UP, PathConstraints, reach
 
 ZZ = PathConstraints(zigzag=True)
@@ -17,60 +17,22 @@ def ints(gf, count):
     return series.int_coefficients(gf, count)
 
 
-def wz(gf, count):
-    return [int(c) for c in series.z_coefficients(gf, count)]
-
-
 # -- grand world ---------------------------------------------------------------
-
-
-def test_grand_kernel_roots_shape():
-    r1, r2 = series.grand_kernel_roots(20)
-    assert r1.valuation == -1
-    assert r2.valuation == -1
-    assert r1.coefficient(-1) == 1
-    assert r2.coefficient(-1) == -1
-
-
-def test_grand_kernel_certificates():
-    res1, res2 = series.grand_kernel_residuals(50)
-    assert res1.is_zero() and res1.order >= 100
-    assert res2.is_zero() and res2.order >= 100
-
-
-def test_grand_symmetric_functions_are_even():
-    r1, r2 = series.grand_kernel_roots(20)
-    series.z_coefficients(r1 + r2, 20)  # raises if any odd coefficient appears
-    series.z_coefficients(r1 * r2, 20)
-    with pytest.raises(ArithmeticError):
-        series.z_coefficients(r1, 5)  # a single root is genuinely half-integer
-
-
-def test_grand_boundary_rows():
-    axis, alt1 = series.grand_boundary_gfs(8)
-    assert wz(axis, 7) == [1, 0, 2, 0, 8, 6, 44]
-    assert wz(alt1, 7) == [0, 0, 1, 2, 6, 12, 33]
-
-
-def test_grand_altitude_rows():
-    assert wz(series.grand_altitude_gf(2, 8), 6) == [0, 1, 0, 3, 1, 16]
-    assert wz(series.grand_altitude_gf(5, 9), 8)[6:8] == [20, 34]
-    assert wz(series.grand_altitude_gf(9, 9), 8)[6:8] == [5, 6]
-    axis, _ = series.grand_boundary_gfs(9)
-    assert wz(series.grand_altitude_gf(0, 9), 9) == wz(axis, 9)
 
 
 def test_grand_altitude_full_table():
     for k in range(10):
-        row = wz(series.grand_altitude_gf(k, 11), 10)
+        row = recurrences.grand_altitude_row(k, 10)
         for n in range(10):
             assert row[n] == fixtures.GRAND_TABLE[n][k], (n, k)
 
 
 def test_grand_totals_rows():
-    h1, dh1 = series.grand_totals(14)
-    assert wz(h1, 13) == list(fixtures.SEQUENCES["grand-nonneg"].terms)
-    assert wz(dh1, 13) == list(fixtures.SEQUENCES["grand-altitude-sum"].terms)
+    n = len(fixtures.SEQUENCES["grand-nonneg"].terms)
+    assert recurrences.grand_nonneg_row(n) == list(fixtures.SEQUENCES["grand-nonneg"].terms)
+    assert recurrences.grand_altitude_sum_row(n) == list(
+        fixtures.SEQUENCES["grand-altitude-sum"].terms
+    )
 
 
 def test_grand_total_rational():
@@ -149,10 +111,10 @@ def test_zigzag_primitive_row():
 
 
 def test_above_line_fixture_and_dp():
-    total, _ = series.above_line_gf(2, 17)
+    total = series.above_line_gf(2, 17)
     assert ints(total, 16) == list(fixtures.SEQUENCES["above-line-m2"].terms)
     for m in (1, 2, 3, 4):
-        row = ints(series.above_line_gf(m, 26)[0], 26)
+        row = ints(series.above_line_gf(m, 26), 26)
         dp = count_row(25, ALL, PathConstraints(zigzag=True, min_y=-m))
         assert row == dp, m
 
@@ -161,23 +123,9 @@ def test_above_line_threshold_valuations():
     rational = series.ZIGZAG_TOTAL_GF.expand(16)
     for m in range(1, 6):
         cutoff = 3 * m - 2
-        row = ints(series.above_line_gf(m, cutoff + 2)[0], cutoff + 1)
+        row = ints(series.above_line_gf(m, cutoff + 2), cutoff + 1)
         assert row[:cutoff] == rational[:cutoff], m
         assert row[cutoff] != rational[cutoff], m
-
-
-def test_above_line_bottom_edge_vs_dp():
-    from knightpaths.counting import _end_states
-
-    for m in (1, 2, 3):
-        _, bottom = series.above_line_gf(m, 16)
-        got = ints(bottom, 15)
-        for n in range(15):
-            end = _end_states(n, PathConstraints(zigzag=True, min_y=-m))
-            want = sum(c for (y, d), c in end.items() if y == -m + 1 and d == 1)
-            if m == 1 and n == 0:
-                want += 1  # the empty path belongs to the rising class
-            assert got[n] == want, (m, n)
 
 
 def _symmetric_band(m, **kw):
@@ -188,17 +136,6 @@ def test_symmetric_band_total_vs_dp():
     for m in (1, 2, 3):
         c = _symmetric_band(m)
         assert transfer.band_gf(c).expand(31) == count_row(30, ALL, c), m
-
-
-def test_symmetric_band_matches_kernel_solver():
-    for m in (1, 2, 3):
-        assert transfer.band_gf(_symmetric_band(m)).expand(40) == ints(
-            series.tube_gf(m, m, 41).total(), 40
-        ), m
-        edge = transfer.band_gf(_symmetric_band(m, last_dir=UP), 1 - m).expand(20)
-        if m == 1:
-            edge[0] += 1  # tube_gf puts the empty path in the rising class at altitude 0
-        assert edge == ints(series.tube_gf(m, m, 20).up[1], 20), m
 
 
 def test_symmetric_band_converges_to_unbounded():
@@ -212,52 +149,37 @@ def test_symmetric_band_converges_to_unbounded():
 
 
 def test_tube_axis_fixture():
-    row = ints(series.tube_gf(0, 2, 20).axis(), 19)
+    row = engines.gf_row("tube-axis", 19, M=2)
     assert row == list(fixtures.SEQUENCES["band-0-2-axis"].terms)
-    narrow = ints(series.tube_gf(1, 1, 20).axis(), 19)
+    narrow = transfer.band_gf(_symmetric_band(1), 0).expand(19)
     assert narrow == list(fixtures.SEQUENCES["tube1-axis"].terms)
     assert series.TUBE1_AXIS_GF.expand(19) == narrow
 
 
 def test_tube_totals_vs_dp():
     for m, M in ((0, 1), (1, 2), (2, 3), (1, 3)):
-        row = ints(series.tube_gf(m, M, 26).total(), 26)
+        row = engines.gf_row("tube", 26, m=m, M=M)
         dp = count_row(25, ALL, PathConstraints(zigzag=True, min_y=-m, max_y=M))
         assert row == dp, (m, M)
 
 
-def test_tube_altitude_slices_vs_dp():
-    for m, M in ((1, 1), (0, 2), (1, 2)):
-        band = series.tube_gf(m, M, 16)
-        c = PathConstraints(zigzag=True, min_y=-m, max_y=M)
-        for n in range(16):
-            dist = altitude_distribution(n, c)
-            for y in range(-m, M + 1):
-                assert ints(band.altitude(y), 16)[n] == dist.get(y, 0), (m, M, n, y)
-
-
 def test_band_boundary_rows():
     """The kernel method's two boundary unknowns, paths ending with a rise at
-    -m + 1 and at M, from the transfer engine against the DP and tube_gf,
-    for every band [-m, M] with m, M <= 3."""
+    -m + 1 and at M, from the transfer engine against the DP, for every band
+    [-m, M] with m, M <= 3."""
     for m in range(4):
         for M in range(4):
             c = PathConstraints(zigzag=True, min_y=-m, max_y=M, last_dir=UP)
-            band = series.tube_gf(m, M, 24) if m <= M and M >= 1 else None
             for y in (1 - m, M):
                 row = transfer.band_gf(c, y).expand(24)
                 assert row == count_row(23, y, c), (m, M, y)
-                if band is not None:
-                    # tube_gf puts the empty path in the rising class at altitude 0
-                    empty = [int(y == 0)] + [0] * 23
-                    assert ints(band.up[y + m], 24) == [a + b for a, b in zip(row, empty)], (m, M, y)
 
 
 def test_tube_rejects_degenerate_band():
-    with pytest.raises(ValueError):
-        series.tube_gf(0, 0, 10)
-    with pytest.raises(ValueError):
-        series.tube_gf(2, 1, 10)
+    with pytest.raises(ValueError, match="only the empty path"):
+        engines.gf_row("tube", 10, m=0, M=0)
+    with pytest.raises(ValueError, match="0 <= m <= M"):
+        engines.gf_row("tube", 10, m=2, M=1)
 
 
 def test_span_rows():
@@ -287,13 +209,6 @@ def test_coefficient_readers_keep_their_guards():
         ints(half, 5)  # the integrality guard fires before the order check
     with pytest.raises(ValueError, match="exact below order 3"):
         ints(series.LaurentSeries(0, [1, 2, 3], 3), 4)
-    odd = series.LaurentSeries(0, [1, 0, 0, Fraction(1, 3)], 6)
-    with pytest.raises(ArithmeticError, match=r"w\^3 is 1/3"):
-        series.z_coefficients(odd, 2)
-    even = series.LaurentSeries(-2, [4, 0, 1, 0, Fraction(5, 2)], 5)
-    assert series.z_coefficients(even, 3) == [1, Fraction(5, 2), 0]
-    with pytest.raises(ValueError, match=r"x\*\*6 requested"):
-        series.z_coefficients(even, 4)
 
 
 def test_span_solves_each_band_once(monkeypatch):
@@ -317,28 +232,16 @@ def test_span_solves_each_band_once(monkeypatch):
 def test_truncation_consistency_across_orders():
     pairs = [
         (series.zigzag_nonneg_gf(30), series.zigzag_nonneg_gf(60)),
-        (series.grand_totals(30)[0], series.grand_totals(60)[0]),
-        (series.tube_gf(1, 2, 30).total(), series.tube_gf(1, 2, 60).total()),
+        (series.above_line_gf(2, 30), series.above_line_gf(2, 60)),
     ]
     for low, high in pairs:
         for i in range(30):
             assert low.coefficient(i) == high.coefficient(i)
 
 
-def test_parity_purity_of_final_answers():
-    for gf in (
-        series.grand_boundary_gfs(40)[0],
-        series.grand_altitude_gf(3, 40),
-        series.grand_totals(40)[1],
-    ):
-        series.z_coefficients(gf, 40)  # raises on violation
-
-
 # -- memoised kernel roots and boundary series ------------------------------------
 
 MEMOISED = {
-    "grand roots": (series.grand_kernel_roots, 4),
-    "grand boundary": (series._grand_boundary, 4),
     "zigzag roots": (series.zigzag_kernel_roots, 6),
     "zigzag boundary": (series.zigzag_boundary_gf, 3),
 }
@@ -376,18 +279,11 @@ def test_memoised_result_equals_a_fresh_derivation(key):
 
 
 def test_order_checks_run_before_the_memo():
-    series.grand_kernel_roots(40)
     series.zigzag_boundary_gf(40)  # caches the zigzag roots at 43
-    series._grand_boundary(40)
-    for fn, low in (
-        (series.grand_kernel_roots, 3),
-        (series.zigzag_kernel_roots, 5),
-        (series._grand_boundary, 3),
-        (series.zigzag_boundary_gf, 2),
-    ):
+    for fn, low in ((series.zigzag_kernel_roots, 5), (series.zigzag_boundary_gf, 2)):
         with pytest.raises(ValueError, match="order must be at least"):
             fn(low)
-    assert len(series._memo) == 4
+    assert len(series._memo) == 2
 
 
 def test_verify_leaves_every_memo_entry_intact():
@@ -410,120 +306,62 @@ def test_verify_leaves_every_memo_entry_intact():
 # -- precision guards ------------------------------------------------------------
 #
 # Every working order is the exact loss of its derivation, so each function
-# returns a known order: its contract (order in z, 2 order in w) plus only the
-# surplus its docstring states.  A working order is never below the roots'
-# least order, and that floor is the one source of extra surplus.
+# returns a known order: its contract plus only the surplus its docstring
+# states.  A working order is never below the roots' least order, and that
+# floor is the one source of extra surplus.
 
-G, Z = series.GRAND_LEAST, series.ZIGZAG_LEAST
+Z = series.ZIGZAG_LEAST
 
 
-def _floor_gap(work: int, least: int) -> int:
-    """How far the working order `work` is raised to reach `least`."""
-    return max(0, least - work)
+def _floor_gap(work: int) -> int:
+    """How far the working order `work` is raised to reach the roots' least order."""
+    return max(0, Z - work)
 
 
 def _zigzag_altitude_loss(k: int) -> int:
     return 0 if k == 0 else -1 if k == 1 else 8 - 3 * k
 
 
-def _above_line_loss(m: int) -> int:
-    return -1 if m == 1 else 6 - 3 * m
-
-
-def _tube_loss(m: int, M: int) -> int:
-    return 7 if M == 1 else 3 * m + 8
-
-
 def _orders(*parts):
     return [s.order for s in parts]
 
 
-def _tube_orders(band):
-    return _orders(*band.up) + _orders(*band.down)
-
-
-def _bands(span_top: int):
-    return [(m, s - m) for s in range(1, span_top + 1) for m in range(s // 2 + 1)]
-
-
-# name: (least order, params, got(order, p), surplus(order, p), w-world)
+# name: (least order, params, got(order, p), surplus(order, p))
 GUARDS = {
-    "grand_kernel_roots": (
-        G, [None],
-        lambda o, _: _orders(*series.grand_kernel_roots(o)),
-        lambda o, _: [0, 0], True,
-    ),
-    "grand_kernel_residuals": (
-        1, [None],
-        lambda o, _: _orders(*series.grand_kernel_residuals(o)),
-        lambda o, _: [1 + 2 * _floor_gap(o + 1, G)] * 2, True,
-    ),
-    "_grand_boundary": (
-        G, [None],
-        lambda o, _: _orders(*series._grand_boundary(o)),
-        lambda o, _: [1, 2, 0, 0], True,
-    ),
-    "grand_boundary_gfs": (
-        1, [None],
-        lambda o, _: _orders(*series.grand_boundary_gfs(o)),
-        lambda o, _: [1 + 2 * _floor_gap(o, G), 2 + 2 * _floor_gap(o, G)], True,
-    ),
-    "grand_altitude_gf": (
-        1, [*range(8), 11, 20, 30],
-        lambda o, k: _orders(series.grand_altitude_gf(k, o)),
-        lambda o, k: [(k + 1) % 2 + 2 * _floor_gap(o - (k + 1) // 2, G)], True,
-    ),
-    "grand_totals": (
-        1, [None],
-        lambda o, _: _orders(*series.grand_totals(o)),
-        lambda o, _: [1 + 2 * _floor_gap(o, G), 2 + 2 * _floor_gap(o, G)], True,
-    ),
     "zigzag_kernel_roots": (
         Z, [None],
         lambda o, _: _orders(*series.zigzag_kernel_roots(o)),
-        lambda o, _: [0, 0], False,
+        lambda o, _: [0, 0],
     ),
     "zigzag_kernel_residuals": (
         1, [None],
         lambda o, _: _orders(*series.zigzag_kernel_residuals(o)),
-        lambda o, _: [_floor_gap(o, Z)] * 2, False,
+        lambda o, _: [_floor_gap(o)] * 2,
     ),
     "zigzag_boundary_gf": (
         3, [None],
         lambda o, _: _orders(series.zigzag_boundary_gf(o)),
-        lambda o, _: [0], False,
+        lambda o, _: [0],
     ),
     "zigzag_altitude_gf": (
         1, [*range(8), 11, 20, 30],
         lambda o, k: _orders(series.zigzag_altitude_gf(k, o)),
-        lambda o, k: [_floor_gap(o + _zigzag_altitude_loss(k), Z)], False,
+        lambda o, k: [_floor_gap(o + _zigzag_altitude_loss(k))],
     ),
     "zigzag_nonneg_gf": (
         1, [None],
         lambda o, _: _orders(series.zigzag_nonneg_gf(o)),
-        lambda o, _: [_floor_gap(o, Z)], False,
-    ),
-    "zigzag_altitude_sum_gf": (
-        1, [None],
-        lambda o, _: _orders(series.zigzag_altitude_sum_gf(o)),
-        lambda o, _: [_floor_gap(o + 2, Z)], False,
+        lambda o, _: [_floor_gap(o)],
     ),
     "zigzag_primitive_gf": (
         1, [None],
         lambda o, _: _orders(series.zigzag_primitive_gf(o)),
-        lambda o, _: [_floor_gap(o + 3, Z)], False,
+        lambda o, _: [_floor_gap(o + 3)],
     ),
     "above_line_gf": (
         1, [1, 2, 3, 4, 5, 8, 13, 20],
-        lambda o, m: _orders(*series.above_line_gf(m, o)),
-        lambda o, m: [0, _floor_gap(o + _above_line_loss(m), Z)], False,
-    ),
-    "tube_gf": (
-        1, _bands(12),
-        lambda o, b: _tube_orders(series.tube_gf(*b, o)),
-        lambda o, b: [3 * j + _floor_gap(o + _tube_loss(*b), Z) for j in range(sum(b) + 1)]
-        + [0] * (sum(b) + 1),
-        False,
+        lambda o, m: _orders(series.above_line_gf(m, o)),
+        lambda o, m: [0],
     ),
 }
 
@@ -532,14 +370,13 @@ GUARD_ORDERS = (*range(1, 10), 17, 41, 96, 200)
 
 @pytest.mark.parametrize("name", sorted(GUARDS))
 def test_every_guard_meets_its_contract_with_only_its_stated_surplus(name):
-    least, params, got, surplus, in_w = GUARDS[name]
+    least, params, got, surplus = GUARDS[name]
     for o in (o for o in GUARD_ORDERS if o >= least):
-        contract = 2 * o if in_w else o
         # past order 41, only the first and the last parameter
         for p in params if o <= 41 else {*params[:1], *params[-1:]}:
             extra = surplus(o, p)
             assert all(e >= 0 for e in extra), (name, o, p)
-            assert got(o, p) == [contract + e for e in extra], (name, o, p)
+            assert got(o, p) == [o + e for e in extra], (name, o, p)
 
 
 def test_a_short_guard_raises_instead_of_rounding(monkeypatch):
@@ -553,7 +390,7 @@ def test_a_short_guard_raises_instead_of_rounding(monkeypatch):
     try:
         with pytest.raises(ArithmeticError, match="left only order 29, needed 30"):
             series.zigzag_nonneg_gf(30)
-        with pytest.raises(ArithmeticError, match=r"band \[-1,2\] altitude slice"):
-            series.tube_gf(1, 2, 30)
+        with pytest.raises(ArithmeticError, match="above-line total: .* order 29, needed 30"):
+            series.above_line_gf(2, 30)
     finally:
         series._memo.clear()  # drop the boundary series derived from short roots

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from knightpaths import recurrences, series, transfer, verification
+from knightpaths import recurrences, transfer, verification
 from knightpaths.paths import PathConstraints
 
 
@@ -104,17 +104,3 @@ def test_a_corrupted_answering_row_fails_check_3_at_quick(monkeypatch, row, para
     passed, detail = _check("3-cross-engine")
     assert not passed and detail.startswith(want), detail
 
-
-def test_verify_builds_no_grand_or_band_kernel_series(monkeypatch):
-    """No check reads a grand kernel series or a kernel-method band: every
-    answer for those comes from the rows and the transfer engine."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a grand or band kernel series was built")
-
-    for name in ("grand_kernel_roots", "_grand_boundary", "grand_totals", "grand_altitude_gf", "tube_gf"):
-        monkeypatch.setattr(series, name, refuse)
-    quick = list(verification.run_checks("quick"))
-    assert len(quick) == 9 and all(r.passed for r in quick), [r for r in quick if not r.passed]
-    failed = [r.name for r in verification.run_checks("full") if not r.passed]
-    assert failed == ["7-asymptotics"]
