@@ -1,9 +1,11 @@
 """Exact dynamic-programming path counting and exhaustive generation.
 
 The ground-truth engine.  Every counting entry point is a view over one
-forward sweep along x (_sweep) with state (y, last direction), plus the
-steps used when asked; the last direction is 0 for the empty prefix, and it
-is tracked only where the query reads it (always for zigzag paths, for grand
+forward sweep along x (_sweep) with state (y, last direction); when the
+steps used are asked for, each cell packs its counts by step count into
+one int (_Fields), so a column keeps one row per direction whatever the
+step counts.  The last direction is 0 for the empty prefix, and it is
+tracked only where the query reads it (always for zigzag paths, for grand
 paths only under a last_dir filter).  The altitude y is likewise tracked
 only where the query reads it: a single-size count with no line bound and
 any final altitude (ALL) sweeps one cell per row, every move's dy taken as
@@ -12,11 +14,12 @@ A zigzag sweep over a band symmetric about the axis, with no first_dir,
 builds only its rising rows and reads each falling row as their mirror
 image.  A row's first contribution is copied into it; only later ones are
 added cell by cell.  Steps advance x by 1 or 2, so the sweep keeps a
-rolling window of three columns: O(n) memory for a size-n count (O(n^2)
-when steps are tracked; O(1) and O(n) without y).  It yields every
-column, so a whole row of sizes costs one pass.  The band is clipped to
-the reach of a size-n path (paths.reach: |y| <= 2n, and (n + 5) // 3 for
-zigzag paths), and each column extends only the cells a path can occupy.
+rolling window of three columns: O(n) cells for a size-n count (one per
+row without y), each an int of O(n) bits, or of O(n^2) bits when it packs
+up to n/2 + 1 step counts.  It yields every column, so a whole row of
+sizes costs one pass.  The band is clipped to the reach of a size-n path
+(paths.reach: |y| <= 2n, and (n + 5) // 3 for zigzag paths), and each
+column extends only the cells a path can occupy.
 
 A single-size count with no line bound and no first or last direction
 sweeps only to h = ceil(n/2) and joins that sweep's columns (_join): every
@@ -34,9 +37,9 @@ generate() shares no code with the sweep: it is the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
-from operator import add, mul
-from typing import Callable, Iterator
+from itertools import accumulate, repeat
+from operator import add, and_, lshift, mul, rshift
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .paths import ALL, DOWN, NONNEG, STEP_ORDER, UP, Path, PathConstraints, Step, reach
 
@@ -74,6 +77,68 @@ def _floor(n_max: int, c: PathConstraints, by_y: bool = True) -> int:
     return -r if c.min_y is None else max(c.min_y, -r)
 
 
+class _Fields(NamedTuple):
+    """How a sweep packs each cell's counts by wide steps b into one int (see _sweep).
+
+    Field f of a cell in column x, its bits [f W, (f + 1) W), counts the
+    prefixes with b = base(x) + f.  W = bits is 0 when steps are not
+    tracked: each cell is then one count, with b = 0.
+    """
+
+    bits: int
+    size: int
+    #: b = size - c.steps of every counted path, when the sweep ends in c.steps
+    top: int | None
+
+    def base(self, x: int) -> int:
+        """The b of field 0 in column x: 0, or the fewest that can still reach top.
+
+        The rest of a counted path, of size - x, has top - b wide steps,
+        between 0 and (size - x) // 2.
+        """
+        return 0 if self.top is None else max(0, self.top - (self.size - x) // 2)
+
+    def unpack(self, col: dict, x: int, steps: int | None = None) -> dict:
+        """Column x as (direction, steps used) -> row: of every step count, or `steps`."""
+        if not self.bits:
+            return {(d, 0): row for d, row in col.items()}
+        b0 = self.base(x)
+        b1 = x // 2 if self.top is None else min(self.top, x // 2)
+        mask, size = (1 << self.bits) - 1, self.bits // 8
+        # a shift per field copies the cell above it: past a few kilobits,
+        # read every field of a cell from its bytes instead
+        long = steps is None and (b1 - b0) * self.bits > 4096
+        out = {}
+        for d, row in col.items():
+            raw = [v.to_bytes((b1 - b0 + 1) * size, "little") for v in row] if long else ()
+            for b in range(b0, b1 + 1):
+                if steps is not None and b != x - steps:
+                    continue
+                f = b - b0
+                if long:
+                    cells = [int.from_bytes(r[f * size : (f + 1) * size], "little") for r in raw]
+                else:
+                    cells = [v >> f * self.bits & mask for v in row]
+                if any(cells):
+                    out[d, x - b] = cells
+        return out
+
+
+def _fields(
+    n_max: int, c: PathConstraints, by_steps: bool = False, end: AltitudeFilter | None = None
+) -> _Fields:
+    """The packing of _sweep(n_max, c, by_steps, end)'s cells."""
+    if not by_steps and c.steps is None:
+        return _Fields(0, n_max, None)
+    # the paths of size n_max bound every field: 2 F(n_max + 1) zigzag ones
+    # (2 > 1 at size 0), and a(n) = 2 a(n - 1) + 2 a(n - 2) grand ones
+    grow, total, before = (1, 2, 0) if c.zigzag else (2, 1, 0)
+    for _ in range(n_max):
+        total, before = grow * (total + before), total
+    top = None if end is None or c.steps is None else n_max - c.steps
+    return _Fields(-(-total.bit_length() // 8) * 8, n_max, top)  # whole bytes
+
+
 def _sweep(
     n_max: int,
     c: PathConstraints,
@@ -83,15 +148,29 @@ def _sweep(
 ) -> Iterator[dict]:
     """Yield the DP column at x = 0, 1, ..., n_max.
 
-    A column maps (last direction, steps used) to a list of counts indexed
-    by y - _floor(n_max, c, by_y).  The empty path has direction 0.  A row
+    A column maps a last direction to a list of cells indexed by
+    y - _floor(n_max, c, by_y).  The empty path has direction 0.  A row
     is keyed by its last direction only where something reads it: a grand
     path's is read by a last_dir filter alone, so without one every grand
-    prefix but the empty one sits in a single row keyed ANY.  Steps used
-    are tracked when by_steps or c.steps asks for them (and stay 0
-    otherwise); prefixes stop growing at c.steps steps.  Without by_y,
+    prefix but the empty one sits in a single row keyed ANY.  Without by_y,
     which only a sweep with no line bound and `end` None or ALL may drop,
     y is not tracked: every row is one cell and every move keeps y at 0.
+
+    When by_steps or c.steps asks for steps, a cell is one int that holds
+    its counts by the wide steps taken, b = x - used, in fields of W bits
+    (_Fields).  A narrow step (N, Nb) keeps b, so a narrow move adds a
+    row's cells as they are; a wide step (E, Eb) adds 1 to b, so a wide
+    move adds them shifted left by W: one map per move, not one slice per
+    step count, and one row per direction.  W is the bit length of the
+    number of paths of size n_max (at most 2 F(n_max + 1) zigzag ones,
+    and a(n) = 2 a(n - 1) + 2 a(n - 2) grand ones), rounded up to whole
+    bytes so that a long cell can be read from its bytes.  A field counts
+    distinct paths of one size x <= n_max, and that number grows with x,
+    so no field reaches 2^W and none carries into the next.  A prefix
+    with more than c.steps steps is not stopped: its step count only
+    grows, and no caller reads a field of more than c.steps steps.
+    _fields(n_max, c, by_steps, end).unpack reads a column as (direction,
+    steps used) -> row.  Without steps W is 0 and no move shifts a cell.
 
     A row's first contribution is copied into it, later ones added cell by
     cell, and every yielded row is a list of its own, so the caller may
@@ -108,35 +187,56 @@ def _sweep(
     Only the cells a counted path can occupy are extended: |y| within
     paths.reach of the prefix and, when `end` is the altitude filter of a
     single size-n_max query, near enough to end in it, with c.steps steps
-    when set.  Under the mirror a falling row is extended over the least
-    mirror-symmetric range holding those cells, so a counted path's mirror
-    image is kept too.  With `end`, every column but the last holds only
-    part of its counts, so only the last one is an answer.
+    when set.  With c.steps, that query keeps only the fields whose b can
+    still end at top = n_max - c.steps: the rest of the path takes top - b
+    wide steps, between 0 and (n_max - x) // 2, so b lies in
+    [top - (n_max - x) // 2, top].  The field origin base(x) is the low end
+    and moves up with x, so a move into a column with a higher origin
+    shifts right by W for each field it drops, and a wide move that could
+    take b past top is masked above it.  Under the mirror a falling row is
+    extended over the least mirror-symmetric range holding the cells, so a
+    counted path's mirror image is kept too.  With `end`, every column but
+    the last holds only part of its counts, so only the last one is an
+    answer.
     """
-    by_steps = by_steps or c.steps is not None
+    fields = _fields(n_max, c, by_steps, end)
+    bits, top, base = fields.bits, fields.top, fields.base
     lo = _floor(n_max, c, by_y)
-    top = reach(n_max, c.zigzag) if by_y else 0
-    hi = top if c.max_y is None else min(c.max_y, top)
+    reach_y = reach(n_max, c.zigzag) if by_y else 0
+    hi = reach_y if c.max_y is None else min(c.max_y, reach_y)
     width = hi - lo + 1
     zigzag, first, steps = c.zigzag, c.first_dir, c.steps
     ending = end is not None and (steps is not None or end != ALL)
     mirror = zigzag and lo == -hi and first is None
 
-    def window(x: int, used: int) -> tuple[int, int]:
+    def window(x: int) -> tuple[int, int]:
         """The index range [i0, i1) of the cells a counted path can occupy."""
-        r = reach(x, zigzag, used if by_steps else None)
+        b0 = base(x)  # with b0 wide steps, a kept prefix used at most x - b0 steps
+        r = reach(x, zigzag, x - b0) if b0 else reach(x, zigzag)
         ylo, yhi = -r, r
         if ending:
             left = n_max - x
-            more = None if steps is None else steps - used
-            if more is not None and not more <= left <= 2 * more:
-                return 0, 0
+            more = None
+            if top is not None:
+                b1 = min(top, x // 2)
+                if b0 > b1:
+                    return 0, 0  # no prefix here can end with c.steps steps
+                more = steps - x + b1  # the most steps a rest takes
             back = reach(left, zigzag, more)  # how far the rest of the path moves y
             if isinstance(end, int):
                 ylo, yhi = max(ylo, end - back), min(yhi, end + back)
             elif end == NONNEG:
                 ylo = max(ylo, -back)
         return max(0, ylo - lo), min(width, yhi - lo + 1)
+
+    def moving(x: int, dx: int) -> tuple[int, int] | None:
+        """The shift and mask (_moved) that take fields from base(x) to base(x + dx), if any."""
+        if x + dx > n_max:
+            return None
+        shift = (dx - 1 + base(x) - base(x + dx)) * bits
+        over = top is not None and dx == 2 and x // 2 >= top  # b + 1 can pass top
+        mask = (1 << (top - base(x + dx) + 1) * bits) - 1 if over else 0
+        return (shift, mask) if shift or mask else None
 
     # plain ints, read per cell row: (direction, dx, dy, key of the target row)
     keyed = zigzag or c.last_dir is not None
@@ -145,25 +245,25 @@ def _sweep(
         for s in STEP_ORDER
         if not mirror or s.direction == UP
     )
-    col = {(0, 0): [0] * -lo + [1] + [0] * hi}  # the empty path
+    steady = (None, None, (bits, 0) if bits else None)
+    col = {0: [0] * -lo + [1] + [0] * hi}  # the empty path
     ahead: list[dict] = [{}, {}]  # the columns at x + 1 and x + 2
     for x in range(n_max + 1):
-        if mirror:
-            for d, used in list(col):
-                if d == UP:
-                    col[DOWN, used] = col[UP, used][::-1]
+        if mirror and UP in col:
+            col[DOWN] = col[UP][::-1]
         yield col
-        for (d, used), row in col.items():
-            if by_steps and used == steps:
-                continue
+        s0, s1 = window(x)
+        if mirror and s0 < s1:  # the falling rows: the least mirror-symmetric range
+            s0, s1 = min(s0, width - s1), max(s1, width - s0)
+        # per dx: None, or the shift and mask that move a cell's fields from
+        # base(x) to base(x + dx); with no top the origin stays at b = 0
+        if top is None or s0 >= s1:
+            plan = steady
+        else:
+            plan = (None, moving(x, 1), moving(x, 2))
+        for d, row in col.items() if s0 < s1 else ():
             if mirror and d == UP:
                 continue  # its falls are the mirror images of its twin's rises
-            s0, s1 = window(x, used)
-            if s0 >= s1:
-                continue  # no cell of this row is on a counted path
-            if mirror:
-                s0, s1 = min(s0, width - s1), max(s1, width - s0)
-            nxt = used + 1 if by_steps else 0
             for direction, dx, dy, to in moves:
                 if zigzag and d == direction:
                     continue
@@ -174,14 +274,25 @@ def _sweep(
                 i0, i1 = max(s0, -dy), min(s1, width - dy)
                 if i0 >= i1:
                     continue  # no cell of this row can take the step
-                key = (to, nxt)
-                target = ahead[dx - 1].get(key)
+                cells = row[i0:i1]
+                if plan[dx]:
+                    cells = _moved(cells, *plan[dx])
+                target = ahead[dx - 1].get(to)
                 if target is None:  # the row's first contribution: a copy, no adds
-                    target = ahead[dx - 1][key] = [0] * width
-                    target[i0 + dy : i1 + dy] = row[i0:i1]
+                    target = ahead[dx - 1][to] = [0] * width
+                    target[i0 + dy : i1 + dy] = cells
                 else:
-                    target[i0 + dy : i1 + dy] = map(add, target[i0 + dy : i1 + dy], row[i0:i1])
+                    target[i0 + dy : i1 + dy] = map(add, target[i0 + dy : i1 + dy], cells)
         col, ahead = ahead[0], [ahead[1], {}]
+
+
+def _moved(cells: Iterable[int], shift: int, mask: int) -> Iterable[int]:
+    """Each cell shifted left by `shift` bits (right where negative), then masked if mask."""
+    if shift > 0:
+        cells = map(lshift, cells, repeat(shift))
+    elif shift < 0:
+        cells = map(rshift, cells, repeat(-shift))
+    return map(and_, cells, repeat(mask)) if mask else cells
 
 
 def _final(
@@ -191,10 +302,13 @@ def _final(
     by_steps: bool = False,
     by_y: bool = True,
 ) -> dict:
-    """The sweep's column at x = size, for paths ending in the altitude filter."""
+    """The sweep's column at x = size, for paths ending in the altitude filter.
+
+    As (direction, steps used) -> row, of c.steps steps alone when set.
+    """
     for col in _sweep(size, c, by_steps, end=altitude, by_y=by_y):
         pass
-    return col
+    return _fields(size, c, by_steps, altitude).unpack(col, size, c.steps)
 
 
 def _tally(col: dict, lo: int, c: PathConstraints, key: Callable) -> dict:
@@ -254,27 +368,44 @@ def _join(size: int, altitude: AltitudeFilter, c: PathConstraints, by_y: bool) -
     x <= h: a prefix at x = h and a rest of size - h, or a prefix at h - 1,
     a wide step and a rest of size - h - 1.  The rest, reversed, is a path
     of the sweep's column at its size, keyed by the rest's first direction,
-    and it moves y and uses steps as the rest does.
+    and it moves y and uses steps as the rest does.  A join unpacks its two
+    columns (_Fields.unpack) only when it comes to them, so at most one
+    join's columns are unpacked at a time.  A zigzag column here is its own
+    mirror image (_sweep), so only its rising rows are unpacked and each
+    falling row is read as the reverse of its twin, sharing its counts.
     """
     h = (size + 1) // 2
     keep = (h - 1, h, size - h, size - h - 1)
     cols = {x: col for x, col in enumerate(_sweep(h, c, by_y=by_y)) if x in keep}
+    fields = _fields(h, c)
     z = -2 * _floor(h, c, by_y)  # i + j of two cells whose altitudes add up to 0
-    joins = [(cols[h], cols[size - h], None)]
+    joins = [(h, size - h, [None])]
     if size - h - 1 >= 0:
-        joins += [(cols[h - 1], cols[size - h - 1], s) for s in STEP_ORDER if s.dx == 2]
+        joins.append((h - 1, size - h - 1, [s for s in STEP_ORDER if s.dx == 2]))
+
+    def unpacked(x: int) -> dict:
+        col = {d: row for d, row in cols[x].items() if not c.zigzag or d != DOWN}
+        out = fields.unpack(col, x)
+        if c.zigzag:
+            out.update({(DOWN, used): row[::-1] for (d, used), row in out.items() if d == UP})
+        return out
+
     total = 0
-    for head, tail, step in joins:
-        dy, extra = (0, 0) if step is None else (step.dy, 1)
+    for xa, xb, steps in joins:
+        head = unpacked(xa)
+        tail = head if xb == xa else unpacked(xb)
         rests: dict[int, list] = {}  # the rest's rows by steps used
         for (d, used), row in tail.items():
             rests.setdefault(used, []).append((d, row))
+        extra = 0 if steps == [None] else 1
         for (da, used), a in head.items():
             want = 0 if c.steps is None else c.steps - used - extra
             for db, b in rests.get(want, ()):
-                if c.zigzag and (da == db != 0 if step is None else step.direction in (da, db)):
-                    continue  # two rises or two falls in a row; 0 is the empty path
-                total += _joined(a, b, z - dy, altitude)
+                for step in steps:
+                    if c.zigzag and (da == db != 0 if step is None else step.direction in (da, db)):
+                        continue  # two rises or two falls in a row; 0 is the empty path
+                    total += _joined(a, b, z - (0 if step is None else step.dy), altitude)
+        del head, tail, rests
     return total
 
 
@@ -333,8 +464,9 @@ def altitude_distributions(
     """altitude_distribution(n, constraints) for n = 0..n_max, from one sweep."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    lo = _floor(n_max, constraints)
-    for col in _sweep(n_max, constraints):
+    lo, fields = _floor(n_max, constraints), _fields(n_max, constraints)
+    for x, col in enumerate(_sweep(n_max, constraints)):
+        col = fields.unpack(col, x, constraints.steps)
         yield _tally(col, lo, constraints, lambda y, d, used: y)
 
 

@@ -52,13 +52,15 @@ O(k n) steps.
 Every division is exact by construction and is checked: a remainder
 raises ArithmeticError, nothing is rounded.
 
-The rows that take no parameter, and the boundary series the zigzag rows
-are built from, are derived once per process: `_memo` keeps each row at
-the longest count asked for so far, a shorter request gets a fresh copy of
-its prefix and a longer one derives the row again and replaces it.  Rows
-that take a parameter (a zigzag or grand altitude |k| >= 2, a line m >= 1)
-keep nothing and build on the stored ones, so the memo holds at most
-eleven rows, each at the largest count asked for.
+The rows that take no parameter, the small root's series and the boundary
+series the zigzag rows are built from, are derived once per process:
+`_memo` keeps each row at the longest count asked for so far, a shorter
+request gets a fresh copy of its prefix and a longer one derives the row
+again and replaces it.  Each coefficient of a row reads only lower ones, so
+a prefix equals a fresh derivation.  Rows that take a parameter (a zigzag
+or grand altitude |k| >= 2, a line m >= 1) keep nothing and build on the
+stored ones, so the memo holds at most twelve series, each at the largest
+count asked for.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ import functools
 import math
 from itertools import repeat
 from operator import add, mul, sub
+
+from .paths import reach
 
 # Delta = 1 - 2z^2 - z^4 - 2z^6 + z^8 as (j, Delta_j) for j >= 1
 _DELTA = ((2, -2), (4, -1), (6, -2), (8, 1))
@@ -108,10 +112,9 @@ def _sqrt_delta(order: int) -> list[int]:
     return s
 
 
+@_stored
 def small_root_coeffs(order: int) -> list[int]:
     """Coefficients of the small zigzag kernel root (valuation 3)."""
-    if order <= 0:
-        return []
     s = _sqrt_delta(order + 3)
     r = []
     for n in range(3, order + 3):
@@ -362,6 +365,10 @@ def above_line_row(m: int, count: int) -> list[int]:
     """Zigzag paths staying weakly above y = -m, by size (m >= 0)."""
     if m < 0:
         raise ValueError("m must be non-negative")
+    if count <= 0:
+        return []
+    # no path of these sizes goes below -reach(count - 1): a deeper line gives the same row
+    m = min(m, reach(count - 1, True))
     if m == 0:
         return above_axis_row(count)
     low = _R ** (m - 1)

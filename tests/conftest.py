@@ -6,6 +6,7 @@ from functools import cache
 
 import pytest
 
+from knightpaths import recurrences
 from knightpaths.counting import generate
 from knightpaths.paths import Path, PathConstraints
 
@@ -22,3 +23,12 @@ def paths_of():
     Each result is a tuple, so no test can change what another one reads.
     """
     return _generated
+
+
+@pytest.fixture
+def fresh_rows():
+    """No stored row before or after the test: a patched recurrence or element
+    is derived afresh, and a row derived from it is not kept."""
+    recurrences._memo.clear()
+    yield
+    recurrences._memo.clear()

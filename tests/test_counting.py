@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -459,7 +460,7 @@ def test_only_counts_that_read_no_altitude_drop_it(monkeypatch):
     def spy(*args, **kw):
         cols = sweep(*args, **kw)
         first = next(cols)
-        widths.append(len(first[0, 0]))  # the empty path's row
+        widths.append(len(first[0]))  # the empty path's row
         yield first
         yield from cols
 
@@ -488,6 +489,60 @@ def test_only_counts_that_read_no_altitude_drop_it(monkeypatch):
     grand_row_stats(9)
     count_primitive(9)
     assert len(widths) == 11 and min(widths) > 1, widths
+
+
+def test_a_steps_sweep_keeps_one_row_per_direction(monkeypatch):
+    # a cell packs its counts by step count, so a column holds the empty
+    # path's row and one row per last direction, whatever the step count
+    sweep, rows = counting._sweep, []
+
+    def spy(*args, **kw):
+        for col in sweep(*args, **kw):
+            rows.append(len(col))
+            yield col
+
+    monkeypatch.setattr(counting, "_sweep", spy)
+    for steps in (62, 80, 96, 119):
+        count_paths(120, -2, zigzag=True, steps=steps)  # the join
+        count_paths(120, -2, zigzag=True, steps=steps, min_y=-3)  # the end window
+    assert len(rows) == 4 * (61 + 121) and max(rows) <= 3, max(rows)
+
+
+def test_grand_steps_counts_at_every_field_width():
+    # s steps, n - s of them wide, in C(s, n - s) orders, each up or down;
+    # the packed cells hold every step count of a row side by side
+    for n in range(1, 41):
+        for s in range(1, n + 1):
+            assert count_paths(n, ALL, steps=s) == comb(s, n - s) * 2**s, (n, s)
+    assert count_paths(2000, ALL, steps=1200) == comb(1200, 800) * 2**1200
+
+
+def test_zigzag_steps_counts_match_the_closed_form_at_size_600():
+    for d in (UP, DOWN):
+        want = closedforms.zigzag_step_count(600, 2, 400, d)
+        assert count_paths(600, 2, zigzag=True, steps=400, first_dir=d) == want, d
+    both = sum(closedforms.zigzag_step_count(600, 2, 400, d) for d in (UP, DOWN))
+    assert count_paths(600, 2, zigzag=True, steps=400) == both
+
+
+def test_steps_counts_with_a_line_match_generation(paths_of):
+    # the end window keeps only the step counts that can still end in the
+    # query's, and no other engine counts a bounded zigzag query by steps
+    bounds = (dict(min_y=0), dict(min_y=-2), dict(max_y=1), dict(min_y=-1, max_y=3))
+    for n in range(19):
+        for bound in bounds:
+            c = PathConstraints(zigzag=True, **bound)
+            table: dict[tuple[int, int], int] = {}
+            for p in paths_of(n, ZZ):
+                if validate_path(p, c):
+                    key = (p.step_count, p.altitude)
+                    table[key] = table.get(key, 0) + 1
+            for s in range(max(1, n // 2), n + 2):
+                for altitude in (ALL, NONNEG, 1, -2):
+                    ends = {y: m for (used, y), m in table.items() if used == s}
+                    want = _select(ends, altitude)
+                    got = count_paths(n, altitude, replace(c, steps=s))
+                    assert got == want, (n, bound, s, altitude)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -15,18 +16,9 @@ from knightpaths.counting import (
     count_row,
     grand_row_stats,
 )
-from knightpaths.paths import PathConstraints
+from knightpaths.paths import PathConstraints, reach
 
 ZZ = PathConstraints(zigzag=True)
-
-
-@pytest.fixture
-def fresh_rows():
-    """No stored row before or after the test: a patched recurrence or element
-    is derived afresh, and a row derived from it is not kept."""
-    recurrences._memo.clear()
-    yield
-    recurrences._memo.clear()
 
 
 def test_small_root_matches_series_engine():
@@ -281,6 +273,7 @@ def test_edge_counts(row):
 # -- rows derived once per process ------------------------------------------------
 
 STORED = (
+    "small_root_coeffs",
     "zigzag_total_row",
     "zigzag_nonneg_row",
     "_zigzag_axis_row",
@@ -322,12 +315,13 @@ def test_a_returned_row_is_the_callers_own(fresh_rows, name):
 def test_rows_with_a_parameter_store_nothing_of_their_own(fresh_rows):
     for k in range(2, 41):
         recurrences.zigzag_altitude_row(k, 200)
-    assert sorted(recurrences._memo) == ["boundary"]
+    assert sorted(recurrences._memo) == ["boundary", "small_root_coeffs"]
     for k in range(2, 41):
         recurrences.grand_altitude_row(k, 200)
     for m in range(1, 6):
         recurrences.above_line_row(m, 200)
-    assert sorted(recurrences._memo) == ["_grand_alt1_row", "boundary", "grand_axis_row"]
+    stored = ["_grand_alt1_row", "boundary", "grand_axis_row", "small_root_coeffs"]
+    assert sorted(recurrences._memo) == stored
     assert len(recurrences._memo["grand_axis_row"]) == 200
 
 
@@ -343,11 +337,25 @@ def test_negative_m_is_rejected():
         recurrences.above_line_row(-1, 10)
 
 
+def test_a_line_past_the_reach_gives_the_total_row():
+    # no zigzag path of size <= 9 reaches below -reach(9) = -4, so every
+    # deeper line gives the total row, without building r^(m - 1)
+    start = time.perf_counter()
+    assert recurrences.above_line_row(3000, 10) == recurrences.zigzag_total_row(10)
+    assert time.perf_counter() - start < 1.0
+    for count in range(1, 40):
+        r = reach(count - 1, True)
+        total = recurrences.zigzag_total_row(count)
+        assert recurrences.above_line_row(r, count) == total, count
+        assert recurrences.above_line_row(r + 5, count) == total, count
+    assert recurrences.above_line_row(7, 0) == []
+
+
 @pytest.mark.parametrize(
     "tap, where",
     [((2, -3), "sqrt"), ((4, 1), "root")],
 )
-def test_corrupt_delta_raises_not_rounds(monkeypatch, tap, where):
+def test_corrupt_delta_raises_not_rounds(monkeypatch, fresh_rows, tap, where):
     taps = [t for t in recurrences._DELTA if t[0] != tap[0]] + [tap]
     monkeypatch.setattr(recurrences, "_DELTA", tuple(sorted(taps)))
     with pytest.raises(ArithmeticError, match=where):

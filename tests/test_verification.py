@@ -56,12 +56,23 @@ def test_a_wrong_small_root_coefficient_fails_check_5(monkeypatch, index):
     assert not passed and detail.startswith("small zigzag root: equation fails"), detail
 
 
-def test_a_wrong_sqrt_delta_coefficient_fails_check_5(monkeypatch):
-    # by 2, so that the small root built on it stays integral
+def test_a_wrong_sqrt_delta_coefficient_fails_check_5(monkeypatch, fresh_rows):
+    # by 2, so that the small root built on it stays integral; the root
+    # derived from it is not kept
     honest = recurrences._sqrt_delta
     monkeypatch.setattr(recurrences, "_sqrt_delta", lambda order: _corrupted(honest(order), 12, 2))
     passed, detail = _check("5-kernel-certificates")
     assert not passed and "sqrt(Delta): equation fails" in detail, detail
+
+
+def test_check_5_certifies_the_stored_small_root(fresh_rows):
+    # the rows read the root the process keeps, so check 5 must read it too:
+    # a longer stored root passes, and a wrong coefficient in it fails
+    stored = recurrences.small_root_coeffs(700)
+    assert _check("5-kernel-certificates")[0]
+    recurrences._memo["small_root_coeffs"] = _corrupted(stored, 31)
+    passed, detail = _check("5-kernel-certificates")
+    assert not passed and detail.startswith("small zigzag root: equation fails at z^31"), detail
 
 
 def test_a_corrupted_transfer_band_row_fails_check_3_at_quick(monkeypatch):
