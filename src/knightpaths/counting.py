@@ -16,7 +16,7 @@ image.  A row's first contribution is copied into it; only later ones are
 added cell by cell.  Steps advance x by 1 or 2, so the sweep keeps a
 rolling window of three columns: O(n) cells for a size-n count (one per
 row without y), each an int of O(n) bits, or of O(n^2) bits when it packs
-up to n/2 + 1 step counts.  It yields every column, so a whole row of
+the O(n) step counts it can hold.  It yields every column, so a whole row of
 sizes costs one pass.  The band is clipped to the reach of a size-n path
 (paths.reach: |y| <= 2n, and (n + 5) // 3 for zigzag paths), and each
 column extends only the cells a path can occupy.
@@ -37,9 +37,9 @@ generate() shares no code with the sweep: it is the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, repeat
+from itertools import accumulate, zip_longest
 from operator import add, and_, lshift, mul, rshift
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .paths import ALL, DOWN, NONNEG, STEP_ORDER, UP, Path, PathConstraints, Step, reach
 
@@ -80,8 +80,9 @@ def _floor(n_max: int, c: PathConstraints, by_y: bool = True) -> int:
 class _Fields(NamedTuple):
     """How a sweep packs each cell's counts by wide steps b into one int (see _sweep).
 
-    Field f of a cell in column x, its bits [f W, (f + 1) W), counts the
-    prefixes with b = base(x) + f.  W = bits is 0 when steps are not
+    Field f of the cell at altitude y of row d in column x, its bits
+    [f W, (f + 1) W), counts the prefixes with b = o + stride f, where o
+    is origins(base(x), d)[y - lo].  W = bits is 0 when steps are not
     tracked: each cell is then one count, with b = 0.
     """
 
@@ -89,54 +90,125 @@ class _Fields(NamedTuple):
     size: int
     #: b = size - c.steps of every counted path, when the sweep ends in c.steps
     top: int | None
+    #: the altitude of cell 0 and the number of cells of a row
+    lo: int
+    width: int
+    #: 2 when the sweep tracks y, which has the parity of b; else 1
+    stride: int
+    zigzag: bool
 
     def base(self, x: int) -> int:
-        """The b of field 0 in column x: 0, or the fewest that can still reach top.
+        """The fewest b in column x that can still reach top, or 0.
 
         The rest of a counted path, of size - x, has top - b wide steps,
         between 0 and (size - x) // 2.
         """
         return 0 if self.top is None else max(0, self.top - (self.size - x) // 2)
 
+    def origins(self, b0: int, d: int | None) -> list[int]:
+        """The b of field 0 of each cell of row d in a column with base b0.
+
+        The least b the cell can hold: b0 or more, of y's parity when y is
+        tracked, and in a zigzag row more: with u rises and v falls, w_u
+        and w_v of them wide, y = 2 (u - v) - w_u + w_v, and u - v is 0 or
+        d, the last direction, so b >= w_u + w_v >= max(d y - 2, -d y).
+        """
+        ys, stride = range(self.lo, self.lo + self.width), self.stride
+        if self.zigzag and d in (UP, DOWN):  # d y - 2 and -d y have y's parity
+            return [max(b0 + (y - b0) % stride, d * y - 2, -d * y) for y in ys]
+        return [b0 + (y - b0) % stride for y in ys]
+
+    def plan(self, src: list, dst: list, dx: int, dy: int, over: bool, s0: int, s1: int) -> tuple:
+        """How a move by (dx, dy) carries the fields of the cells s0 <= i < s1.
+
+        src and dst are the origins of the source and target rows.  The
+        left and right shifts by source cell, which take the fields from
+        the origin of the source cell to that of the target cell (a field
+        dropped on the right is empty or below base), and, when the move
+        can take b past top (over), the masks by target cell that drop
+        those fields.  Each is None where it does nothing.
+        """
+        w, stride, bits = self.width, self.stride, self.bits
+        i0, i1 = max(s0, -dy), min(s1, w - dy)  # the cells whose target is in the band
+        pairs = zip(src[i0:i1], dst[i0 + dy : i1 + dy])
+        shift = [(a + dx - 1 - b) // stride * bits for a, b in pairs]
+        left = right = masks = None
+        if max(shift, default=0) > 0:
+            left = [0] * w
+            left[i0:i1] = [v if v > 0 else 0 for v in shift]
+        if min(shift, default=0) < 0:
+            right = [0] * w
+            right[i0:i1] = [-v if v < 0 else 0 for v in shift]
+        if over:  # keep the (top - o) // stride + 1 fields of b <= top, or none
+            kept = [(self.top - o) // stride + 1 for o in dst[i0 + dy : i1 + dy]]
+            mask = {k: (1 << k * bits) - 1 if k > 0 else 0 for k in set(kept)}
+            masks = [0] * w
+            masks[i0 + dy : i1 + dy] = [mask[k] for k in kept]
+        return left, right, masks
+
     def unpack(self, col: dict, x: int, steps: int | None = None) -> dict:
-        """Column x as (direction, steps used) -> row: of every step count, or `steps`."""
+        """Column x as (direction, steps used) -> row: of every step count, or `steps`.
+
+        The cells of one parity of y hold the b of that parity; padded at
+        the low end to their least origin, they line up field by field.
+        Every field of a cell is read from its bytes, once per cell value,
+        so rows that share cells (a mirrored column's) share their counts;
+        one field is read with a shift.
+        """
         if not self.bits:
             return {(d, 0): row for d, row in col.items()}
-        b0 = self.base(x)
-        b1 = x // 2 if self.top is None else min(self.top, x // 2)
-        mask, size = (1 << self.bits) - 1, self.bits // 8
-        # a shift per field copies the cell above it: past a few kilobits,
-        # read every field of a cell from its bytes instead
-        long = steps is None and (b1 - b0) * self.bits > 4096
-        out = {}
+        bits, stride, width = self.bits, self.stride, self.width
+        size, mask = bits // 8, (1 << bits) - 1
+        seen: dict[int, list[int]] = {}  # the fields of each cell value
+        out: dict = {}
         for d, row in col.items():
-            raw = [v.to_bytes((b1 - b0 + 1) * size, "little") for v in row] if long else ()
-            for b in range(b0, b1 + 1):
-                if steps is not None and b != x - steps:
-                    continue
-                f = b - b0
-                if long:
-                    cells = [int.from_bytes(r[f * size : (f + 1) * size], "little") for r in raw]
-                else:
-                    cells = [v >> f * self.bits & mask for v in row]
-                if any(cells):
-                    out[d, x - b] = cells
+            origins = self.origins(self.base(x), d)
+            if steps is None:
+                for v in set(row).difference(seen):
+                    raw = v.to_bytes(-(-v.bit_length() // 8), "little")
+                    starts = range(0, len(raw), size)
+                    seen[v] = [int.from_bytes(raw[k : k + size], "little") for k in starts]
+            for p in range(min(stride, width)):  # the cells of one parity of y
+                org = origins[p::stride]
+                o0 = min(org)
+                if steps is None:
+                    cells = zip(row[p::stride], org)
+                    padded = [[0] * ((o - o0) // stride) + seen[v] for v, o in cells]
+                    lines = enumerate(zip_longest(*padded, fillvalue=0))
+                else:  # the one field b = x - steps, if these cells hold it
+                    b, lines = x - steps, []
+                    if b >= o0 and (b - o0) % stride == 0:
+                        cells = zip(row[p::stride], org)
+                        line = [v >> (b - o) // stride * bits & mask if o <= b else 0
+                                for v, o in cells]
+                        lines = [((b - o0) // stride, line)]
+                for f, line in lines:
+                    if any(line):
+                        out.setdefault((d, x - o0 - stride * f), [0] * width)[p::stride] = line
         return out
 
 
 def _fields(
-    n_max: int, c: PathConstraints, by_steps: bool = False, end: AltitudeFilter | None = None
+    n_max: int,
+    c: PathConstraints,
+    by_steps: bool = False,
+    end: AltitudeFilter | None = None,
+    by_y: bool = True,
 ) -> _Fields:
-    """The packing of _sweep(n_max, c, by_steps, end)'s cells."""
-    if not by_steps and c.steps is None:
-        return _Fields(0, n_max, None)
-    # the paths of size n_max bound every field: 2 F(n_max + 1) zigzag ones
-    # (2 > 1 at size 0), and a(n) = 2 a(n - 1) + 2 a(n - 2) grand ones
-    grow, total, before = (1, 2, 0) if c.zigzag else (2, 1, 0)
-    for _ in range(n_max):
-        total, before = grow * (total + before), total
-    top = None if end is None or c.steps is None else n_max - c.steps
-    return _Fields(-(-total.bit_length() // 8) * 8, n_max, top)  # whole bytes
+    """The band and the packing of _sweep(n_max, c, by_steps, end, by_y)'s cells."""
+    lo = _floor(n_max, c, by_y)
+    reach_y = reach(n_max, c.zigzag) if by_y else 0
+    hi = reach_y if c.max_y is None else min(c.max_y, reach_y)
+    bits, top = 0, None
+    if by_steps or c.steps is not None:
+        # the paths of size n_max bound every field: 2 F(n_max + 1) zigzag
+        # ones (2 > 1 at size 0), and a(n) = 2 a(n - 1) + 2 a(n - 2) grand ones
+        grow, total, before = (1, 2, 0) if c.zigzag else (2, 1, 0)
+        for _ in range(n_max):
+            total, before = grow * (total + before), total
+        bits = -(-total.bit_length() // 8) * 8  # whole bytes
+        top = None if end is None or c.steps is None else n_max - c.steps
+    return _Fields(bits, n_max, top, lo, hi - lo + 1, 2 if by_y else 1, c.zigzag)
 
 
 def _sweep(
@@ -158,19 +230,25 @@ def _sweep(
 
     When by_steps or c.steps asks for steps, a cell is one int that holds
     its counts by the wide steps taken, b = x - used, in fields of W bits
-    (_Fields).  A narrow step (N, Nb) keeps b, so a narrow move adds a
-    row's cells as they are; a wide step (E, Eb) adds 1 to b, so a wide
-    move adds them shifted left by W: one map per move, not one slice per
-    step count, and one row per direction.  W is the bit length of the
-    number of paths of size n_max (at most 2 F(n_max + 1) zigzag ones,
-    and a(n) = 2 a(n - 1) + 2 a(n - 2) grand ones), rounded up to whole
-    bytes so that a long cell can be read from its bytes.  A field counts
-    distinct paths of one size x <= n_max, and that number grows with x,
-    so no field reaches 2^W and none carries into the next.  A prefix
-    with more than c.steps steps is not stopped: its step count only
-    grows, and no caller reads a field of more than c.steps steps.
-    _fields(n_max, c, by_steps, end).unpack reads a column as (direction,
-    steps used) -> row.  Without steps W is 0 and no move shifts a cell.
+    (_Fields): one row per direction, whatever the step counts.  W is the
+    bit length of the number of paths of size n_max (at most
+    2 F(n_max + 1) zigzag ones, and a(n) = 2 a(n - 1) + 2 a(n - 2) grand
+    ones), in whole bytes.  A field counts distinct paths of one size
+    x <= n_max, and that number grows with x, so no field reaches 2^W and
+    none carries into the next.  A cell packs only the b it can hold:
+    from its origin (_Fields.origins), the least such b, in steps of 2
+    when y is tracked, because y and b have the same parity.  A narrow step
+    (N, Nb) keeps b and a wide one (E, Eb) adds 1, so a move shifts each
+    cell by the fields between its origin, plus the wide step, and the
+    target cell's origin (_Fields.plan): a map per shifted move, not one
+    slice per step count.  Without top no move shifts right and no narrow
+    move shifts at all, so it is not planned: it keeps y's parity, and a
+    zigzag row's bound at y is its successor's at y +- 2 (the empty path's
+    row holds y = 0 alone).  A prefix with more than c.steps steps is not
+    stopped: its step count only grows, and no caller reads a field of
+    more than c.steps steps.  _Fields.unpack reads a column as
+    (direction, steps used) -> row.  Without steps W is 0 and no move
+    shifts a cell.
 
     A row's first contribution is copied into it, later ones added cell by
     cell, and every yielded row is a list of its own, so the caller may
@@ -178,11 +256,11 @@ def _sweep(
 
     A zigzag sweep with no first_dir, over a band that is symmetric about
     the axis once clipped to the reach, is its own up/down mirror image
-    (y -> -y swaps rising and falling steps).  So only the rising rows are
-    built: each falling row is yielded as the reverse of its rising twin,
-    and it extends into rising targets alone, whose mirror images are the
-    falling targets.  A caller that clears cells of such a column must
-    clear a mirror-symmetric set in every row.
+    (y -> -y swaps rising and falling steps, and keeps every origin).  So
+    only the rising rows are built: each falling row is yielded as the
+    reverse of its rising twin, and it extends into rising targets alone,
+    whose mirror images are the falling targets.  A caller that clears
+    cells of such a column must clear a mirror-symmetric set in every row.
 
     Only the cells a counted path can occupy are extended: |y| within
     paths.reach of the prefix and, when `end` is the altitude filter of a
@@ -190,21 +268,18 @@ def _sweep(
     when set.  With c.steps, that query keeps only the fields whose b can
     still end at top = n_max - c.steps: the rest of the path takes top - b
     wide steps, between 0 and (n_max - x) // 2, so b lies in
-    [top - (n_max - x) // 2, top].  The field origin base(x) is the low end
-    and moves up with x, so a move into a column with a higher origin
-    shifts right by W for each field it drops, and a wide move that could
-    take b past top is masked above it.  Under the mirror a falling row is
-    extended over the least mirror-symmetric range holding the cells, so a
-    counted path's mirror image is kept too.  With `end`, every column but
-    the last holds only part of its counts, so only the last one is an
-    answer.
+    [top - (n_max - x) // 2, top].  The low end is _Fields.base, below
+    every origin, so a move drops the fields that fall under it, and a
+    wide move that could take b past top is masked above it.  Under the
+    mirror a falling row is extended over the least mirror-symmetric range
+    holding the cells, so a counted path's mirror image is kept too.  With
+    `end`, every column but the last holds only part of its counts, so
+    only the last one is an answer.
     """
-    fields = _fields(n_max, c, by_steps, end)
+    fields = _fields(n_max, c, by_steps, end, by_y)
     bits, top, base = fields.bits, fields.top, fields.base
-    lo = _floor(n_max, c, by_y)
-    reach_y = reach(n_max, c.zigzag) if by_y else 0
-    hi = reach_y if c.max_y is None else min(c.max_y, reach_y)
-    width = hi - lo + 1
+    lo, width = fields.lo, fields.width
+    hi = lo + width - 1
     zigzag, first, steps = c.zigzag, c.first_dir, c.steps
     ending = end is not None and (steps is not None or end != ALL)
     mirror = zigzag and lo == -hi and first is None
@@ -212,7 +287,7 @@ def _sweep(
     def window(x: int) -> tuple[int, int]:
         """The index range [i0, i1) of the cells a counted path can occupy."""
         b0 = base(x)  # with b0 wide steps, a kept prefix used at most x - b0 steps
-        r = reach(x, zigzag, x - b0) if b0 else reach(x, zigzag)
+        r = reach(x, zigzag, x - b0)
         ylo, yhi = -r, r
         if ending:
             left = n_max - x
@@ -229,15 +304,6 @@ def _sweep(
                 ylo = max(ylo, -back)
         return max(0, ylo - lo), min(width, yhi - lo + 1)
 
-    def moving(x: int, dx: int) -> tuple[int, int] | None:
-        """The shift and mask (_moved) that take fields from base(x) to base(x + dx), if any."""
-        if x + dx > n_max:
-            return None
-        shift = (dx - 1 + base(x) - base(x + dx)) * bits
-        over = top is not None and dx == 2 and x // 2 >= top  # b + 1 can pass top
-        mask = (1 << (top - base(x + dx) + 1) * bits) - 1 if over else 0
-        return (shift, mask) if shift or mask else None
-
     # plain ints, read per cell row: (direction, dx, dy, key of the target row)
     keyed = zigzag or c.last_dir is not None
     moves = tuple(
@@ -245,7 +311,17 @@ def _sweep(
         for s in STEP_ORDER
         if not mirror or s.direction == UP
     )
-    steady = (None, None, (bits, 0) if bits else None)
+    # _Fields.plan of each move from column x by (source row, direction, dx),
+    # made once without top, and the origins it reads by (base, row)
+    plans: dict = {}
+    origins: dict = {}
+    over, span = False, (0, width)  # the cells the plans cover
+
+    def origin(b0: int, d: int | None) -> list[int]:
+        if (b0, d) not in origins:
+            origins[b0, d] = fields.origins(b0, d)
+        return origins[b0, d]
+
     col = {0: [0] * -lo + [1] + [0] * hi}  # the empty path
     ahead: list[dict] = [{}, {}]  # the columns at x + 1 and x + 2
     for x in range(n_max + 1):
@@ -255,12 +331,11 @@ def _sweep(
         s0, s1 = window(x)
         if mirror and s0 < s1:  # the falling rows: the least mirror-symmetric range
             s0, s1 = min(s0, width - s1), max(s1, width - s0)
-        # per dx: None, or the shift and mask that move a cell's fields from
-        # base(x) to base(x + dx); with no top the origin stays at b = 0
-        if top is None or s0 >= s1:
-            plan = steady
-        else:
-            plan = (None, moving(x, 1), moving(x, 2))
+        if top is not None:  # the origins move with base(x), the window with x
+            over, span = x // 2 >= top, (s0, s1)  # over: a wide step can take b past top
+            plans.clear()
+            for key in [key for key in origins if key[0] < base(x)]:
+                del origins[key]
         for d, row in col.items() if s0 < s1 else ():
             if mirror and d == UP:
                 continue  # its falls are the mirror images of its twin's rises
@@ -275,8 +350,19 @@ def _sweep(
                 if i0 >= i1:
                     continue  # no cell of this row can take the step
                 cells = row[i0:i1]
-                if plan[dx]:
-                    cells = _moved(cells, *plan[dx])
+                if bits and (dx == 2 or top is not None):  # a narrow move keeps the origins
+                    plan = plans.get((d, direction, dx))
+                    if plan is None:
+                        src, dst = origin(base(x), d), origin(base(x + dx), to)
+                        wide = over and dx == 2
+                        plan = plans[d, direction, dx] = fields.plan(src, dst, dx, dy, wide, *span)
+                    left, right, masks = plan
+                    if left:
+                        cells = map(lshift, cells, left[i0:i1])
+                    if right:
+                        cells = map(rshift, cells, right[i0:i1])
+                    if masks:
+                        cells = map(and_, cells, masks[i0 + dy : i1 + dy])
                 target = ahead[dx - 1].get(to)
                 if target is None:  # the row's first contribution: a copy, no adds
                     target = ahead[dx - 1][to] = [0] * width
@@ -284,15 +370,6 @@ def _sweep(
                 else:
                     target[i0 + dy : i1 + dy] = map(add, target[i0 + dy : i1 + dy], cells)
         col, ahead = ahead[0], [ahead[1], {}]
-
-
-def _moved(cells: Iterable[int], shift: int, mask: int) -> Iterable[int]:
-    """Each cell shifted left by `shift` bits (right where negative), then masked if mask."""
-    if shift > 0:
-        cells = map(lshift, cells, repeat(shift))
-    elif shift < 0:
-        cells = map(rshift, cells, repeat(-shift))
-    return map(and_, cells, repeat(mask)) if mask else cells
 
 
 def _final(
@@ -308,7 +385,7 @@ def _final(
     """
     for col in _sweep(size, c, by_steps, end=altitude, by_y=by_y):
         pass
-    return _fields(size, c, by_steps, altitude).unpack(col, size, c.steps)
+    return _fields(size, c, by_steps, altitude, by_y).unpack(col, size, c.steps)
 
 
 def _tally(col: dict, lo: int, c: PathConstraints, key: Callable) -> dict:
@@ -368,32 +445,24 @@ def _join(size: int, altitude: AltitudeFilter, c: PathConstraints, by_y: bool) -
     x <= h: a prefix at x = h and a rest of size - h, or a prefix at h - 1,
     a wide step and a rest of size - h - 1.  The rest, reversed, is a path
     of the sweep's column at its size, keyed by the rest's first direction,
-    and it moves y and uses steps as the rest does.  A join unpacks its two
-    columns (_Fields.unpack) only when it comes to them, so at most one
-    join's columns are unpacked at a time.  A zigzag column here is its own
-    mirror image (_sweep), so only its rising rows are unpacked and each
-    falling row is read as the reverse of its twin, sharing its counts.
+    and it moves y and uses steps as the rest does.  Each column is
+    unpacked (_Fields.unpack) when a join first reads it and dropped after
+    the last join that reads it.
     """
     h = (size + 1) // 2
     keep = (h - 1, h, size - h, size - h - 1)
     cols = {x: col for x, col in enumerate(_sweep(h, c, by_y=by_y)) if x in keep}
-    fields = _fields(h, c)
+    fields = _fields(h, c, by_y=by_y)
     z = -2 * _floor(h, c, by_y)  # i + j of two cells whose altitudes add up to 0
     joins = [(h, size - h, [None])]
     if size - h - 1 >= 0:
         joins.append((h - 1, size - h - 1, [s for s in STEP_ORDER if s.dx == 2]))
-
-    def unpacked(x: int) -> dict:
-        col = {d: row for d, row in cols[x].items() if not c.zigzag or d != DOWN}
-        out = fields.unpack(col, x)
-        if c.zigzag:
-            out.update({(DOWN, used): row[::-1] for (d, used), row in out.items() if d == UP})
-        return out
-
-    total = 0
+    total, views = 0, {}  # views: the columns unpacked so far
     for xa, xb, steps in joins:
-        head = unpacked(xa)
-        tail = head if xb == xa else unpacked(xb)
+        for x in (xa, xb):
+            if x not in views:
+                views[x] = fields.unpack(cols.pop(x), x)
+        head, tail = views[xa], views[xb]
         rests: dict[int, list] = {}  # the rest's rows by steps used
         for (d, used), row in tail.items():
             rests.setdefault(used, []).append((d, row))
@@ -405,7 +474,7 @@ def _join(size: int, altitude: AltitudeFilter, c: PathConstraints, by_y: bool) -
                     if c.zigzag and (da == db != 0 if step is None else step.direction in (da, db)):
                         continue  # two rises or two falls in a row; 0 is the empty path
                     total += _joined(a, b, z - (0 if step is None else step.dy), altitude)
-        del head, tail, rests
+        del head, tail, rests, views[xa]  # no later join reads the head's column
     return total
 
 

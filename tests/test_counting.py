@@ -31,7 +31,16 @@ from knightpaths.counting import (
     grand_row_stats,
     step_count_distribution,
 )
-from knightpaths.paths import DOWN, UP, Path, PathConstraints, parse_path, reach, validate_path
+from knightpaths.paths import (
+    DOWN,
+    STEP_ORDER,
+    UP,
+    Path,
+    PathConstraints,
+    parse_path,
+    reach,
+    validate_path,
+)
 
 ZZ = PathConstraints(zigzag=True)
 
@@ -506,6 +515,53 @@ def test_a_steps_sweep_keeps_one_row_per_direction(monkeypatch):
         count_paths(120, -2, zigzag=True, steps=steps)  # the join
         count_paths(120, -2, zigzag=True, steps=steps, min_y=-3)  # the end window
     assert len(rows) == 4 * (61 + 121) and max(rows) <= 3, max(rows)
+
+
+def test_a_zigzag_prefix_has_at_least_its_cells_origin_in_wide_steps(paths_of):
+    # a packed cell starts at the least b its row and altitude allow, so
+    # no prefix may have fewer wide steps than that
+    for n in range(15):
+        fields = counting._fields(n, ZZ, by_steps=True)
+        least = {d: fields.origins(0, d) for d in (UP, DOWN)}
+        for p in paths_of(n, ZZ):
+            y = b = 0
+            for s in p.steps:
+                y, b = y + s.dy, b + (s.dx == 2)
+                assert b >= least[s.direction][y - fields.lo], (p, y, b)
+
+
+def test_packed_cells_hold_few_zero_fields():
+    # packing every b from 0 up left 70% of the zigzag fields zero, and half
+    # the grand ones: an altitude has the parity of its wide steps, and a
+    # zigzag prefix needs about |y| of them
+    for c, n in ((ZZ, 120), (PathConstraints(), 80)):
+        fields = counting._fields(n, c, by_steps=True)
+        for col in counting._sweep(n, c, by_steps=True):
+            pass
+        mask, packed = (1 << fields.bits) - 1, []
+        for v in (v for row in col.values() for v in row if v):
+            n_fields = -(-v.bit_length() // fields.bits)
+            packed += [v >> f * fields.bits & mask for f in range(n_fields)]
+        assert packed.count(0) < len(packed) / 10, (c, packed.count(0), len(packed))
+
+
+def test_without_top_no_narrow_move_shifts_and_no_move_shifts_right():
+    # the sweep makes no plan for a narrow move without top: a narrow step
+    # keeps b and y's parity, and a zigzag row's bound at y is its
+    # successor's at y +- 2
+    moves = [(s.direction, s.dx, s.dy) for s in STEP_ORDER]
+    for c in (ZZ, PathConstraints(), PathConstraints(zigzag=True, min_y=-2, max_y=5)):
+        for n in (1, 2, 7, 40):
+            fields = counting._fields(n, c, by_steps=True)
+            for d in (UP, DOWN) if c.zigzag else (ANY,):
+                for direction, dx, dy in moves:
+                    if c.zigzag and d == direction:
+                        continue
+                    to = direction if c.zigzag else ANY
+                    src, dst = fields.origins(0, d), fields.origins(0, to)
+                    left, right, masks = fields.plan(src, dst, dx, dy, False, 0, fields.width)
+                    assert right is None and masks is None, (c, n, d, direction, dx)
+                    assert left is None or dx == 2, (c, n, d, direction, dx)
 
 
 def test_grand_steps_counts_at_every_field_width():
