@@ -3,8 +3,9 @@
 Four mutually cross-checking engines over the same combinatorial objects:
 
 * counting   — big-integer dynamic programming and exhaustive generation;
-* series     — exact truncated power/Laurent series from the kernel method,
-  and transfer, rational generating functions for two-sided bands;
+* recurrences, transfer and series — generating functions: exact integer
+  rows and rational band functions over poly's integer polynomials, and
+  truncated Laurent series (laurent) from the kernel method;
 * closedforms — binomial-sum formulas;
 * bijections — constructive maps to composition pairs, plus a tiling counter.
 
@@ -16,7 +17,7 @@ them against exact values; verification wires everything into one suite
 
 from .bijections import Composition, CompositionPair
 from .counting import ALL, NONNEG, CountQuery, count, count_paths, count_row, generate
-from .laurent import LaurentSeries, RationalGF
+from .laurent import LaurentSeries
 from .paths import (
     DOWN,
     UP,
@@ -27,6 +28,7 @@ from .paths import (
     parse_path,
     validate_path,
 )
+from .poly import RationalGF
 
 __version__ = "0.1.0"
 

@@ -405,15 +405,6 @@ def _tally(col: dict, lo: int, c: PathConstraints, key: Callable) -> dict:
     return out
 
 
-def _end_states(size: int, c: PathConstraints) -> dict[tuple[int, int | None], int]:
-    """Counts of the matching size-`size` paths keyed by (altitude, last_dir).
-
-    last_dir is 0 for the empty path and ANY for a grand path when c has no
-    last_dir filter: the sweep does not track what no filter reads.
-    """
-    return _tally(_final(size, c), _floor(size, c), c, lambda y, d, used: (y, d))
-
-
 def _select(dist: dict[int, int], altitude: AltitudeFilter) -> int:
     """Apply an altitude filter to a distribution by final altitude."""
     if isinstance(altitude, int):
@@ -521,10 +512,8 @@ def altitude_distribution(
     size: int, constraints: PathConstraints
 ) -> dict[int, int]:
     """Counts of matching paths by final altitude."""
-    out: dict[int, int] = {}
-    for (y, _), c in _end_states(size, constraints).items():
-        out[y] = out.get(y, 0) + c
-    return out
+    c = constraints
+    return _tally(_final(size, c), _floor(size, c), c, lambda y, d, used: y)
 
 
 def altitude_distributions(

@@ -15,7 +15,8 @@ arithmetic runs on ints and normalises once per result.
 
 The variable is abstract; the zigzag kernel series of `series` are
 ordinary series in z.  Division and square root follow the
-truncated-Newton/long-division schemes and are exact.
+truncated-Newton/long-division schemes and are exact.  The module holds
+`LaurentSeries` alone and does not import `poly`, whose rows it checks.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def _make(valuation: int, nums: list[int], den: int, order: int | None) -> Laure
 
 def _convolve(xs: list[int], ys: list[int], n: int) -> list[int]:
     """First n coefficients of the product of two integer sequences."""
+    # not poly.mul: LaurentSeries checks the rows built on poly, so it keeps its own product
     if len(xs) > len(ys):
         xs, ys = ys, xs
     out = [0] * n
@@ -263,34 +265,3 @@ def _coerce(value: LaurentSeries | Rat) -> LaurentSeries:
         return value
     return LaurentSeries.from_poly({0: value})
 
-
-class RationalGF:
-    """A rational generating function num/den with integer coefficients.
-
-    Expansion runs the linear recurrence induced by the denominator, so
-    coefficients up to n = 10**5 are cheap.  den[0] must be nonzero; every
-    expanded coefficient must come out an integer (asserted), since these
-    functions enumerate discrete objects.
-    """
-
-    def __init__(self, num: Iterable[int], den: Iterable[int]):
-        self.num = tuple(int(c) for c in num)
-        self.den = tuple(int(c) for c in den)
-        if not self.den or self.den[0] == 0:
-            raise ValueError("denominator needs a nonzero constant term")
-
-    def expand(self, count: int) -> list[int]:
-        """First `count` series coefficients."""
-        num, den = self.num, self.den
-        out: list[int] = []
-        for n in range(count):
-            s = num[n] if n < len(num) else 0
-            for j in range(1, min(n, len(den) - 1) + 1):
-                s -= den[j] * out[n - j]
-            q, r = divmod(s, den[0])
-            if r:
-                raise ArithmeticError(
-                    f"coefficient {n} is not an integer: {Fraction(s, den[0])}"
-                )
-            out.append(q)
-        return out

@@ -19,12 +19,13 @@ S^2 = Delta it satisfies 2 Delta S' = Delta' S, whose coefficients give
     2n s_n = -sum_{j in 2, 4, 6, 8} Delta_j (2n - 3j) s_{n-j},    s_0 = 1,
 
 four terms per coefficient.  Each row is written once, as in its
-kernel-method derivation, in a small private field arithmetic that keeps
-every element as (A + B r) / D with integer polynomials A, B, D.  Products
-reduce r^2 = (L r - z^3) / z^3; inverses multiply by the conjugate root
-1/r = L/z^3 - r, whose norm is a polynomial.  A row is expanded as the
+kernel-method derivation, in a small private field arithmetic (`_Elt`) that
+keeps every element as (A + B r) / D with integer polynomials A, B, D; the
+polynomial operations are those of `poly`, which `transfer` shares.
+Products reduce r^2 = (L r - z^3) / z^3; inverses multiply by the conjugate
+root 1/r = L/z^3 - r, whose norm is a polynomial.  A row is expanded as the
 polynomial-times-series A + B r followed by division by the polynomial D,
-a linear recurrence of order deg D.
+a linear recurrence of order deg D (`poly.divide`).
 
 The grand (non-zigzag) rows are algebraic too, hence D-finite.  All grand
 paths follow 1/(1 - 2z - 2z^2).  The paths ending on the axis, the paths
@@ -70,6 +71,7 @@ import math
 from itertools import repeat
 from operator import add, mul, sub
 
+from . import poly
 from .paths import reach
 
 # Delta = 1 - 2z^2 - z^4 - 2z^6 + z^8 as (j, Delta_j) for j >= 1
@@ -125,40 +127,6 @@ def small_root_coeffs(order: int) -> list[int]:
     return r
 
 
-# -- integer polynomials, low degree first, no trailing zeros -------------------
-
-
-def _trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(p: list[int], q: list[int]) -> list[int]:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _pmul(p: list[int], q: list[int]) -> list[int]:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        if c:
-            for j, e in enumerate(q):
-                out[i + j] += c * e
-    return out
-
-
-def _pshift(p: list[int], k: int, factor: int = 1) -> list[int]:
-    """factor * z^k * p."""
-    return [0] * k + [factor * c for c in p] if p else []
-
-
 def _valuation(p: list[int]) -> int:
     return next(i for i, c in enumerate(p) if c)
 
@@ -173,7 +141,7 @@ class _Elt:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: list[int], b: list[int] = (), d: list[int] = (1,)):
-        a, b, d = _trim(list(a)), _trim(list(b)), _trim(list(d))
+        a, b, d = poly.trim(list(a)), poly.trim(list(b)), poly.trim(list(d))
         if not d:
             raise ZeroDivisionError("zero denominator")
         k = min(_valuation(p) for p in (a, b, d) if p)
@@ -187,9 +155,9 @@ class _Elt:
     def __add__(self, other) -> _Elt:
         o = _lift(other)
         return _Elt(
-            _padd(_pmul(self.a, o.d), _pmul(o.a, self.d)),
-            _padd(_pmul(self.b, o.d), _pmul(o.b, self.d)),
-            _pmul(self.d, o.d),
+            poly.add(poly.mul(self.a, o.d), poly.mul(o.a, self.d)),
+            poly.add(poly.mul(self.b, o.d), poly.mul(o.b, self.d)),
+            poly.mul(self.d, o.d),
         )
 
     __radd__ = __add__
@@ -205,12 +173,15 @@ class _Elt:
 
     def __mul__(self, other) -> _Elt:
         o = _lift(other)
-        bb = _pmul(self.b, o.b)
+        bb = poly.mul(self.b, o.b)
         # r^2 = (L r - z^3) / z^3
         return _Elt(
-            _padd(_pshift(_pmul(self.a, o.a), 3), _pshift(bb, 3, -1)),
-            _padd(_pshift(_padd(_pmul(self.a, o.b), _pmul(self.b, o.a)), 3), _pmul(_L, bb)),
-            _pshift(_pmul(self.d, o.d), 3),
+            poly.add(poly.shift(poly.mul(self.a, o.a), 3), poly.shift(bb, 3, -1)),
+            poly.add(
+                poly.shift(poly.add(poly.mul(self.a, o.b), poly.mul(self.b, o.a)), 3),
+                poly.mul(_L, bb),
+            ),
+            poly.shift(poly.mul(self.d, o.d), 3),
         )
 
     __rmul__ = __mul__
@@ -221,9 +192,12 @@ class _Elt:
             return _Elt(d, [], a)
         # (a + b r)(z^3 a + b L - z^3 b r) = z^3 a^2 + a b L + z^3 b^2
         return _Elt(
-            _pmul(d, _padd(_pshift(a, 3), _pmul(b, _L))),
-            _pmul(d, _pshift(b, 3, -1)),
-            _padd(_pshift(_padd(_pmul(a, a), _pmul(b, b)), 3), _pmul(_pmul(a, b), _L)),
+            poly.mul(d, poly.add(poly.shift(a, 3), poly.mul(b, _L))),
+            poly.mul(d, poly.shift(b, 3, -1)),
+            poly.add(
+                poly.shift(poly.add(poly.mul(a, a), poly.mul(b, b)), 3),
+                poly.mul(poly.mul(a, b), _L),
+            ),
         )
 
     def __truediv__(self, other) -> _Elt:
@@ -253,30 +227,16 @@ def _expand(x: _Elt, count: int) -> list[int]:
     if count <= 0:
         return []
     k = _valuation(x.d)
-    d = x.d[k:]
     width = count + k
     num = (x.a + [0] * width)[:width]
     if x.b:
         r = small_root_coeffs(width)
         for i, c in enumerate(x.b[:width]):
-            if c:
+            if c:  # a factor count terms long: add c times r, a row at a time
                 num[i:] = map(add, num[i:], map(mul, repeat(c), r))
     if any(num[:k]):
         raise ArithmeticError(f"expected the first {k} coefficients to vanish")
-    num = num[k:]
-    d0, taps = d[0], [(j, c) for j, c in enumerate(d) if c and j]
-    out = []
-    for n in range(count):
-        acc = num[n]
-        for j, c in taps:
-            if j > n:
-                break
-            acc -= c * out[n - j]
-        q, rem = divmod(acc, d0)
-        if rem:
-            raise ArithmeticError(f"coefficient {n} is not an integer")
-        out.append(q)
-    return out
+    return poly.divide(num[k:], x.d[k:], count)
 
 
 @_stored

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentSeries, RationalGF
+from .laurent import LaurentSeries
+from .poly import RationalGF
 
 DEFAULT_ORDER = 64
 

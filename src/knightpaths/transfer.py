@@ -29,78 +29,21 @@ only ever scaled by the elimination, so it is left alone until the column
 reaches it, and the cost grows with the band's span, not with the order.
 
 The engine is independent of the DP and of the kernel-method series.
-`verify` and the tests check its bands against the DP.
+`verify` and the tests check its bands against the DP.  Its polynomial
+arithmetic is that of `poly`, which it shares with `recurrences` but not
+with the DP, the closed forms or `LaurentSeries`.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Sequence
 
-from .laurent import RationalGF
+from . import poly
 from .paths import ALL, DOWN, NONNEG, STEP_ORDER, UP, PathConstraints, reach
-
-Poly = list[int]  # integer coefficients, lowest degree first, no trailing zeros
+from .poly import Poly, RationalGF
 
 _STEPS = tuple((s.dx, s.dy, s.direction) for s in STEP_ORDER)
-
-
-# -- integer polynomials ---------------------------------------------------------
-
-
-def _trim(p: Poly) -> Poly:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    if len(p) > len(q):
-        p, q = q, p
-    out = [0] * (len(p) + len(q) - 1)
-    t = len(q)
-    for i, c in enumerate(p):
-        if c:  # add c times q, shifted by i, in one C-level pass
-            out[i : i + t] = map(add, out[i : i + t], map(mul, q, repeat(c)))
-    return out
-
-
-def _sub(p: Poly, q: Poly) -> Poly:
-    out = p + [0] * (len(q) - len(p))
-    out[: len(q)] = map(sub, out, q)
-    return _trim(out)
-
-
-def _divexact(num: Poly, den: Poly) -> Poly:
-    """num / den, which must divide exactly; raises ArithmeticError otherwise.
-
-    The quotient comes from the low end, one coefficient per division by
-    den[0]; the top len(den) - 1 coefficients of num must then agree with
-    den * quotient.
-    """
-    if not num:
-        return []
-    last = len(den) - 1
-    nq = len(num) - last
-    if nq <= 0:
-        raise ArithmeticError(f"degree {len(num) - 1} polynomial is not divisible by degree {last}")
-    d0, rden = den[0], den[::-1]
-    q: Poly = []
-    for i in range(nq):
-        t = min(i, last)
-        s = num[i] - sum(map(mul, rden[last - t : last], q[i - t : i]))
-        h, r = divmod(s, d0)
-        if r:
-            raise ArithmeticError(f"inexact division at z^{i}: {s} / {d0}")
-        q.append(h)
-    for i in range(nq, len(num)):
-        j = i - nq + 1  # the lowest power of den that still meets the quotient
-        if num[i] != sum(map(mul, den[j : i + 1], reversed(q[max(i - last, 0) : nq]))):
-            raise ArithmeticError(f"inexact division: remainder at z^{i}")
-    return q
 
 
 # -- the band's state graph ---------------------------------------------------------
@@ -168,7 +111,7 @@ def _system(c: PathConstraints, altitudes: Sequence) -> list[list[Poly]]:
             for y, degree, _, _ in finals:
                 if sel(y):
                     _bump(row, n + t, degree, 1)
-        rows.append([_trim(p) for p in row])
+        rows.append([poly.trim(p) for p in row])
     return rows
 
 
@@ -202,12 +145,12 @@ def _bareiss_step(rows: list[list[Poly]], k: int, prev: Poly, touched: list[bool
         for j in range(k + 1, len(row)):
             x, y = row[j], pivot[j]
             if a and y:
-                num = _sub(_mul(p, x), _mul(a, y))
+                num = poly.sub(poly.mul(p, x), poly.mul(a, y))
             elif x:
-                num = _mul(p, x)
+                num = poly.mul(p, x)
             else:
                 continue  # zero stays zero
-            row[j] = num if prev == [1] or not touched[i] else _divexact(num, prev)
+            row[j] = num if prev == [1] or not touched[i] else poly.divexact(num, prev)
         row[k] = []
         touched[i] = True
 
@@ -218,7 +161,7 @@ def _solve(rows: list[list[Poly]]) -> tuple[Poly, list[Poly]]:
     touched = [False] * len(rows)
     for k in range(len(rows)):
         if not touched[k]:  # left as it was by every step so far: stands for prev * row
-            rows[k] = [_mul(prev, x) for x in rows[k]]
+            rows[k] = [poly.mul(prev, x) for x in rows[k]]
         _bareiss_step(rows, k, prev, touched)
         prev = rows[k][k]
     if not prev or prev[0] != 1:

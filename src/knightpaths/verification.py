@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from . import asymptotics, bijections, closedforms, counting, recurrences, series, transfer
+from . import asymptotics, bijections, closedforms, counting, poly, recurrences, series, transfer
 from .counting import ALL, NONNEG
 from .fixtures import GRAND_TABLE, SEQUENCES, SPAN_TABLE, ZIGZAG_TABLE
 from .paths import DOWN, UP, Path, PathConstraints, Step, validate_path
@@ -242,8 +242,8 @@ def _residual(equation, row: list[int]) -> list[int]:
     n = len(row)
     total, power = [], [1]
     for c in equation:
-        total = recurrences._padd(total, recurrences._pmul(c, power)[:n])
-        power = recurrences._pmul(power, row)[:n]
+        total = poly.add(total, poly.mul(c, power)[:n])
+        power = poly.mul(power, row)[:n]
     return total
 
 

@@ -46,7 +46,7 @@ for argv in json.loads(sys.argv[2]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runs.append([cli.main(argv), out.getvalue()])
-# the bench's reference values call altitude_distribution, which calls _end_states
+# the bench's reference values call altitude_distribution
 dist = counting.altitude_distribution(8, PathConstraints(zigzag=True))
 json.dump({"runs": runs, "dist": sorted(dist.items()), "layers": tracer.metrics(tr)}, sys.stdout)
 """

@@ -16,7 +16,6 @@ from knightpaths.counting import (
     ANY,
     NONNEG,
     CountQuery,
-    _end_states,
     _final,
     _floor,
     _joined,
@@ -374,7 +373,7 @@ def test_row_layouts_match_generation(paths_of, query):
         if c.steps is None or p.step_count == c.steps:
             last = 0 if not p.steps else p.steps[-1].direction if tracked else ANY
             ends[p.altitude, last] = ends.get((p.altitude, last), 0) + 1
-    assert _end_states(n_max, c) == ends, query
+    assert _tally(_final(n_max, c), _floor(n_max, c), c, lambda y, d, used: (y, d)) == ends, query
     assert step_count_distribution(n_max, c) == steps, query
     if c.zigzag:
         # count_primitive clears the axis, a mirror-symmetric set
@@ -493,7 +492,7 @@ def test_only_counts_that_read_no_altitude_drop_it(monkeypatch):
     count_paths(9, 0, zigzag=True, first_dir=UP)
     count_row(9, ALL, ZZ)
     altitude_distribution(9, ZZ)
-    _end_states(9, PathConstraints())
+    altitude_distribution(9, PathConstraints())
     step_count_distribution(9, ZZ)
     grand_row_stats(9)
     count_primitive(9)

@@ -16,17 +16,25 @@ import pytest
 
 # module: the modules and packages it must not import
 BANNED = {
+    # the integer polynomials under the rows and the bands build on nothing
+    "poly": {
+        "asymptotics", "bijections", "cli", "closedforms", "counting", "engines",
+        "fixtures", "laurent", "paths", "recurrences", "series", "transfer",
+        "verification", "sympy", "mpmath",
+    },
     # the O(n) rows check the DP, the kernel series and the Laurent type
     "recurrences": {"series", "laurent", "counting", "sympy", "mpmath", "engines"},
     # asym reads the rows alone; a from-import of the DP would also slip
     # past the monkeypatch in test_grand_reports_do_not_run_the_dp
     "asymptotics": {"counting", "series", "engines"},
-    # the band engine is checked against the DP
+    # the band engine is checked against the DP; it shares poly with the rows
     "transfer": {"series", "counting", "sympy", "mpmath", "engines"},
-    "closedforms": {"series", "counting", "recurrences", "transfer", "laurent", "engines"},
-    "counting": {"series", "transfer", "recurrences", "closedforms", "laurent", "engines"},
+    # the DP, the closed forms and the Laurent type check the rows and the
+    # bands, so they share none of poly's arithmetic either
+    "closedforms": {"series", "counting", "recurrences", "transfer", "laurent", "poly", "engines"},
+    "counting": {"series", "transfer", "recurrences", "closedforms", "laurent", "poly", "engines"},
     "series": {"engines"},
-    "laurent": {"engines"},
+    "laurent": {"poly", "engines"},
     "bijections": {"engines"},
     # the router alone decides which engine answers a query
     "cli": {"closedforms", "recurrences", "transfer"},

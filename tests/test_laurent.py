@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knightpaths.laurent import LaurentSeries, RationalGF
+from knightpaths.laurent import LaurentSeries
 
 small_series = st.builds(
     lambda val, coeffs, pad: LaurentSeries(val, coeffs, val + len(coeffs) + pad),
@@ -164,30 +164,6 @@ def test_truncation_consistency():
     b = disc.sqrt(order=60)
     for i in range(30):
         assert a.coefficient(i) == b.coefficient(i)
-
-
-def test_rational_gf_expansion():
-    fib_like = RationalGF([1, 1, 1], [1, -1, -1])
-    row = fib_like.expand(61)
-    assert row[:17] == [1, 2, 4, 6, 10, 16, 26, 42, 68, 110, 178, 288, 466, 754, 1220, 1974, 3194]
-    # the denominator-induced recurrence holds past the numerator degree
-    for n in range(3, 61):
-        assert row[n] == row[n - 1] + row[n - 2]
-
-
-def test_rational_gf_long_expansion_is_cheap():
-    row = RationalGF([1, 1, 1], [1, -1, -1]).expand(20000)
-    assert row[19999] > 0
-
-
-def test_rational_gf_rejects_zero_constant():
-    with pytest.raises(ValueError):
-        RationalGF([1], [0, 1])
-
-
-def test_rational_gf_demands_integrality():
-    with pytest.raises(ArithmeticError):
-        RationalGF([1], [2, 1]).expand(3)
 
 
 def test_rational_coefficients_share_one_denominator():

@@ -1,0 +1,79 @@
+"""Integer polynomials and rational generating functions: exact, checked arithmetic."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knightpaths import poly
+from knightpaths.poly import RationalGF
+
+polys = st.lists(st.integers(-20, 20), max_size=8)
+
+
+def _value(p, z):
+    return sum(c * z**i for i, c in enumerate(p))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(polys, polys)
+def test_ring_operations_agree_with_evaluation(p, q):
+    p, q = poly.trim(p), poly.trim(q)
+    for op, f in ((poly.add, int.__add__), (poly.sub, int.__sub__), (poly.mul, int.__mul__)):
+        out = op(p, q)
+        assert out == poly.trim(list(out)), op  # trimmed factors give a trimmed result
+        for z in range(-6, 7):
+            assert _value(out, z) == f(_value(p, z), _value(q, z)), (op, z)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(polys, polys, st.sampled_from([1, -1]))
+def test_division_undoes_multiplication(p, q, unit):
+    p, q = poly.trim(p), [unit] + q
+    assert poly.divide(poly.mul(p, q), q, len(p)) == p
+
+
+def test_division_names_the_first_coefficient_that_is_not_an_integer():
+    assert poly.divide([1, 1], [1, -2, -2], 4) == [1, 3, 8, 22]
+    # (2 + z^2) / (2 - 4z - 4z^2): z^0 and z^1 divide, z^2 leaves 13 / 2
+    with pytest.raises(ArithmeticError, match=r"^coefficient 2 is not an integer: 13 / 2$"):
+        poly.divide([2, 0, 1], [2, -4, -4], 4)
+    assert poly.divide([2, 0, 1], [2, -4, -4], 2) == [1, 2]
+
+
+def test_exact_division_checks():
+    p, q = [1, -1, -1], [1, 2, 0, 5]
+    assert poly.divexact(poly.mul(p, q), p) == q
+    with pytest.raises(ArithmeticError):
+        poly.divexact([1, 0, 1], [1, 1])  # 1 + z^2 = (1 + z)(1 - z) + 2z^2
+    with pytest.raises(ArithmeticError):
+        poly.divexact([1, 1], [2, 1])  # quotient not integral
+    with pytest.raises(ArithmeticError):
+        poly.divexact([3, 1], [2, 1])  # z^1 agrees with 1 * (2 + z); z^0 leaves 1
+    with pytest.raises(ArithmeticError):
+        poly.divexact([3], [1, 1])
+
+
+def test_rational_gf_expansion():
+    fib_like = RationalGF([1, 1, 1], [1, -1, -1])
+    row = fib_like.expand(61)
+    assert row[:17] == [1, 2, 4, 6, 10, 16, 26, 42, 68, 110, 178, 288, 466, 754, 1220, 1974, 3194]
+    # the denominator-induced recurrence holds past the numerator degree
+    for n in range(3, 61):
+        assert row[n] == row[n - 1] + row[n - 2]
+
+
+def test_rational_gf_long_expansion_is_cheap():
+    row = RationalGF([1, 1, 1], [1, -1, -1]).expand(20000)
+    assert row[19999] > 0
+
+
+def test_rational_gf_rejects_zero_constant():
+    with pytest.raises(ValueError):
+        RationalGF([1], [0, 1])
+
+
+def test_rational_gf_demands_integrality():
+    with pytest.raises(ArithmeticError):
+        RationalGF([1], [2, 1]).expand(3)

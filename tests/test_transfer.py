@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knightpaths import engines, transfer
+from knightpaths import engines, poly, transfer
 from knightpaths.counting import (
     ALL,
     NONNEG,
@@ -181,7 +181,7 @@ def test_corrupted_entry_fails_the_exact_division():
     touched = [False] * len(rows)
     transfer._bareiss_step(rows, 0, [1], touched)
     assert len(rows[0][0]) > 1  # the next step divides by a non-constant pivot
-    rows[1][3] = transfer._sub(rows[1][3], [0, 1])
+    rows[1][3] = poly.sub(rows[1][3], [0, 1])
     with pytest.raises(ArithmeticError):
         transfer._bareiss_step(rows, 1, rows[0][0], touched)
 
@@ -211,13 +211,13 @@ def _det(matrix):
 def augmented(draw):
     """[I - T | v1 v2] with T(0) = 0 and many zero entries."""
     n = draw(st.integers(1, 5))
-    poly = st.lists(st.integers(-3, 3), max_size=3)
+    entries = st.lists(st.integers(-3, 3), max_size=3)
     rows = []
     for i in range(n):
-        row = [[0] + draw(poly) if draw(st.booleans()) else [] for _ in range(n)]
+        row = [[0] + draw(entries) if draw(st.booleans()) else [] for _ in range(n)]
         row = [[-c for c in p] for p in row]
         row[i] = [1] + row[i][1:]
-        rows.append([transfer._trim(p) for p in row] + [transfer._trim(draw(poly)) for _ in range(2)])
+        rows.append([poly.trim(p) for p in row] + [poly.trim(draw(entries)) for _ in range(2)])
     return rows
 
 
@@ -232,19 +232,6 @@ def test_elimination_matches_cramer(rows):
         assert _value(q, z) == _det([row[:n] for row in a])
         for t, p in enumerate(ps):
             assert _value(p, z) == _det([row[: n - 1] + [row[n + t]] for row in a])
-
-
-def test_exact_division_checks():
-    p, q = [1, -1, -1], [1, 2, 0, 5]
-    assert transfer._divexact(transfer._mul(p, q), p) == q
-    with pytest.raises(ArithmeticError):
-        transfer._divexact([1, 0, 1], [1, 1])  # 1 + z^2 = (1 + z)(1 - z) + 2z^2
-    with pytest.raises(ArithmeticError):
-        transfer._divexact([1, 1], [2, 1])  # quotient not integral
-    with pytest.raises(ArithmeticError):
-        transfer._divexact([3, 1], [2, 1])  # z^1 agrees with 1 * (2 + z); z^0 leaves 1
-    with pytest.raises(ArithmeticError):
-        transfer._divexact([3], [1, 1])
 
 
 def test_determinant_must_be_one_at_zero():
