@@ -143,47 +143,19 @@ class _Formula:
     min_n: int = 0  # smallest size with both an estimate and an exact value
 
 
-def _exact_grand_all(n_list):
-    row = recurrences.grand_total_row(max(n_list) + 1)
-    return [Fraction(row[n]) for n in n_list]
+def _ratio(num: str, den: str | None = None) -> Callable:
+    """exact(n_list): row `num` of `recurrences` over row `den` (or 1) at each size.
 
+    The rows are looked up by name when exact runs, so a patched row is read.
+    """
 
-def _exact_grand_nonneg(n_list):
-    row = recurrences.grand_nonneg_row(max(n_list) + 1)
-    return [Fraction(row[n]) for n in n_list]
+    def exact(n_list):
+        top = max(n_list) + 1
+        nums = getattr(recurrences, num)(top)
+        dens = [1] * top if den is None else getattr(recurrences, den)(top)
+        return [Fraction(nums[n], dens[n]) for n in n_list]
 
-
-def _exact_grand_altitude_sum(n_list):
-    row = recurrences.grand_altitude_sum_row(max(n_list) + 1)
-    return [Fraction(row[n]) for n in n_list]
-
-
-def _exact_grand_expected_altitude(n_list):
-    top = max(n_list) + 1
-    sums = recurrences.grand_altitude_sum_row(top)
-    counts = recurrences.grand_nonneg_row(top)
-    return [Fraction(sums[n], counts[n]) for n in n_list]
-
-
-def _exact_grand_expected_altitude_positive(n_list):
-    top = max(n_list) + 1
-    sums = recurrences.grand_altitude_sum_row(top)
-    counts = recurrences.grand_positive_row(top)
-    return [Fraction(sums[n], counts[n]) for n in n_list]
-
-
-def _exact_zigzag_expected_altitude(n_list):
-    top = max(n_list) + 1
-    sums = recurrences.zigzag_altitude_sum_row(top)
-    counts = recurrences.zigzag_nonneg_row(top)
-    return [Fraction(sums[n], counts[n]) for n in n_list]
-
-
-def _exact_zigzag_above_axis_altitude(n_list):
-    top = max(n_list) + 1
-    sums = recurrences.above_axis_altitude_sum_row(top)
-    counts = recurrences.above_axis_row(top)
-    return [Fraction(sums[n], counts[n]) for n in n_list]
+    return exact
 
 
 def _exact_expected_steps(n_list):
@@ -209,36 +181,36 @@ def _exact_min_height_prob(n_list, m):
 
 FORMULAS: dict[str, _Formula] = {
     "grand-all": _Formula(
-        _c_grand_all, _pow_growth(1), exact=_exact_grand_all
+        _c_grand_all, _pow_growth(1), exact=_ratio("grand_total_row")
     ),
     "grand-nonneg": _Formula(
-        _c_grand_nonneg, _pow_growth(1), exact=_exact_grand_nonneg
+        _c_grand_nonneg, _pow_growth(1), exact=_ratio("grand_nonneg_row")
     ),
     "grand-altitude-sum": _Formula(
         _c_grand_altitude_sum,
         lambda n: sqrt(n / pi) * (1 + sqrt(3)) ** n,
-        exact=_exact_grand_altitude_sum,
+        exact=_ratio("grand_altitude_sum_row"),
     ),
     "grand-expected-altitude": _Formula(
         _c_grand_expected_altitude,
         lambda n: sqrt(n),
-        exact=_exact_grand_expected_altitude,
+        exact=_ratio("grand_altitude_sum_row", "grand_nonneg_row"),
     ),
     "grand-expected-altitude-positive": _Formula(
         _c_grand_expected_altitude,
         lambda n: sqrt(n),
-        exact=_exact_grand_expected_altitude_positive,
+        exact=_ratio("grand_altitude_sum_row", "grand_positive_row"),
         min_n=1,  # no path of size 0 ends above the axis
     ),
     "zigzag-expected-altitude": _Formula(
         _c_zigzag_expected_altitude,
         lambda n: sqrt(n),
-        exact=_exact_zigzag_expected_altitude,
+        exact=_ratio("zigzag_altitude_sum_row", "zigzag_nonneg_row"),
     ),
     "zigzag-above-axis-altitude": _Formula(
         _c_zigzag_above_axis_altitude,
         lambda n: sqrt(n),
-        exact=_exact_zigzag_above_axis_altitude,
+        exact=_ratio("above_axis_altitude_sum_row", "above_axis_row"),
     ),
     "expected-steps-even": _Formula(
         _c_expected_steps, lambda n: n, exact=_exact_expected_steps

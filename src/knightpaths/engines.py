@@ -34,15 +34,21 @@ def count(query: CountQuery, engine: str) -> int | None:
 def _gf_count(query: CountQuery) -> int | None:
     """Coefficient `size` of a generating function, or None when none applies.
 
-    Two-sided bands go to the transfer-matrix engine.  The other queries
-    read coefficient `size` of a rational generating function or of an exact
-    row from `recurrences` (O(n), or O(|k| n) for a grand altitude k), so no
-    route expands a kernel-method series.
+    Two-sided bands go to the transfer-matrix engine, except one that no
+    path of this size reaches and that sets no direction: it counts as
+    unbounded.  The other queries read coefficient `size` of a rational
+    generating function or of an exact row from `recurrences` (O(n), or
+    O(|k| n) for a grand altitude k), so no route expands a kernel-method
+    series.
     """
     size, altitude, c = query.size, query.altitude, query.constraints
     order = size + 1
     if c.min_y is not None and c.max_y is not None and c.steps is None:
-        return transfer.band_gf(_within_reach(c, size), altitude).expand(order)[size]
+        c = _within_reach(c, size)
+        r = reach(size, c.zigzag)
+        if (c.min_y, c.max_y) != (-r, r) or c.first_dir is not None or c.last_dir is not None:
+            return transfer.band_gf(c, altitude).expand(order)[size]
+        c = replace(c, min_y=None, max_y=None)
     if c.steps is not None or c.first_dir is not None or c.last_dir is not None:
         return None
     bounded = c.min_y is not None or c.max_y is not None
@@ -137,9 +143,9 @@ def _positive(name: str, value: int) -> int:
 
 
 # name -> (n, need) -> the first n coefficients, where need("k") reads --k.
-# The grand names read exact rows and the zigzag names expand the kernel
-# series.  The band names read the transfer engine, which takes any band;
-# they accept only m <= M (series.check_band).
+# The grand names and zigzag-primitive read exact rows, and the other zigzag
+# names expand the kernel series.  The band names read the transfer engine,
+# which takes any band; they accept only m <= M (series.check_band).
 GF_ROWS = {
     "grand-total": lambda n, need: series.GRAND_TOTAL_GF.expand(n),
     "grand-nonneg": lambda n, need: recurrences.grand_nonneg_row(n),
@@ -152,7 +158,7 @@ GF_ROWS = {
     "zigzag-altitude": lambda n, need: series.int_coefficients(
         series.zigzag_altitude_gf(abs(need("k")), n), n
     ),
-    "zigzag-primitive": lambda n, need: series.int_coefficients(series.zigzag_primitive_gf(n), n),
+    "zigzag-primitive": lambda n, need: recurrences.zigzag_primitive_row(n),
     "above-line": lambda n, need: series.int_coefficients(series.above_line_gf(need("m"), n), n),
     "sym-tube": lambda n, need: _tube(n, _positive("m", need("m")), need("m")),
     "tube": lambda n, need: _tube(n, need("m"), need("M")),

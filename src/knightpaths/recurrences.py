@@ -4,7 +4,8 @@ The asymptotic checks compare against exact values at sizes in the
 thousands, and the generating-function engine of `count` and the grand
 `gf` names read their coefficients here.  These come from code independent
 of the series engine and of the dynamic program: the DP checks every row,
-and the zigzag kernel series check the zigzag ones.
+and the zigzag kernel series check the zigzag rows whose `gf` names still
+expand them.
 Each row costs O(n * small degree) big-integer steps.
 
 Every zigzag-side series here lies in the quadratic extension Q(z)(r) of
@@ -60,7 +61,7 @@ request gets a fresh copy of its prefix and a longer one derives the row
 again and replaces it.  Each coefficient of a row reads only lower ones, so
 a prefix equals a fresh derivation.  Rows that take a parameter (a zigzag
 or grand altitude |k| >= 2, a line m >= 1) keep nothing and build on the
-stored ones, so the memo holds at most twelve series, each at the largest
+stored ones, so the memo holds at most thirteen series, each at the largest
 count asked for.
 """
 
@@ -299,6 +300,16 @@ def zigzag_altitude_sum_row(count: int) -> list[int]:
     _, alt1, bundle = _boundary()
     tail = bundle * (2 * _R - _R**2) / (_Z**2 * (1 - _R) ** 2)
     return _expand(alt1 + tail, count)
+
+
+@_stored
+def zigzag_primitive_row(count: int) -> list[int]:
+    """Zigzag axis-enders touching the x-axis only at the ends, by size.
+
+    (2 z^5 r + 2 z^4 - 2 z^3 - 3 z r + 3 r) / (r (1 - z)).
+    """
+    num = 2 * _Z**5 * _R + 2 * _Z**4 - 2 * _Z**3 - 3 * _Z * _R + 3 * _R
+    return _expand(num / (_R * (1 - _Z)), count)
 
 
 @_stored

@@ -4,11 +4,12 @@ The zigzag kernel u^2*z^3 + u*z^4 + z^2*u + z^3 - u has two roots in u that
 are ordinary Laurent series in z: the small one of valuation 3 and the
 large one of valuation -3.  The kernel method (Banderier and Flajolet, TCS
 281, 2002) builds every zigzag generating function here from them: the
-paths ending at each altitude, at altitude >= 0, the primitive axis-enders
-and the paths staying above a line.  `gf --name zigzag-*` and `above-line`
-print these series; the exact rows of `recurrences`, the closed forms and
-the DP check them.  Every grand row and every band comes from
-`recurrences` and `transfer` instead.
+paths ending at each altitude, at altitude >= 0 and the paths staying
+above a line.  `gf --name zigzag-nonneg`, `zigzag-axis`, `zigzag-altitude`
+and `above-line` print these series; the exact rows of `recurrences`, the
+closed forms and the DP check them, and `verify` checks the roots against
+the integer root of `recurrences`.  Every grand row, every band and the
+primitive axis-enders come from `recurrences` and `transfer` instead.
 
 Every public function is exact to its requested order in z and raises if
 internal cancellation ever eats past it.  Each working order is the exact
@@ -142,18 +143,6 @@ def _derive_zigzag_roots(order: int) -> tuple[LaurentSeries, LaurentSeries]:
     return small, large
 
 
-def zigzag_kernel_value(u: LaurentSeries) -> LaurentSeries:
-    z2, z3, z4 = _mono(2), _mono(3), _mono(4)
-    return u * u * z3 + u * z4 + z2 * u + z3 - u
-
-
-def zigzag_kernel_residuals(order: int = 50) -> tuple[LaurentSeries, LaurentSeries]:
-    # every term of the kernel keeps z^R at either root: z^3 u^2 at the large
-    # one is exact to z^(R - 3 + 3), and -u to z^R
-    small, large = zigzag_kernel_roots(max(order, ZIGZAG_LEAST))
-    return zigzag_kernel_value(small), zigzag_kernel_value(large)
-
-
 def zigzag_boundary_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
     """Axis-enders whose final step rises, plus the empty path.
 
@@ -213,25 +202,6 @@ def zigzag_nonneg_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
     numer = one + small + _mono(1) + _mono(2) + _mono(2) * large * (2 * up_axis - one)
     out = -numer.divide(_mono(2) * (one - large))
     return _ensure_order(out, order, "zigzag nonneg gf")
-
-
-def zigzag_primitive_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """Counts of zigzag axis-enders touching the x-axis only at the ends.
-
-    Exact to z^order.
-    """
-    # numer and denom have valuation 3 and are exact to z^R; 1/denom is
-    # exact to z^(R - 6), so the quotient to z^(R - 3)
-    work = max(order + 3, ZIGZAG_LEAST)
-    small, _ = zigzag_kernel_roots(work)
-    numer = (
-        2 * _mono(5) * small
-        + LaurentSeries.from_poly({4: 2, 3: -2})
-        - 3 * small * _mono(1)
-        + 3 * small
-    )
-    denom = small * LaurentSeries.from_poly({0: 1, 1: -1})
-    return _ensure_order(numer.divide(denom), order, "zigzag primitive gf")
 
 
 def above_line_gf(m: int, order: int = DEFAULT_ORDER) -> LaurentSeries:

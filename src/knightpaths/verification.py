@@ -7,8 +7,10 @@ disagreement, never a formatting artifact.
 
 Each check compares the engines that print numbers: the DP, the closed
 forms, the integer rows of `recurrences`, the transfer engine for bands and
-the zigzag kernel series that the zigzag `gf` names expand.  The grand rows
-are certified against their committed algebraic equations (check 5).
+the zigzag kernel series that the zigzag `gf` names expand.  Check 5
+certifies the grand rows against their committed algebraic equations, the
+integer small root against the zigzag kernel, and the series roots that
+`gf` prints from against that integer root.
 
 Levels: "quick" runs reduced ranges; "full" runs the complete ranges,
 including the large-size asymptotic gates.  On a 2-core VM the checks take
@@ -33,7 +35,6 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
-    gated: bool = True
 
 
 def _zigzag(**kw) -> PathConstraints:
@@ -121,10 +122,7 @@ def check_sequence_fixtures(level: str = "quick") -> tuple[bool, str]:
     compare("zigzag-total", counting.count_row(16, ALL, _zigzag()))
     compare("zigzag-nonneg", series.int_coefficients(series.zigzag_nonneg_gf(17), 17))
     compare("zigzag-nonneg", counting.count_row(16, NONNEG, _zigzag()))
-    compare(
-        "zigzag-primitive",
-        series.int_coefficients(series.zigzag_primitive_gf(23), 23),
-    )
+    compare("zigzag-primitive", recurrences.zigzag_primitive_row(23))
     compare("zigzag-primitive", [counting.count_primitive(n) for n in range(23)])
     compare("above-line-m2", series.int_coefficients(series.above_line_gf(2, 17), 16))
     compare("above-line-m2", counting.count_row(15, ALL, _zigzag(min_y=-2)))
@@ -248,7 +246,7 @@ def _residual(equation, row: list[int]) -> list[int]:
 
 
 def check_kernel_certificates(level: str = "quick") -> tuple[bool, str]:
-    """The answering rows against their committed equations, and the zigzag series.
+    """The answering rows against their committed equations, and the series roots.
 
     The grand axis and altitude-sum rows come from P-recurrences; each must
     solve its algebraic equation mod z^50.  That pins every term of the
@@ -256,7 +254,9 @@ def check_kernel_certificates(level: str = "quick") -> tuple[bool, str]:
     derivative there has valuation 2); a term that is off changes the
     residual.  The zigzag rows are all built on the small root and on
     sqrt(Delta), which must solve the kernel and square to Delta.  The
-    zigzag kernel series that `gf` prints keep their own residual checks.
+    series roots that the zigzag `gf` names expand must equal that
+    certified root to z^50 and multiply to 1 to z^40, which also fixes the
+    large root's valuation at -3.
     """
     n = 50
     problems = []
@@ -275,19 +275,16 @@ def check_kernel_certificates(level: str = "quick") -> tuple[bool, str]:
         if residual:
             low = next(i for i, c in enumerate(residual) if c)
             problems.append(f"{label}: equation fails at z^{low}")
-    zres1, zres2 = series.zigzag_kernel_residuals(n)
-    for label, res in (("small", zres1), ("large", zres2)):
-        if not res.is_zero() or res.order < n:
-            problems.append(f"zigzag kernel at {label} root: nonzero")
     small, large = series.zigzag_kernel_roots(n)
-    prod = small * large
-    if series.int_coefficients(prod, 40) != [1] + [0] * 39:
+    got, want = series.int_coefficients(small, n), recurrences.small_root_coeffs(n)
+    if got != want:
+        low = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        problems.append(f"series small root differs from the integer root at z^{low}")
+    # every power, negative ones too: a stray term in either root shows
+    unit = small * large - 1
+    if not unit.is_zero() or unit.order < 40:
         problems.append("small*large != 1")
-    if small.valuation != 3 or large.valuation != -3:
-        problems.append(
-            f"root valuations ({small.valuation}, {large.valuation}) != (3, -3)"
-        )
-    done = f"certificates and kernel residuals zero to order {n}"
+    done = f"certificates zero and series roots certified to order {n}"
     return not problems, "; ".join(problems) or done
 
 

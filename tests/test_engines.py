@@ -100,3 +100,28 @@ def test_band_rows_move_a_side_past_the_reach_in(monkeypatch, name, params, lo, 
     monkeypatch.setattr(transfer, "band_gf", within_reach)
     c = PathConstraints(zigzag=True, min_y=lo, max_y=hi)
     assert engines.gf_row(name, 30, **params) == counting.count_row(29, altitude, c)
+
+
+@pytest.mark.parametrize("zigzag", [True, False])
+def test_a_band_no_path_reaches_counts_as_unbounded(monkeypatch, zigzag):
+    calls = []
+    band_gf = transfer.band_gf
+
+    def spy(c, altitude=ALL):
+        calls.append(c)
+        return band_gf(c, altitude)
+
+    monkeypatch.setattr(transfer, "band_gf", spy)
+    for size in (0, 1, 7, 30):
+        r = reach(size, zigzag)
+        for lo, hi in ((-100, 100), (-r, r)):
+            c = PathConstraints(zigzag=zigzag, min_y=lo, max_y=hi)
+            for altitude in (ALL, NONNEG, 0, 3):
+                q = CountQuery(size, altitude, c)
+                assert engines.count(q, "gf") == counting.count(q), (size, lo, altitude)
+    assert not calls
+    # a direction keeps the band on the transfer engine
+    c = PathConstraints(zigzag=zigzag, min_y=-100, max_y=100, first_dir=UP)
+    q = CountQuery(7, ALL, c)
+    assert engines.count(q, "gf") == counting.count(q)
+    assert len(calls) == 1

@@ -22,8 +22,11 @@ BANNED = {
         "fixtures", "laurent", "paths", "recurrences", "series", "transfer",
         "verification", "sympy", "mpmath",
     },
-    # the O(n) rows check the DP, the kernel series and the Laurent type
-    "recurrences": {"series", "laurent", "counting", "sympy", "mpmath", "engines"},
+    # the O(n) rows check the DP, the kernel series and the Laurent type, and
+    # the closed forms check the rows (verify check 3)
+    "recurrences": {
+        "series", "laurent", "counting", "closedforms", "sympy", "mpmath", "engines",
+    },
     # asym reads the rows alone; a from-import of the DP would also slip
     # past the monkeypatch in test_grand_reports_do_not_run_the_dp
     "asymptotics": {"counting", "series", "engines"},

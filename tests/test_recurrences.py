@@ -7,12 +7,13 @@ import time
 
 import pytest
 
-from knightpaths import closedforms, recurrences, series
+from knightpaths import closedforms, fixtures, recurrences, series
 from knightpaths.counting import (
     ALL,
     NONNEG,
     altitude_distribution,
     altitude_distributions,
+    count_primitive,
     count_row,
     grand_row_stats,
 )
@@ -87,6 +88,15 @@ def test_power_by_squaring_equals_the_product_loop(name):
         got = base**k
         assert (got.a, got.b, got.d) == (loop.a, loop.b, loop.d), (name, k)
         loop = loop * base
+
+
+def test_zigzag_primitive_row():
+    row = recurrences.zigzag_primitive_row(40)
+    assert row[:23] == list(fixtures.SEQUENCES["zigzag-primitive"].terms)
+    assert row[22] == 372
+    for n in range(5, 40, 2):
+        assert row[n] == 2, n
+    assert row == [count_primitive(n) for n in range(40)]
 
 
 def test_above_axis_row_vs_dp():
@@ -247,6 +257,7 @@ ROWS = (
     recurrences.zigzag_total_row,
     recurrences.zigzag_nonneg_row,
     recurrences.zigzag_altitude_sum_row,
+    recurrences.zigzag_primitive_row,
     recurrences.above_axis_row,
     recurrences.above_axis_altitude_sum_row,
     lambda count: recurrences.above_line_row(3, count),
@@ -279,6 +290,7 @@ STORED = (
     "_zigzag_axis_row",
     "_zigzag_alt1_row",
     "zigzag_altitude_sum_row",
+    "zigzag_primitive_row",
     "above_axis_row",
     "above_axis_altitude_sum_row",
     "grand_total_row",
