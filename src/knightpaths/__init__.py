@@ -5,7 +5,8 @@ Four mutually cross-checking engines over the same combinatorial objects:
 * counting   — big-integer dynamic programming and exhaustive generation;
 * recurrences, transfer and series — generating functions: exact integer
   rows and rational band functions over poly's integer polynomials, and
-  truncated Laurent series (laurent) from the kernel method;
+  truncated integer Laurent series (laurent) from the kernel method, built
+  on the small kernel root of recurrences;
 * closedforms — binomial-sum formulas;
 * bijections — constructive maps to composition pairs, plus a tiling counter.
 

@@ -1,4 +1,4 @@
-"""Truncated Laurent series with exact rational coefficients.
+"""Truncated Laurent series with exact integer coefficients.
 
 A LaurentSeries is a coefficient window [valuation, order) plus an implicit
 O(x**order) error term; order None means the series is an exact Laurent
@@ -7,27 +7,24 @@ operation propagates the largest order that remains exact, so results never
 silently invent or drop coefficients — asking for a coefficient at or past
 the truncation order is an error, not a zero.
 
-Coefficients are integer numerators `nums` over one positive denominator
-`den` (FLINT's fmpq_poly layout), kept canonical: gcd(den, *nums) is 1 and
-leading zeros are stripped (trailing ones too when exact), so equal series
-are structurally equal.  Rationals are converted once, at construction; the
-arithmetic runs on ints and normalises once per result.
+Coefficients are Python ints, kept canonical: leading zeros are stripped
+(trailing ones too when exact), so equal series are structurally equal.
+Sums, products and powers of integer series are integer series.  An
+inverse is an integer series exactly when its lead is +1 or -1; any other
+lead raises ArithmeticError at the first coefficient, 1/lead, instead of
+rounding.
 
 The variable is abstract; the zigzag kernel series of `series` are
-ordinary series in z.  Division and square root follow the
-truncated-Newton/long-division schemes and are exact.  The module holds
-`LaurentSeries` alone and does not import `poly`, whose rows it checks.
+ordinary series in z.  Division follows the long-division scheme and is
+exact.  The module holds `LaurentSeries` alone and imports no other module
+of the package: its arithmetic checks the rows built on `poly`.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from itertools import repeat
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Mapping
-
-Rat = int | Fraction
 
 
 def _min_order(*orders: int | None) -> int | None:
@@ -35,25 +32,23 @@ def _min_order(*orders: int | None) -> int | None:
     return min(finite) if finite else None
 
 
-def _make(valuation: int, nums: list[int], den: int, order: int | None) -> LaurentSeries:
-    """sum(nums[i] / den * x**(valuation + i)), canonical; den > 0, nums not mutated."""
-    lo, hi = 0, len(nums)
-    while lo < hi and not nums[lo]:
+def _make(valuation: int, coeffs: list[int], order: int | None) -> LaurentSeries:
+    """sum(coeffs[i] * x**(valuation + i)), canonical; coeffs not mutated."""
+    lo, hi = 0, len(coeffs)
+    while lo < hi and not coeffs[lo]:
         lo += 1
-    valuation += lo
     if order is None:
-        while hi > lo and not nums[hi - 1]:
+        while hi > lo and not coeffs[hi - 1]:
             hi -= 1
-    elif order - valuation < hi - lo:
-        raise ValueError("coefficient window extends past the stated order")
-    nums = nums[lo:hi] if lo or hi < len(nums) else nums
-    if not nums:
-        valuation = order if order is not None else 0
-    g = math.gcd(den, *nums)
-    if g != 1:
-        nums, den = [n // g for n in nums], den // g
+    if lo == hi:  # zero to the order, at any valuation: its valuation is the order
+        valuation, coeffs = (0 if order is None else order), []
+    else:
+        valuation += lo
+        if order is not None and order - valuation < hi - lo:
+            raise ValueError("coefficient window extends past the stated order")
+        coeffs = coeffs[lo:hi] if lo or hi < len(coeffs) else coeffs
     s = object.__new__(LaurentSeries)
-    s.valuation, s.nums, s.den, s.order = valuation, nums, den, order
+    s.valuation, s.coeffs, s.order = valuation, coeffs, order
     return s
 
 
@@ -71,18 +66,21 @@ def _convolve(xs: list[int], ys: list[int], n: int) -> list[int]:
 
 
 class LaurentSeries:
-    __slots__ = ("valuation", "nums", "den", "order")
+    """sum(coeffs[i] * x**(valuation + i)) + O(x**order).
 
-    def __init__(self, valuation: int, coeffs: Iterable[Rat], order: int | None):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        s = _make(valuation, [c.numerator * (den // c.denominator) for c in cs], den, order)
-        self.valuation, self.nums, self.den, self.order = s.valuation, s.nums, s.den, s.order
+    `coeffs` is the window itself, not a copy: read it, do not mutate it.
+    """
+
+    __slots__ = ("valuation", "coeffs", "order")
+
+    def __init__(self, valuation: int, coeffs: Iterable[int], order: int | None):
+        s = _make(valuation, [index(c) for c in coeffs], order)
+        self.valuation, self.coeffs, self.order = s.valuation, s.coeffs, s.order
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_poly(cls, terms: Mapping[int, Rat]) -> LaurentSeries:
+    def from_poly(cls, terms: Mapping[int, int]) -> LaurentSeries:
         """Exact Laurent polynomial, e.g. from_poly({2: 1}) for x**2."""
         terms = {e: c for e, c in terms.items() if c != 0}
         if not terms:
@@ -92,75 +90,62 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, order: int | None = None) -> LaurentSeries:
-        return _make(order if order is not None else 0, [], 1, order)
+        return _make(0, [], order)
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def coeffs(self) -> list[Fraction]:
-        """The coefficient window as Fractions (a fresh list on every read)."""
-        return [Fraction(n, self.den) for n in self.nums]
-
     def is_zero(self) -> bool:
         """True if every known coefficient is zero (to the stated order)."""
-        return not self.nums
+        return not self.coeffs
 
-    def coefficient(self, exponent: int) -> Fraction:
+    def coefficient(self, exponent: int) -> int:
         if self.order is not None and exponent >= self.order:
             raise ValueError(
                 f"coefficient of x**{exponent} requested but series is only "
                 f"exact below order {self.order}"
             )
         i = exponent - self.valuation
-        if 0 <= i < len(self.nums):
-            return Fraction(self.nums[i], self.den)
-        return Fraction(0)
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def numerators(self, lo: int, hi: int) -> list[int]:
-        """Numerators over `den` of x**lo .. x**(hi-1); no check against the order."""
+    def window(self, lo: int, hi: int) -> list[int]:
+        """Coefficients of x**lo .. x**(hi-1); no check against the order."""
         i, j = lo - self.valuation, hi - self.valuation
         head = [0] * max(min(j, 0) - i, 0)
-        tail = [0] * max(j - max(i, len(self.nums)), 0)
-        return head + self.nums[max(i, 0) : max(j, 0)] + tail
+        tail = [0] * max(j - max(i, len(self.coeffs)), 0)
+        return head + self.coeffs[max(i, 0) : max(j, 0)] + tail
 
     def truncate(self, order: int) -> LaurentSeries:
         if self.order is not None and order > self.order:
             raise ValueError("cannot extend a truncated series")
         keep = max(order - self.valuation, 0)
-        return _make(self.valuation, self.nums[:keep], self.den, order)
+        return _make(self.valuation, self.coeffs[:keep], order)
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: LaurentSeries | Rat) -> LaurentSeries:
+    def __add__(self, other: LaurentSeries | int) -> LaurentSeries:
         other = _coerce(other)
         order = _min_order(self.order, other.order)
-        terms = [s for s in (self, other) if not s.is_zero()]
+        terms = [s for s in (self, other) if s.coeffs]
         if not terms:
             return LaurentSeries.zero(order)
         lo = min(s.valuation for s in terms)
-        if order is not None and order < lo:  # every term starts past the order
-            return LaurentSeries.zero(order)
-        hi = _min_order(max(s.valuation + len(s.nums) for s in terms), order)
-        den = math.lcm(*(s.den for s in terms))
-        out = [0] * (hi - lo)
+        hi = _min_order(max(s.valuation + len(s.coeffs) for s in terms), order)
+        out = [0] * (hi - lo)  # empty when every term starts past the order
         for s in terms:
-            nums = s.nums[: max(hi - s.valuation, 0)]
-            if s.den != den:
-                nums = list(map(mul, nums, repeat(den // s.den)))
+            cs = s.coeffs[: max(hi - s.valuation, 0)]
             i = s.valuation - lo
-            out[i : i + len(nums)] = map(add, out[i : i + len(nums)], nums)
-        return _make(lo, out, den, order)
+            out[i : i + len(cs)] = map(add, out[i : i + len(cs)], cs)
+        return _make(lo, out, order)
 
     def __neg__(self) -> LaurentSeries:
-        return _make(self.valuation, [-n for n in self.nums], self.den, self.order)
+        return _make(self.valuation, [-c for c in self.coeffs], self.order)
 
-    def __sub__(self, other: LaurentSeries | Rat) -> LaurentSeries:
+    def __sub__(self, other: LaurentSeries | int) -> LaurentSeries:
         return self + (-_coerce(other))
 
-    def __mul__(self, other: LaurentSeries | Rat) -> LaurentSeries:
-        if isinstance(other, (int, Fraction)):
-            nums = [n * other.numerator for n in self.nums]
-            return _make(self.valuation, nums, self.den * other.denominator, self.order)
+    def __mul__(self, other: LaurentSeries | int) -> LaurentSeries:
+        if isinstance(other, int):
+            return _make(self.valuation, [c * other for c in self.coeffs], self.order)
         a, b = self, other
         # error(a)*lead(b) enters at order_a + val_b, and symmetrically
         if a.is_zero() or b.is_zero():
@@ -178,10 +163,10 @@ class LaurentSeries:
             None if b.order is None else b.order + a.valuation,
         )
         v = a.valuation + b.valuation
-        n = len(a.nums) + len(b.nums) - 1
+        n = len(a.coeffs) + len(b.coeffs) - 1
         if order is not None:
             n = min(n, order - v)
-        return _make(v, _convolve(a.nums, b.nums, n), a.den * b.den, order)
+        return _make(v, _convolve(a.coeffs, b.coeffs, n), order)
 
     __rmul__ = __mul__
 
@@ -201,67 +186,33 @@ class LaurentSeries:
     def inverse(self, order: int | None = None) -> LaurentSeries:
         """Multiplicative inverse, exact to the propagated relative order.
 
-        The recurrence h_n = -(g_1 h_(n-1) + ... + g_n h_0) / g_0 on the numerators
-        g runs on ints over one denominator, grown only when a division is inexact.
+        The recurrence h_n = -(g_1 h_(n-1) + ... + g_n h_0) / g_0 stays in the
+        integers because the lead g_0 must be +1 or -1, so that dividing by it
+        is multiplying by it.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of a series that is zero to its order")
-        rel = self._relative_order(order, "inverse")
-        g, lead = self.nums, self.nums[0]
-        q = math.gcd(self.den, lead) * (1 if lead > 0 else -1)
-        out, den = [self.den // q], lead // q  # h_0 = self.den / g_0 in lowest terms
+        rel = _min_order(None if self.order is None else self.order - self.valuation, order)
+        if rel is None:
+            raise ValueError("inverse of an exact polynomial needs a truncation order")
+        g, lead = self.coeffs, self.coeffs[0]
+        if lead not in (1, -1):
+            raise ArithmeticError(
+                f"inverse: coefficient of x**{-self.valuation} is 1/{lead}, not an integer"
+            )
+        out = [lead]
         rg, last = g[::-1], len(g) - 1
         for n in range(1, rel):
             t = min(n, last)
-            s = -sum(map(mul, rg[last - t : last], out[n - t : n]))
-            h, r = divmod(s, lead)
-            if r:  # h_n needs a larger denominator: grow it by the missing factor
-                f = abs(lead) // math.gcd(s, lead)
-                out, den = [x * f for x in out], den * f
-                h = s * f // lead
-            out.append(h)
-        return _make(-self.valuation, out, den, -self.valuation + rel)
+            out.append(-lead * sum(map(mul, rg[last - t : last], out[n - t : n])))
+        return _make(-self.valuation, out, -self.valuation + rel)
 
     def divide(self, other: LaurentSeries, order: int | None = None) -> LaurentSeries:
         """self / other with an explicit truncation order for exact divisors."""
         return self * other.inverse(order=order)
 
-    def sqrt(self, order: int | None = None) -> LaurentSeries:
-        """Square root by Newton iteration b <- (b + a/b)/2, doubling exact terms.
 
-        Requires an even valuation and a leading coefficient that is the
-        square of a rational.
-        """
-        if self.is_zero():
-            raise ValueError("sqrt of a series that is zero to its order")
-        if self.valuation % 2:
-            raise ValueError(f"sqrt needs an even valuation, got {self.valuation}")
-        lead = Fraction(self.nums[0], self.den)
-        if lead < 0:
-            raise ValueError(f"leading coefficient {lead} is negative")
-        rn, rd = math.isqrt(lead.numerator), math.isqrt(lead.denominator)
-        if rn * rn != lead.numerator or rd * rd != lead.denominator:
-            raise ValueError(f"leading coefficient {lead} is not a rational square")
-        rel = self._relative_order(order, "sqrt")
-        unit = _make(0, self.nums[:rel], self.nums[0], rel)  # self / lead
-        b, exact = _make(0, [1], 1, 1), 1
-        while exact < rel:
-            exact = min(2 * exact, rel)
-            cur = _make(0, b.nums, b.den, exact)
-            b = (cur + unit.truncate(exact).divide(cur)) * Fraction(1, 2)
-        half_val = self.valuation // 2
-        return _make(half_val, [n * rn for n in b.nums], b.den * rd, half_val + rel)
-
-    def _relative_order(self, order: int | None, what: str) -> int:
-        """How many terms an inverse or sqrt yields: up to self.order, capped by order."""
-        rel = _min_order(None if self.order is None else self.order - self.valuation, order)
-        if rel is None:
-            raise ValueError(f"{what} of an exact polynomial needs a truncation order")
-        return rel
-
-
-def _coerce(value: LaurentSeries | Rat) -> LaurentSeries:
+def _coerce(value: LaurentSeries | int) -> LaurentSeries:
     if isinstance(value, LaurentSeries):
         return value
     return LaurentSeries.from_poly({0: value})
-

@@ -3,9 +3,10 @@
 The asymptotic checks compare against exact values at sizes in the
 thousands, and the generating-function engine of `count` and the grand
 `gf` names read their coefficients here.  These come from code independent
-of the series engine and of the dynamic program: the DP checks every row,
-and the zigzag kernel series check the zigzag rows whose `gf` names still
-expand them.
+of the dynamic program, which checks every row.  The zigzag kernel series
+of `series` take only the small root from here (`small_root_coeffs`,
+certified against the kernel by `verify`) and check the arithmetic of the
+zigzag rows whose `gf` names still expand them.
 Each row costs O(n * small degree) big-integer steps.
 
 Every zigzag-side series here lies in the quadratic extension Q(z)(r) of

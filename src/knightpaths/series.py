@@ -6,18 +6,21 @@ large one of valuation -3.  The kernel method (Banderier and Flajolet, TCS
 281, 2002) builds every zigzag generating function here from them: the
 paths ending at each altitude, at altitude >= 0 and the paths staying
 above a line.  `gf --name zigzag-nonneg`, `zigzag-axis`, `zigzag-altitude`
-and `above-line` print these series; the exact rows of `recurrences`, the
-closed forms and the DP check them, and `verify` checks the roots against
-the integer root of `recurrences`.  Every grand row, every band and the
-primitive axis-enders come from `recurrences` and `transfer` instead.
+and `above-line` print these series.  The small root is the integer row
+`recurrences.small_root_coeffs`, which `verify` certifies against the
+kernel; the large one is their sum minus it.  So this module checks the
+arithmetic of the exact rows of `recurrences`, which work the same
+formulas in Q(z)(r), and the closed forms and the DP check both.  Every
+grand row, every band and the primitive axis-enders come from
+`recurrences` and `transfer` instead.
 
+Every divisor here has a lead of +1 or -1, so every series is integral.
 Every public function is exact to its requested order in z and raises if
 internal cancellation ever eats past it.  Each working order is the exact
 precision loss of its derivation, read off the valuations involved by the
 rules LaurentSeries propagates orders with: x*y is exact to
-min(order(x) + val(y), order(y) + val(x)), 1/x to order(x) - 2 val(x) and
-sqrt(x) to order(x) - val(x) / 2.  A surplus above the requested order is
-only what a derivation states.
+min(order(x) + val(y), order(y) + val(x)) and 1/x to order(x) - 2 val(x).
+A surplus above the requested order is only what a derivation states.
 
 The module also holds the rational generating functions the other engines
 share, DEFAULT_ORDER and the parameter checks of the `gf` names.
@@ -25,8 +28,7 @@ share, DEFAULT_ORDER and the parameter checks of the `gf` names.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from . import recurrences
 from .laurent import LaurentSeries
 from .poly import RationalGF
 
@@ -47,8 +49,8 @@ ZIGZAG_TOTAL_GF = RationalGF([1, 1, 1], [1, -1, -1])
 TUBE1_AXIS_GF = RationalGF([-1, 1, 0, 0, -1], [-1, 1, 0, 0, 1])
 
 
-def _mono(exponent: int, coeff=1) -> LaurentSeries:
-    return LaurentSeries.from_poly({exponent: coeff})
+def _mono(exponent: int) -> LaurentSeries:
+    return LaurentSeries.from_poly({exponent: 1})
 
 
 def check_positive(name: str, value: int) -> None:
@@ -68,25 +70,14 @@ def check_band(m: int, M: int) -> None:
         raise ValueError("band [-0, +0] admits no steps; only the empty path")
 
 
-# The kernel roots and boundary series are derived once per process.  Each
-# memoised function keeps one entry, the result at the highest order asked
-# for so far; a request at that order or below gets the entry truncated to
-# exactly what a fresh derivation would return.  The order a derivation
-# reaches is the request plus a constant, so a request `top - d` drops d from
-# each stored order.  A truncation never reaches past the stored order, so
-# every coefficient it keeps is exact.
-_memo: dict[str, tuple[int, tuple[LaurentSeries, ...]]] = {}
-
-
-def _memoised(key: str, order: int, derive, *args) -> tuple[LaurentSeries, ...]:
-    """derive(order, *args), or the stored entry truncated to what it would return."""
-    entry = _memo.get(key)
-    if entry is not None and order <= entry[0]:
-        top, result = entry
-        return tuple(s.truncate(s.order - (top - order)) for s in result)
-    result = derive(order, *args)
-    _memo[key] = (order, result)
-    return result
+# The boundary series is derived once per process (the small root it is
+# built from is a stored row of `recurrences`).  The memo keeps it at the
+# highest order asked for so far; a request at that order or below gets it
+# truncated to exactly what a fresh derivation would return.  The order a
+# derivation reaches is the request plus a constant, so a request `top - d`
+# drops d from the stored order.  A truncation never reaches past the
+# stored order, so every coefficient it keeps is exact.
+_memo: dict[str, tuple[int, LaurentSeries]] = {}
 
 
 def _ensure_order(series: LaurentSeries, needed: int, what: str) -> LaurentSeries:
@@ -99,48 +90,28 @@ def _ensure_order(series: LaurentSeries, needed: int, what: str) -> LaurentSerie
 
 
 def int_coefficients(series: LaurentSeries, count: int) -> list[int]:
-    """Coefficients 0..count-1 of an ordinary series, demanded integral."""
-    top = count if series.order is None else max(min(count, series.order), 0)
-    out, den = series.numerators(0, top), series.den
-    if den != 1:
-        for i, n in enumerate(out):
-            if n % den:
-                raise ArithmeticError(
-                    f"coefficient of index {i} is not integral: {Fraction(n, den)}"
-                )
-        out = [n // den for n in out]
-    if top < count:
-        series.coefficient(top)  # past the order: raises
-    return out
+    """Coefficients 0..count-1 of an ordinary series; raises past its order."""
+    if series.order is not None and count > series.order:
+        series.coefficient(max(series.order, 0))  # past the order: raises
+    return series.window(0, count)
+
+
+#: The sum of the two kernel roots, z^-3 (1 - z^2 - z^4).
+_ROOT_SUM = LaurentSeries.from_poly({-3: 1, -1: -1, 1: -1})
 
 
 def zigzag_kernel_roots(order: int = DEFAULT_ORDER) -> tuple[LaurentSeries, LaurentSeries]:
     """(small, large) roots in u of u^2*z^3 + u*z^4 + z^2*u + z^3 - u.
 
-    The small root has valuation 3; the large one is Laurent with valuation
-    -3; their product is exactly 1.  Both are exact to z^order.  Raises if
-    the radical numerator fails to cancel below z^3 before the division by
-    2z^3.
+    The small root has valuation 3 and is the certified integer row
+    `recurrences.small_root_coeffs`; the large one is Laurent with valuation
+    -3, the roots' sum z^-3 (1 - z^2 - z^4) minus the small one; their
+    product is exactly 1.  Both are exact to z^order.
     """
     if order < ZIGZAG_LEAST:
         raise ValueError(f"order must be at least {ZIGZAG_LEAST}")
-    return _memoised("zigzag roots", order, _derive_zigzag_roots)
-
-
-def _derive_zigzag_roots(order: int) -> tuple[LaurentSeries, LaurentSeries]:
-    W = order + 3  # the radical is exact to z^W; the division by 2z^3 loses 3
-    disc = LaurentSeries.from_poly({8: 1, 6: -2, 4: -1, 2: -2, 0: 1})
-    radical = disc.sqrt(order=W)
-    lead = LaurentSeries.from_poly({0: 1, 2: -1, 4: -1})
-    numer = lead - radical
-    if not numer.is_zero() and numer.valuation < 3:
-        raise ArithmeticError(
-            f"small-root numerator has valuation {numer.valuation}, expected >= 3"
-        )
-    half_shift = _mono(-3, Fraction(1, 2))
-    small = numer * half_shift
-    large = (lead + radical) * half_shift
-    return small, large
+    small = LaurentSeries(0, recurrences.small_root_coeffs(order), order)
+    return small, _ROOT_SUM - small
 
 
 def zigzag_boundary_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
@@ -152,15 +123,20 @@ def zigzag_boundary_gf(order: int = DEFAULT_ORDER) -> LaurentSeries:
     """
     # numer and denom both have valuation 3 and are exact to z^R and
     # z^(R + 5); 1/denom is exact to z^(R - 1), so the quotient to z^(R - 3)
-    small, _ = zigzag_kernel_roots(order + 3)
-    (boundary,) = _memoised("zigzag boundary", order, _derive_zigzag_boundary, small)
+    small, _ = zigzag_kernel_roots(order + 3)  # first: its order check runs on a hit too
+    entry = _memo.get("zigzag boundary")
+    if entry is not None and order <= entry[0]:
+        top, boundary = entry
+        return boundary.truncate(boundary.order - (top - order))
+    boundary = _derive_zigzag_boundary(order, small)
+    _memo["zigzag boundary"] = order, boundary
     return boundary
 
 
-def _derive_zigzag_boundary(order: int, small: LaurentSeries) -> tuple[LaurentSeries]:
+def _derive_zigzag_boundary(order: int, small: LaurentSeries) -> LaurentSeries:
     numer = small * LaurentSeries.from_poly({1: 1, 0: -1})
     denom = _mono(3) * (small * _mono(2) + LaurentSeries.from_poly({1: 1, 0: -1}))
-    return (_ensure_order(numer.divide(denom), order, "zigzag boundary gf"),)
+    return _ensure_order(numer.divide(denom), order, "zigzag boundary gf")
 
 
 def zigzag_altitude_gf(k: int, order: int = DEFAULT_ORDER) -> LaurentSeries:

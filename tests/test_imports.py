@@ -36,8 +36,17 @@ BANNED = {
     # bands, so they share none of poly's arithmetic either
     "closedforms": {"series", "counting", "recurrences", "transfer", "laurent", "poly", "engines"},
     "counting": {"series", "transfer", "recurrences", "closedforms", "laurent", "poly", "engines"},
+    # the kernel series take only the certified small root from `recurrences`
+    # (`small_root_coeffs`, checked against the kernel in verify check 5) and
+    # check the arithmetic of the rows built on it
     "series": {"engines"},
-    "laurent": {"poly", "engines"},
+    # the Laurent type's own arithmetic checks the rows, so it builds on no
+    # other module of the package: not on poly, the rows or the root
+    "laurent": {
+        "asymptotics", "bijections", "cli", "closedforms", "counting", "engines",
+        "fixtures", "paths", "poly", "recurrences", "series", "transfer",
+        "verification",
+    },
     "bijections": {"engines"},
     # the router alone decides which engine answers a query
     "cli": {"closedforms", "recurrences", "transfer"},

@@ -22,12 +22,6 @@ from knightpaths.paths import PathConstraints, reach
 ZZ = PathConstraints(zigzag=True)
 
 
-def test_small_root_matches_series_engine():
-    small, _ = series.zigzag_kernel_roots(40)
-    fast = recurrences.small_root_coeffs(40)
-    assert fast == [int(small.coefficient(i)) for i in range(40)]
-
-
 def test_total_row():
     assert recurrences.zigzag_total_row(17) == series.ZIGZAG_TOTAL_GF.expand(17)
 
