@@ -88,7 +88,7 @@ class _Fields(NamedTuple):
 
     bits: int
     size: int
-    #: b = size - c.steps of every counted path, when the sweep ends in c.steps
+    #: b = size - c.steps of every counted path, when a grand sweep ends in c.steps
     top: int | None
     #: the altitude of cell 0 and the number of cells of a row
     lo: int
@@ -207,7 +207,9 @@ def _fields(
         for _ in range(n_max):
             total, before = grow * (total + before), total
         bits = -(-total.bit_length() // 8) * 8  # whole bytes
-        top = None if end is None or c.steps is None else n_max - c.steps
+        # the window of b that can still end at c.steps pays for its per-column
+        # plans in the grand world only; a zigzag sweep keeps every field
+        top = None if end is None or c.steps is None or c.zigzag else n_max - c.steps
     return _Fields(bits, n_max, top, lo, hi - lo + 1, 2 if by_y else 1, c.zigzag)
 
 
@@ -264,13 +266,15 @@ def _sweep(
 
     Only the cells a counted path can occupy are extended: |y| within
     paths.reach of the prefix and, when `end` is the altitude filter of a
-    single size-n_max query, near enough to end in it, with c.steps steps
-    when set.  With c.steps, that query keeps only the fields whose b can
-    still end at top = n_max - c.steps: the rest of the path takes top - b
-    wide steps, between 0 and (n_max - x) // 2, so b lies in
-    [top - (n_max - x) // 2, top].  The low end is _Fields.base, below
-    every origin, so a move drops the fields that fall under it, and a
-    wide move that could take b past top is masked above it.  Under the
+    single size-n_max query, near enough to end in it, in the grand world
+    with c.steps steps when set.  With c.steps, a grand such query keeps
+    only the fields whose b can still end at top = n_max - c.steps: the
+    rest of the path takes top - b wide steps, between 0 and
+    (n_max - x) // 2, so b lies in [top - (n_max - x) // 2, top].  The low
+    end is _Fields.base, below every origin, so a move drops the fields
+    that fall under it, and a wide move that could take b past top is
+    masked above it.  A zigzag sweep has no top and keeps every field: its
+    per-column plans would cost more than the fields they drop.  Under the
     mirror a falling row is extended over the least mirror-symmetric range
     holding the cells, so a counted path's mirror image is kept too.  With
     `end`, every column but the last holds only part of its counts, so

@@ -9,15 +9,21 @@ the truncation order is an error, not a zero.
 
 Coefficients are Python ints, kept canonical: leading zeros are stripped
 (trailing ones too when exact), so equal series are structurally equal.
-Sums, products and powers of integer series are integer series.  An
-inverse is an integer series exactly when its lead is +1 or -1; any other
-lead raises ArithmeticError at the first coefficient, 1/lead, instead of
-rounding.
+Sums, products and powers of integer series are integer series.
+
+Division is long division, one loop for every quotient: each quotient
+coefficient is one inner product of the divisor with the coefficients
+already found, so a quotient costs one quadratic pass and a short divisor
+a short one.  The inverse is 1 divided by the series, by the same loop.
+A quotient stays in the integers because the divisor's lead must be +1
+or -1; any other lead raises ArithmeticError at the first coefficient,
+1/lead, instead of rounding.  The product (`_convolve`) is a separate
+loop, so that multiplying a quotient back checks the division.
 
 The variable is abstract; the zigzag kernel series of `series` are
-ordinary series in z.  Division follows the long-division scheme and is
-exact.  The module holds `LaurentSeries` alone and imports no other module
-of the package: its arithmetic checks the rows built on `poly`.
+ordinary series in z.  The module holds `LaurentSeries` alone and imports
+no other module of the package: its arithmetic checks the rows built on
+`poly`.
 """
 
 from __future__ import annotations
@@ -184,32 +190,46 @@ class LaurentSeries:
         return result
 
     def inverse(self, order: int | None = None) -> LaurentSeries:
-        """Multiplicative inverse, exact to the propagated relative order.
-
-        The recurrence h_n = -(g_1 h_(n-1) + ... + g_n h_0) / g_0 stays in the
-        integers because the lead g_0 must be +1 or -1, so that dividing by it
-        is multiplying by it.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of a series that is zero to its order")
-        rel = _min_order(None if self.order is None else self.order - self.valuation, order)
-        if rel is None:
-            raise ValueError("inverse of an exact polynomial needs a truncation order")
-        g, lead = self.coeffs, self.coeffs[0]
-        if lead not in (1, -1):
-            raise ArithmeticError(
-                f"inverse: coefficient of x**{-self.valuation} is 1/{lead}, not an integer"
-            )
-        out = [lead]
-        rg, last = g[::-1], len(g) - 1
-        for n in range(1, rel):
-            t = min(n, last)
-            out.append(-lead * sum(map(mul, rg[last - t : last], out[n - t : n])))
-        return _make(-self.valuation, out, -self.valuation + rel)
+        """Multiplicative inverse: the exact 1 divided by self (see divide)."""
+        return _make(0, [1], None).divide(self, order)
 
     def divide(self, other: LaurentSeries, order: int | None = None) -> LaurentSeries:
-        """self / other with an explicit truncation order for exact divisors."""
-        return self * other.inverse(order=order)
+        """self / other by long division, exact to the propagated order.
+
+        The divisor's relative order is its own (order - valuation), capped
+        by `order`, which an exact divisor needs.  The quotient has the
+        valuation, window and order of self times the inverse of other:
+        exact to min(order(self) - val(other), val(self) - val(other) + rel).
+        Its coefficients come in one pass, q_k = (a_k - (d_1 q_(k-1) + ...
+        + d_k q_0)) / d_0, which stays in the integers because the lead d_0
+        must be +1 or -1, so that dividing by it is multiplying by it.
+        """
+        if other.is_zero():
+            raise ZeroDivisionError("inverse of a series that is zero to its order")
+        rel = _min_order(None if other.order is None else other.order - other.valuation, order)
+        if rel is None:
+            raise ValueError("inverse of an exact polynomial needs a truncation order")
+        lead = other.coeffs[0]
+        if lead not in (1, -1):
+            raise ArithmeticError(
+                f"inverse: coefficient of x**{-other.valuation} is 1/{lead}, not an integer"
+            )
+        if rel < 1:
+            raise ValueError(f"division needs a relative order of at least 1, got {rel}")
+        bound = None if self.order is None else self.order - other.valuation
+        if self.is_zero():  # 1/other's own error enters past the bound
+            return LaurentSeries.zero(bound)
+        v = self.valuation - other.valuation
+        top = _min_order(bound, v + rel)
+        n = top - v
+        a = self.coeffs[:n] + [0] * (n - len(self.coeffs))
+        rd = other.coeffs[1:n][::-1]  # the d_i it reads, reversed to pair with q in order
+        last, q = len(rd), []
+        for k, ak in enumerate(a):
+            t = min(k, last)
+            ak -= sum(map(mul, rd[last - t :], q[k - t :]))
+            q.append(ak if lead == 1 else -ak)
+        return _make(v, q, top)
 
 
 def _coerce(value: LaurentSeries | int) -> LaurentSeries:

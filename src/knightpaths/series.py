@@ -162,7 +162,7 @@ def zigzag_altitude_gf(k: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
     elif k == 1:
         out = (small + z + 2 * z2 * up_axis).divide(z2 * large)
     else:
-        bundle = one + small * (small + z) + 2 * small * z2 * up_axis
+        bundle = one + small * (small + z + 2 * z2 * up_axis)
         out = small ** (k - 1) * bundle * _mono(-2)
     return _ensure_order(out, order, f"zigzag altitude {k} gf")
 
@@ -192,11 +192,7 @@ def above_line_gf(m: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
     loss = -2 if m == 1 else 5 - 3 * m
     small, _ = zigzag_kernel_roots(max(order + loss, ZIGZAG_LEAST))
     z, z2 = _mono(1), _mono(2)
-    numer = (
-        z * small ** (m - 1)
-        + z2 * small**m
-        + small ** (m + 1)
-        - LaurentSeries.from_poly({2: 1, 1: 1, 0: 1})
-    )
+    low = small ** (m - 1)
+    numer = low * (z + small * (z2 + small)) - LaurentSeries.from_poly({2: 1, 1: 1, 0: 1})
     total = numer.divide(LaurentSeries.from_poly({2: 1, 1: 1, 0: -1}), order=order)
     return _ensure_order(total, order, "above-line total")

@@ -25,6 +25,24 @@ unit_series = st.builds(
     st.lists(st.integers(-9, 9), max_size=7),
     st.integers(0, 3),
 )
+exact_series = st.builds(
+    lambda val, coeffs: LaurentSeries(val, coeffs, None),
+    st.integers(-4, 4),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+)
+exact_unit_series = st.builds(
+    lambda val, lead, rest: LaurentSeries(val, [lead, *rest], None),
+    st.integers(-4, 4),
+    st.sampled_from([1, -1]),
+    st.lists(st.integers(-9, 9), max_size=7),
+)
+# zero (exact or to an order), exact and truncated numerators
+numerators = st.one_of(
+    st.just(LaurentSeries(0, [], None)),
+    st.integers(-4, 9).map(LaurentSeries.zero),
+    exact_series,
+    small_series,
+)
 derandomized = settings(deadline=None, derandomize=True, max_examples=150)
 
 
@@ -116,12 +134,42 @@ def test_truncation_below_the_valuation_is_zero_to_that_order():
         product.truncate(8)
 
 
+@derandomized
 @given(small_series, unit_series)
 def test_product_division_round_trip(a, b):
     q = (a * b).divide(b)
     upto = q.order if q.order is not None else a.valuation + 8
     for i in range(min(a.valuation, upto), upto):
         assert q.coefficient(i) == a.coefficient(i)
+
+
+@derandomized
+@given(
+    numerators, st.one_of(unit_series, exact_unit_series), st.sampled_from([None, 1, 2, 3, 5, 9])
+)
+def test_long_division_equals_the_product_with_the_inverse(a, b, o):
+    if b.order is None and o is None:  # both raise: an exact divisor needs an order
+        for quotient in (lambda: a.divide(b, o), lambda: a * b.inverse(o)):
+            with pytest.raises(ValueError, match="needs a truncation order"):
+                quotient()
+        return
+    assert fields(a.divide(b, o)) == fields(a * b.inverse(o))
+
+
+def test_divide_keeps_the_divisor_guards():
+    a = LaurentSeries(1, [3, 1, 4], 9)
+    for zero in (LaurentSeries.zero(5), LaurentSeries(0, [], None)):
+        with pytest.raises(ZeroDivisionError, match="zero to its order"):
+            a.divide(zero, order=4)
+    with pytest.raises(ValueError, match="exact polynomial needs a truncation order"):
+        a.divide(poly({0: 1, 1: -1}))
+    with pytest.raises(ArithmeticError, match=r"x\*\*-2 is 1/3, not an integer"):
+        a.divide(poly({2: 3, 3: 1}), order=4)
+    with pytest.raises(ArithmeticError, match=r"x\*\*-2 is 1/3"):  # the lead is checked first
+        LaurentSeries.zero(7).divide(LaurentSeries(2, [3, 1], 6))
+    for divisor in (poly({0: 1, 1: -1}), LaurentSeries(0, [1, 2], 6)):
+        with pytest.raises(ValueError, match="relative order of at least 1"):
+            a.divide(divisor, order=0)
 
 
 def _naive_product(a, b):

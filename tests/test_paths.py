@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knightpaths.paths import (
@@ -99,6 +99,7 @@ def test_constraint_validation():
         PathConstraints(steps=0)
 
 
+@settings(derandomize=True, deadline=None)
 @given(step_lists)
 def test_altitude_between_extremes(steps):
     p = Path(tuple(steps))
@@ -108,6 +109,7 @@ def test_altitude_between_extremes(steps):
     assert p.size == (p.vertices()[-1][0]) >= 0
 
 
+@settings(derandomize=True, deadline=None)
 @given(step_lists)
 def test_reflection_negates_altitude(steps):
     p = Path(tuple(steps))
@@ -118,6 +120,7 @@ def test_reflection_negates_altitude(steps):
     assert q.is_zigzag() == p.is_zigzag()
 
 
+@settings(derandomize=True, deadline=None)
 @given(step_lists)
 def test_zigzag_invariant_under_reversal_and_reflection(steps):
     p = Path(tuple(steps))

@@ -112,6 +112,16 @@ def test_above_line_fixture_and_dp():
         assert row == dp, m
 
 
+def test_series_names_equal_the_exact_rows_at_order_400():
+    # the rows work the same formulas in Q(z)(r), with no LaurentSeries
+    n = 400
+    assert ints(series.zigzag_nonneg_gf(n), n) == recurrences.zigzag_nonneg_row(n)
+    for k in range(6):
+        assert ints(series.zigzag_altitude_gf(k, n), n) == recurrences.zigzag_altitude_row(k, n), k
+    for m in range(1, 6):
+        assert ints(series.above_line_gf(m, n), n) == recurrences.above_line_row(m, n), m
+
+
 def test_above_line_threshold_valuations():
     rational = series.ZIGZAG_TOTAL_GF.expand(16)
     for m in range(1, 6):
