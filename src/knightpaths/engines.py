@@ -37,9 +37,9 @@ def _gf_count(query: CountQuery) -> int | None:
     Two-sided bands go to the transfer-matrix engine, except one that no
     path of this size reaches and that sets no direction: it counts as
     unbounded.  The other queries read coefficient `size` of a rational
-    generating function or of an exact row from `recurrences` (O(n), or
-    O(|k| n) for a grand altitude k), so no route expands a kernel-method
-    series.
+    generating function or of an exact row from `recurrences` (O(n) at any
+    zigzag altitude or line, O(|k| n) for a grand altitude k), so no route
+    expands a kernel-method series.
     """
     size, altitude, c = query.size, query.altitude, query.constraints
     order = size + 1
@@ -143,9 +143,10 @@ def _positive(name: str, value: int) -> int:
 
 
 # name -> (n, need) -> the first n coefficients, where need("k") reads --k.
-# The grand names and zigzag-primitive read exact rows, and the other zigzag
-# names expand the kernel series.  The band names read the transfer engine,
-# which takes any band; they accept only m <= M (series.check_band).
+# The grand names and the zigzag names other than zigzag-nonneg read exact
+# rows, O(n) at any zigzag --k or --m; zigzag-nonneg still expands the kernel
+# series.  The band names read the transfer engine, which takes any band;
+# they accept only m <= M (series.check_band).
 GF_ROWS = {
     "grand-total": lambda n, need: series.GRAND_TOTAL_GF.expand(n),
     "grand-nonneg": lambda n, need: recurrences.grand_nonneg_row(n),
@@ -154,12 +155,10 @@ GF_ROWS = {
     "grand-axis": lambda n, need: recurrences.grand_axis_row(n),
     "zigzag-total": lambda n, need: series.ZIGZAG_TOTAL_GF.expand(n),
     "zigzag-nonneg": lambda n, need: series.int_coefficients(series.zigzag_nonneg_gf(n), n),
-    "zigzag-axis": lambda n, need: series.int_coefficients(series.zigzag_altitude_gf(0, n), n),
-    "zigzag-altitude": lambda n, need: series.int_coefficients(
-        series.zigzag_altitude_gf(abs(need("k")), n), n
-    ),
+    "zigzag-axis": lambda n, need: recurrences.zigzag_altitude_row(0, n),
+    "zigzag-altitude": lambda n, need: recurrences.zigzag_altitude_row(need("k"), n),
     "zigzag-primitive": lambda n, need: recurrences.zigzag_primitive_row(n),
-    "above-line": lambda n, need: series.int_coefficients(series.above_line_gf(need("m"), n), n),
+    "above-line": lambda n, need: recurrences.above_line_row(_positive("m", need("m")), n),
     "sym-tube": lambda n, need: _tube(n, _positive("m", need("m")), need("m")),
     "tube": lambda n, need: _tube(n, need("m"), need("M")),
     "tube-axis": lambda n, need: _band_row(n, 0, _positive("M", need("M")), 0),

@@ -1,13 +1,13 @@
 """Integer coefficient recurrences for the zigzag and grand sequences needed at large sizes.
 
 The asymptotic checks compare against exact values at sizes in the
-thousands, and the generating-function engine of `count` and the grand
-`gf` names read their coefficients here.  These come from code independent
+thousands, and the generating-function engine of `count` and most `gf`
+names read their coefficients here.  These come from code independent
 of the dynamic program, which checks every row.  The zigzag kernel series
 of `series` take only the small root from here (`small_root_coeffs`,
 certified against the kernel by `verify`) and check the arithmetic of the
-zigzag rows whose `gf` names still expand them.
-Each row costs O(n * small degree) big-integer steps.
+zigzag rows.  Each zigzag row costs O(n) big-integer steps at any altitude
+or line, and a grand row at altitude k costs O(k n).
 
 Every zigzag-side series here lies in the quadratic extension Q(z)(r) of
 the small kernel root r, the power series root (valuation 3) of
@@ -28,6 +28,15 @@ Products reduce r^2 = (L r - z^3) / z^3; inverses multiply by the conjugate
 root 1/r = L/z^3 - r, whose norm is a polynomial.  A row is expanded as the
 polynomial-times-series A + B r followed by division by the polynomial D,
 a linear recurrence of order deg D (`poly.divide`).
+
+The rows at a zigzag altitude k >= 2 and above a line y = -m are r^j times
+such an element, j = k - 1 or m - 1, so they read the powers r^j and
+r^(j + 1).  A power of an algebraic series is D-finite (Stanley, Eur. J.
+Combin. 1, 1980): r^alpha solves a linear ODE of order 2 whose
+coefficients involve alpha^2, so its coefficients follow a P-recurrence
+with alpha as a parameter, `_ROOT_POWER`, derived from the kernel in the
+tests and checked by `verify`.  It unrolls r^j in O(n) steps for any j, and
+the kernel, differentiated, gives r^(j + 1) from r^j.
 
 The grand (non-zigzag) rows are algebraic too, hence D-finite.  All grand
 paths follow 1/(1 - 2z - 2z^2).  The paths ending on the axis, the paths
@@ -70,7 +79,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul, sub
 
 from . import poly
@@ -127,6 +136,137 @@ def small_root_coeffs(order: int) -> list[int]:
             raise ArithmeticError(f"root coefficient {n - 3} is not an integer")
         r.append(q)
     return r
+
+
+# A recurrence is (coeffs, initial): coeffs[i] lists the coefficients of
+# p_i(n), constant term first, and initial holds a(0), ..., a(len - 1).  The
+# nonnegative integer roots of p_0 all lie below len(initial), so no
+# unrolled term divides by zero.
+
+
+def _values(p: tuple[int, ...], sizes: range) -> list[int]:
+    """p(n) for every n in the unit-step range sizes, as running sums of its differences."""
+    degree, start = len(p) - 1, sizes.start
+    row = [sum(c * n**i for i, c in enumerate(p)) for n in range(start, start + degree + 1)]
+    diffs = []  # the forward differences of p at start, the constant one last
+    for _ in range(degree + 1):
+        diffs.append(row[0])
+        row = list(map(sub, row[1:], row))
+    values = repeat(diffs.pop(), max(len(sizes) - degree, 0))
+    for d in reversed(diffs):
+        values = accumulate(values, initial=d)
+    return list(values)[: len(sizes)]
+
+
+def _unroll(coeffs, initial, count: int) -> list[int]:
+    """The first count terms of sum_i p_i(n) a(n - i) = 0 from its initial terms.
+
+    a vanishes at negative n.  The values p_i(n) are tabulated first, so each
+    term is one inner product and one checked division.
+    """
+    if count <= 0:
+        return []
+    order = len(coeffs) - 1
+    sizes = range(len(initial), count)
+    table = [_values(p, sizes) for p in coeffs]
+    out = [0] * order + list(initial[:count])  # a(n) at out[n + order]
+    for n, lead, taps in zip(sizes, table[0], zip(*reversed(table[1:]))):
+        if not lead:
+            raise ArithmeticError(f"leading coefficient vanishes at n = {n}")
+        q, rem = divmod(-sum(map(mul, taps, out[n : n + order])), lead)
+        if rem:
+            raise ArithmeticError(f"term {n} is not an integer")
+        out.append(q)
+    return out[order:]
+
+
+# The powers g = r^alpha of the small root, a P-recurrence in n with alpha as
+# a parameter: sum_s p_s(n, alpha) g(n - s) = 0 over s = 0, 2, ..., 12, with
+# p_s = A_s n^2 + B_s n + C_s + D_s alpha^2.  Each entry is (A_s, B_s, C_s,
+# D_s), p_0 first.  It is the recurrence of the order-2 linear ODE that r^alpha
+# solves (a power of an algebraic series is D-finite), derived from the
+# kernel in the tests.  The lead 3 (n - 3 alpha)(n + 3 alpha) vanishes only
+# at r^alpha's valuation 3 alpha, where its first term is 1.
+_ROOT_POWER = (
+    (3, 0, 0, -27),
+    (-7, 24, -20, 27),
+    (0, -12, 48, -36),
+    (-7, 72, -180, 19),
+    (4, -48, 128, -12),
+    (-3, 60, -300, 3),
+    (1, -24, 144, -1),
+)
+
+
+def _root_power(alpha: int, count: int) -> list[int]:
+    """The first count coefficients of r^alpha (count >= 1).
+
+    r^0 = 1, r^1 is the stored root, the kernel gives r^2 = L r / z^3 - 1,
+    and higher powers unroll `_ROOT_POWER`.
+    """
+    if alpha == 0:
+        return [1] + [0] * (count - 1)
+    if alpha == 1:
+        return small_root_coeffs(count)
+    if alpha == 2:
+        r = small_root_coeffs(count + 3)
+        # [z^n] L r / z^3 = r[n + 3] - r[n + 1] - r[n - 1]
+        out = list(map(sub, r[3:], r[1:]))
+        out[1:] = map(sub, out[1:], r)
+        out[0] -= 1
+        return out
+    return _unroll_power(alpha, count)
+
+
+def _unroll_power(alpha: int, count: int) -> list[int]:
+    """The first count coefficients of r^alpha (alpha >= 1) from `_ROOT_POWER`.
+
+    r is odd in z, so r^alpha keeps only the sizes n = 3 alpha + 2t.  On them
+    the recurrence is one in t of order 6 whose lead 12 t (t + 3 alpha)
+    vanishes at t = 0 only, and `_unroll` runs it from the one term 1 there.
+    """
+    start = 3 * alpha
+    out = [0] * count
+    if count > start:
+        a2 = alpha * alpha
+        # p_s at n = 3 alpha + 2t, as a polynomial in t
+        coeffs = [
+            (9 * A * a2 + 3 * B * alpha + C + D * a2, 12 * A * alpha + 2 * B, 4 * A)
+            for A, B, C, D in _ROOT_POWER
+        ]
+        out[start::2] = _unroll(coeffs, (1,), (count - start + 1) // 2)
+    return out
+
+
+def _root_powers(j: int, count: int) -> tuple[list[int], list[int]]:
+    """(r^j, r^(j + 1)), each to count terms, with at most one unroll.
+
+    For j >= 2, differentiating the kernel and reducing by it gives, with
+    theta = z d/dz,
+
+        theta r^(j + 1) = (j + 1) / (2 j z^3) (L theta r^j - j (3 - z^2 + z^4) r^j),
+
+    so r^(j + 1) takes a few row operations and one checked division per term.
+    """
+    if j < 2:
+        return _root_power(j, count), _root_power(j + 1, count)
+    power = _root_power(j, count + 3)
+    # n [z^n] r^(j + 1) = (j + 1) w(n + 3) / (2 j) with g = r^j and
+    # w(m) = (m - 3j) g(m) + (j + 2 - m) g(m - 2) - (m + j - 4) g(m - 4),
+    # over the sizes m of g's parity, p + 2i
+    p = j % 2
+    g = power[p::2]
+    w = list(map(mul, range(p - 3 * j, len(power) - 3 * j, 2), g))
+    w[1:] = map(add, w[1:], map(mul, range(j - p, -len(power), -2), g))
+    w[2:] = map(sub, w[2:], map(mul, range(p + j, p + j + len(power), 2), g))
+    steps = range(2 * j * (p + 1), 2 * j * count, 4 * j)  # 2 j n at n = p + 1 + 2i
+    quotients = list(map(divmod, map(mul, repeat(j + 1), w[2:]), steps))
+    bad = next((i for i, (_, rem) in enumerate(quotients) if rem), None)
+    if bad is not None:
+        raise ArithmeticError(f"r^{j + 1} term {p + 1 + 2 * bad} is not an integer")
+    above = [0] * count
+    above[p + 1 :: 2] = [q for q, _ in quotients]
+    return power[:count], above
 
 
 def _valuation(p: list[int]) -> int:
@@ -222,20 +362,29 @@ def _lift(x) -> _Elt:
 
 _Z = _Elt([0, 1])
 _R = _Elt([], [1])
+# (z + z^2 r + r^2) / (z^2 + z - 1): r^(m - 1) times it is the row of paths
+# staying above y = -m less the zigzag total (`above_line_row`)
+_LINE = (_Z + _Z**2 * _R + _R**2) / (_Z**2 + _Z - 1)
 
 
-def _expand(x: _Elt, count: int) -> list[int]:
-    """The first count coefficients of the power series x."""
+def _expand(x: _Elt, count: int, low: int = 0) -> list[int]:
+    """The first count coefficients of the power series r^low x.
+
+    x = (a + b r) / d, so the numerator is a r^low + b r^(low + 1).
+    """
     if count <= 0:
         return []
     k = _valuation(x.d)
     width = count + k
-    num = (x.a + [0] * width)[:width]
-    if x.b:
-        r = small_root_coeffs(width)
-        for i, c in enumerate(x.b[:width]):
-            if c:  # a factor count terms long: add c times r, a row at a time
-                num[i:] = map(add, num[i:], map(mul, repeat(c), r))
+    num = [0] * width
+    for p, j, power in zip((x.a, x.b), (low, low + 1), _root_powers(low, width)):
+        v = 3 * j  # the valuation of r^j: only its terms from z^v on are added
+        power = power[v:] if j else [1]
+        for i, c in enumerate(p[: max(width - v, 0)]):
+            if c:  # add c z^i r^j, a row at a time
+                num[i + v : i + v + len(power)] = map(
+                    add, num[i + v : i + v + len(power)], map(mul, repeat(c), power)
+                )
     if any(num[:k]):
         raise ArithmeticError(f"expected the first {k} coefficients to vanish")
     return poly.divide(num[k:], x.d[k:], count)
@@ -248,32 +397,35 @@ def zigzag_total_row(count: int) -> list[int]:
 
 
 def _boundary() -> tuple[_Elt, _Elt, _Elt]:
-    """(up, alt1, bundle): the boundary series every per-altitude row is built from.
+    """(up, alt1, high): the boundary series every per-altitude row is built from.
 
     up = r (z - 1) / (z^3 (r z^2 + z - 1)) is the axis-up boundary series,
     alt1 = (r^2 + z r + 2 z^2 r up) / z^2 the altitude-1 series and
-    bundle = 1 + z^2 alt1.  Built once per process.
+    high = (1 + z^2 alt1) / z^2, which r^(k - 1) takes to the altitude-k
+    series for k >= 2.  Built once per process.
     """
     if "boundary" not in _memo:
         up = _R * (_Z - 1) / (_Z**3 * (_R * _Z**2 + _Z - 1))
         lifted = _R**2 + _Z * _R + 2 * _Z**2 * _R * up
-        _memo["boundary"] = up, lifted / _Z**2, 1 + lifted
+        _memo["boundary"] = up, lifted / _Z**2, (1 + lifted) / _Z**2
     return _memo["boundary"]
 
 
 @_stored
 def zigzag_nonneg_row(count: int) -> list[int]:
     """Zigzag paths ending at altitude >= 0, by size."""
-    up, alt1, bundle = _boundary()
-    tail = bundle * _R / (_Z**2 * (1 - _R))
+    up, alt1, high = _boundary()
+    tail = high * _R / (1 - _R)
     return _expand(2 * up - 1 + alt1 + tail, count)
 
 
 def zigzag_altitude_row(k: int, count: int) -> list[int]:
     """Zigzag paths ending at altitude k, by size (the counts are symmetric in k).
 
-    2 up - 1 on the axis, alt1 at |k| = 1 and r^(|k| - 1) bundle / z^2 above
-    that, whose valuation 3|k| - 5 makes a row of fewer sizes all zeros.
+    2 up - 1 on the axis, alt1 at |k| = 1 and r^(|k| - 1) high above that,
+    whose valuation 3|k| - 5 makes a row of fewer sizes all zeros.  With
+    high = (a + b r) / d, that row is (a r^(|k| - 1) + b r^|k|) / d: O(count)
+    steps for every k.
     """
     k = abs(k)
     if k == 0:
@@ -282,7 +434,7 @@ def zigzag_altitude_row(k: int, count: int) -> list[int]:
         return _zigzag_alt1_row(count)
     if count <= 3 * k - 5:
         return [0] * count
-    return _expand(_R ** (k - 1) * _boundary()[2] / _Z**2, count)
+    return _expand(_boundary()[2], count, k - 1)
 
 
 @_stored
@@ -298,8 +450,8 @@ def _zigzag_alt1_row(count: int) -> list[int]:
 @_stored
 def zigzag_altitude_sum_row(count: int) -> list[int]:
     """Sum of final altitudes over zigzag paths ending at altitude >= 0."""
-    _, alt1, bundle = _boundary()
-    tail = bundle * (2 * _R - _R**2) / (_Z**2 * (1 - _R) ** 2)
+    _, alt1, high = _boundary()
+    tail = high * (2 * _R - _R**2) / (1 - _R) ** 2
     return _expand(alt1 + tail, count)
 
 
@@ -334,7 +486,11 @@ def above_axis_altitude_sum_row(count: int) -> list[int]:
 
 
 def above_line_row(m: int, count: int) -> list[int]:
-    """Zigzag paths staying weakly above y = -m, by size (m >= 0)."""
+    """Zigzag paths staying weakly above y = -m, by size (m >= 0).
+
+    (z r^(m - 1) + z^2 r^m + r^(m + 1) - 1 - z - z^2) / (z^2 + z - 1) is the
+    zigzag total plus r^(m - 1) _LINE: O(count) steps for every m.
+    """
     if m < 0:
         raise ValueError("m must be non-negative")
     if count <= 0:
@@ -343,17 +499,10 @@ def above_line_row(m: int, count: int) -> list[int]:
     m = min(m, reach(count - 1, True))
     if m == 0:
         return above_axis_row(count)
-    low = _R ** (m - 1)
-    num = _Z * low + _Z**2 * low * _R + low * _R**2 - 1 - _Z - _Z**2
-    return _expand(num / (_Z**2 + _Z - 1), count)
+    return list(map(add, zigzag_total_row(count), _expand(_LINE, count, m - 1)))
 
 
 # -- grand (non-zigzag) rows ----------------------------------------------------
-#
-# A recurrence is (coeffs, initial): coeffs[i] lists the coefficients of
-# p_i(n), constant term first, and initial holds a(0), ..., a(r - 1).  The
-# nonnegative integer roots of p_0 all lie below len(initial), so no
-# unrolled term divides by zero.
 
 # 1/(1 - 2z - 2z^2): a(n) = 2 a(n - 1) + 2 a(n - 2)
 _GRAND_TOTAL = (((1,), (-2,), (-2,)), (1, 2))
@@ -454,33 +603,6 @@ _GRAND_MIXED = (
     ((3, 0), (0, 1, -1)),
     ((3, 2), (2, -1, -1)),
 )
-
-
-def _horner(p: tuple[int, ...], n: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * n + c
-    return acc
-
-
-def _unroll(coeffs, initial, count: int) -> list[int]:
-    """The first count terms of sum_i p_i(n) a(n - i) = 0 from its initial terms."""
-    if count <= 0:
-        return []
-    out = list(initial[:count])
-    taps = tuple(enumerate(coeffs))[1:]
-    for n in range(len(out), count):
-        acc = 0
-        for i, p in taps:
-            acc -= _horner(p, n) * out[n - i]
-        lead = _horner(coeffs[0], n)
-        if not lead:
-            raise ArithmeticError(f"leading coefficient vanishes at n = {n}")
-        q, rem = divmod(acc, lead)
-        if rem:
-            raise ArithmeticError(f"term {n} is not an integer")
-        out.append(q)
-    return out
 
 
 def _halves(row: list[int], what: str) -> list[int]:

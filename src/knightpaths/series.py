@@ -5,14 +5,15 @@ are ordinary Laurent series in z: the small one of valuation 3 and the
 large one of valuation -3.  The kernel method (Banderier and Flajolet, TCS
 281, 2002) builds every zigzag generating function here from them: the
 paths ending at each altitude, at altitude >= 0 and the paths staying
-above a line.  `gf --name zigzag-nonneg`, `zigzag-axis`, `zigzag-altitude`
-and `above-line` print these series.  The small root is the integer row
-`recurrences.small_root_coeffs`, which `verify` certifies against the
-kernel; the large one is their sum minus it.  So this module checks the
-arithmetic of the exact rows of `recurrences`, which work the same
-formulas in Q(z)(r), and the closed forms and the DP check both.  Every
-grand row, every band and the primitive axis-enders come from
-`recurrences` and `transfer` instead.
+above a line.  `gf --name zigzag-nonneg` prints the nonneg series.  The
+small root is the integer row `recurrences.small_root_coeffs`, which
+`verify` certifies against the kernel; the large one is their sum minus it.
+So this module checks the arithmetic of the exact rows of `recurrences`,
+which work the same formulas in Q(z)(r), in O(n) steps at any altitude or
+line, and answer `gf --name zigzag-axis`, `zigzag-altitude` and
+`above-line`; the closed forms and the DP check both.  Every grand row,
+every band and the primitive axis-enders come from `recurrences` and
+`transfer` instead.
 
 Every divisor here has a lead of +1 or -1, so every series is integral.
 Every public function is exact to its requested order in z and raises if

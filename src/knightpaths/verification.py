@@ -8,9 +8,10 @@ disagreement, never a formatting artifact.
 Each check compares the engines that print numbers: the DP, the closed
 forms, the integer rows of `recurrences`, the transfer engine for bands and
 the zigzag kernel series that the zigzag `gf` names expand.  Check 5
-certifies the grand rows against their committed algebraic equations, and
-the integer small root, which the rows and the series share, against the
-zigzag kernel.
+certifies the grand rows against their committed algebraic equations, the
+integer small root, which the rows and the series share, against the
+zigzag kernel, and the powers of that root the altitude and line rows read
+against its products.
 
 Levels: "quick" runs reduced ranges; "full" runs the complete ranges,
 including the large-size asymptotic gates.  On a 2-core VM the checks take
@@ -245,6 +246,11 @@ def _residual(equation, row: list[int]) -> list[int]:
     return total
 
 
+def _next_power(alpha: int, count: int) -> list[int]:
+    """r^alpha from r^(alpha - 1) by the kernel step of `recurrences`."""
+    return recurrences._root_powers(alpha - 1, count)[1]
+
+
 def check_kernel_certificates(level: str = "quick") -> tuple[bool, str]:
     """The answering rows against their committed equations.
 
@@ -254,7 +260,10 @@ def check_kernel_certificates(level: str = "quick") -> tuple[bool, str]:
     derivative there has valuation 2); a term that is off changes the
     residual.  The zigzag rows and series are all built on the small root,
     which is derived from sqrt(Delta): the root must solve the kernel and
-    sqrt(Delta) must square to Delta.
+    sqrt(Delta) must square to Delta.  The altitude and line rows read powers
+    of the root: the committed power recurrence, unrolled at r^2, r^3 and
+    r^7, and the step from r^j to r^(j + 1) at j = 2, 3 and 7 must give the
+    powers of the root's row by integer products.
     """
     n = 50
     problems = []
@@ -273,6 +282,20 @@ def check_kernel_certificates(level: str = "quick") -> tuple[bool, str]:
         if residual:
             low = next(i for i, c in enumerate(residual) if c)
             problems.append(f"{label}: equation fails at z^{low}")
+    root, powers = recurrences.small_root_coeffs(n), [[1]]
+    for _ in range(8):  # r^0, ..., r^8 by integer products
+        powers.append((poly.mul(powers[-1], root) + [0] * n)[:n])
+    derived = [(f"r^{a} power recurrence", a, recurrences._unroll_power) for a in (2, 3, 7)]
+    derived += [(f"r^{a + 1} from r^{a}", a + 1, _next_power) for a in (2, 3, 7)]
+    for label, alpha, derive in derived:
+        try:
+            row = derive(alpha, n)
+        except ArithmeticError as exc:
+            problems.append(f"{label}: {exc}")
+            continue
+        if row != powers[alpha]:
+            low = next(i for i, (a, b) in enumerate(zip(row, powers[alpha])) if a != b)
+            problems.append(f"{label}: differs from the product at z^{low}")
     return not problems, "; ".join(problems) or f"certificates zero to order {n}"
 
 

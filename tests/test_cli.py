@@ -583,17 +583,18 @@ def _primitive_dp(size: int) -> int:
 
 
 def _gf_reference(name: str, param: int, order: int) -> list[int]:
-    """The first `order` coefficients of a series-backed gf name, from an
-    engine other than the kernel-method series."""
+    """The first `order` coefficients of a zigzag kernel-method gf name, from
+    an engine other than the one that answers it: the exact rows check the
+    series name, the series check the names that read rows."""
     if name == "zigzag-nonneg":
         return recurrences.zigzag_nonneg_row(order)
     if name == "zigzag-axis":
-        return recurrences.zigzag_altitude_row(0, order)
+        return series.int_coefficients(series.zigzag_altitude_gf(0, order), order)
     if name == "zigzag-altitude":
-        return recurrences.zigzag_altitude_row(param, order)
+        return series.int_coefficients(series.zigzag_altitude_gf(param, order), order)
     if name == "zigzag-primitive":
         return [_primitive_dp(n) for n in range(order)]
-    return recurrences.above_line_row(param, order)
+    return series.int_coefficients(series.above_line_gf(param, order), order)
 
 
 @st.composite

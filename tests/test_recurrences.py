@@ -57,20 +57,22 @@ def test_altitude_row_below_its_valuation_is_zero():
     assert recurrences.zigzag_altitude_row(-10 ** 6, 40) == [0] * 40
 
 
-@pytest.mark.parametrize("k", [0, 1, 4])
+# k >= 2 expands (a r^(k - 1) + b r^k) / d; at k = 2 a corrupted a[0] adds r,
+# of valuation 3, below the valuation 5 of d
+@pytest.mark.parametrize("k", [0, 1, 2])
 def test_corrupt_altitude_element_raises_not_rounds(monkeypatch, fresh_rows, k):
-    elements = []
+    calls = []
     real = recurrences._expand
-    monkeypatch.setattr(recurrences, "_expand", lambda x, count: elements.append(x) or real(x, count))
+    monkeypatch.setattr(recurrences, "_expand", lambda *args: calls.append(args) or real(*args))
     recurrences.zigzag_altitude_row(k, 40)
-    x = elements[-1]
+    x, _, *low = calls[-1]
     assert x.d[0] == 0  # so the expansion strips a z-power from a + b r
     Elt = recurrences._Elt
     with pytest.raises(ArithmeticError, match="vanish"):
-        real(Elt([x.a[0] + 1, *x.a[1:]], x.b, x.d), 40)
+        real(Elt([x.a[0] + 1, *x.a[1:]], x.b, x.d), 40, *low)
     v = recurrences._valuation(x.d)
     with pytest.raises(ArithmeticError, match="not an integer"):
-        real(Elt(x.a, x.b, [*x.d[:v], 2 * x.d[v], *x.d[v + 1 :]]), 40)
+        real(Elt(x.a, x.b, [*x.d[:v], 2 * x.d[v], *x.d[v + 1 :]]), 40, *low)
 
 
 @pytest.mark.parametrize("name", ["r", "mixed"])
@@ -326,7 +328,10 @@ def test_rows_with_a_parameter_store_nothing_of_their_own(fresh_rows):
         recurrences.grand_altitude_row(k, 200)
     for m in range(1, 6):
         recurrences.above_line_row(m, 200)
-    stored = ["_grand_alt1_row", "boundary", "grand_axis_row", "small_root_coeffs"]
+    # the line rows add the zigzag total, a row without a parameter
+    stored = [
+        "_grand_alt1_row", "boundary", "grand_axis_row", "small_root_coeffs", "zigzag_total_row"
+    ]
     assert sorted(recurrences._memo) == stored
     assert len(recurrences._memo["grand_axis_row"]) == 200
 
@@ -381,6 +386,127 @@ def test_corrupt_row_element_raises_not_rounds():
     bad_d = [2 * total.d[0], *total.d[1:]]
     with pytest.raises(ArithmeticError, match="not an integer"):
         recurrences._expand(Elt(total.a, total.b, bad_d), 30)
+
+
+# -- powers of the small root: the recurrence behind the altitude and line rows ----
+
+
+def _power_recurrence_from_the_kernel():
+    """{s: p_s(n, alpha)} of sum_s p_s(n, alpha) [z^(n - s)] r^alpha = 0, derived in sympy.
+
+    With theta = z d/dz and y = r^alpha, theta y / y = alpha theta r / r and
+    theta^2 y / y = theta(theta y / y) + (theta y / y)^2 lie in Q(z, alpha)(S),
+    S = sqrt(Delta); the one relation c0 + c1 (theta y / y) + c2 (theta^2 y / y)
+    = 0 there is the ODE, and [z^n] z^j theta^i y = (n - j)^i [z^(n - j)] y.
+    """
+    import sympy
+
+    z, a, n = sympy.symbols("z alpha n")
+    L = 1 - z**2 - z**4
+    delta = sympy.expand(L**2 - 4 * z**6)
+
+    def mul(x, y):  # (u + v S)(u' + v' S)
+        u = x[0] * y[0] + x[1] * y[1] * delta
+        return sympy.cancel(u), sympy.cancel(x[0] * y[1] + x[1] * y[0])
+
+    def inverse(x):
+        norm = x[0] ** 2 - x[1] ** 2 * delta
+        return sympy.cancel(x[0] / norm), sympy.cancel(-x[1] / norm)
+
+    def theta(x):  # S' = Delta' S / (2 Delta)
+        dv = sympy.diff(x[1], z) + x[1] * sympy.diff(delta, z) / (2 * delta)
+        return sympy.cancel(z * sympy.diff(x[0], z)), sympy.cancel(z * dv)
+
+    r = (L / (2 * z**3), -1 / (2 * z**3))
+    t1 = tuple(a * c for c in mul(theta(r), inverse(r)))
+    square = mul(t1, t1)
+    t2 = tuple(sympy.cancel(u + v) for u, v in zip(theta(t1), square))
+    ode = [sympy.cancel(t2[1] * t1[0] - t1[1] * t2[0]), -t2[1], t1[1]]  # c0, c1, c2
+    den = sympy.lcm([sympy.fraction(sympy.together(c))[1] for c in ode])
+    ode = [sympy.Poly(sympy.cancel(c * den), z, a) for c in ode]
+    common = sympy.gcd(sympy.gcd(ode[0], ode[1]), ode[2])
+    ode = [sympy.div(c, common)[0] for c in ode]
+    taps = {}
+    for i, c in enumerate(ode):
+        for (j, e), coeff in c.terms():
+            taps[j] = taps.get(j, 0) + coeff * a**e * (n - j) ** i
+    low = min(taps)
+    return {j - low: sympy.expand(p.subs(n, n + low)) for j, p in taps.items()}, n, a
+
+
+def test_root_power_recurrence_is_derived_from_the_kernel():
+    import sympy
+
+    derived, n, a = _power_recurrence_from_the_kernel()
+    committed = {
+        2 * s: A * n**2 + B * n + C + D * a**2
+        for s, (A, B, C, D) in enumerate(recurrences._ROOT_POWER)
+    }
+    assert sorted(derived) == sorted(committed) == list(range(0, 13, 2))
+    scale = sympy.cancel(derived[0] / committed[0])
+    assert scale.is_number and scale != 0
+    assert all(sympy.expand(derived[s] - scale * committed[s]) == 0 for s in derived)
+
+
+def test_root_power_lead_vanishes_only_at_the_valuation():
+    import sympy
+
+    n, a = sympy.symbols("n alpha")
+    A, B, C, D = recurrences._ROOT_POWER[0]
+    assert sympy.roots(A * n**2 + B * n + C + D * a**2, n) == {3 * a: 1, -3 * a: 1}
+
+
+def test_root_powers_equal_products():
+    n = 200
+    r = recurrences.small_root_coeffs(n)
+    powers = [[1] + [0] * (n - 1)]
+    for _ in range(41):
+        powers.append(_truncated_product(powers[-1], r, n))
+    for j in range(41):
+        if j:
+            assert recurrences._unroll_power(j, n) == powers[j], j
+        assert recurrences._root_power(j, n) == powers[j], j
+        assert recurrences._root_powers(j, n) == (powers[j], powers[j + 1]), j
+
+
+@pytest.mark.parametrize("entry", range(len(recurrences._ROOT_POWER)))
+def test_corrupt_root_power_recurrence_raises_not_rounds(monkeypatch, entry):
+    table = list(recurrences._ROOT_POWER)
+    A, B, C, D = table[entry]
+    table[entry] = (A, B, C + 1, D)
+    monkeypatch.setattr(recurrences, "_ROOT_POWER", tuple(table))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        recurrences.zigzag_altitude_row(9, 120)
+
+
+def test_kernel_step_from_a_corrupt_power_raises_not_rounds(monkeypatch):
+    real = recurrences._root_power
+
+    def corrupt(alpha, count):
+        power = real(alpha, count)
+        power[3 * alpha + 2] += 1
+        return power
+
+    monkeypatch.setattr(recurrences, "_root_power", corrupt)
+    with pytest.raises(ArithmeticError, match="r\\^6 term 14 is not an integer"):
+        recurrences._root_powers(5, 60)
+
+
+def test_altitude_and_line_rows_equal_the_field_route_and_dp():
+    # the rows before the power recurrence: r^j expanded as an element of Q(z)(r)
+    Z, R, n = recurrences._Z, recurrences._R, 300
+    high = recurrences._boundary()[2]
+    dists = list(altitude_distributions(n - 1, ZZ))
+    for k in range(2, 41):
+        row = recurrences.zigzag_altitude_row(k, n)
+        assert row == recurrences._expand(R ** (k - 1) * high, n), k
+        assert row == [dist.get(k, 0) for dist in dists], k
+    for m in range(1, 41):
+        low = R ** (m - 1)
+        num = Z * low + Z**2 * low * R + low * R**2 - 1 - Z - Z**2
+        row = recurrences.above_line_row(m, n)
+        assert row == recurrences._expand(num / (Z**2 + Z - 1), n), m
+        assert row == count_row(n - 1, ALL, PathConstraints(zigzag=True, min_y=-m)), m
 
 
 # -- grand rows: certified P-recurrences ------------------------------------------
@@ -490,7 +616,7 @@ def test_initial_terms_reach_past_leading_roots(key):
     lead = coeffs[0]
     assert len(initial) == len(coeffs) - 1 and lead[-1]
     bound = 2 + max(abs(c) for c in lead) // abs(lead[-1])  # Cauchy
-    roots = [k for k in range(bound) if recurrences._horner(lead, k) == 0]
+    roots = [k for k, v in enumerate(recurrences._values(lead, range(bound))) if not v]
     assert all(k < len(initial) for k in roots), roots
 
 

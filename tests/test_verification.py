@@ -1,7 +1,9 @@
 """The verify checks certify the engines that answer, and each can fail.
 
 Check 5 evaluates committed algebraic equations on the grand rows and the
-zigzag kernel on the small root, which the rows and the series share;
+zigzag kernel on the small root, which the rows and the series share, and
+compares the powers of the root that the altitude and line rows read with
+products of the root;
 check 3 compares every band's transfer row with the DP.  Each test
 below corrupts one input and expects its check to go red, so a check that
 always passes would show here.
@@ -74,6 +76,28 @@ def test_check_5_certifies_the_stored_small_root(fresh_rows):
     recurrences._memo["small_root_coeffs"] = _corrupted(stored, 31)
     passed, detail = _check("5-kernel-certificates")
     assert not passed and detail.startswith("small zigzag root: equation fails at z^31"), detail
+
+
+@pytest.mark.parametrize("entry", range(len(recurrences._ROOT_POWER)))
+@pytest.mark.parametrize("column", range(4))
+def test_a_corrupted_power_recurrence_fails_check_5(monkeypatch, entry, column):
+    table = [list(p) for p in recurrences._ROOT_POWER]
+    table[entry][column] += 1
+    monkeypatch.setattr(recurrences, "_ROOT_POWER", tuple(map(tuple, table)))
+    passed, detail = _check("5-kernel-certificates")
+    assert not passed and detail.startswith("r^2 power recurrence: "), detail
+
+
+@pytest.mark.parametrize("index", [13, 31, 49])
+def test_a_wrong_next_power_fails_check_5(monkeypatch, index):
+    honest = recurrences._root_powers
+    monkeypatch.setattr(
+        recurrences,
+        "_root_powers",
+        lambda j, count: (honest(j, count)[0], _corrupted(honest(j, count)[1], index)),
+    )
+    passed, detail = _check("5-kernel-certificates")
+    assert not passed and detail.startswith(f"r^3 from r^2: differs from the product at z^{index}")
 
 
 def test_a_corrupted_transfer_band_row_fails_check_3_at_quick(monkeypatch):
