@@ -4,9 +4,10 @@ Four mutually cross-checking engines over the same combinatorial objects:
 
 * counting   — big-integer dynamic programming and exhaustive generation;
 * recurrences, transfer and series — generating functions: exact integer
-  rows and rational band functions over poly's integer polynomials, and
-  truncated integer Laurent series (laurent) from the kernel method, built
-  on the small kernel root of recurrences;
+  rows and rational band functions over poly's integer polynomials, and the
+  truncated integer Laurent series (laurent) of the kernel method for the
+  zigzag paths ending at altitude >= 0, built on the small kernel root of
+  recurrences;
 * closedforms — binomial-sum formulas;
 * bijections — constructive maps to composition pairs, plus a tiling counter.
 

@@ -145,8 +145,8 @@ def _positive(name: str, value: int) -> int:
 # name -> (n, need) -> the first n coefficients, where need("k") reads --k.
 # The grand names and the zigzag names other than zigzag-nonneg read exact
 # rows, O(n) at any zigzag --k or --m; zigzag-nonneg still expands the kernel
-# series.  The band names read the transfer engine, which takes any band;
-# they accept only m <= M (series.check_band).
+# series, the one name `series` answers.  The band names read the transfer
+# engine, which takes any band; they accept only m <= M (series.check_band).
 GF_ROWS = {
     "grand-total": lambda n, need: series.GRAND_TOTAL_GF.expand(n),
     "grand-nonneg": lambda n, need: recurrences.grand_nonneg_row(n),

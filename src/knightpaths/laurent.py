@@ -9,21 +9,20 @@ the truncation order is an error, not a zero.
 
 Coefficients are Python ints, kept canonical: leading zeros are stripped
 (trailing ones too when exact), so equal series are structurally equal.
-Sums, products and powers of integer series are integer series.
+Sums and products of integer series are integer series.
 
 Division is long division, one loop for every quotient: each quotient
 coefficient is one inner product of the divisor with the coefficients
 already found, so a quotient costs one quadratic pass and a short divisor
-a short one.  The inverse is 1 divided by the series, by the same loop.
-A quotient stays in the integers because the divisor's lead must be +1
-or -1; any other lead raises ArithmeticError at the first coefficient,
-1/lead, instead of rounding.  The product (`_convolve`) is a separate
-loop, so that multiplying a quotient back checks the division.
+a short one.  A quotient stays in the integers because the divisor's lead
+must be +1 or -1; any other lead raises ArithmeticError at the first
+coefficient, 1/lead, instead of rounding.  The product (`_convolve`) is a
+separate loop, so that multiplying a quotient back checks the division.
 
-The variable is abstract; the zigzag kernel series of `series` are
-ordinary series in z.  The module holds `LaurentSeries` alone and imports
-no other module of the package: its arithmetic checks the rows built on
-`poly`.
+The variable is abstract; the zigzag kernel series of `series`, which
+`gf --name zigzag-nonneg` prints, are ordinary series in z.  The module
+holds `LaurentSeries` alone and imports no other module of the package:
+its arithmetic checks the nonneg row that `recurrences` builds on `poly`.
 """
 
 from __future__ import annotations
@@ -120,12 +119,6 @@ class LaurentSeries:
         tail = [0] * max(j - max(i, len(self.coeffs)), 0)
         return head + self.coeffs[max(i, 0) : max(j, 0)] + tail
 
-    def truncate(self, order: int) -> LaurentSeries:
-        if self.order is not None and order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        keep = max(order - self.valuation, 0)
-        return _make(self.valuation, self.coeffs[:keep], order)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: LaurentSeries | int) -> LaurentSeries:
@@ -175,23 +168,6 @@ class LaurentSeries:
         return _make(v, _convolve(a.coeffs, b.coeffs, n), order)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentSeries:
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = LaurentSeries.from_poly({0: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def inverse(self, order: int | None = None) -> LaurentSeries:
-        """Multiplicative inverse: the exact 1 divided by self (see divide)."""
-        return _make(0, [1], None).divide(self, order)
 
     def divide(self, other: LaurentSeries, order: int | None = None) -> LaurentSeries:
         """self / other by long division, exact to the propagated order.

@@ -3,10 +3,11 @@
 The asymptotic checks compare against exact values at sizes in the
 thousands, and the generating-function engine of `count` and most `gf`
 names read their coefficients here.  These come from code independent
-of the dynamic program, which checks every row.  The zigzag kernel series
-of `series` take only the small root from here (`small_root_coeffs`,
+of the dynamic program, which checks every row, and the zigzag rows at
+an altitude are checked by the closed forms too.  The kernel series of
+`series` take only the small root from here (`small_root_coeffs`,
 certified against the kernel by `verify`) and check the arithmetic of the
-zigzag rows.  Each zigzag row costs O(n) big-integer steps at any altitude
+nonneg row.  Each zigzag row costs O(n) big-integer steps at any altitude
 or line, and a grand row at altitude k costs O(k n).
 
 Every zigzag-side series here lies in the quadratic extension Q(z)(r) of
@@ -85,8 +86,10 @@ from operator import add, mul, sub
 from . import poly
 from .paths import reach
 
-# Delta = 1 - 2z^2 - z^4 - 2z^6 + z^8 as (j, Delta_j) for j >= 1
-_DELTA = ((2, -2), (4, -1), (6, -2), (8, 1))
+# sqrt(Delta) on the even sizes n = 2t: the recurrence of the module
+# docstring is sum_i p_i(t) s(2t - 2i) = 0 with p_0 = 4t and
+# p_i = Delta_2i (4t - 6i), each p_i as (constant, t) coefficients
+_SQRT_DELTA = ((0, 4), (12, -8), (12, -4), (36, -8), (-24, 4))
 _L = [1, 0, -1, 0, -1]
 
 # name -> the stored row, or "boundary" -> the elements of `_boundary`
@@ -111,17 +114,8 @@ def _stored(derive):
 
 def _sqrt_delta(order: int) -> list[int]:
     """Coefficients of sqrt(Delta) from its first-order ODE (odd ones vanish)."""
-    s = [1] + [0] * (order - 1)
-    for n in range(2, order, 2):
-        acc = 0
-        for j, dj in _DELTA:
-            if j > n:
-                break
-            acc -= dj * (2 * n - 3 * j) * s[n - j]
-        q, rem = divmod(acc, 2 * n)
-        if rem:
-            raise ArithmeticError(f"sqrt(Delta) coefficient {n} is not an integer")
-        s[n] = q
+    s = [0] * order
+    s[::2] = _unroll(_SQRT_DELTA, (1,), (order + 1) // 2)
     return s
 
 

@@ -6,12 +6,14 @@ the acceptance test module both run these; a check failure is always a real
 disagreement, never a formatting artifact.
 
 Each check compares the engines that print numbers: the DP, the closed
-forms, the integer rows of `recurrences`, the transfer engine for bands and
-the zigzag kernel series that the zigzag `gf` names expand.  Check 5
-certifies the grand rows against their committed algebraic equations, the
-integer small root, which the rows and the series share, against the
-zigzag kernel, and the powers of that root the altitude and line rows read
-against its products.
+forms, the integer rows of `recurrences`, the transfer engine for bands and,
+in check 2, the zigzag kernel series that `gf --name zigzag-nonneg`
+expands.  Checks 1, 3 and 6 read the zigzag altitude and line rows that
+`count --engine gf` and `gf` print, against the fixtures, the DP, the
+closed forms and the rational total.  Check 5 certifies the grand rows
+against their committed algebraic equations, the integer small root, which
+the rows and the series share, against the zigzag kernel, and the powers
+of that root the altitude and line rows read against its products.
 
 Levels: "quick" runs reduced ranges; "full" runs the complete ranges,
 including the large-size asymptotic gates.  On a 2-core VM the checks take
@@ -55,17 +57,14 @@ def check_table_fixtures(level: str = "quick") -> tuple[bool, str]:
                 problems.append(f"grand DP ({n},{k})={dist.get(k, 0)} != {want}")
             if alt_rows[k][n] != want:
                 problems.append(f"grand row ({n},{k})={alt_rows[k][n]} != {want}")
-    zig_gfs = {
-        k: series.int_coefficients(series.zigzag_altitude_gf(k, 16), 16)
-        for k in range(5)
-    }
+    zig_rows = {k: recurrences.zigzag_altitude_row(k, 16) for k in range(5)}
     for n, dist in enumerate(counting.altitude_distributions(15, _zigzag())):
         for k in range(5):
             want = ZIGZAG_TABLE[k][n]
             if dist.get(k, 0) != want:
                 problems.append(f"zigzag DP ({n},{k})={dist.get(k, 0)} != {want}")
-            if zig_gfs[k][n] != want:
-                problems.append(f"zigzag GF ({n},{k})={zig_gfs[k][n]} != {want}")
+            if zig_rows[k][n] != want:
+                problems.append(f"zigzag row ({n},{k})={zig_rows[k][n]} != {want}")
             got = closedforms.zigzag_count_closed(n, k)
             if got != want:
                 problems.append(f"zigzag closed ({n},{k})={got} != {want}")
@@ -125,7 +124,7 @@ def check_sequence_fixtures(level: str = "quick") -> tuple[bool, str]:
     compare("zigzag-nonneg", counting.count_row(16, NONNEG, _zigzag()))
     compare("zigzag-primitive", recurrences.zigzag_primitive_row(23))
     compare("zigzag-primitive", [counting.count_primitive(n) for n in range(23)])
-    compare("above-line-m2", series.int_coefficients(series.above_line_gf(2, 17), 16))
+    compare("above-line-m2", recurrences.above_line_row(2, 16))
     compare("above-line-m2", counting.count_row(15, ALL, _zigzag(min_y=-2)))
     compare("tube1-axis", series.TUBE1_AXIS_GF.expand(19))
     for name, lo, hi in (("tube1-axis", -1, 1), ("band-0-2-axis", 0, 2)):
@@ -141,10 +140,6 @@ def check_sequence_fixtures(level: str = "quick") -> tuple[bool, str]:
 def check_cross_engine(level: str = "quick") -> tuple[bool, str]:
     n_top, k_top, band_top = (20, 8, 25) if level == "full" else (12, 4, 12)
     problems = []
-    gfs = {
-        k: series.int_coefficients(series.zigzag_altitude_gf(k, n_top + 1), n_top + 1)
-        for k in range(k_top + 1)
-    }
     rows = {
         k: recurrences.zigzag_altitude_row(k, n_top + 1)
         for k in range(-k_top, k_top + 1)
@@ -153,16 +148,14 @@ def check_cross_engine(level: str = "quick") -> tuple[bool, str]:
         for k in range(-k_top, k_top + 1):
             dp = dist.get(k, 0)
             closed = closedforms.zigzag_count_closed(n, k)
-            gf = gfs[abs(k)][n]
             row = rows[k][n]
-            if not dp == closed == gf == row:
-                problems.append(f"({n},{k}): dp={dp} closed={closed} gf={gf} row={row}")
+            if not dp == closed == row:
+                problems.append(f"({n},{k}): dp={dp} closed={closed} row={row}")
     for m in (1, 2, 3):
         dp_row = counting.count_row(band_top, ALL, _zigzag(min_y=-m))
-        gf_row = series.int_coefficients(series.above_line_gf(m, band_top + 1), band_top + 1)
         row = recurrences.above_line_row(m, band_top + 1)
-        if not dp_row == gf_row == row:
-            problems.append(f"above m={m}: gf={gf_row} row={row} dp={dp_row}")
+        if row != dp_row:
+            problems.append(f"above m={m}: row={row} dp={dp_row}")
     for m in range(0, 4):
         for M in range(max(m, 1), 4):
             band = _zigzag(min_y=-m, max_y=M)
@@ -312,13 +305,11 @@ def check_threshold_law(level: str = "quick") -> tuple[bool, str]:
             problems.append(f"m={m}: rows differ before size {cutoff}")
         if free[cutoff] == bounded[cutoff]:
             problems.append(f"m={m}: rows agree at size {cutoff}")
-        gf_row = series.int_coefficients(series.above_line_gf(m, cutoff + 1), cutoff + 1)
+        row = recurrences.above_line_row(m, cutoff + 1)
         rational = series.ZIGZAG_TOTAL_GF.expand(cutoff + 1)
-        diff_val = next(
-            (i for i in range(cutoff + 1) if gf_row[i] != rational[i]), None
-        )
+        diff_val = next((i for i in range(cutoff + 1) if row[i] != rational[i]), None)
         if diff_val != cutoff:
-            problems.append(f"m={m}: GF difference valuation {diff_val} != {cutoff}")
+            problems.append(f"m={m}: row difference valuation {diff_val} != {cutoff}")
         witness = Path(tuple([Step.NB, Step.E] * (m - 1) + [Step.NB]))
         if witness.size != cutoff or validate_path(witness, _zigzag(min_y=-m)):
             problems.append(f"m={m}: witness path check failed")

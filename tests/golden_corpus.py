@@ -25,7 +25,7 @@ import re
 import sys
 from pathlib import Path
 
-from knightpaths.cli import main
+from knightpaths import cli
 
 CORPUS = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -124,15 +124,16 @@ def output(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse: keep the error line, not the usage
-            code = exc.code
-            err = io.StringIO(err.getvalue().splitlines()[-1])
-    stdout, stderr = out.getvalue(), err.getvalue()
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse: keep its error line, not the usage above it
+            return exc.code, out.getvalue(), err.getvalue().splitlines()[-1]
+        except Exception as exc:  # a crash is a difference too, named like any other
+            return -1, out.getvalue(), repr(exc)
+    stdout = out.getvalue()
     if argv[0] == "verify":
         stdout = _SECONDS[0].sub("(s)", stdout)
         stdout = _SECONDS[1].sub('"seconds": 0', stdout)
-    return code, stdout, stderr
+    return code, stdout, err.getvalue()
 
 
 def digest(argv: list[str]) -> str:
@@ -145,7 +146,7 @@ def key(argv: list[str]) -> str:
     return " ".join(argv)
 
 
-def main_write() -> int:
+def main() -> int:
     corpus = {key(argv): digest(argv) for argv in grid()}
     lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in corpus.items()]
     CORPUS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
@@ -154,4 +155,4 @@ def main_write() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_write())
+    sys.exit(main())

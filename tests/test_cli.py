@@ -515,40 +515,41 @@ def test_band_queries_gain_the_transfer_engine(capsys, flags):
     assert payload["gf"] == payload["dp"] == payload["count"] == plain_dp.strip()
 
 
-# -- the gf engine against the DP and the kernel-method series -----------------
+# -- the gf engine against the DP, the closed forms and the kernel-method series --
 
 SERIES_ORDER = 42  # past every size drawn below
 
 
 @functools.lru_cache(maxsize=None)
-def _series_row(kind: str, k: int = 0) -> tuple[int, ...]:
+def _nonneg_series_row() -> tuple[int, ...]:
     n = SERIES_ORDER
-    if kind == "zigzag-nonneg":
-        return tuple(series.int_coefficients(series.zigzag_nonneg_gf(n), n))
-    if kind == "zigzag-altitude":
-        return tuple(series.int_coefficients(series.zigzag_altitude_gf(k, n), n))
-    return tuple(series.int_coefficients(series.above_line_gf(k, n), n))
+    return tuple(series.int_coefficients(series.zigzag_nonneg_gf(n), n))
+
+
+@functools.lru_cache(maxsize=None)
+def _above_line_dp_row(m: int, count: int) -> tuple[int, ...]:
+    return tuple(count_row(count - 1, ALL, PathConstraints(zigzag=True, min_y=-m)))
 
 
 def _series_count(size: int, altitude, c: PathConstraints) -> int | None:
-    """The kernel-method series coefficient for an unbanded query, the DP's
-    count where no series covers the gf engine's route, or None where that
-    engine covers none."""
+    """An unbanded query's count from an engine the gf engine's route does
+    not read: the rational totals, the kernel-method series for zigzag
+    altitude >= 0, the closed forms for a zigzag altitude, and the DP for
+    the lines and the grand rows.  None where the gf engine covers nothing."""
     if c.min_y is not None or c.max_y is not None:
-        m = -c.min_y if c.min_y is not None else c.max_y
         if not c.zigzag or altitude != ALL:
             return None
-        if m == 0:  # no series stays above the axis: the DP alone checks this route
-            return count_paths(size, altitude, c)
-        return _series_row("above-line", m)[size]
+        # staying below +m mirrors staying above -m
+        m = -c.min_y if c.min_y is not None else c.max_y
+        return _above_line_dp_row(m, SERIES_ORDER)[size]
     if altitude == ALL:
         total = series.GRAND_TOTAL_GF if not c.zigzag else series.ZIGZAG_TOTAL_GF
         return total.expand(size + 1)[size]
     if not c.zigzag:  # no series gives the grand rows: the DP alone checks them
         return count_paths(size, altitude, c)
     if altitude == NONNEG:
-        return _series_row("zigzag-nonneg")[size]
-    return _series_row("zigzag-altitude", abs(altitude))[size]
+        return _nonneg_series_row()[size]
+    return closedforms.zigzag_count_closed(size, altitude)
 
 
 @st.composite
@@ -584,17 +585,16 @@ def _primitive_dp(size: int) -> int:
 
 def _gf_reference(name: str, param: int, order: int) -> list[int]:
     """The first `order` coefficients of a zigzag kernel-method gf name, from
-    an engine other than the one that answers it: the exact rows check the
-    series name, the series check the names that read rows."""
+    an engine other than the one that answers it: the exact row checks the
+    series name, the closed forms the altitude names and the DP the others."""
     if name == "zigzag-nonneg":
         return recurrences.zigzag_nonneg_row(order)
-    if name == "zigzag-axis":
-        return series.int_coefficients(series.zigzag_altitude_gf(0, order), order)
-    if name == "zigzag-altitude":
-        return series.int_coefficients(series.zigzag_altitude_gf(param, order), order)
+    if name in ("zigzag-axis", "zigzag-altitude"):
+        k = param if name == "zigzag-altitude" else 0
+        return [closedforms.zigzag_count_closed(n, k) for n in range(order)]
     if name == "zigzag-primitive":
         return [_primitive_dp(n) for n in range(order)]
-    return series.int_coefficients(series.above_line_gf(param, order), order)
+    return list(_above_line_dp_row(param, order))
 
 
 @st.composite

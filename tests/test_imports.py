@@ -22,8 +22,9 @@ BANNED = {
         "fixtures", "laurent", "paths", "recurrences", "series", "transfer",
         "verification", "sympy", "mpmath",
     },
-    # the O(n) rows check the DP, the kernel series and the Laurent type, and
-    # the closed forms check the rows (verify check 3)
+    # the O(n) rows check the DP, the nonneg row checks the kernel series and
+    # the Laurent type, and the closed forms check the rows (verify checks 1
+    # and 3)
     "recurrences": {
         "series", "laurent", "counting", "closedforms", "sympy", "mpmath", "engines",
     },
@@ -38,10 +39,10 @@ BANNED = {
     "counting": {"series", "transfer", "recurrences", "closedforms", "laurent", "poly", "engines"},
     # the kernel series take only the certified small root from `recurrences`
     # (`small_root_coeffs`, checked against the kernel in verify check 5) and
-    # check the arithmetic of the rows built on it
+    # check the arithmetic of the nonneg row built on it
     "series": {"engines"},
-    # the Laurent type's own arithmetic checks the rows, so it builds on no
-    # other module of the package: not on poly, the rows or the root
+    # the Laurent type's own arithmetic checks the nonneg row, so it builds on
+    # no other module of the package: not on poly, the rows or the root
     "laurent": {
         "asymptotics", "bijections", "cli", "closedforms", "counting", "engines",
         "fixtures", "paths", "poly", "recurrences", "series", "transfer",

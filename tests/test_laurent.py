@@ -50,6 +50,10 @@ def poly(d):
     return LaurentSeries.from_poly(d)
 
 
+def inverse(s, order=None):
+    return poly({0: 1}).divide(s, order)
+
+
 def fields(s):
     return s.valuation, s.coeffs, s.order
 
@@ -88,13 +92,13 @@ def test_mul_matches_convolution():
 
 
 def test_inverse_and_divide():
-    geom = poly({0: 1, 1: -1}).inverse(order=10)
+    geom = inverse(poly({0: 1, 1: -1}), order=10)
     assert [geom.coefficient(i) for i in range(10)] == [1] * 10
     with pytest.raises(ValueError):
-        poly({0: 1, 1: -1}).inverse()  # exact polynomial needs an order
+        inverse(poly({0: 1, 1: -1}))  # exact polynomial needs an order
     with pytest.raises(ZeroDivisionError):
-        LaurentSeries.zero(5).inverse()
-    shifted = poly({3: -1, 4: 2}).inverse(order=6)
+        inverse(LaurentSeries.zero(5))
+    shifted = inverse(poly({3: -1, 4: 2}), order=6)
     assert shifted.valuation == -3
     assert [shifted.coefficient(e) for e in range(-3, 3)] == [-1, -2, -4, -8, -16, -32]
 
@@ -102,16 +106,9 @@ def test_inverse_and_divide():
 def test_an_inverse_whose_lead_is_not_a_unit_raises_at_its_first_coefficient():
     for lead in (2, -3):
         with pytest.raises(ArithmeticError, match=rf"x\*\*-3 is 1/{lead}, not an integer"):
-            poly({3: lead, 4: 1}).inverse(order=6)
+            inverse(poly({3: lead, 4: 1}), order=6)
     with pytest.raises(ArithmeticError, match=r"x\*\*0 is 1/2"):
         poly({0: 2}).divide(poly({0: 2}), order=4)  # even where the quotient is integral
-
-
-def test_pow_negative():
-    s = LaurentSeries(0, [1, 1], 12)
-    assert (s ** -2).coefficient(0) == 1
-    assert (s ** -2).coefficient(1) == -2
-    assert (s ** 0).coefficient(0) == 1
 
 
 def test_sum_with_an_order_below_every_term_is_zero_to_that_order():
@@ -124,14 +121,14 @@ def test_sum_with_an_order_below_every_term_is_zero_to_that_order():
 
 
 def test_truncation_below_the_valuation_is_zero_to_that_order():
+    # a sum truncates at its lower order, a product at the order its error enters
     zero3 = fields(LaurentSeries.zero(3))
-    assert fields(poly({5: 1}).truncate(3)) == zero3
-    assert fields(LaurentSeries(2, [1, 4], 9).truncate(2)) == fields(LaurentSeries.zero(2))
+    assert fields(poly({5: 1}) + LaurentSeries.zero(3)) == zero3
+    zero2 = fields(LaurentSeries.zero(2))
+    assert fields(LaurentSeries(2, [1, 4], 9) + LaurentSeries.zero(2)) == zero2
     product = LaurentSeries.zero(5) * LaurentSeries(2, [1], 10)  # zero to z^7
     assert fields(product) == fields(LaurentSeries.zero(7))
-    assert fields(product.truncate(3)) == zero3
-    with pytest.raises(ValueError, match="cannot extend"):
-        product.truncate(8)
+    assert fields(product + LaurentSeries.zero(3)) == zero3
 
 
 @derandomized
@@ -149,11 +146,11 @@ def test_product_division_round_trip(a, b):
 )
 def test_long_division_equals_the_product_with_the_inverse(a, b, o):
     if b.order is None and o is None:  # both raise: an exact divisor needs an order
-        for quotient in (lambda: a.divide(b, o), lambda: a * b.inverse(o)):
+        for quotient in (lambda: a.divide(b, o), lambda: a * inverse(b, o)):
             with pytest.raises(ValueError, match="needs a truncation order"):
                 quotient()
         return
-    assert fields(a.divide(b, o)) == fields(a * b.inverse(o))
+    assert fields(a.divide(b, o)) == fields(a * inverse(b, o))
 
 
 def test_divide_keeps_the_divisor_guards():
@@ -196,7 +193,7 @@ def test_mul_matches_naive_convolution(a, b):
 @derandomized
 @given(unit_series)
 def test_unit_inverse_times_self_is_one(a):
-    one = a.inverse() * a
+    one = inverse(a) * a
     assert one.order == a.order - a.valuation
     for e in range(min(one.valuation, 0), one.order):
         assert one.coefficient(e) == (1 if e == 0 else 0), e

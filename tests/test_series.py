@@ -74,16 +74,16 @@ def test_zigzag_roots():
 def test_zigzag_boundary():
     up_axis = series.zigzag_boundary_gf(14)
     assert up_axis.coefficient(0) == 1
-    axis = ints(series.zigzag_altitude_gf(0, 13), 12)
-    assert axis == [1, 0, 2, 0, 4, 2, 10, 6, 22, 16, 52, 44]
+    axis = [1, 0, 2, 0, 4, 2, 10, 6, 22, 16, 52, 44]
+    assert count_row(11, 0, ZZ) == axis
     assert ints(2 * up_axis - series.LaurentSeries.from_poly({0: 1}), 12) == axis
 
 
 def test_zigzag_altitude_rows():
-    assert ints(series.zigzag_altitude_gf(1, 9), 8) == [0, 0, 1, 2, 2, 4, 4, 10]
-    assert ints(series.zigzag_altitude_gf(3, 14), 13)[12] == 41
+    assert recurrences.zigzag_altitude_row(1, 8) == [0, 0, 1, 2, 2, 4, 4, 10]
+    assert recurrences.zigzag_altitude_row(3, 13)[12] == 41
     for k in range(5):
-        row = ints(series.zigzag_altitude_gf(k, 17), 16)
+        row = recurrences.zigzag_altitude_row(k, 16)
         assert row == list(fixtures.ZIGZAG_TABLE[k]), k
 
 
@@ -91,7 +91,7 @@ def test_zigzag_altitude_reconstructs_total():
     total = series.ZIGZAG_TOTAL_GF.expand(26)
     acc = [0] * 26
     for k in range(0, 52):
-        row = ints(series.zigzag_altitude_gf(k, 27), 26)
+        row = recurrences.zigzag_altitude_row(k, 26)
         weight = 1 if k == 0 else 2  # negative altitudes mirror positive ones
         acc = [a + weight * r for a, r in zip(acc, row)]
     assert acc == total
@@ -104,29 +104,25 @@ def test_zigzag_nonneg_row():
 
 
 def test_above_line_fixture_and_dp():
-    total = series.above_line_gf(2, 17)
-    assert ints(total, 16) == list(fixtures.SEQUENCES["above-line-m2"].terms)
+    row = recurrences.above_line_row(2, 16)
+    assert row == list(fixtures.SEQUENCES["above-line-m2"].terms)
     for m in (1, 2, 3, 4):
-        row = ints(series.above_line_gf(m, 26), 26)
+        row = recurrences.above_line_row(m, 26)
         dp = count_row(25, ALL, PathConstraints(zigzag=True, min_y=-m))
         assert row == dp, m
 
 
 def test_series_names_equal_the_exact_rows_at_order_400():
-    # the rows work the same formulas in Q(z)(r), with no LaurentSeries
+    # the row works the same formula in Q(z)(r), with no LaurentSeries
     n = 400
     assert ints(series.zigzag_nonneg_gf(n), n) == recurrences.zigzag_nonneg_row(n)
-    for k in range(6):
-        assert ints(series.zigzag_altitude_gf(k, n), n) == recurrences.zigzag_altitude_row(k, n), k
-    for m in range(1, 6):
-        assert ints(series.above_line_gf(m, n), n) == recurrences.above_line_row(m, n), m
 
 
 def test_above_line_threshold_valuations():
     rational = series.ZIGZAG_TOTAL_GF.expand(16)
     for m in range(1, 6):
         cutoff = 3 * m - 2
-        row = ints(series.above_line_gf(m, cutoff + 2), cutoff + 1)
+        row = recurrences.above_line_row(m, cutoff + 1)
         assert row[:cutoff] == rational[:cutoff], m
         assert row[cutoff] != rational[cutoff], m
 
@@ -231,72 +227,11 @@ def test_span_solves_each_band_once(monkeypatch):
 def test_truncation_consistency_across_orders():
     pairs = [
         (series.zigzag_nonneg_gf(30), series.zigzag_nonneg_gf(60)),
-        (series.above_line_gf(2, 30), series.above_line_gf(2, 60)),
+        (series.zigzag_boundary_gf(30), series.zigzag_boundary_gf(60)),
     ]
     for low, high in pairs:
         for i in range(30):
             assert low.coefficient(i) == high.coefficient(i)
-
-
-# -- memoised boundary series ------------------------------------------------------
-
-MEMOISED = {
-    "zigzag boundary": (series.zigzag_boundary_gf, 3),
-}
-
-
-def _fields(s):
-    return s.valuation, s.coeffs, s.order
-
-
-def _fresh(fn, order):
-    """fn(order) derived from scratch: the memo is empty before and after."""
-    series._memo.clear()
-    try:
-        return _fields(fn(order))
-    finally:
-        series._memo.clear()
-
-
-@pytest.mark.parametrize("key", sorted(MEMOISED))
-def test_memoised_result_equals_a_fresh_derivation(key):
-    fn, least = MEMOISED[key]
-    orders = range(least, least + 41)
-    top = least + 80
-    fresh = {o: _fresh(fn, o) for o in [*orders, top]}
-    for o in orders:  # each call derives anew and replaces the entry
-        assert _fields(fn(o)) == fresh[o], (key, o)
-        assert series._memo[key][0] == o
-    fn(top)
-    for o in reversed(orders):  # each call truncates the entry at top
-        assert _fields(fn(o)) == fresh[o], (key, o)
-        assert series._memo[key][0] == top
-    assert _fields(fn(top)) == fresh[top]
-    series._memo.clear()
-
-
-def test_order_checks_run_before_the_memo():
-    series.zigzag_boundary_gf(40)  # caches the boundary at 40
-    for fn, low in ((series.zigzag_kernel_roots, 5), (series.zigzag_boundary_gf, 2)):
-        with pytest.raises(ValueError, match="order must be at least"):
-            fn(low)
-    assert list(series._memo) == ["zigzag boundary"]
-
-
-def test_verify_leaves_every_memo_entry_intact():
-    from knightpaths.verification import run_checks
-
-    series._memo.clear()
-    assert all(r.passed for r in run_checks("quick") if not r.name.startswith("7"))
-    derive = {
-        "zigzag boundary": lambda o: series._derive_zigzag_boundary(
-            o, series.zigzag_kernel_roots(o + 3)[0]
-        ),
-    }
-    entries = dict(series._memo)
-    assert sorted(entries) == sorted(derive)
-    for key, (top, result) in entries.items():
-        assert _fields(result) == _fresh(derive[key], top), key
 
 
 # -- precision guards ------------------------------------------------------------
@@ -314,40 +249,26 @@ def _floor_gap(work: int) -> int:
     return max(0, Z - work)
 
 
-def _zigzag_altitude_loss(k: int) -> int:
-    return 0 if k == 0 else -1 if k == 1 else 8 - 3 * k
-
-
 def _orders(*parts):
     return [s.order for s in parts]
 
 
-# name: (least order, params, got(order, p), surplus(order, p))
+# name: (least order, got(order), surplus(order))
 GUARDS = {
     "zigzag_kernel_roots": (
-        Z, [None],
-        lambda o, _: _orders(*series.zigzag_kernel_roots(o)),
-        lambda o, _: [0, 0],
+        Z,
+        lambda o: _orders(*series.zigzag_kernel_roots(o)),
+        lambda o: [0, 0],
     ),
     "zigzag_boundary_gf": (
-        3, [None],
-        lambda o, _: _orders(series.zigzag_boundary_gf(o)),
-        lambda o, _: [0],
-    ),
-    "zigzag_altitude_gf": (
-        1, [*range(8), 11, 20, 30],
-        lambda o, k: _orders(series.zigzag_altitude_gf(k, o)),
-        lambda o, k: [_floor_gap(o + _zigzag_altitude_loss(k))],
+        3,
+        lambda o: _orders(series.zigzag_boundary_gf(o)),
+        lambda o: [0],
     ),
     "zigzag_nonneg_gf": (
-        1, [None],
-        lambda o, _: _orders(series.zigzag_nonneg_gf(o)),
-        lambda o, _: [_floor_gap(o)],
-    ),
-    "above_line_gf": (
-        1, [1, 2, 3, 4, 5, 8, 13, 20],
-        lambda o, m: _orders(series.above_line_gf(m, o)),
-        lambda o, m: [0],
+        1,
+        lambda o: _orders(series.zigzag_nonneg_gf(o)),
+        lambda o: [_floor_gap(o)],
     ),
 }
 
@@ -356,27 +277,30 @@ GUARD_ORDERS = (*range(1, 10), 17, 41, 96, 200)
 
 @pytest.mark.parametrize("name", sorted(GUARDS))
 def test_every_guard_meets_its_contract_with_only_its_stated_surplus(name):
-    least, params, got, surplus = GUARDS[name]
+    least, got, surplus = GUARDS[name]
     for o in (o for o in GUARD_ORDERS if o >= least):
-        # past order 41, only the first and the last parameter
-        for p in params if o <= 41 else {*params[:1], *params[-1:]}:
-            extra = surplus(o, p)
-            assert all(e >= 0 for e in extra), (name, o, p)
-            assert got(o, p) == [o + e for e in extra], (name, o, p)
+        extra = surplus(o)
+        assert all(e >= 0 for e in extra), (name, o)
+        assert got(o) == [o + e for e in extra], (name, o)
+
+
+def test_the_roots_and_the_boundary_check_their_least_order():
+    for fn, low in ((series.zigzag_kernel_roots, 5), (series.zigzag_boundary_gf, 2)):
+        with pytest.raises(ValueError, match="order must be at least"):
+            fn(low)
 
 
 def test_a_short_guard_raises_instead_of_rounding(monkeypatch):
     real = series.zigzag_kernel_roots
 
     def one_short(order):
-        return tuple(r.truncate(r.order - 1) for r in real(order))
+        return tuple(
+            series.LaurentSeries(r.valuation, r.window(r.valuation, r.order - 1), r.order - 1)
+            for r in real(order)
+        )
 
     monkeypatch.setattr(series, "zigzag_kernel_roots", one_short)
-    series._memo.clear()
-    try:
-        with pytest.raises(ArithmeticError, match="left only order 29, needed 30"):
-            series.zigzag_nonneg_gf(30)
-        with pytest.raises(ArithmeticError, match="above-line total: .* order 29, needed 30"):
-            series.above_line_gf(2, 30)
-    finally:
-        series._memo.clear()  # drop the boundary series derived from short roots
+    with pytest.raises(ArithmeticError, match="left only order 29, needed 30"):
+        series.zigzag_nonneg_gf(30)
+    with pytest.raises(ArithmeticError, match="zigzag boundary gf: .* order 29, needed 30"):
+        series.zigzag_boundary_gf(30)

@@ -4,7 +4,8 @@ Check 5 evaluates committed algebraic equations on the grand rows and the
 zigzag kernel on the small root, which the rows and the series share, and
 compares the powers of the root that the altitude and line rows read with
 products of the root;
-check 3 compares every band's transfer row with the DP.  Each test
+check 3 compares every band's transfer row with the DP, and checks 1, 3
+and 6 read the zigzag altitude and line rows that `gf` prints.  Each test
 below corrupts one input and expects its check to go red, so a check that
 always passes would show here.
 """
@@ -25,6 +26,17 @@ def _corrupted(row: list[int], index: int, by: int = 1) -> list[int]:
 
 def _check(name: str, level: str = "quick") -> tuple[bool, str]:
     return verification.CHECKS[name](level)
+
+
+def _corrupt_row(monkeypatch, row: str, param: int, index: int) -> None:
+    """Corrupt coefficient `index` of a parametrised row of `recurrences` at one parameter."""
+    honest = getattr(recurrences, row)
+
+    def patched(k, count):
+        got = honest(k, count)
+        return _corrupted(got, index) if k == param else got
+
+    monkeypatch.setattr(recurrences, row, patched)
 
 
 @pytest.mark.parametrize(
@@ -130,13 +142,24 @@ def test_a_corrupted_transfer_band_row_fails_check_3_at_quick(monkeypatch):
 )
 def test_a_corrupted_answering_row_fails_check_3_at_quick(monkeypatch, row, param, index, want):
     """Check 3 reads the rows that `count --engine gf` prints for zigzag."""
-    honest = getattr(recurrences, row)
-
-    def patched(k, count):
-        got = honest(k, count)
-        return _corrupted(got, index) if k == param else got
-
-    monkeypatch.setattr(recurrences, row, patched)
+    _corrupt_row(monkeypatch, row, param, index)
     passed, detail = _check("3-cross-engine")
+    assert not passed and detail.startswith(want), detail
+
+
+@pytest.mark.parametrize(
+    "row, param, index, check, want",
+    [
+        ("zigzag_altitude_row", 2, 9, "1-table-fixtures", "zigzag row (9,2)=17 != 16"),
+        ("above_line_row", 3, 3, "3-cross-engine", "above m=3: row="),
+        ("above_line_row", 3, 3, "6-threshold-law", "m=3: row difference valuation 3 != 7"),
+    ],
+)
+def test_a_corrupted_gf_row_fails_each_check_that_reads_it(
+    monkeypatch, row, param, index, check, want
+):
+    """Checks 1, 3 and 6 read the altitude and line rows that `gf` prints."""
+    _corrupt_row(monkeypatch, row, param, index)
+    passed, detail = _check(check)
     assert not passed and detail.startswith(want), detail
 
