@@ -13,6 +13,8 @@ commands whose output differs.  Regenerate the file with
     PYTHONPATH=src python tests/golden_corpus.py
 
 Regenerating changes a check's data: say which commands moved and why.
+The script prints every command whose digest changed against the file it
+replaces, and the commands added or removed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 import sys
 from pathlib import Path
 
-from knightpaths import cli
+from knightpaths import asymptotics, cli
 
 CORPUS = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -71,6 +73,11 @@ OTHER_COUNTS = [
 ]
 OTHER_SIZES = (0, 1, 5, 12)
 
+# every asym formula, in csv and json, over two size lists that read the
+# rows to n = 697 and to n = 2000; a formula with a band depth runs at each m
+ASYM_SIZES = ("2,4,10,100,697", "2,10,500,1999,2000")
+ASYM_DEPTHS = (0, 1, 2, 5)
+
 BAD_INPUTS = [
     ["count", "--size", "-1"],
     ["count", "--size", "6", "--steps", "0"],
@@ -111,6 +118,14 @@ def grid() -> list[list[str]]:
         commands += [["count", "--size", str(n), "--zigzag", *flags, *every] for n in COUNT_SIZES]
     for flags in OTHER_COUNTS:
         commands += [["count", "--size", str(n), *flags, *every] for n in OTHER_SIZES]
+    for formula, entry in asymptotics.FORMULAS.items():
+        depths = [("--m", str(m)) for m in ASYM_DEPTHS] if entry.takes_m else [()]
+        commands += [
+            ["asym", "--formula", formula, *depth, "--n-list", sizes, "--format", fmt]
+            for depth in depths
+            for sizes in ASYM_SIZES
+            for fmt in ("csv", "json")
+        ]
     for level in ("quick", "full"):
         commands += [["verify", "--level", level], ["verify", "--level", level, "--json"]]
     return commands + BAD_INPUTS
@@ -147,10 +162,18 @@ def key(argv: list[str]) -> str:
 
 
 def main() -> int:
+    old = json.loads(CORPUS.read_text()) if CORPUS.exists() else {}
     corpus = {key(argv): digest(argv) for argv in grid()}
     lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in corpus.items()]
     CORPUS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"{len(corpus)} commands written to {CORPUS.name}")
+    moves = (
+        ("changed", [k for k in corpus if k in old and old[k] != corpus[k]]),
+        ("added", [k for k in corpus if k not in old]),
+        ("removed", [k for k in old if k not in corpus]),
+    )
+    for label, keys in moves:
+        print(f"{len(keys)} {label}" + "".join(f"\n  {k}" for k in keys))
     return 0
 
 
