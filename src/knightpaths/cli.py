@@ -184,9 +184,16 @@ def cmd_biject(args) -> int:
 # -- asym -----------------------------------------------------------------------------
 
 
+def _size(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"--n-list: {token!r} is not an integer") from None
+
+
 def cmd_asym(args) -> int:
     try:
-        n_list = sorted(int(t) for t in args.n_list.replace(",", " ").split())
+        n_list = sorted(map(_size, args.n_list.replace(",", " ").split()))
         report = asymptotics.convergence_report(args.formula, n_list, m=args.m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

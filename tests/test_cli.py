@@ -212,10 +212,13 @@ def test_asym_report(capsys):
 
 
 def test_asym_bad_size_list_exits_two(capsys):
-    for n_list in ("abc", "-5"):
+    for n_list in ("abc", "-5", "10,x"):
         code, out, err = run(capsys, "asym", "--formula", "grand-all", "--n-list", n_list)
         assert code == 2, n_list
         assert out == "" and err.startswith("error:"), n_list
+    for n_list, token in (("abc", "abc"), ("10,x", "x"), ("7 1.5", "1.5")):
+        _, _, err = run(capsys, "asym", "--formula", "grand-all", "--n-list", n_list)
+        assert err == f"error: --n-list: {token!r} is not an integer\n", n_list
 
 
 def test_asym_json_spells_an_undefined_ratio_null(capsys):
