@@ -2,13 +2,16 @@
 
 A polynomial is a list of ints, lowest degree first; `add` and `sub` trim
 trailing zeros, and `mul` of trimmed factors is trimmed.  Every division is
-checked: a remainder raises ArithmeticError, nothing is rounded.
+checked: a remainder raises ArithmeticError, nothing is rounded.  Both
+engines divide their fractions by a `gcd` to expand them in lowest terms.
 `recurrences` and `transfer` share this module; the DP, the closed forms and
 `LaurentSeries`, which check those engines, do not import it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from typing import Iterable
 
@@ -94,6 +97,71 @@ def divexact(num: Poly, den: Poly) -> Poly:
         if num[i] != sum(map(operator.mul, den[j : i + 1], reversed(q[max(i - last, 0) : nq]))):
             raise ArithmeticError(f"inexact division: remainder at z^{i}")
     return q
+
+
+def valuation(p: Poly) -> int:
+    """The lowest degree of a nonzero coefficient of p (p nonzero)."""
+    return next(i for i, c in enumerate(p) if c)
+
+
+def gcd(p: Poly, q: Poly) -> Poly:
+    """The greatest common divisor of p and q in Z[z], with a positive leading coefficient.
+
+    The common z-power and integer content split off first.  The primitive
+    parts go to `_heuristic_gcd`, then to `_remainder_gcd` if it fails.
+    """
+    q, p = sorted((trim(list(p)), trim(list(q))), key=len)
+    if not q:
+        return shift(p, 0, -1) if p and p[-1] < 0 else p
+    vp, vq, content = valuation(p), valuation(q), math.gcd(*p, *q)
+    p, q = _primitive(p[vp:]), _primitive(q[vq:])
+    return shift(_heuristic_gcd(p, q) or _remainder_gcd(p, q), min(vp, vq), content)
+
+
+def _primitive(p: Poly) -> Poly:
+    """p over its content, with a positive leading coefficient."""
+    g = math.gcd(*p) if p and p[-1] > 0 else -math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _heuristic_gcd(p: Poly, q: Poly) -> Poly | None:
+    """gcd(p, q) of primitive p and q with nonzero constant terms, or None.
+
+    Char, Geddes and Gonnet (J. Symb. Comp. 7, 1989): for x > 2 min(|p|, |q|)
+    + 2, the integer gcd of p(x) and q(x), read as digits in base x, has the
+    gcd as its primitive part if that divides both (checked by `divexact`).
+    """
+    x = 2 * min(max(map(abs, p)), max(map(abs, q))) + 29
+    for _ in range(6):
+        h = math.gcd(*(functools.reduce(lambda v, c: v * x + c, f[::-1]) for f in (p, q)))
+        g = []
+        while h:
+            g.append((h + x // 2) % x - x // 2)
+            h = (h - g[-1]) // x
+        try:
+            g = _primitive(g)
+            divexact(p, g), divexact(q, g)
+            return g
+        except ArithmeticError:
+            x = x * 73794 // 27011
+    return None
+
+
+def _remainder_gcd(p: Poly, q: Poly) -> Poly:
+    """gcd(p, q) of primitive p and q by a primitive remainder sequence (Knuth, TAOCP 2, 4.6.1).
+
+    Each pseudo-remainder, lead(q)^(deg p - deg q + 1) p mod q, is divided by its content.
+    """
+    if len(p) < len(q):
+        p, q = q, p
+    while len(q) > 1:
+        r, lead, n = list(p), q[-1], len(q) - 1
+        for top in range(len(p) - 1, n - 1, -1):
+            c = r.pop()
+            r = [lead * x for x in r]
+            r[top - n :] = map(operator.sub, r[top - n :], [c * e for e in q[:n]])
+        p, q = q, _primitive(trim(r))
+    return [1] if q else p
 
 
 class RationalGF:

@@ -26,9 +26,10 @@ kernel-method derivation, in a small private field arithmetic (`_Elt`) that
 keeps every element as (A + B r) / D with integer polynomials A, B, D; the
 polynomial operations are those of `poly`, which `transfer` shares.
 Products reduce r^2 = (L r - z^3) / z^3; inverses multiply by the conjugate
-root 1/r = L/z^3 - r, whose norm is a polynomial.  A row is expanded as the
-polynomial-times-series A + B r followed by division by the polynomial D,
-a linear recurrence of order deg D (`poly.divide`).
+root 1/r = L/z^3 - r, whose norm is a polynomial.  A row is expanded from
+its element in lowest terms (`_Elt.reduced`, which takes D from degree 18
+to 6 for the nonneg row) as the polynomial-times-series A + B r followed by
+division by the polynomial D, a linear recurrence of order deg D.
 
 The rows at a zigzag altitude k >= 2 and above a line y = -m are r^j times
 such an element, j = k - 1 or m - 1, so they read the powers r^j and
@@ -263,15 +264,12 @@ def _root_powers(j: int, count: int) -> tuple[list[int], list[int]]:
     return power[:count], above
 
 
-def _valuation(p: list[int]) -> int:
-    return next(i for i, c in enumerate(p) if c)
-
-
 class _Elt:
     """(a + b r) / d in Q(z)(r).
 
     Kept with no common z-power or integer content, and with the lowest
-    nonzero coefficient of d positive.
+    nonzero coefficient of d positive; `_expand` cancels any other common
+    factor once (`reduced`), as a gcd in every operation costs more than it saves.
     """
 
     __slots__ = ("a", "b", "d")
@@ -280,9 +278,9 @@ class _Elt:
         a, b, d = poly.trim(list(a)), poly.trim(list(b)), poly.trim(list(d))
         if not d:
             raise ZeroDivisionError("zero denominator")
-        k = min(_valuation(p) for p in (a, b, d) if p)
+        k = min(poly.valuation(p) for p in (a, b, d) if p)
         g = math.gcd(*a, *b, *d)
-        if d[_valuation(d)] < 0:
+        if d[poly.valuation(d)] < 0:
             g = -g
         self.a = [c // g for c in a[k:]]
         self.b = [c // g for c in b[k:]]
@@ -339,6 +337,13 @@ class _Elt:
     def __truediv__(self, other) -> _Elt:
         return self * _lift(other).inverse()
 
+    def reduced(self) -> _Elt:
+        """The same element with no common factor of a, b and d (`poly.gcd`)."""
+        g = poly.gcd(poly.gcd(self.d, self.a), self.b)
+        if len(g) < 2:
+            return self
+        return _Elt(*(poly.divexact(p, g) for p in (self.a, self.b, self.d)))
+
     def __pow__(self, e: int) -> _Elt:
         out, base = _Elt([1]), self
         while e:  # square and multiply
@@ -364,11 +369,12 @@ _LINE = (_Z + _Z**2 * _R + _R**2) / (_Z**2 + _Z - 1)
 def _expand(x: _Elt, count: int, low: int = 0) -> list[int]:
     """The first count coefficients of the power series r^low x.
 
-    x = (a + b r) / d, so the numerator is a r^low + b r^(low + 1).
+    x = (a + b r) / d in lowest terms, so the numerator is a r^low + b r^(low + 1).
     """
     if count <= 0:
         return []
-    k = _valuation(x.d)
+    x = x.reduced()
+    k = poly.valuation(x.d)
     width = count + k
     num = [0] * width
     for p, j, power in zip((x.a, x.b), (low, low + 1), _root_powers(low, width)):

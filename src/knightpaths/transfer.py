@@ -23,6 +23,10 @@ det(I - T with its last column replaced by v_t): no back substitution.
 Every division in the elimination is exact; each is checked and raises
 ArithmeticError if it is not.
 
+The P/Q the elimination leaves is not in lowest terms (Q has up to twice
+the degree it needs), so `band_gfs` divides both by gcd(P, Q), each division
+checked exact, and `verify` certifies P Q_red = P_red Q in integers.
+
 The matrix is banded: a zigzag transition moves the altitude by at most 1,
 a grand step by at most 2.  A row with zeros left of the pivot column is
 only ever scaled by the elimination, so it is left alone until the column
@@ -172,8 +176,8 @@ def _solve(rows: list[list[Poly]]) -> tuple[Poly, list[Poly]]:
 # -- public entry points ----------------------------------------------------------------
 
 
-def band_gfs(c: PathConstraints, altitudes: Sequence) -> list[RationalGF]:
-    """Rational generating functions, one per altitude filter, for a two-sided band.
+def band_fractions(c: PathConstraints, altitudes: Sequence) -> tuple[Poly, list[Poly]]:
+    """(Q, [P_1, ..., P_r]) for a two-sided band, not in lowest terms: Q = det(I - T).
 
     c must bound both sides and carry no step-count filter; zigzag, first
     and last direction are honoured.  All filters share one elimination.
@@ -182,12 +186,22 @@ def band_gfs(c: PathConstraints, altitudes: Sequence) -> list[RationalGF]:
         raise ValueError("the transfer engine needs both min_y and max_y")
     if c.steps is not None:
         raise ValueError("the transfer engine does not count steps")
-    q, numerators = _solve(_system(c, altitudes))
-    return [RationalGF(p, q) for p in numerators]
+    return _solve(_system(c, altitudes))
+
+
+def band_gfs(c: PathConstraints, altitudes: Sequence) -> list[RationalGF]:
+    """`band_fractions` as rational generating functions in lowest terms."""
+    q, numerators = band_fractions(c, altitudes)
+    out = []
+    for p in numerators:
+        g = poly.gcd(p, q)
+        g = poly.shift(g, 0, g[0])  # g(0) = +-1 as g divides Q, Q(0) = 1: now Q_red(0) = 1
+        out.append(RationalGF(poly.divexact(p, g), poly.divexact(q, g)))
+    return out
 
 
 def band_gf(c: PathConstraints, altitude=ALL) -> RationalGF:
-    """The rational generating function of one altitude filter in a band."""
+    """The rational generating function of one altitude filter in a band, in lowest terms."""
     return band_gfs(c, (altitude,))[0]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,3 +79,48 @@ def test_rational_gf_rejects_zero_constant():
 def test_rational_gf_demands_integrality():
     with pytest.raises(ArithmeticError):
         RationalGF([1], [2, 1]).expand(3)
+
+
+def _sympy_gcd(p, q):
+    """gcd(p, q) by sympy, as a coefficient list lowest degree first."""
+    import sympy
+
+    z = sympy.Symbol("z")
+    to_poly = lambda c: sympy.Poly(list(reversed(c)) or [0], z)  # noqa: E731
+    return poly.trim([int(c) for c in reversed(sympy.gcd(to_poly(p), to_poly(q)).all_coeffs())])
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Two integer polynomials that share a factor, an integer content and a z-power
+    more often than random ones would; either may be zero or a constant."""
+    common = poly.trim(draw(st.lists(st.integers(-6, 6), max_size=4)))
+    pair = []
+    for _ in range(2):
+        p = poly.trim(draw(st.lists(st.integers(-6, 6), max_size=5)))
+        if draw(st.booleans()):
+            p = poly.mul(p, common)
+        pair.append(poly.shift(p, draw(st.integers(0, 3)), draw(st.sampled_from([1, -1, 3, -4]))))
+    return pair
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gcd_pairs())
+def test_gcd_agrees_with_sympy(pair):
+    """Both routes: the heuristic gcd, and the remainder sequence behind it."""
+    p, q = pair
+    want = _sympy_gcd(p, q)
+    assert poly.gcd(p, q) == poly.gcd(q, p) == want
+    with mock.patch.object(poly, "_heuristic_gcd", lambda p, q: None):
+        assert poly.gcd(p, q) == want
+
+
+def test_gcd_edge_cases():
+    assert poly.gcd([], []) == []
+    assert poly.gcd([0, 0], []) == []
+    assert poly.gcd([], [-2, -4]) == [2, 4]  # gcd(p, 0) is p up to sign
+    assert poly.gcd([6], [-4]) == [2]
+    assert poly.gcd([6], [3, 3]) == [3]
+    assert poly.gcd([0, 0, 2, 2], [0, 4, 4]) == [0, 2, 2]  # z (1 + z) and content 2
+    assert poly.gcd([-1, 0, 1], [1, 2, 1]) == [1, 1]
+    assert poly.gcd([1, 1], [-1, 1]) == [1]

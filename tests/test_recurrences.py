@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from knightpaths import closedforms, fixtures, recurrences, series
+from knightpaths import closedforms, fixtures, poly, recurrences, series
 from knightpaths.counting import (
     ALL,
     NONNEG,
@@ -69,7 +69,7 @@ def test_corrupt_altitude_element_raises_not_rounds(monkeypatch, fresh_rows, k):
     Elt = recurrences._Elt
     with pytest.raises(ArithmeticError, match="vanish"):
         real(Elt([x.a[0] + 1, *x.a[1:]], x.b, x.d), 40, *low)
-    v = recurrences._valuation(x.d)
+    v = poly.valuation(x.d)
     with pytest.raises(ArithmeticError, match="not an integer"):
         real(Elt(x.a, x.b, [*x.d[:v], 2 * x.d[v], *x.d[v + 1 :]]), 40, *low)
 
@@ -390,6 +390,52 @@ def test_corrupt_row_element_raises_not_rounds():
     bad_d = [2 * total.d[0], *total.d[1:]]
     with pytest.raises(ArithmeticError, match="not an integer"):
         recurrences._expand(Elt(total.a, total.b, bad_d), 30)
+
+
+# -- lowest terms: the element each row expands -------------------------------------
+
+# a row call -> (deg d as the field arithmetic builds it, deg d in lowest terms)
+REDUCED_DEGREES = {
+    ("zigzag_total_row",): (2, 2),
+    ("zigzag_nonneg_row",): (18, 6),
+    ("_zigzag_axis_row",): (6, 6),
+    ("_zigzag_alt1_row",): (9, 9),
+    ("zigzag_altitude_row", 3): (9, 9),
+    ("zigzag_altitude_sum_row",): (16, 8),
+    ("zigzag_primitive_row",): (2, 1),
+    ("above_axis_row",): (4, 2),
+    ("above_axis_altitude_sum_row",): (8, 4),
+    ("above_line_row", 2): (5, 5),
+}
+
+
+@pytest.mark.parametrize("call", REDUCED_DEGREES)
+def test_each_row_expands_its_element_in_lowest_terms(monkeypatch, fresh_rows, call):
+    """Every element `_expand` reads has gcd(a, b, d) = 1, and equals the one built."""
+    import sympy
+
+    seen = []
+    real = recurrences._Elt.reduced
+    monkeypatch.setattr(recurrences._Elt, "reduced", lambda x: seen.append((x, real(x))) or seen[-1][1])
+    name, *param = call
+    getattr(recurrences, name)(*param, 60)
+    built, read = seen[-1]  # a line row expands the zigzag total first
+    assert (len(built.d) - 1, len(read.d) - 1) == REDUCED_DEGREES[call]
+    z = sympy.Symbol("z")
+    for built, read in seen:
+        a, b, d = (sympy.Poly(list(reversed(p)) or [0], z) for p in (read.a, read.b, read.d))
+        assert sympy.gcd(sympy.gcd(a, b), d).as_expr() == 1, call
+        for p, q in ((built.a, read.a), (built.b, read.b)):
+            assert poly.mul(p, read.d) == poly.mul(q, built.d), call
+
+
+def test_a_planted_non_divisor_gcd_raises_not_rounds(monkeypatch, fresh_rows):
+    monkeypatch.setattr(poly, "gcd", lambda p, q: [1, 3])  # 1 + 3z divides none of them
+    with pytest.raises(ArithmeticError):
+        recurrences.zigzag_nonneg_row(40)
+    monkeypatch.setattr(poly, "gcd", lambda p, q: [1])  # a divisor, not the greatest
+    recurrences._memo.clear()
+    assert recurrences.zigzag_nonneg_row(40) == count_row(39, NONNEG, ZZ)
 
 
 # -- powers of the small root: the recurrence behind the altitude and line rows ----

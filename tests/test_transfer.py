@@ -237,3 +237,47 @@ def test_elimination_matches_cramer(rows):
 def test_determinant_must_be_one_at_zero():
     with pytest.raises(ArithmeticError):
         transfer._solve([[[2], [1]]])
+
+
+# (zigzag, lo, hi) -> (deg Q from the elimination, deg Q in lowest terms), any altitude
+BAND_DEGREES = {
+    (True, -1, 1): (8, 4),
+    (True, -1, 2): (12, 6),
+    (True, -3, 3): (24, 12),
+    (True, 0, 8): (32, 16),
+    (True, -4, 5): (36, 18),
+    (False, -1, 1): (5, 4),
+    (False, -1, 2): (8, 4),
+    (False, -3, 3): (13, 8),
+    (False, 0, 8): (17, 9),
+    (False, -4, 5): (20, 10),
+}
+
+
+@pytest.mark.parametrize("band", BAND_DEGREES)
+def test_band_fractions_come_in_lowest_terms(band):
+    """P Q_red = P_red Q, gcd(P_red, Q_red) = 1, Q_red(0) = 1, and the same rows."""
+    import sympy
+
+    zigzag, lo, hi = band
+    c = PathConstraints(zigzag=zigzag, min_y=lo, max_y=hi)
+    q, (p,) = transfer.band_fractions(c, (ALL,))
+    gf = transfer.band_gf(c)
+    num, den = list(gf.num), list(gf.den)
+    assert (len(q) - 1, len(den) - 1) == BAND_DEGREES[band]
+    assert den[0] == 1
+    assert poly.mul(p, den) == poly.mul(num, q)
+    z = sympy.Symbol("z")
+    assert sympy.gcd(sympy.Poly(num[::-1], z), sympy.Poly(den[::-1], z)).as_expr() == 1
+    assert gf.expand(200) == poly.RationalGF(p, q).expand(200)
+
+
+def test_a_planted_non_divisor_gcd_raises_not_rounds(monkeypatch):
+    c = PathConstraints(zigzag=True, min_y=-1, max_y=2)
+    want = transfer.band_gf(c).expand(40)
+    monkeypatch.setattr(poly, "gcd", lambda p, q: [1, 3])  # 1 + 3z divides neither
+    with pytest.raises(ArithmeticError):
+        transfer.band_gf(c)
+    monkeypatch.setattr(poly, "gcd", lambda p, q: [1])  # a divisor, not the greatest
+    gf = transfer.band_gf(c)
+    assert len(gf.den) == 13 and gf.expand(40) == want

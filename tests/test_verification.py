@@ -4,8 +4,9 @@ Check 5 evaluates committed algebraic equations on the grand rows and the
 zigzag kernel on the small root, which the rows and the series share, and
 compares the powers of the root that the altitude and line rows read with
 products of the root;
-check 3 compares every band's transfer row with the DP, and checks 1, 3
-and 6 read the zigzag altitude and line rows that `gf` prints.  Each test
+check 3 compares every band's transfer row with the DP and certifies its
+reduced fraction against the elimination's, and checks 1, 3 and 6 read the
+zigzag altitude and line rows that `gf` prints.  Each test
 below corrupts one input and expects its check to go red, so a check that
 always passes would show here.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from knightpaths import recurrences, transfer, verification
+from knightpaths import poly, recurrences, transfer, verification
 from knightpaths.paths import PathConstraints
 
 
@@ -130,6 +131,22 @@ def test_a_corrupted_transfer_band_row_fails_check_3_at_quick(monkeypatch):
     monkeypatch.setattr(transfer, "band_gf", band_gf)
     passed, detail = _check("3-cross-engine")
     assert not passed and detail.startswith("band m=1 M=2: transfer="), detail
+
+
+def test_a_reduced_band_fraction_that_differs_past_the_checked_sizes_fails_check_3(monkeypatch):
+    """The rows agree with the DP to size 12, so only the certificate P Q_red = P_red Q sees it."""
+    honest = transfer.band_gf
+    target = PathConstraints(zigzag=True, min_y=-1, max_y=2)
+
+    def band_gf(c, altitude=transfer.ALL):
+        gf = honest(c, altitude)
+        if c != target:
+            return gf
+        return poly.RationalGF(gf.num, poly.add(list(gf.den), [0] * 20 + [1]))
+
+    monkeypatch.setattr(transfer, "band_gf", band_gf)
+    passed, detail = _check("3-cross-engine")
+    assert not passed and detail == "band m=1 M=2: P Q_red != P_red Q", detail
 
 
 @pytest.mark.parametrize(
