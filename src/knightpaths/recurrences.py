@@ -272,7 +272,7 @@ class _Elt:
     factor once (`reduced`), as a gcd in every operation costs more than it saves.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("a", "b", "d", "_lowest")
 
     def __init__(self, a: list[int], b: list[int] = (), d: list[int] = (1,)):
         a, b, d = poly.trim(list(a)), poly.trim(list(b)), poly.trim(list(d))
@@ -285,6 +285,7 @@ class _Elt:
         self.a = [c // g for c in a[k:]]
         self.b = [c // g for c in b[k:]]
         self.d = [c // g for c in d[k:]]
+        self._lowest = None
 
     def __add__(self, other) -> _Elt:
         o = _lift(other)
@@ -338,11 +339,13 @@ class _Elt:
         return self * _lift(other).inverse()
 
     def reduced(self) -> _Elt:
-        """The same element with no common factor of a, b and d (`poly.gcd`)."""
-        g = poly.gcd(poly.gcd(self.d, self.a), self.b)
-        if len(g) < 2:
-            return self
-        return _Elt(*(poly.divexact(p, g) for p in (self.a, self.b, self.d)))
+        """The same element with no common factor of a, b and d (`poly.gcd`), found once."""
+        if self._lowest is None:
+            g = poly.gcd(poly.gcd(self.d, self.a), self.b)
+            self._lowest = self
+            if len(g) > 1:
+                self._lowest = _Elt(*(poly.divexact(p, g) for p in (self.a, self.b, self.d)))
+        return self._lowest
 
     def __pow__(self, e: int) -> _Elt:
         out, base = _Elt([1]), self
