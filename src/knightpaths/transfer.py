@@ -176,27 +176,25 @@ def _solve(rows: list[list[Poly]]) -> tuple[Poly, list[Poly]]:
 # -- public entry points ----------------------------------------------------------------
 
 
-def band_fractions(c: PathConstraints, altitudes: Sequence) -> tuple[Poly, list[Poly]]:
-    """(Q, [P_1, ..., P_r]) for a two-sided band, not in lowest terms: Q = det(I - T).
+def band_gfs(c: PathConstraints, altitudes: Sequence) -> list[RationalGF]:
+    """Rational generating functions in lowest terms, one per altitude filter, for a two-sided band.
 
     c must bound both sides and carry no step-count filter; zigzag, first
     and last direction are honoured.  All filters share one elimination.
+    Each result keeps the elimination's own (P, Q) as `unreduced`, which
+    `verify` certifies it against.
     """
     if c.min_y is None or c.max_y is None:
         raise ValueError("the transfer engine needs both min_y and max_y")
     if c.steps is not None:
         raise ValueError("the transfer engine does not count steps")
-    return _solve(_system(c, altitudes))
-
-
-def band_gfs(c: PathConstraints, altitudes: Sequence) -> list[RationalGF]:
-    """`band_fractions` as rational generating functions in lowest terms."""
-    q, numerators = band_fractions(c, altitudes)
+    q, numerators = _solve(_system(c, altitudes))
     out = []
     for p in numerators:
         g = poly.gcd(p, q)
-        g = poly.shift(g, 0, g[0])  # g(0) = +-1 as g divides Q, Q(0) = 1: now Q_red(0) = 1
+        g = poly.shift(g, 0, g[0])  # g divides Q and Q(0) = 1, so g(0) = +-1: keep Q_red(0) = 1
         out.append(RationalGF(poly.divexact(p, g), poly.divexact(q, g)))
+        out[-1].unreduced = p, q
     return out
 
 

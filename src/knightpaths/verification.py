@@ -11,7 +11,7 @@ in check 2, the zigzag kernel series that `gf --name zigzag-nonneg`
 expands.  Checks 1, 3 and 6 read the zigzag altitude and line rows that
 `count --engine gf` and `gf` print, against the fixtures, the DP, the
 closed forms and the rational total; check 3 also certifies each band's
-fraction in lowest terms against the elimination's, P Q_red = P_red Q.
+fraction in lowest terms against the elimination's own, P Q_red = P_red Q.
 Check 5 certifies the grand rows against their committed algebraic
 equations, the integer small root, which the rows and the series share,
 against the zigzag kernel, and the powers of that root the altitude and
@@ -162,11 +162,11 @@ def check_cross_engine(level: str = "quick") -> tuple[bool, str]:
         for M in range(max(m, 1), 4):
             band = _zigzag(min_y=-m, max_y=M)
             dp_row = counting.count_row(band_top, ALL, band)
-            gf, (q, (p,)) = transfer.band_gf(band), transfer.band_fractions(band, (ALL,))
+            gf = transfer.band_gf(band)
             transfer_row = gf.expand(band_top + 1)
             if transfer_row != dp_row:
                 problems.append(f"band m={m} M={M}: transfer={transfer_row} dp={dp_row}")
-            elif poly.mul(p, list(gf.den)) != poly.mul(list(gf.num), q):
+            elif poly.mul(gf.unreduced[0], gf.den) != poly.mul(gf.num, gf.unreduced[1]):
                 problems.append(f"band m={m} M={M}: P Q_red != P_red Q")
     scope = f"n<={n_top}, |k|<={k_top}, bands n<={band_top}"
     return not problems, "; ".join(problems[:4]) or scope

@@ -429,6 +429,16 @@ def test_each_row_expands_its_element_in_lowest_terms(monkeypatch, fresh_rows, c
             assert poly.mul(p, read.d) == poly.mul(q, built.d), call
 
 
+def test_an_element_is_reduced_once_however_often_it_is_expanded(monkeypatch, fresh_rows):
+    recurrences.zigzag_altitude_row(4, 30)
+    calls = []
+    real = poly.gcd
+    monkeypatch.setattr(poly, "gcd", lambda p, q: calls.append(1) or real(p, q))
+    for k in (2, 3, -5, 9):
+        recurrences.zigzag_altitude_row(k, 60)
+    assert calls == []
+
+
 def test_a_planted_non_divisor_gcd_raises_not_rounds(monkeypatch, fresh_rows):
     monkeypatch.setattr(poly, "gcd", lambda p, q: [1, 3])  # 1 + 3z divides none of them
     with pytest.raises(ArithmeticError):

@@ -142,7 +142,9 @@ def test_a_reduced_band_fraction_that_differs_past_the_checked_sizes_fails_check
         gf = honest(c, altitude)
         if c != target:
             return gf
-        return poly.RationalGF(gf.num, poly.add(list(gf.den), [0] * 20 + [1]))
+        wrong = poly.RationalGF(gf.num, poly.add(list(gf.den), [0] * 20 + [1]))
+        wrong.unreduced = gf.unreduced
+        return wrong
 
     monkeypatch.setattr(transfer, "band_gf", band_gf)
     passed, detail = _check("3-cross-engine")
