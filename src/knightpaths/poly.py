@@ -143,7 +143,7 @@ def _heuristic_gcd(p: Poly, q: Poly) -> Poly | None:
             divexact(p, g), divexact(q, g)
             return g
         except ArithmeticError:
-            x = x * 73794 // 27011
+            x = x * 73794 // 27011  # a larger x, about 2.73 times
     return None
 
 
