@@ -105,27 +105,46 @@ def valuation(p: Poly) -> int:
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    """The greatest common divisor of p and q in Z[z], with a positive leading coefficient.
+    """The greatest common divisor of p and q in Z[z], with a positive leading coefficient."""
+    return cofactors(p, q)[0]
+
+
+def cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, p / g, q / g) for g = gcd(p, q); each division is checked exact.
 
     The common z-power and integer content split off first.  The primitive
     parts go to `_heuristic_gcd`, then to `_remainder_gcd` if it fails.
+    gcd(p, 0) is p up to sign, and gcd(0, 0) is 0.
     """
-    q, p = sorted((trim(list(p)), trim(list(q))), key=len)
-    if not q:
-        return shift(p, 0, -1) if p and p[-1] < 0 else p
-    vp, vq, content = valuation(p), valuation(q), math.gcd(*p, *q)
-    p, q = _primitive(p[vp:]), _primitive(q[vq:])
-    return shift(_heuristic_gcd(p, q) or _remainder_gcd(p, q), min(vp, vq), content)
+    p, q = trim(list(p)), trim(list(q))
+    if not p or not q:  # gcd(f, 0) = +-f
+        f = p or q
+        unit = -1 if f and f[-1] < 0 else 1
+        return shift(f, 0, unit), p and [unit], q and [unit]
+    vp, vq, sp, sq = valuation(p), valuation(q), _content(p), _content(q)
+    content, k = math.gcd(sp, sq), min(vp, vq)
+    pp, qq = [c // sp for c in p[vp:]], [c // sq for c in q[vq:]]
+    found = _heuristic_gcd(pp, qq)
+    if found is None:
+        g = _remainder_gcd(pp, qq)
+        found = g, divexact(pp, g), divexact(qq, g)
+    g, pc, qc = found
+    return shift(g, k, content), shift(pc, vp - k, sp // content), shift(qc, vq - k, sq // content)
+
+
+def _content(p: Poly) -> int:
+    """The gcd of p's coefficients, signed as its leading coefficient."""
+    return math.gcd(*p) if p and p[-1] > 0 else -math.gcd(*p)
 
 
 def _primitive(p: Poly) -> Poly:
     """p over its content, with a positive leading coefficient."""
-    g = math.gcd(*p) if p and p[-1] > 0 else -math.gcd(*p)
+    g = _content(p)
     return [c // g for c in p]
 
 
-def _heuristic_gcd(p: Poly, q: Poly) -> Poly | None:
-    """gcd(p, q) of primitive p and q with nonzero constant terms, or None.
+def _heuristic_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
+    """(g, p / g, q / g), g = gcd(p, q), for primitive p and q with nonzero constant terms; or None.
 
     Char, Geddes and Gonnet (J. Symb. Comp. 7, 1989): for x > 2 min(|p|, |q|)
     + 2, the integer gcd of p(x) and q(x), read as digits in base x, has the
@@ -140,8 +159,7 @@ def _heuristic_gcd(p: Poly, q: Poly) -> Poly | None:
             h = (h - g[-1]) // x
         try:
             g = _primitive(g)
-            divexact(p, g), divexact(q, g)
-            return g
+            return g, divexact(p, g), divexact(q, g)
         except ArithmeticError:
             x = x * 73794 // 27011  # a larger x, about 2.73 times
     return None

@@ -339,12 +339,11 @@ class _Elt:
         return self * _lift(other).inverse()
 
     def reduced(self) -> _Elt:
-        """The same element with no common factor of a, b and d (`poly.gcd`), found once."""
+        """The same element with no common factor of a, b and d, found once (`poly.cofactors`)."""
         if self._lowest is None:
-            g = poly.gcd(poly.gcd(self.d, self.a), self.b)
-            self._lowest = self
-            if len(g) > 1:
-                self._lowest = _Elt(*(poly.divexact(p, g) for p in (self.a, self.b, self.d)))
+            g, a, b = poly.cofactors(self.a, self.b)
+            _, h, d = poly.cofactors(g, self.d)  # h = gcd(a, b) / gcd(a, b, d)
+            self._lowest = _Elt(poly.mul(a, h), poly.mul(b, h), d)
         return self._lowest
 
     def __pow__(self, e: int) -> _Elt:

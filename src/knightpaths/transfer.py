@@ -191,9 +191,9 @@ def band_gfs(c: PathConstraints, altitudes: Sequence) -> list[RationalGF]:
     q, numerators = _solve(_system(c, altitudes))
     out = []
     for p in numerators:
-        g = poly.gcd(p, q)
-        g = poly.shift(g, 0, g[0])  # g divides Q and Q(0) = 1, so g(0) = +-1: keep Q_red(0) = 1
-        out.append(RationalGF(poly.divexact(p, g), poly.divexact(q, g)))
+        _, p_red, q_red = poly.cofactors(p, q)
+        unit = q_red[0]  # the gcd divides Q and Q(0) = 1, so Q_red(0) = +-1: make it 1
+        out.append(RationalGF(poly.shift(p_red, 0, unit), poly.shift(q_red, 0, unit)))
         out[-1].unreduced = p, q
     return out
 

@@ -111,8 +111,11 @@ def test_gcd_agrees_with_sympy(pair):
     p, q = pair
     want = _sympy_gcd(p, q)
     assert poly.gcd(p, q) == poly.gcd(q, p) == want
-    with mock.patch.object(poly, "_heuristic_gcd", lambda p, q: None):
-        assert poly.gcd(p, q) == want
+    for heuristic in (poly._heuristic_gcd, lambda p, q: None):
+        with mock.patch.object(poly, "_heuristic_gcd", heuristic):
+            g, p_red, q_red = poly.cofactors(p, q)
+        assert g == want
+        assert poly.mul(g, p_red) == poly.trim(list(p)) and poly.mul(g, q_red) == poly.trim(list(q))
 
 
 def test_gcd_edge_cases():
@@ -124,3 +127,6 @@ def test_gcd_edge_cases():
     assert poly.gcd([0, 0, 2, 2], [0, 4, 4]) == [0, 2, 2]  # z (1 + z) and content 2
     assert poly.gcd([-1, 0, 1], [1, 2, 1]) == [1, 1]
     assert poly.gcd([1, 1], [-1, 1]) == [1]
+    assert poly.cofactors([], []) == ([], [], [])
+    assert poly.cofactors([0, -2], []) == ([0, 2], [-1], [])
+    assert poly.cofactors([0, -6, -6], [0, 0, 4, 4]) == ([0, 2, 2], [-3], [0, 2])

@@ -432,18 +432,19 @@ def test_each_row_expands_its_element_in_lowest_terms(monkeypatch, fresh_rows, c
 def test_an_element_is_reduced_once_however_often_it_is_expanded(monkeypatch, fresh_rows):
     recurrences.zigzag_altitude_row(4, 30)
     calls = []
-    real = poly.gcd
-    monkeypatch.setattr(poly, "gcd", lambda p, q: calls.append(1) or real(p, q))
+    real = poly.cofactors
+    monkeypatch.setattr(poly, "cofactors", lambda p, q: calls.append(1) or real(p, q))
     for k in (2, 3, -5, 9):
         recurrences.zigzag_altitude_row(k, 60)
     assert calls == []
 
 
 def test_a_planted_non_divisor_gcd_raises_not_rounds(monkeypatch, fresh_rows):
-    monkeypatch.setattr(poly, "gcd", lambda p, q: [1, 3])  # 1 + 3z divides none of them
+    monkeypatch.setattr(poly, "_heuristic_gcd", lambda p, q: None)
+    monkeypatch.setattr(poly, "_remainder_gcd", lambda p, q: [1, 3])  # 1 + 3z divides none of them
     with pytest.raises(ArithmeticError):
         recurrences.zigzag_nonneg_row(40)
-    monkeypatch.setattr(poly, "gcd", lambda p, q: [1])  # a divisor, not the greatest
+    monkeypatch.setattr(poly, "_remainder_gcd", lambda p, q: [1])  # a divisor, not the greatest
     recurrences._memo.clear()
     assert recurrences.zigzag_nonneg_row(40) == count_row(39, NONNEG, ZZ)
 

@@ -275,9 +275,10 @@ def test_band_fractions_come_in_lowest_terms(band):
 def test_a_planted_non_divisor_gcd_raises_not_rounds(monkeypatch):
     c = PathConstraints(zigzag=True, min_y=-1, max_y=2)
     want = transfer.band_gf(c).expand(40)
-    monkeypatch.setattr(poly, "gcd", lambda p, q: [1, 3])  # 1 + 3z divides neither
+    monkeypatch.setattr(poly, "_heuristic_gcd", lambda p, q: None)
+    monkeypatch.setattr(poly, "_remainder_gcd", lambda p, q: [1, 3])  # 1 + 3z divides neither
     with pytest.raises(ArithmeticError):
         transfer.band_gf(c)
-    monkeypatch.setattr(poly, "gcd", lambda p, q: [1])  # a divisor, not the greatest
+    monkeypatch.setattr(poly, "_remainder_gcd", lambda p, q: [1])  # a divisor, not the greatest
     gf = transfer.band_gf(c)
     assert len(gf.den) == 13 and gf.expand(40) == want
