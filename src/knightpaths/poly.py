@@ -3,7 +3,8 @@
 A polynomial is a list of ints, lowest degree first; `add` and `sub` trim
 trailing zeros, and `mul` of trimmed factors is trimmed.  Every division is
 checked: a remainder raises ArithmeticError, nothing is rounded.  Both
-engines divide their fractions by a `gcd` to expand them in lowest terms.
+engines divide their fractions by the gcd (`cofactors`) to expand them in
+lowest terms.
 `recurrences` and `transfer` share this module; the DP, the closed forms and
 `LaurentSeries`, which check those engines, do not import it.
 """
