@@ -72,6 +72,20 @@ OTHER_COUNTS = [
     ("--steps", "4"),
 ]
 OTHER_SIZES = (0, 1, 5, 12)
+# default-engine (dp) counts at the sizes of the exact-large bench workload,
+# and grand bounds and directions at larger sizes
+DP_COUNTS = (
+    [("--size", str(n), "--zigzag", "--min-y", "-2") for n in (595, 600)]
+    + [("--size", str(n), "--zigzag", "--nonneg") for n in (299, 600)]
+    + [("--size", "400", "--zigzag", "--altitude", k) for k in ("6", "-6")]
+    + [("--size", str(n)) for n in (150, 170)]
+    + [
+        ("--size", "120", "--min-y", "-3", "--max-y", "4", "--altitude", "1"),
+        ("--size", "200", "--max-y", "2"),
+        ("--size", "150", "--first", "up", "--altitude", "-3"),
+        ("--size", "60", "--last", "down", "--nonneg"),
+    ]
+)
 
 # every asym formula, in csv and json, over two size lists that read the
 # rows to n = 697 and to n = 2000; a formula with a band depth runs at each m
@@ -118,6 +132,7 @@ def grid() -> list[list[str]]:
         commands += [["count", "--size", str(n), "--zigzag", *flags, *every] for n in COUNT_SIZES]
     for flags in OTHER_COUNTS:
         commands += [["count", "--size", str(n), *flags, *every] for n in OTHER_SIZES]
+    commands += [["count", *flags] for flags in DP_COUNTS]
     for formula, entry in asymptotics.FORMULAS.items():
         depths = [("--m", str(m)) for m in ASYM_DEPTHS] if entry.takes_m else [()]
         commands += [
