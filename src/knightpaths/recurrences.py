@@ -68,10 +68,12 @@ raises ArithmeticError, nothing is rounded.
 
 The rows that take no parameter, the small root's series and the boundary
 series the zigzag rows are built from, are derived once per process:
-`_memo` keeps each row at the longest count asked for so far, a shorter
-request gets a fresh copy of its prefix and a longer one derives the row
-again and replaces it.  Each coefficient of a row reads only lower ones, so
-a prefix equals a fresh derivation.  Rows that take a parameter (a zigzag
+`_memo` keeps each row at the longest count asked for so far, and a shorter
+request gets a fresh copy of its prefix.  A longer request continues a row
+that unrolls a recurrence (the small root, through sqrt(Delta), and the
+grand rows) from its kept terms, and derives any other row again; either
+way the longer row replaces the kept one.  Each coefficient of a row reads
+only lower ones, so a prefix equals a fresh derivation.  Rows that take a parameter (a zigzag
 or grand altitude |k| >= 2, a line m >= 1) keep nothing and build on the
 stored ones, so the memo holds at most thirteen series, each at the largest
 count asked for.
@@ -97,8 +99,13 @@ _L = [1, 0, -1, 0, -1]
 _memo: dict[str, object] = {}
 
 
-def _stored(derive):
-    """derive as a row function whose row is kept at the longest count asked for."""
+def _stored(derive, resume: bool = False):
+    """derive as a row function whose row is kept at the longest count asked for.
+
+    With resume, derive(count, kept) continues the shorter row kept so far
+    (empty at first) and derives only the new terms; otherwise derive(count)
+    starts over.
+    """
     name = derive.__name__
 
     @functools.wraps(derive)
@@ -107,25 +114,43 @@ def _stored(derive):
             return []
         kept = _memo.get(name)
         if kept is None or len(kept) < count:
-            kept = _memo[name] = derive(count)
+            kept = _memo[name] = derive(count, kept or []) if resume else derive(count)
         return kept[:count]
 
     return row
 
 
-def _sqrt_delta(order: int) -> list[int]:
-    """Coefficients of sqrt(Delta) from its first-order ODE (odd ones vanish)."""
+#: _stored for the rows that unroll a recurrence, which continue the kept row
+_resumed = functools.partial(_stored, resume=True)
+
+
+def _continued(recurrence, count: int, kept=()) -> list[int]:
+    """The first count terms of a recurrence (coeffs, initial), continuing the kept ones."""
+    coeffs, initial = recurrence
+    return _unroll(coeffs, max(kept, initial, key=len), count)
+
+
+def _sqrt_delta(order: int, kept=()) -> list[int]:
+    """Coefficients of sqrt(Delta) from its first-order ODE (odd ones vanish).
+
+    The kept coefficients (of every size, from 0) are continued.
+    """
     s = [0] * order
-    s[::2] = _unroll(_SQRT_DELTA, (1,), (order + 1) // 2)
+    s[::2] = _continued((_SQRT_DELTA, (1,)), (order + 1) // 2, kept[::2])
     return s
 
 
-@_stored
-def small_root_coeffs(order: int) -> list[int]:
-    """Coefficients of the small zigzag kernel root (valuation 3)."""
-    s = _sqrt_delta(order + 3)
-    r = []
-    for n in range(3, order + 3):
+@_resumed
+def small_root_coeffs(order: int, kept=()) -> list[int]:
+    """Coefficients of the small zigzag kernel root (valuation 3).
+
+    A kept root continues: it gives back sqrt(Delta) = L - 2 z^3 r to its
+    length + 3, and only the new terms of sqrt(Delta) are unrolled.
+    """
+    known = [(_L[n] if n < len(_L) else 0) - 2 * (kept[n - 3] if n >= 3 else 0) for n in range(len(kept) + 3)]
+    s = _sqrt_delta(order + 3, known if kept else ())
+    r = list(kept)
+    for n in range(len(kept) + 3, order + 3):
         q, rem = divmod((_L[n] if n < len(_L) else 0) - s[n], 2)
         if rem:
             raise ArithmeticError(f"root coefficient {n - 3} is not an integer")
@@ -617,22 +642,22 @@ def _halves(row: list[int], what: str) -> list[int]:
     return out
 
 
-@_stored
-def grand_total_row(count: int) -> list[int]:
+@_resumed
+def grand_total_row(count: int, kept=()) -> list[int]:
     """All grand paths by size: 1/(1 - 2z - 2z^2)."""
-    return _unroll(*_GRAND_TOTAL, count)
+    return _continued(_GRAND_TOTAL, count, kept)
 
 
-@_stored
-def grand_axis_row(count: int) -> list[int]:
+@_resumed
+def grand_axis_row(count: int, kept=()) -> list[int]:
     """Grand paths ending on the axis, by size."""
-    return _unroll(*_GRAND_AXIS, count)
+    return _continued(_GRAND_AXIS, count, kept)
 
 
-@_stored
-def grand_altitude_sum_row(count: int) -> list[int]:
+@_resumed
+def grand_altitude_sum_row(count: int, kept=()) -> list[int]:
     """Sum of final altitudes over grand paths ending at y > 0, by size."""
-    return _unroll(*_GRAND_ALTITUDE_SUM, count)
+    return _continued(_GRAND_ALTITUDE_SUM, count, kept)
 
 
 def _next_altitude(k: int, below: list[int], two_below: list[int]) -> list[int]:
@@ -677,9 +702,9 @@ def grand_altitude_row(k: int, count: int) -> list[int]:
     return below
 
 
-@_stored
-def _grand_alt1_row(count: int) -> list[int]:
-    return _unroll(*_GRAND_ALT1, count)
+@_resumed
+def _grand_alt1_row(count: int, kept=()) -> list[int]:
+    return _continued(_GRAND_ALT1, count, kept)
 
 
 def grand_nonneg_row(count: int) -> list[int]:

@@ -306,6 +306,39 @@ def test_stored_row_equals_a_fresh_derivation(fresh_rows, name):
         assert len(recurrences._memo.get(name, [])) == longest, (name, count)
 
 
+#: the stored rows that unroll a recurrence, and the terms of it a row of count terms unrolls
+RESUMED = {
+    "small_root_coeffs": lambda count: (count + 4) // 2,  # sqrt(Delta) at the even sizes to count + 3
+    "grand_total_row": lambda count: count,
+    "grand_axis_row": lambda count: count,
+    "_grand_alt1_row": lambda count: count,
+    "grand_altitude_sum_row": lambda count: count,
+}
+
+
+@pytest.mark.parametrize("name", STORED)
+def test_a_longer_row_continues_the_kept_one(fresh_rows, monkeypatch, name):
+    """A short row then a long one equals a fresh long one; a row that unrolls
+    a recurrence unrolls only the terms past the kept ones."""
+    row = getattr(recurrences, name)
+    fresh = row.__wrapped__(300)
+    unroll, calls = recurrences._unroll, []
+
+    def spy(coeffs, initial, count):
+        calls.append((len(initial), count))
+        return unroll(coeffs, initial, count)
+
+    monkeypatch.setattr(recurrences, "_unroll", spy)
+    for short in (9, 120):
+        recurrences._memo.clear()
+        assert row(short) == fresh[:short], (name, short)
+        calls.clear()
+        assert row(300) == fresh, (name, short)
+        if name in RESUMED:  # a row expanded from its element is expanded again
+            terms = RESUMED[name]
+            assert calls == [(terms(short), terms(300))], (name, short, calls)
+
+
 @pytest.mark.parametrize("name", STORED)
 def test_a_returned_row_is_the_callers_own(fresh_rows, name):
     row = getattr(recurrences, name)

@@ -76,7 +76,9 @@ def test_a_wrong_sqrt_delta_coefficient_fails_check_5(monkeypatch, fresh_rows):
     # by 2, so that the small root built on it stays integral; the root
     # derived from it is not kept
     honest = recurrences._sqrt_delta
-    monkeypatch.setattr(recurrences, "_sqrt_delta", lambda order: _corrupted(honest(order), 12, 2))
+    monkeypatch.setattr(
+        recurrences, "_sqrt_delta", lambda order, kept=(): _corrupted(honest(order, kept), 12, 2)
+    )
     passed, detail = _check("5-kernel-certificates")
     assert not passed and "sqrt(Delta): equation fails" in detail, detail
 
