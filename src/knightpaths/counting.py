@@ -1,19 +1,22 @@
 """Exact dynamic-programming path counting and exhaustive generation.
 
 The ground-truth engine.  Every counting entry point is a view over one
-forward sweep along x (_sweep) with state (y, last direction); when the
-steps used are asked for, each cell packs its counts by step count into
-one int (_Fields), so a column keeps one row per direction whatever the
-step counts.  The last direction is 0 for the empty prefix, and it is
+forward sweep along x (_sweep) with state (y, last direction).  Without a
+step count, each row (one per last direction) is one int whose fixed-width
+fields are its cells, so a move is one shift and one add, not one int per
+cell; past a measured field width, and for bands the list layout mirrors,
+a row is a list of cells.  When the steps used are asked for, each cell
+packs its counts by step count into one int (_Fields), so a column keeps
+one row per direction whatever the step counts.  The last direction is 0 for the empty prefix, and it is
 tracked only where the query reads it (always for zigzag paths, for grand
 paths only under a last_dir filter).  The altitude y is likewise tracked
 only where the query reads it: a single-size count with no line bound and
 any final altitude (ALL) sweeps one cell per row, every move's dy taken as
 0, and the view functions, which return distributions, keep full columns.
-A zigzag sweep over a band symmetric about the axis, with no first_dir,
-builds only its rising rows and reads each falling row as their mirror
-image.  A row's first contribution is copied into it; only later ones are
-added cell by cell.  Steps advance x by 1 or 2, so the sweep keeps a
+A zigzag sweep of list rows over a band symmetric about the axis, with no
+first_dir, builds only its rising rows and reads each falling row as their
+mirror image.  A list row's first contribution is copied into it; only
+later ones are added cell by cell.  Steps advance x by 1 or 2, so the sweep keeps a
 rolling window of three columns: O(n) cells for a size-n count (one per
 row without y), each an int of O(n) bits, or of O(n^2) bits when it packs
 the O(n) step counts it can hold.  It yields every column, so a whole row of
@@ -77,13 +80,41 @@ def _floor(n_max: int, c: PathConstraints, by_y: bool = True) -> int:
     return -r if c.min_y is None else max(c.min_y, -r)
 
 
-class _Fields(NamedTuple):
-    """How a sweep packs each cell's counts by wide steps b into one int (see _sweep).
+# log2 of the growth of the number of paths by size: 2 F(x + 1) <= 2 phi^x zigzag
+# paths of size x, and a(x) <= (1 + sqrt 3)^x grand ones, a(x) = 2 a(x - 1) + 2 a(x - 2)
+_LOG2_GROWTH = {True: 0.6942419136306174, False: 1.4499843134764958}
 
-    Field f of the cell at altitude y of row d in column x, its bits
-    [f W, (f + 1) W), counts the prefixes with b = o + stride f, where o
-    is origins(base(x), d)[y - lo].  W = bits is 0 when steps are not
-    tracked: each cell is then one count, with b = 0.
+#: The widest field, in bytes, of a sweep that keeps each row as one int; a
+#: sweep whose size needs wider fields keeps lists of cells (see _fields).
+PACKED_BYTES = 128
+
+
+def _path_bytes(x: int, zigzag: bool) -> int:
+    """Whole bytes that hold the number of paths of size x (with a bit to spare)."""
+    return (int(x * _LOG2_GROWTH[zigzag]) + 9) // 8
+
+
+def _respace(v: int, size: int, new: int) -> int:
+    """A packed row v of fields of `size` bytes, each widened to `new` bytes."""
+    if not v:
+        return v
+    n = -(-v.bit_length() // (8 * size))
+    raw, out = v.to_bytes(n * size, "little"), bytearray(n * new)
+    for j in range(size):  # byte j of every field, in one strided copy
+        out[j::new] = raw[j::size]
+    return int.from_bytes(out, "little")
+
+
+class _Fields(NamedTuple):
+    """The layout of _sweep(n_max, c, by_steps, end, by_y)'s rows (see _sweep).
+
+    A packed sweep (no steps) keeps each row as one int: field i, of
+    field_bytes(x) bytes, counts cell window(x)[0] + i of column x, at
+    altitude lo + window(x)[0] + i.  Otherwise a row is a list of `width`
+    cells, cell i at altitude lo + i.  When steps are tracked (W = bits is
+    not 0) each cell is one int too: field f of the cell at altitude y of
+    row d in column x, its bits [f W, (f + 1) W), counts the prefixes with
+    b = o + stride f wide steps, where o is origins(base(x), d)[y - lo].
     """
 
     bits: int
@@ -96,6 +127,9 @@ class _Fields(NamedTuple):
     #: 2 when the sweep tracks y, which has the parity of b; else 1
     stride: int
     zigzag: bool
+    #: the altitude filter the counted paths end in, where it narrows the window
+    end: AltitudeFilter | None
+    packed: bool
 
     def base(self, x: int) -> int:
         """The fewest b in column x that can still reach top, or 0.
@@ -104,6 +138,36 @@ class _Fields(NamedTuple):
         between 0 and (size - x) // 2.
         """
         return 0 if self.top is None else max(0, self.top - (self.size - x) // 2)
+
+    def window(self, x: int) -> tuple[int, int]:
+        """The index range [i0, i1) of the cells of column x a counted path can occupy."""
+        b0 = self.base(x)  # with b0 wide steps, a kept prefix used at most x - b0 steps
+        r = reach(x, self.zigzag, x - b0)
+        ylo, yhi = -r, r
+        if self.end is not None:
+            more = None
+            if self.top is not None:
+                b1 = min(self.top, x // 2)
+                if b0 > b1:
+                    return 0, 0  # no prefix here can end with c.steps steps
+                more = self.size - self.top - x + b1  # the most steps a rest takes
+            back = reach(self.size - x, self.zigzag, more)  # how far the rest moves y
+            if isinstance(self.end, int):
+                ylo, yhi = max(ylo, self.end - back), min(yhi, self.end + back)
+            elif self.end == NONNEG:
+                ylo = max(ylo, -back)
+        return max(0, ylo - self.lo), min(self.width, yhi - self.lo + 1)
+
+    def field_bytes(self, x: int) -> int:
+        """The bytes of a field of column x in a packed sweep.
+
+        Enough for column x + 2, the furthest a move from column x reaches,
+        rounded up to 8, 12, 16, 24, 32, 48, ... (two significant bits), so a
+        sweep widens its fields O(log n) times, never past its size's.
+        """
+        need = max(_path_bytes(min(x + 2, self.size), self.zigzag), 8)
+        drop = need.bit_length() - 2
+        return min(-(-need >> drop) << drop, _path_bytes(self.size, self.zigzag))
 
     def origins(self, b0: int, d: int | None) -> list[int]:
         """The b of field 0 of each cell of row d in a column with base b0.
@@ -147,14 +211,27 @@ class _Fields(NamedTuple):
         return left, right, masks
 
     def unpack(self, col: dict, x: int, steps: int | None = None) -> dict:
-        """Column x as (direction, steps used) -> row: of every step count, or `steps`.
+        """Column x as (direction, steps used) -> list of cells: of every step count, or `steps`.
 
-        The cells of one parity of y hold the b of that parity; padded at
-        the low end to their least origin, they line up field by field.
-        Every field of a cell is read from its bytes, once per cell value,
-        so rows that share cells (a mirrored column's) share their counts;
-        one field is read with a shift.
+        A packed row's fields are read from its bytes.  With steps, the
+        cells of one parity of y hold the b of that parity; padded at the
+        low end to their least origin, they line up field by field.  Every
+        field of a cell is read from its bytes, once per cell value, so
+        rows that share cells (a mirrored column's) share their counts; one
+        field is read with a shift.
         """
+        if self.packed:
+            i0, i1 = self.window(x)
+            n, size = max(i1 - i0, 0), self.field_bytes(x)
+            out = {}
+            for d, v in col.items():
+                row = out[d, 0] = [0] * self.width
+                if n == 1:
+                    row[i0] = v
+                elif n:  # to_bytes raises if a field lies past the window
+                    raw = v.to_bytes(n * size, "little")
+                    row[i0:i1] = [int.from_bytes(raw[k : k + size], "little") for k in range(0, n * size, size)]
+            return out
         if not self.bits:
             return {(d, 0): row for d, row in col.items()}
         bits, stride, width = self.bits, self.stride, self.width
@@ -187,6 +264,19 @@ class _Fields(NamedTuple):
                         out.setdefault((d, x - o0 - stride * f), [0] * width)[p::stride] = line
         return out
 
+    def clear(self, col: dict, x: int, i: int) -> None:
+        """Zero cell i of every row of column x, a column the sweep has yielded."""
+        if not self.packed:
+            for row in col.values():
+                row[i] = 0
+            return
+        i0, i1 = self.window(x)
+        if i0 <= i < i1:
+            w = 8 * self.field_bytes(x)
+            keep = ~(((1 << w) - 1) << (i - i0) * w)
+            for d in col:
+                col[d] &= keep
+
 
 def _fields(
     n_max: int,
@@ -195,22 +285,31 @@ def _fields(
     end: AltitudeFilter | None = None,
     by_y: bool = True,
 ) -> _Fields:
-    """The band and the packing of _sweep(n_max, c, by_steps, end, by_y)'s cells."""
+    """The band and the layout of _sweep(n_max, c, by_steps, end, by_y)'s rows.
+
+    Without steps, the rows are packed when a row is one cell, or when a
+    field of size n_max takes at most PACKED_BYTES bytes; a sweep that
+    would mirror its list rows packs only with no line, and fields of 9 to
+    PACKED_BYTES // 2 bytes.  Above those widths, and for mirrored bands,
+    list rows measured faster.
+    """
     lo = _floor(n_max, c, by_y)
     reach_y = reach(n_max, c.zigzag) if by_y else 0
     hi = reach_y if c.max_y is None else min(c.max_y, reach_y)
-    bits, top = 0, None
-    if by_steps or c.steps is not None:
-        # the paths of size n_max bound every field: 2 F(n_max + 1) zigzag
-        # ones (2 > 1 at size 0), and a(n) = 2 a(n - 1) + 2 a(n - 2) grand ones
-        grow, total, before = (1, 2, 0) if c.zigzag else (2, 1, 0)
-        for _ in range(n_max):
-            total, before = grow * (total + before), total
-        bits = -(-total.bit_length() // 8) * 8  # whole bytes
+    width, wide = hi - lo + 1, _path_bytes(n_max, c.zigzag)
+    if end == ALL and c.steps is None:
+        end = None  # every prefix can end in ALL
+    if by_steps or c.steps is not None:  # the paths of size n_max bound every field
         # the window of b that can still end at c.steps pays for its per-column
         # plans in the grand world only; a zigzag sweep keeps every field
         top = None if end is None or c.steps is None or c.zigzag else n_max - c.steps
-    return _Fields(bits, n_max, top, lo, hi - lo + 1, 2 if by_y else 1, c.zigzag)
+        return _Fields(8 * wide, n_max, top, lo, width, 2 if by_y else 1, c.zigzag, end, False)
+    if c.zigzag and lo == -hi and c.first_dir is None:  # lists would mirror (see _sweep)
+        packed = lo == -reach_y and 8 < wide <= PACKED_BYTES // 2
+    else:
+        packed = wide <= PACKED_BYTES
+    packed = packed or width == 1
+    return _Fields(0, n_max, None, lo, width, 2 if by_y else 1, c.zigzag, end, packed)
 
 
 def _sweep(
@@ -222,20 +321,34 @@ def _sweep(
 ) -> Iterator[dict]:
     """Yield the DP column at x = 0, 1, ..., n_max.
 
-    A column maps a last direction to a list of cells indexed by
-    y - _floor(n_max, c, by_y).  The empty path has direction 0.  A row
-    is keyed by its last direction only where something reads it: a grand
-    path's is read by a last_dir filter alone, so without one every grand
-    prefix but the empty one sits in a single row keyed ANY.  Without by_y,
-    which only a sweep with no line bound and `end` None or ALL may drop,
-    y is not tracked: every row is one cell and every move keeps y at 0.
+    A column maps a last direction to a row.  The empty path has direction
+    0.  A row is keyed by its last direction only where something reads
+    it: a grand path's is read by a last_dir filter alone, so without one
+    every grand prefix but the empty one sits in a single row keyed ANY.
+    Without by_y, which only a sweep with no line bound and `end` None or
+    ALL may drop, y is not tracked: every row is one cell and every move
+    keeps y at 0.  _Fields.unpack reads a column as (direction, steps used)
+    -> list of cells indexed by y - _floor(n_max, c, by_y).
 
+    A sweep that tracks no steps keeps each row as one int (packed, see
+    _fields for the field widths where lists measured faster): field i, of
+    W = 8 _Fields.field_bytes(x) bits, holds the count at altitude
+    lo + i0(x) + i, where [i0(x), i1(x)) is window(x), the cells a counted
+    path can occupy.  W bounds the number of paths of size x + 2, the
+    furthest column a move from x reaches, so no field carries into the
+    next; it grows with x, by a quarter or more each time, and then the
+    column and the one ahead of it are respaced (_respace).  A move (dx, dy)
+    is one shift by (dy + i0(x) - i0(x + dx)) W bits, which as a right
+    shift drops the cells that fall under the target's window (a line, or
+    an end window), one AND where a line or an end window cuts the
+    target's window below the reach, and one add: no int per cell.
+
+    Otherwise a row is a list of cells indexed by y - _floor(n_max, c, by_y).
     When by_steps or c.steps asks for steps, a cell is one int that holds
     its counts by the wide steps taken, b = x - used, in fields of W bits
-    (_Fields): one row per direction, whatever the step counts.  W is the
-    bit length of the number of paths of size n_max (at most
-    2 F(n_max + 1) zigzag ones, and a(n) = 2 a(n - 1) + 2 a(n - 2) grand
-    ones), in whole bytes.  A field counts distinct paths of one size
+    (_Fields): one row per direction, whatever the step counts.  W bounds
+    the bit length of the number of paths of size n_max (_path_bytes), in
+    whole bytes.  A field counts distinct paths of one size
     x <= n_max, and that number grows with x, so no field reaches 2^W and
     none carries into the next.  A cell packs only the b it can hold:
     from its origin (_Fields.origins), the least such b, in steps of 2
@@ -248,21 +361,23 @@ def _sweep(
     zigzag row's bound at y is its successor's at y +- 2 (the empty path's
     row holds y = 0 alone).  A prefix with more than c.steps steps is not
     stopped: its step count only grows, and no caller reads a field of
-    more than c.steps steps.  _Fields.unpack reads a column as
-    (direction, steps used) -> row.  Without steps W is 0 and no move
-    shifts a cell.
+    more than c.steps steps.  Without steps, list cells are plain counts
+    and no move shifts one.
 
-    A row's first contribution is copied into it, later ones added cell by
-    cell, and every yielded row is a list of its own, so the caller may
-    clear cells of a yielded column: the sweep extends what it finds there.
+    A list row's first contribution is copied into it, later ones added
+    cell by cell, and every yielded list row is a list of its own, as every
+    yielded column is a dict of its own, so the caller may clear cells of a
+    yielded column (_Fields.clear): the sweep extends what it finds there.
 
-    A zigzag sweep with no first_dir, over a band that is symmetric about
-    the axis once clipped to the reach, is its own up/down mirror image
-    (y -> -y swaps rising and falling steps, and keeps every origin).  So
-    only the rising rows are built: each falling row is yielded as the
-    reverse of its rising twin, and it extends into rising targets alone,
-    whose mirror images are the falling targets.  A caller that clears
-    cells of such a column must clear a mirror-symmetric set in every row.
+    A zigzag sweep of list rows with no first_dir, over a band that is
+    symmetric about the axis once clipped to the reach, is its own up/down
+    mirror image (y -> -y swaps rising and falling steps, and keeps every
+    origin).  So only the rising rows are built: each falling row is
+    yielded as the reverse of its rising twin, and it extends into rising
+    targets alone, whose mirror images are the falling targets.  A caller
+    that clears cells of such a column must clear a mirror-symmetric set in
+    every row.  Packed rows are not mirrored: reversing a row's fields
+    would reverse the bytes within each field too.
 
     Only the cells a counted path can occupy are extended: |y| within
     paths.reach of the prefix and, when `end` is the altitude filter of a
@@ -281,40 +396,29 @@ def _sweep(
     only the last one is an answer.
     """
     fields = _fields(n_max, c, by_steps, end, by_y)
-    bits, top, base = fields.bits, fields.top, fields.base
-    lo, width = fields.lo, fields.width
+    bits, top, base, window = fields.bits, fields.top, fields.base, fields.window
+    lo, width, packed = fields.lo, fields.width, fields.packed
     hi = lo + width - 1
-    zigzag, first, steps = c.zigzag, c.first_dir, c.steps
-    ending = end is not None and (steps is not None or end != ALL)
-    mirror = zigzag and lo == -hi and first is None
+    zigzag, first = c.zigzag, c.first_dir
+    mirror = zigzag and lo == -hi and first is None and not packed
 
-    def window(x: int) -> tuple[int, int]:
-        """The index range [i0, i1) of the cells a counted path can occupy."""
-        b0 = base(x)  # with b0 wide steps, a kept prefix used at most x - b0 steps
-        r = reach(x, zigzag, x - b0)
-        ylo, yhi = -r, r
-        if ending:
-            left = n_max - x
-            more = None
-            if top is not None:
-                b1 = min(top, x // 2)
-                if b0 > b1:
-                    return 0, 0  # no prefix here can end with c.steps steps
-                more = steps - x + b1  # the most steps a rest takes
-            back = reach(left, zigzag, more)  # how far the rest of the path moves y
-            if isinstance(end, int):
-                ylo, yhi = max(ylo, end - back), min(yhi, end + back)
-            elif end == NONNEG:
-                ylo = max(ylo, -back)
-        return max(0, ylo - lo), min(width, yhi - lo + 1)
-
-    # plain ints, read per cell row: (direction, dx, dy, key of the target row)
+    # plain ints, read per row: the moves out of a row by its key,
+    # as (direction, dx, dy, key of the target row)
     keyed = zigzag or c.last_dir is not None
-    moves = tuple(
+    every = [
         (s.direction, s.dx, s.dy if by_y else 0, s.direction if keyed else ANY)
         for s in STEP_ORDER
         if not mirror or s.direction == UP
-    )
+    ]
+    moves = {
+        d: [
+            m
+            for m in every
+            if not (zigzag and d == m[0])  # two rises or two falls in a row
+            and (d != 0 or first in (None, m[0]))
+        ]
+        for d in (0, UP, DOWN, ANY)
+    }
     # _Fields.plan of each move from column x by (source row, direction, dx),
     # made once without top, and the origins it reads by (base, row)
     plans: dict = {}
@@ -326,13 +430,46 @@ def _sweep(
             origins[b0, d] = fields.origins(b0, d)
         return origins[b0, d]
 
-    col = {0: [0] * -lo + [1] + [0] * hi}  # the empty path
+    def frame(x: int) -> tuple[int, int, bool]:
+        """Column x's window, and whether a line or the end window cuts it below the reach."""
+        i0, i1 = window(x)
+        return i0, i1, i0 < i1 < reach(x, zigzag) - lo + 1
+
+    if packed:
+        i0, i1 = window(0)
+        col = {0: int(i0 < i1)}  # the empty path, at field 0
+        held, s0, s1 = fields.field_bytes(0), 0, 1
+        w = 8 * held
+        frames = {x: frame(x) for x in range(min(2, n_max) + 1)} if by_y else {}
+        targets = [(0, 1, 0)] * 2  # without y, every row is one field
+        masks: dict = {}  # the mask of k fields of the held width, by k
+    else:
+        col = {0: [0] * -lo + [1] + [0] * hi}
     ahead: list[dict] = [{}, {}]  # the columns at x + 1 and x + 2
     for x in range(n_max + 1):
-        if mirror and UP in col:
+        if packed and by_y:
+            size = fields.field_bytes(x) if _path_bytes(x + 2, zigzag) > held else held
+            if size > held:  # col and ahead[0] widen their fields to reach column x + 2
+                for rows in (col, ahead[0]):
+                    for d, v in rows.items():
+                        rows[d] = _respace(v, held, size)
+                held = size
+                masks.clear()
+            if x + 2 <= n_max:
+                frames[x + 2] = frame(x + 2)
+            frames.pop(x - 1, None)
+            s0, s1, _ = frames[x]
+            w, targets = 8 * held, []
+            for dx in (1, 2):
+                t0, t1, cut = frames.get(x + dx, (0, 0, False))
+                if cut and t1 - t0 not in masks:
+                    masks[t1 - t0] = (1 << (t1 - t0) * w) - 1
+                targets.append((t0, t1, masks[t1 - t0] if cut else 0))
+        elif mirror and UP in col:
             col[DOWN] = col[UP][::-1]
         yield col
-        s0, s1 = window(x)
+        if not packed:
+            s0, s1 = window(x)
         if mirror and s0 < s1:  # the falling rows: the least mirror-symmetric range
             s0, s1 = min(s0, width - s1), max(s1, width - s0)
         if top is not None:  # the origins move with base(x), the window with x
@@ -343,12 +480,19 @@ def _sweep(
         for d, row in col.items() if s0 < s1 else ():
             if mirror and d == UP:
                 continue  # its falls are the mirror images of its twin's rises
-            for direction, dx, dy, to in moves:
-                if zigzag and d == direction:
-                    continue
-                if d == 0 and first not in (None, direction):
-                    continue
+            for direction, dx, dy, to in moves[d]:
                 if x + dx > n_max:
+                    continue
+                if packed:  # one shift, the window's cut and one add
+                    t0, t1, mask = targets[dx - 1]
+                    if t0 >= t1 or not row:
+                        continue
+                    k = (s0 + dy - t0) * w
+                    cells = row << k if k > 0 else row >> -k if k else row
+                    if mask and s1 + dy > t1:
+                        cells &= mask
+                    target = ahead[dx - 1].get(to)
+                    ahead[dx - 1][to] = cells if target is None else target + cells
                     continue
                 i0, i1 = max(s0, -dy), min(s1, width - dy)
                 if i0 >= i1:
@@ -600,12 +744,12 @@ def count_primitive(size: int) -> int:
     if size < 0:
         raise ValueError("size must be non-negative")
     c = PathConstraints(zigzag=True)
-    axis = -_floor(size, c)  # index of y = 0
+    fields = _fields(size, c)
+    axis = -fields.lo  # index of y = 0
     for x, col in enumerate(_sweep(size, c)):
         if 0 < x < size:
-            for row in col.values():
-                row[axis] = 0
-    return sum(row[axis] for row in col.values())
+            fields.clear(col, x, axis)
+    return sum(row[axis] for row in fields.unpack(col, size).values())
 
 
 def grand_row_stats(n_max: int) -> dict[str, list[int]]:
@@ -617,9 +761,10 @@ def grand_row_stats(n_max: int) -> dict[str, list[int]]:
     """
     total, nonneg, positive, axis, alt_sum = [], [], [], [], []
     c = PathConstraints()
-    zero = -_floor(n_max, c)  # index of y = 0
-    for col in _sweep(n_max, c):
-        row = [sum(cells) for cells in zip(*col.values())]
+    fields = _fields(n_max, c)
+    zero = -fields.lo  # index of y = 0
+    for x, col in enumerate(_sweep(n_max, c)):
+        row = [sum(cells) for cells in zip(*fields.unpack(col, x).values())]
         total.append(sum(row))
         nonneg.append(sum(row[zero:]))
         positive.append(sum(row[zero + 1 :]))

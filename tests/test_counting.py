@@ -309,10 +309,12 @@ def single_size_queries(draw):
     n = draw(st.integers(0, n_max))
     # feasible step counts lie in [n / 2, n]; a few just outside them too
     steps = draw(st.none() | st.integers(max(1, n // 2 - 1), n + 1))
+    zigzag = draw(st.booleans())
     c = PathConstraints(
-        zigzag=draw(st.booleans()),
+        zigzag=zigzag,
         min_y=draw(st.none() | st.integers(-6, 0)),
-        max_y=draw(st.none() | st.integers(0, 6)),
+        # lines at or below the top of the reach, which packed rows mask
+        max_y=draw(st.none() | st.integers(0, 6) | st.integers(0, reach(n_max, zigzag))),
         steps=steps,
         first_dir=draw(directions),
         last_dir=draw(directions),
@@ -332,14 +334,17 @@ def test_end_window_keeps_every_count(query):
 
 @st.composite
 def row_layout_queries(draw):
-    """Queries weighted to the sweep's merged and mirrored row layouts:
-    bands symmetric about the axis, last_dir without first_dir, step counts."""
+    """Queries weighted to the sweep's merged, mirrored and packed row layouts:
+    bands symmetric about the axis, last_dir without first_dir, step counts,
+    and lines at or below the top of the reach, which packed rows mask."""
     zigzag = draw(st.booleans())
     n_max = draw(st.integers(0, 14 if zigzag else 10))
     m = draw(st.none() | st.integers(0, 5))
     lo, hi = (None, None) if m is None else (-m, m)
     if draw(st.integers(0, 3)) == 0:  # now and then a one-sided or lopsided band
         lo = draw(st.none() | st.integers(-5, 0))
+    if draw(st.integers(0, 3)) == 0:
+        hi = draw(st.integers(0, reach(n_max, zigzag)))
     c = PathConstraints(
         zigzag=zigzag,
         min_y=lo,
@@ -466,9 +471,11 @@ def test_only_counts_that_read_no_altitude_drop_it(monkeypatch):
     sweep, widths = counting._sweep, []
 
     def spy(*args, **kw):
+        widths.append(counting._fields(*args, **kw).width)  # the cells of a row
         cols = sweep(*args, **kw)
         first = next(cols)
-        widths.append(len(first[0]))  # the empty path's row
+        fields = counting._fields(*args, **kw)
+        assert len(fields.unpack(first, 0)[0, 0]) == widths[-1]  # the empty path's row
         yield first
         yield from cols
 
@@ -615,16 +622,88 @@ def test_steps_counts_with_a_line_match_generation(paths_of):
         (ZZ, dict(by_y=False)),
         (PathConstraints(steps=8), dict(by_y=False, end=ALL)),
         (PathConstraints(zigzag=True, last_dir=UP), dict(by_y=False)),
+        (PathConstraints(zigzag=True, max_y=2), dict(end=-1)),  # packed, masked at the line
+        (PathConstraints(zigzag=True, min_y=-2, max_y=2), dict(end=0)),  # a mirrored band: lists
     ],
 )
 def test_yielded_rows_are_their_own_lists(c, kw):
+    """A list row is a list of its own and a packed row an int in a column of
+    its own, so a caller may clear cells of a yielded column (_Fields.clear)."""
+    fields = counting._fields(12, c, **kw)
     cols = list(counting._sweep(12, c, **kw))
+    assert fields.packed == all(isinstance(row, int) for col in cols for row in col.values())
     for x, col in enumerate(cols):
-        for row in col.values():
+        assert not any(col is earlier for earlier in cols[:x]), x
+        for row in col.values() if not fields.packed else ():
             assert not any(row is old for earlier in cols[:x] for old in earlier.values()), x
     # clearing one column's cells changes no column already yielded after it
-    later = [{k: list(row) for k, row in col.items()} for col in cols]
+    later = [fields.unpack(col, x) for x, col in enumerate(cols)]
     for x, col in enumerate(cols):
-        for row in col.values():
-            row[:] = [0] * len(row)
-        assert cols[x + 1 :] == later[x + 1 :], x
+        for i in range(fields.width):
+            fields.clear(col, x, i)
+        assert not any(any(row) for row in fields.unpack(col, x).values()), x
+        assert [fields.unpack(col, y) for y, col in enumerate(cols)][x + 1 :] == later[x + 1 :], x
+
+
+def test_packed_rows_widen_their_fields_at_every_size():
+    # a packed sweep widens its fields as its columns grow (_Fields.field_bytes);
+    # every column of these rows is read, so every widening is checked against
+    # the rows of recurrences and the closed forms
+    zz = counting._fields(400, ZZ)
+    assert zz.packed and len({zz.field_bytes(x) for x in range(401)}) >= 4
+    assert count_row(400, NONNEG, ZZ) == recurrences.zigzag_nonneg_row(401)
+    assert count_row(400, 6, ZZ) == [closedforms.zigzag_count_closed(n, 6) for n in range(401)]
+    above = recurrences.above_line_row(2, 401)
+    assert count_row(400, ALL, PathConstraints(zigzag=True, min_y=-2)) == above
+    grand = PathConstraints()
+    assert counting._fields(200, grand).packed
+    stats = grand_row_stats(200)
+    assert stats["total"] == recurrences.grand_total_row(201)
+    assert stats["axis"] == recurrences.grand_axis_row(201)
+    assert stats["altitude_sum"] == recurrences.grand_altitude_sum_row(201)
+    # single sizes whose own field gains a byte, each swept to its size
+    for zigzag, n_max, row in ((True, 400, above), (False, 200, recurrences.grand_altitude_row(2, 201))):
+        gains = [n for n in range(1, n_max + 1) if counting._path_bytes(n, zigzag) > counting._path_bytes(n - 1, zigzag)]
+        for n in gains:
+            if zigzag:
+                assert count_paths(n, ALL, zigzag=True, min_y=-2) == row[n], n
+                assert count_paths(n, -5, zigzag=True) == closedforms.zigzag_count_closed(n, -5), n
+            else:
+                assert count_paths(n, 2) == row[n], n
+
+
+def _first_size(c, n, packed, size_of=lambda n: n):
+    """The least size from n up whose sweep packs its rows (or keeps lists)."""
+    while counting._fields(size_of(n), c).packed != packed:
+        n += 1
+    return n
+
+
+def test_sizes_on_both_sides_of_the_crossover():
+    # below the crossover (PACKED_BYTES) the rows are packed, above it lists
+    line = PathConstraints(zigzag=True, min_y=-2)
+    n = _first_size(line, 1400, False)
+    assert counting._path_bytes(n, True) > counting.PACKED_BYTES >= counting._path_bytes(n - 1, True)
+    above = recurrences.above_line_row(2, n + 1)
+    for size in (n - 1, n):
+        assert count_paths(size, ALL, line) == above[size], size
+    # the join of an unbounded zigzag count, which list rows would mirror,
+    # packs fields of 9 to PACKED_BYTES // 2 bytes
+    half = lambda n: (n + 1) // 2  # noqa: E731
+    low = _first_size(ZZ, 2, True, half)
+    high = _first_size(ZZ, low, False, half)
+    assert counting._path_bytes(half(low), True) == 9
+    assert counting._path_bytes(half(high), True) > counting.PACKED_BYTES // 2
+    assert not counting._fields(half(low - 2), ZZ).packed and counting._fields(half(high - 2), ZZ).packed
+    nonneg = recurrences.zigzag_nonneg_row(high + 1)
+    for size in (low - 2, low, high - 2, high):
+        assert count_paths(size, NONNEG, ZZ) == nonneg[size], size
+    # a grand band with an altitude: the band engine checks both sides
+    band = PathConstraints(min_y=-2, max_y=5)
+    n = _first_size(band, 600, False)
+    assert counting._fields(n - 1, band).packed
+    row = transfer.band_gf(band, 1).expand(n + 1)
+    for size in (n - 1, n):
+        assert count_paths(size, 1, band) == row[size], size
+    # a mirrored band keeps lists at every size
+    assert not any(counting._fields(n, PathConstraints(zigzag=True, min_y=-3, max_y=3)).packed for n in (20, 200))
