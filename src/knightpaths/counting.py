@@ -7,17 +7,18 @@ fields are its cells, so a move is one shift and one add, not one int per
 cell; past a measured field width, and for bands the list layout mirrors,
 a row is a list of cells.  When the steps used are asked for, each cell
 packs its counts by step count into one int (_Fields), so a column keeps
-one row per direction whatever the step counts.  The last direction is 0 for the empty prefix, and it is
-tracked only where the query reads it (always for zigzag paths, for grand
-paths only under a last_dir filter).  The altitude y is likewise tracked
-only where the query reads it: a single-size count with no line bound and
-any final altitude (ALL) sweeps one cell per row, every move's dy taken as
-0, and the view functions, which return distributions, keep full columns.
-A zigzag sweep of list rows over a band symmetric about the axis, with no
-first_dir, builds only its rising rows and reads each falling row as their
-mirror image.  A list row's first contribution is copied into it; only
-later ones are added cell by cell.  Steps advance x by 1 or 2, so the sweep keeps a
-rolling window of three columns: O(n) cells for a size-n count (one per
+one row per direction whatever the step counts.  The last direction is 0
+for the empty prefix, and it is tracked only where the query reads it
+(always for zigzag paths, for grand paths only under a last_dir filter).
+The altitude y is likewise tracked only where the query reads it: a
+single-size count with no line bound and any final altitude (ALL) sweeps
+one cell per row, every move's dy taken as 0, and the view functions,
+which return distributions, keep full columns.  A zigzag sweep of list
+rows over a band symmetric about the axis, with no first_dir, builds only
+its rising rows and reads each falling row as their mirror image.  A list
+row's first contribution is copied into it; only later ones are added
+cell by cell.  Steps advance x by 1 or 2, so the sweep keeps a rolling
+window of three columns: O(n) cells for a size-n count (one per
 row without y), each an int of O(n) bits, or of O(n^2) bits when it packs
 the O(n) step counts it can hold.  It yields every column, so a whole row of
 sizes costs one pass.  The band is clipped to the reach of a size-n path
@@ -225,12 +226,10 @@ class _Fields(NamedTuple):
             n, size = max(i1 - i0, 0), self.field_bytes(x)
             out = {}
             for d, v in col.items():
+                raw = v.to_bytes(n * size, "little")  # raises if a field lies past the window
                 row = out[d, 0] = [0] * self.width
-                if n == 1:
-                    row[i0] = v
-                elif n:  # to_bytes raises if a field lies past the window
-                    raw = v.to_bytes(n * size, "little")
-                    row[i0:i1] = [int.from_bytes(raw[k : k + size], "little") for k in range(0, n * size, size)]
+                cells = [raw[k : k + size] for k in range(0, n * size, size)]
+                row[i0 : i0 + n] = [int.from_bytes(cell, "little") for cell in cells]
             return out
         if not self.bits:
             return {(d, 0): row for d, row in col.items()}
@@ -284,14 +283,16 @@ def _fields(
     by_steps: bool = False,
     end: AltitudeFilter | None = None,
     by_y: bool = True,
+    every: bool = False,
 ) -> _Fields:
-    """The band and the layout of _sweep(n_max, c, by_steps, end, by_y)'s rows.
+    """The band and the layout of _sweep(n_max, c, by_steps, end, by_y, every)'s rows.
 
     Without steps, the rows are packed when a row is one cell, or when a
     field of size n_max takes at most PACKED_BYTES bytes; a sweep that
     would mirror its list rows packs only with no line, and fields of 9 to
-    PACKED_BYTES // 2 bytes.  Above those widths, and for mirrored bands,
-    list rows measured faster.
+    PACKED_BYTES // 2 bytes.  Above those widths, for mirrored bands, and
+    when the caller reads every column (every), whose unpacking costs an
+    int per cell per column, list rows measured faster.
     """
     lo = _floor(n_max, c, by_y)
     reach_y = reach(n_max, c.zigzag) if by_y else 0
@@ -308,7 +309,7 @@ def _fields(
         packed = lo == -reach_y and 8 < wide <= PACKED_BYTES // 2
     else:
         packed = wide <= PACKED_BYTES
-    packed = packed or width == 1
+    packed = packed and not every or width == 1
     return _Fields(0, n_max, None, lo, width, 2 if by_y else 1, c.zigzag, end, packed)
 
 
@@ -318,6 +319,7 @@ def _sweep(
     by_steps: bool = False,
     end: AltitudeFilter | None = None,
     by_y: bool = True,
+    every: bool = False,
 ) -> Iterator[dict]:
     """Yield the DP column at x = 0, 1, ..., n_max.
 
@@ -395,7 +397,7 @@ def _sweep(
     `end`, every column but the last holds only part of its counts, so
     only the last one is an answer.
     """
-    fields = _fields(n_max, c, by_steps, end, by_y)
+    fields = _fields(n_max, c, by_steps, end, by_y, every)
     bits, top, base, window = fields.bits, fields.top, fields.base, fields.window
     lo, width, packed = fields.lo, fields.width, fields.packed
     hi = lo + width - 1
@@ -670,8 +672,8 @@ def altitude_distributions(
     """altitude_distribution(n, constraints) for n = 0..n_max, from one sweep."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    lo, fields = _floor(n_max, constraints), _fields(n_max, constraints)
-    for x, col in enumerate(_sweep(n_max, constraints)):
+    lo, fields = _floor(n_max, constraints), _fields(n_max, constraints, every=True)
+    for x, col in enumerate(_sweep(n_max, constraints, every=True)):
         col = fields.unpack(col, x, constraints.steps)
         yield _tally(col, lo, constraints, lambda y, d, used: y)
 
@@ -761,9 +763,9 @@ def grand_row_stats(n_max: int) -> dict[str, list[int]]:
     """
     total, nonneg, positive, axis, alt_sum = [], [], [], [], []
     c = PathConstraints()
-    fields = _fields(n_max, c)
+    fields = _fields(n_max, c, every=True)
     zero = -fields.lo  # index of y = 0
-    for x, col in enumerate(_sweep(n_max, c)):
+    for x, col in enumerate(_sweep(n_max, c, every=True)):
         row = [sum(cells) for cells in zip(*fields.unpack(col, x).values())]
         total.append(sum(row))
         nonneg.append(sum(row[zero:]))

@@ -147,7 +147,10 @@ def small_root_coeffs(order: int, kept=()) -> list[int]:
     A kept root continues: it gives back sqrt(Delta) = L - 2 z^3 r to its
     length + 3, and only the new terms of sqrt(Delta) are unrolled.
     """
-    known = [(_L[n] if n < len(_L) else 0) - 2 * (kept[n - 3] if n >= 3 else 0) for n in range(len(kept) + 3)]
+    known = [
+        (_L[n] if n < len(_L) else 0) - 2 * (kept[n - 3] if n >= 3 else 0)
+        for n in range(len(kept) + 3)
+    ]
     s = _sqrt_delta(order + 3, known if kept else ())
     r = list(kept)
     for n in range(len(kept) + 3, order + 3):

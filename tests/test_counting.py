@@ -645,31 +645,43 @@ def test_yielded_rows_are_their_own_lists(c, kw):
         assert [fields.unpack(col, y) for y, col in enumerate(cols)][x + 1 :] == later[x + 1 :], x
 
 
+def _packed_columns(n_max, c):
+    """Every column of a packed sweep, unpacked: as (y, steps) -> count."""
+    fields = counting._fields(n_max, c)
+    assert fields.packed
+    for x, col in enumerate(counting._sweep(n_max, c)):
+        yield _tally(fields.unpack(col, x), fields.lo, c, lambda y, d, used: y)
+
+
 def test_packed_rows_widen_their_fields_at_every_size():
     # a packed sweep widens its fields as its columns grow (_Fields.field_bytes);
-    # every column of these rows is read, so every widening is checked against
-    # the rows of recurrences and the closed forms
-    zz = counting._fields(400, ZZ)
-    assert zz.packed and len({zz.field_bytes(x) for x in range(401)}) >= 4
-    assert count_row(400, NONNEG, ZZ) == recurrences.zigzag_nonneg_row(401)
-    assert count_row(400, 6, ZZ) == [closedforms.zigzag_count_closed(n, 6) for n in range(401)]
+    # every column of these sweeps is read, so every widening is checked
+    # against the rows of recurrences and the closed forms
+    assert len({counting._fields(400, ZZ).field_bytes(x) for x in range(401)}) >= 4
+    nonneg, six = recurrences.zigzag_nonneg_row(401), recurrences.zigzag_altitude_row(6, 401)
+    for n, dist in enumerate(_packed_columns(400, ZZ)):
+        assert _select(dist, NONNEG) == nonneg[n] and dist.get(-6, 0) == six[n], n
     above = recurrences.above_line_row(2, 401)
-    assert count_row(400, ALL, PathConstraints(zigzag=True, min_y=-2)) == above
-    grand = PathConstraints()
-    assert counting._fields(200, grand).packed
-    stats = grand_row_stats(200)
-    assert stats["total"] == recurrences.grand_total_row(201)
-    assert stats["axis"] == recurrences.grand_axis_row(201)
-    assert stats["altitude_sum"] == recurrences.grand_altitude_sum_row(201)
+    for n, dist in enumerate(_packed_columns(400, PathConstraints(zigzag=True, min_y=-2))):
+        assert sum(dist.values()) == above[n], n
+    total, axis = recurrences.grand_total_row(201), recurrences.grand_axis_row(201)
+    alt_sum = recurrences.grand_altitude_sum_row(201)
+    for n, dist in enumerate(_packed_columns(200, PathConstraints())):
+        assert sum(dist.values()) == total[n] and dist.get(0, 0) == axis[n], n
+        assert sum(y * m for y, m in dist.items() if y > 0) == alt_sum[n], n
     # single sizes whose own field gains a byte, each swept to its size
-    for zigzag, n_max, row in ((True, 400, above), (False, 200, recurrences.grand_altitude_row(2, 201))):
-        gains = [n for n in range(1, n_max + 1) if counting._path_bytes(n, zigzag) > counting._path_bytes(n - 1, zigzag)]
-        for n in gains:
+    grand_2 = recurrences.grand_altitude_row(2, 201)
+    for zigzag, n_max, row in ((True, 400, above), (False, 200, grand_2)):
+        width = [counting._path_bytes(n, zigzag) for n in range(n_max + 1)]
+        for n in [n for n in range(1, n_max + 1) if width[n] > width[n - 1]]:
             if zigzag:
                 assert count_paths(n, ALL, zigzag=True, min_y=-2) == row[n], n
                 assert count_paths(n, -5, zigzag=True) == closedforms.zigzag_count_closed(n, -5), n
             else:
                 assert count_paths(n, 2) == row[n], n
+    # the views read every column, so they keep list rows, and agree
+    assert not counting._fields(400, ZZ, every=True).packed
+    assert count_row(400, NONNEG, ZZ) == nonneg
 
 
 def _first_size(c, n, packed, size_of=lambda n: n):
@@ -683,7 +695,8 @@ def test_sizes_on_both_sides_of_the_crossover():
     # below the crossover (PACKED_BYTES) the rows are packed, above it lists
     line = PathConstraints(zigzag=True, min_y=-2)
     n = _first_size(line, 1400, False)
-    assert counting._path_bytes(n, True) > counting.PACKED_BYTES >= counting._path_bytes(n - 1, True)
+    widths = counting._path_bytes(n - 1, True), counting._path_bytes(n, True)
+    assert widths[0] <= counting.PACKED_BYTES < widths[1]
     above = recurrences.above_line_row(2, n + 1)
     for size in (n - 1, n):
         assert count_paths(size, ALL, line) == above[size], size
@@ -694,7 +707,8 @@ def test_sizes_on_both_sides_of_the_crossover():
     high = _first_size(ZZ, low, False, half)
     assert counting._path_bytes(half(low), True) == 9
     assert counting._path_bytes(half(high), True) > counting.PACKED_BYTES // 2
-    assert not counting._fields(half(low - 2), ZZ).packed and counting._fields(half(high - 2), ZZ).packed
+    assert not counting._fields(half(low - 2), ZZ).packed
+    assert counting._fields(half(high - 2), ZZ).packed
     nonneg = recurrences.zigzag_nonneg_row(high + 1)
     for size in (low - 2, low, high - 2, high):
         assert count_paths(size, NONNEG, ZZ) == nonneg[size], size
@@ -706,4 +720,5 @@ def test_sizes_on_both_sides_of_the_crossover():
     for size in (n - 1, n):
         assert count_paths(size, 1, band) == row[size], size
     # a mirrored band keeps lists at every size
-    assert not any(counting._fields(n, PathConstraints(zigzag=True, min_y=-3, max_y=3)).packed for n in (20, 200))
+    mirrored = PathConstraints(zigzag=True, min_y=-3, max_y=3)
+    assert not any(counting._fields(n, mirrored).packed for n in (20, 200))

@@ -308,7 +308,8 @@ def test_stored_row_equals_a_fresh_derivation(fresh_rows, name):
 
 #: the stored rows that unroll a recurrence, and the terms of it a row of count terms unrolls
 RESUMED = {
-    "small_root_coeffs": lambda count: (count + 4) // 2,  # sqrt(Delta) at the even sizes to count + 3
+    # sqrt(Delta) at the even sizes to count + 3
+    "small_root_coeffs": lambda count: (count + 4) // 2,
     "grand_total_row": lambda count: count,
     "grand_axis_row": lambda count: count,
     "_grand_alt1_row": lambda count: count,
