@@ -168,9 +168,6 @@ def composition_pairs(n: int, m: int) -> Iterator[CompositionPair]:
 # the narrow band [-1, +1]
 # ---------------------------------------------------------------------------
 
-_NARROW_PART_STEPS: dict[int, tuple[Step, ...]] = {}
-
-
 def _narrow_block(part: int) -> tuple[Step, ...]:
     """Steps for one part: 2 -> Eb E; odd 2k+1 -> Nb (E Eb)^k N."""
     if part == 2:

@@ -16,7 +16,7 @@ import sys
 
 from . import asymptotics, bijections, counting, engines, series, verification
 from .counting import ALL, NONNEG, CountQuery
-from .paths import DOWN, UP, ParseError, PathConstraints, parse_path
+from .paths import DOWN, UP, PathConstraints, parse_path
 
 
 def _emit(payload: dict, fmt: str, plain_keys: list[str]) -> None:
@@ -50,11 +50,7 @@ UNCOVERED = {"gf": "no generating function", "closed": "no closed form"}
 
 
 def cmd_count(args) -> int:
-    try:
-        query = count_query(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    query = count_query(args)
     results: dict[str, int] = {}
     for engine in engines.ENGINES if args.engine == "all" else [args.engine]:
         got = engines.count(query, engine)
@@ -78,13 +74,9 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     c = PathConstraints(zigzag=args.zigzag)
-    try:
-        if args.k_max < 0:
-            raise ValueError("k_max must be non-negative")
-        dists = list(counting.altitude_distributions(args.n_max, c))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.k_max < 0:
+        raise ValueError("k_max must be non-negative")
+    dists = list(counting.altitude_distributions(args.n_max, c))
     rows = [[dist.get(k, 0) for dist in dists] for k in range(args.k_max + 1)]
     if args.header:
         print("k\\n," + ",".join(str(n) for n in range(args.n_max + 1)))
@@ -98,13 +90,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_gf(args) -> int:
-    try:
-        if args.order < 1:
-            raise ValueError(f"--order must be >= 1, got {args.order}")
-        coeffs = engines.gf_row(args.name, args.order, args.k, args.m, args.M)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.order < 1:
+        raise ValueError(f"--order must be >= 1, got {args.order}")
+    coeffs = engines.gf_row(args.name, args.order, args.k, args.m, args.M)
     if args.format == "json":
         print(
             json.dumps(
@@ -152,32 +140,28 @@ def _format_pair(pair: bijections.CompositionPair) -> str:
 def cmd_biject(args) -> int:
     text = args.input if args.input is not None else sys.stdin.read()
     text = text.strip()
-    try:
-        if args.map in ("phi", "psi"):
-            pair = _parse_pair(text)
-            fn = (
-                bijections.pair_to_path
-                if args.map == "phi"
-                else bijections.pair_to_path_falling
-            )
-            print(str(fn(pair)))
-        elif args.map in ("phi-inv", "psi-inv"):
-            path = parse_path(text)
-            fn = (
-                bijections.path_to_pair
-                if args.map == "phi-inv"
-                else bijections.path_to_pair_falling
-            )
-            print(_format_pair(fn(path)))
-        elif args.map == "tube-phi":
-            parts = tuple(int(t) for t in text.replace(",", " ").split())
-            print(str(bijections.narrow_band_path(bijections.Composition(parts))))
-        elif args.map == "tube-phi-inv":
-            comp = bijections.narrow_band_composition(parse_path(text))
-            print(",".join(str(p) for p in comp.parts))
-    except (ValueError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.map in ("phi", "psi"):
+        pair = _parse_pair(text)
+        fn = (
+            bijections.pair_to_path
+            if args.map == "phi"
+            else bijections.pair_to_path_falling
+        )
+        print(str(fn(pair)))
+    elif args.map in ("phi-inv", "psi-inv"):
+        path = parse_path(text)
+        fn = (
+            bijections.path_to_pair
+            if args.map == "phi-inv"
+            else bijections.path_to_pair_falling
+        )
+        print(_format_pair(fn(path)))
+    elif args.map == "tube-phi":
+        parts = tuple(int(t) for t in text.replace(",", " ").split())
+        print(str(bijections.narrow_band_path(bijections.Composition(parts))))
+    elif args.map == "tube-phi-inv":
+        comp = bijections.narrow_band_composition(parse_path(text))
+        print(",".join(str(p) for p in comp.parts))
     return 0
 
 
@@ -192,12 +176,8 @@ def _size(token: str) -> int:
 
 
 def cmd_asym(args) -> int:
-    try:
-        n_list = sorted(map(_size, args.n_list.replace(",", " ").split()))
-        report = asymptotics.convergence_report(args.formula, n_list, m=args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    n_list = sorted(map(_size, args.n_list.replace(",", " ").split()))
+    report = asymptotics.convergence_report(args.formula, n_list, m=args.m)
     rows = report.as_dicts()
     if args.format == "json":
         # an exact value of 0 has a NaN ratio, which JSON cannot spell
@@ -332,7 +312,11 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact counts run past the default 4,300 digits
     args = _parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # bad input, ParseError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,7 +45,9 @@ from itertools import accumulate, zip_longest
 from operator import add, and_, lshift, mul, rshift
 from typing import Callable, Iterator, NamedTuple
 
-from .paths import ALL, DOWN, NONNEG, STEP_ORDER, UP, Path, PathConstraints, Step, reach
+from .paths import (
+    ALL, DOWN, NONNEG, STEP_ORDER, UP, Path, PathConstraints, Step, reach, validate_path,
+)
 
 AltitudeFilter = int | str
 
@@ -263,19 +265,6 @@ class _Fields(NamedTuple):
                         out.setdefault((d, x - o0 - stride * f), [0] * width)[p::stride] = line
         return out
 
-    def clear(self, col: dict, x: int, i: int) -> None:
-        """Zero cell i of every row of column x, a column the sweep has yielded."""
-        if not self.packed:
-            for row in col.values():
-                row[i] = 0
-            return
-        i0, i1 = self.window(x)
-        if i0 <= i < i1:
-            w = 8 * self.field_bytes(x)
-            keep = ~(((1 << w) - 1) << (i - i0) * w)
-            for d in col:
-                col[d] &= keep
-
 
 def _fields(
     n_max: int,
@@ -369,7 +358,7 @@ def _sweep(
     A list row's first contribution is copied into it, later ones added
     cell by cell, and every yielded list row is a list of its own, as every
     yielded column is a dict of its own, so the caller may clear cells of a
-    yielded column (_Fields.clear): the sweep extends what it finds there.
+    yielded column of list rows: the sweep extends what it finds there.
 
     A zigzag sweep of list rows with no first_dir, over a band that is
     symmetric about the axis once clipped to the reach, is its own up/down
@@ -706,7 +695,7 @@ def generate(
     def rec(x: int, y: int) -> None:
         if x == size:
             p = Path(tuple(prefix))
-            if _accept(p, c):
+            if validate_path(p, c):
                 out.append(p)
             return
         for step in STEP_ORDER:
@@ -727,16 +716,6 @@ def generate(
     return out
 
 
-def _accept(p: Path, c: PathConstraints) -> bool:
-    if c.steps is not None and p.step_count != c.steps:
-        return False
-    if c.first_dir is not None and (not p.steps or p.steps[0].direction != c.first_dir):
-        return False
-    if c.last_dir is not None and (not p.steps or p.steps[-1].direction != c.last_dir):
-        return False
-    return True
-
-
 def count_primitive(size: int) -> int:
     """Zigzag paths of altitude 0 whose interior vertices avoid the x-axis.
 
@@ -746,11 +725,12 @@ def count_primitive(size: int) -> int:
     if size < 0:
         raise ValueError("size must be non-negative")
     c = PathConstraints(zigzag=True)
-    fields = _fields(size, c)
+    fields = _fields(size, c, every=True)
     axis = -fields.lo  # index of y = 0
-    for x, col in enumerate(_sweep(size, c)):
-        if 0 < x < size:
-            fields.clear(col, x, axis)
+    for x, col in enumerate(_sweep(size, c, every=True)):
+        if 0 < x < size:  # list rows: only a size-0 sweep packs its one cell
+            for row in col.values():
+                row[axis] = 0
     return sum(row[axis] for row in fields.unpack(col, size).values())
 
 
@@ -762,14 +742,10 @@ def grand_row_stats(n_max: int) -> dict[str, list[int]]:
     altitudes over paths ending at y > 0.
     """
     total, nonneg, positive, axis, alt_sum = [], [], [], [], []
-    c = PathConstraints()
-    fields = _fields(n_max, c, every=True)
-    zero = -fields.lo  # index of y = 0
-    for x, col in enumerate(_sweep(n_max, c, every=True)):
-        row = [sum(cells) for cells in zip(*fields.unpack(col, x).values())]
-        total.append(sum(row))
-        nonneg.append(sum(row[zero:]))
-        positive.append(sum(row[zero + 1 :]))
-        axis.append(row[zero])
-        alt_sum.append(sum(y * n for y, n in enumerate(row[zero:])))
+    for dist in altitude_distributions(n_max, PathConstraints()):
+        total.append(_select(dist, ALL))
+        nonneg.append(_select(dist, NONNEG))
+        axis.append(_select(dist, 0))
+        positive.append(nonneg[-1] - axis[-1])
+        alt_sum.append(sum(y * n for y, n in dist.items() if y > 0))
     return dict(total=total, nonneg=nonneg, positive=positive, axis=axis, altitude_sum=alt_sum)

@@ -105,13 +105,8 @@ def valuation(p: Poly) -> int:
     return next(i for i, c in enumerate(p) if c)
 
 
-def gcd(p: Poly, q: Poly) -> Poly:
-    """The greatest common divisor of p and q in Z[z], with a positive leading coefficient."""
-    return cofactors(p, q)[0]
-
-
 def cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, p / g, q / g) for g = gcd(p, q); each division is checked exact.
+    """(g, p / g, q / g) for g = gcd(p, q) in Z[z], lead positive; each division is checked exact.
 
     The common z-power and integer content split off first.  The primitive
     parts go to `_heuristic_gcd`, then to `_remainder_gcd` if it fails.

@@ -15,16 +15,12 @@ the small kernel root r, the power series root (valuation 3) of
 
     z^3 r^2 + (z^4 + z^2 - 1) r + z^3 = 0,
 
-so r = (L - S) / (2 z^3) with L = 1 - z^2 - z^4 and S = sqrt(Delta),
-Delta = L^2 - 4 z^6 = 1 - 2z^2 - z^4 - 2z^6 + z^8.  S is D-finite: from
-S^2 = Delta it satisfies 2 Delta S' = Delta' S, whose coefficients give
-
-    2n s_n = -sum_{j in 2, 4, 6, 8} Delta_j (2n - 3j) s_{n-j},    s_0 = 1,
-
-four terms per coefficient.  Each row is written once, as in its
-kernel-method derivation, in a small private field arithmetic (`_Elt`) that
-keeps every element as (A + B r) / D with integer polynomials A, B, D; the
-polynomial operations are those of `poly`, which `transfer` shares.
+with L = 1 - z^2 - z^4.  r and its powers come from one P-recurrence,
+`_ROOT_POWER` (below), and `verify` certifies r against the kernel by
+integer products.  Each row is written once, as in its kernel-method
+derivation, in a small private field arithmetic (`_Elt`) that keeps every
+element as (A + B r) / D with integer polynomials A, B, D; the polynomial
+operations are those of `poly`, which `transfer` shares.
 Products reduce r^2 = (L r - z^3) / z^3; inverses multiply by the conjugate
 root 1/r = L/z^3 - r, whose norm is a polynomial.  A row is expanded from
 its element in lowest terms (`_Elt.reduced`, which takes D from degree 18
@@ -37,8 +33,9 @@ r^(j + 1).  A power of an algebraic series is D-finite (Stanley, Eur. J.
 Combin. 1, 1980): r^alpha solves a linear ODE of order 2 whose
 coefficients involve alpha^2, so its coefficients follow a P-recurrence
 with alpha as a parameter, `_ROOT_POWER`, derived from the kernel in the
-tests and checked by `verify`.  It unrolls r^j in O(n) steps for any j, and
-the kernel, differentiated, gives r^(j + 1) from r^j.
+tests and checked by `verify`.  It unrolls r itself (alpha = 1) and r^j in
+O(n) steps for any j, and the kernel, differentiated, gives r^(j + 1) from
+r^j.
 
 The grand (non-zigzag) rows are algebraic too, hence D-finite.  All grand
 paths follow 1/(1 - 2z - 2z^2).  The paths ending on the axis, the paths
@@ -70,13 +67,13 @@ The rows that take no parameter, the small root's series and the boundary
 series the zigzag rows are built from, are derived once per process:
 `_memo` keeps each row at the longest count asked for so far, and a shorter
 request gets a fresh copy of its prefix.  A longer request continues a row
-that unrolls a recurrence (the small root, through sqrt(Delta), and the
-grand rows) from its kept terms, and derives any other row again; either
-way the longer row replaces the kept one.  Each coefficient of a row reads
-only lower ones, so a prefix equals a fresh derivation.  Rows that take a parameter (a zigzag
-or grand altitude |k| >= 2, a line m >= 1) keep nothing and build on the
-stored ones, so the memo holds at most thirteen series, each at the largest
-count asked for.
+that unrolls a recurrence (the small root and the grand rows) from its
+kept terms, and derives any other row again; either way the longer row
+replaces the kept one.  Each coefficient of a row reads only lower ones,
+so a prefix equals a fresh derivation.  Rows that take a parameter (a
+zigzag or grand altitude |k| >= 2, a line m >= 1) keep nothing and build
+on the stored ones, so the memo holds at most thirteen series, each at
+the largest count asked for.
 """
 
 from __future__ import annotations
@@ -89,10 +86,6 @@ from operator import add, mul, sub
 from . import poly
 from .paths import reach
 
-# sqrt(Delta) on the even sizes n = 2t: the recurrence of the module
-# docstring is sum_i p_i(t) s(2t - 2i) = 0 with p_0 = 4t and
-# p_i = Delta_2i (4t - 6i), each p_i as (constant, t) coefficients
-_SQRT_DELTA = ((0, 4), (12, -8), (12, -4), (36, -8), (-24, 4))
 _L = [1, 0, -1, 0, -1]
 
 # name -> the stored row, or "boundary" -> the elements of `_boundary`
@@ -128,37 +121,6 @@ def _continued(recurrence, count: int, kept=()) -> list[int]:
     """The first count terms of a recurrence (coeffs, initial), continuing the kept ones."""
     coeffs, initial = recurrence
     return _unroll(coeffs, max(kept, initial, key=len), count)
-
-
-def _sqrt_delta(order: int, kept=()) -> list[int]:
-    """Coefficients of sqrt(Delta) from its first-order ODE (odd ones vanish).
-
-    The kept coefficients (of every size, from 0) are continued.
-    """
-    s = [0] * order
-    s[::2] = _continued((_SQRT_DELTA, (1,)), (order + 1) // 2, kept[::2])
-    return s
-
-
-@_resumed
-def small_root_coeffs(order: int, kept=()) -> list[int]:
-    """Coefficients of the small zigzag kernel root (valuation 3).
-
-    A kept root continues: it gives back sqrt(Delta) = L - 2 z^3 r to its
-    length + 3, and only the new terms of sqrt(Delta) are unrolled.
-    """
-    known = [
-        (_L[n] if n < len(_L) else 0) - 2 * (kept[n - 3] if n >= 3 else 0)
-        for n in range(len(kept) + 3)
-    ]
-    s = _sqrt_delta(order + 3, known if kept else ())
-    r = list(kept)
-    for n in range(len(kept) + 3, order + 3):
-        q, rem = divmod((_L[n] if n < len(_L) else 0) - s[n], 2)
-        if rem:
-            raise ArithmeticError(f"root coefficient {n - 3} is not an integer")
-        r.append(q)
-    return r
 
 
 # A recurrence is (coeffs, initial): coeffs[i] lists the coefficients of
@@ -241,12 +203,13 @@ def _root_power(alpha: int, count: int) -> list[int]:
     return _unroll_power(alpha, count)
 
 
-def _unroll_power(alpha: int, count: int) -> list[int]:
+def _unroll_power(alpha: int, count: int, kept=()) -> list[int]:
     """The first count coefficients of r^alpha (alpha >= 1) from `_ROOT_POWER`.
 
     r is odd in z, so r^alpha keeps only the sizes n = 3 alpha + 2t.  On them
     the recurrence is one in t of order 6 whose lead 12 t (t + 3 alpha)
-    vanishes at t = 0 only, and `_unroll` runs it from the one term 1 there.
+    vanishes at t = 0 only, and `_unroll` runs it from the one term 1 there,
+    or continues the kept coefficients of r^alpha (of every size, from 0).
     """
     start = 3 * alpha
     out = [0] * count
@@ -257,8 +220,14 @@ def _unroll_power(alpha: int, count: int) -> list[int]:
             (9 * A * a2 + 3 * B * alpha + C + D * a2, 12 * A * alpha + 2 * B, 4 * A)
             for A, B, C, D in _ROOT_POWER
         ]
-        out[start::2] = _unroll(coeffs, (1,), (count - start + 1) // 2)
+        out[start::2] = _continued((coeffs, (1,)), (count - start + 1) // 2, kept[start::2])
     return out
+
+
+@_resumed
+def small_root_coeffs(order: int, kept=()) -> list[int]:
+    """Coefficients of the small zigzag kernel root (valuation 3): r^1 of `_ROOT_POWER`."""
+    return _unroll_power(1, order, kept)
 
 
 def _root_powers(j: int, count: int) -> tuple[list[int], list[int]]:

@@ -108,6 +108,17 @@ def test_count_negative_size_exits_two(capsys):
     assert out == "" and err.startswith("error:")
 
 
+def test_a_value_error_past_the_flags_exits_two(capsys, monkeypatch):
+    """main is the one error exit: a ValueError an engine raises is bad input too."""
+
+    def refuse(query, engine):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(engines, "count", refuse)
+    code, out, err = run(capsys, "count", "--size", "4", "--engine", "all")
+    assert (code, out, err) == (2, "", "error: refused\n")
+
+
 def test_count_engine_gf_unsupported_query(capsys):
     code, _, err = run(
         capsys,

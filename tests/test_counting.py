@@ -628,7 +628,8 @@ def test_steps_counts_with_a_line_match_generation(paths_of):
 )
 def test_yielded_rows_are_their_own_lists(c, kw):
     """A list row is a list of its own and a packed row an int in a column of
-    its own, so a caller may clear cells of a yielded column (_Fields.clear)."""
+    its own, so a caller may clear cells of a yielded column in place, as
+    count_primitive does."""
     fields = counting._fields(12, c, **kw)
     cols = list(counting._sweep(12, c, **kw))
     assert fields.packed == all(isinstance(row, int) for col in cols for row in col.values())
@@ -639,8 +640,11 @@ def test_yielded_rows_are_their_own_lists(c, kw):
     # clearing one column's cells changes no column already yielded after it
     later = [fields.unpack(col, x) for x, col in enumerate(cols)]
     for x, col in enumerate(cols):
-        for i in range(fields.width):
-            fields.clear(col, x, i)
+        for d, row in col.items():
+            if fields.packed:
+                col[d] = 0
+            else:
+                row[:] = [0] * len(row)
         assert not any(any(row) for row in fields.unpack(col, x).values()), x
         assert [fields.unpack(col, y) for y, col in enumerate(cols)][x + 1 :] == later[x + 1 :], x
 

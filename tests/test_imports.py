@@ -3,13 +3,15 @@
 Two engines that check each other must not share code, so each engine's
 source is parsed and its imports are compared against the engines it is
 checked against.  No engine imports the router (`engines`), and the CLI
-reaches the engines through it.
+reaches the engines through it.  The last test parses every module for a
+private name that nothing else in the package reads.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,39 @@ def _imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(BANNED))
 def test_module_imports_no_other_engine(module):
     assert not _imports(module) & BANNED[module]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each module-level def, class or assignment of a private name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name[:1] == "_" and name[:2] != "__")
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under node, as a bare name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_private_module_name_is_read_elsewhere_in_the_package():
+    """A private helper or constant that only its own definition reads is dead code."""
+    package = Path(importlib.import_module("knightpaths").__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    everywhere = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if everywhere[name] <= _reads(node)[name]
+    ]
+    assert not unread

@@ -120,7 +120,7 @@ def test_rows_extend_cheaply():
     assert row[399] > 10 ** 80  # growth near the golden ratio reciprocal
 
 
-def test_small_root_satisfies_kernel_to_order_600():
+def test_small_root_satisfies_kernel_to_order_600(fresh_rows):
     n = 600
     r = recurrences.small_root_coeffs(n)
     lhs = [0] * n  # z^3 r^2 + (z^4 + z^2 - 1) r + z^3, truncated at z^n
@@ -308,8 +308,8 @@ def test_stored_row_equals_a_fresh_derivation(fresh_rows, name):
 
 #: the stored rows that unroll a recurrence, and the terms of it a row of count terms unrolls
 RESUMED = {
-    # sqrt(Delta) at the even sizes to count + 3
-    "small_root_coeffs": lambda count: (count + 4) // 2,
+    # r^1 of the power recurrence at the odd sizes from 3
+    "small_root_coeffs": lambda count: (count - 2) // 2,
     "grand_total_row": lambda count: count,
     "grand_axis_row": lambda count: count,
     "_grand_alt1_row": lambda count: count,
@@ -393,22 +393,17 @@ def test_a_line_past_the_reach_gives_the_total_row():
     assert recurrences.above_line_row(7, 0) == []
 
 
-# (i, p_i): Delta_2 = -3 leaves sqrt(Delta) fractional at z^2; Delta_4 = +1
-# leaves it integral, and the root fractional at z^1
-@pytest.mark.parametrize(
-    "tap, where",
-    [((1, (18, -12)), "sqrt"), ((2, (-12, 4)), "root")],
-)
-def test_corrupt_delta_raises_not_rounds(monkeypatch, fresh_rows, tap, where):
-    table = list(recurrences._SQRT_DELTA)
-    table[tap[0]] = tap[1]
-    monkeypatch.setattr(recurrences, "_SQRT_DELTA", tuple(table))
-    derive, match = {
-        "sqrt": (recurrences._sqrt_delta, "term 1 is not an integer"),
-        "root": (recurrences.small_root_coeffs, "root coefficient 1 is not an integer"),
-    }[where]
-    with pytest.raises(ArithmeticError, match=match):
-        derive(5)
+def test_corrupt_root_tap_raises_not_rounds(monkeypatch, fresh_rows):
+    """The root is r^1 of `_ROOT_POWER`, where D_s alpha^2 = D_s: any entry one
+    off leaves a term of the root fractional."""
+    for entry in range(len(recurrences._ROOT_POWER)):
+        table = list(recurrences._ROOT_POWER)
+        A, B, C, D = table[entry]
+        table[entry] = (A, B, C, D + 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(recurrences, "_ROOT_POWER", tuple(table))
+            with pytest.raises(ArithmeticError, match="not an integer"):
+                recurrences.small_root_coeffs(50)
 
 
 def test_corrupt_row_element_raises_not_rounds():

@@ -72,17 +72,6 @@ def test_a_wrong_small_root_coefficient_fails_check_5(monkeypatch, index):
     assert not passed and detail.startswith("small zigzag root: equation fails"), detail
 
 
-def test_a_wrong_sqrt_delta_coefficient_fails_check_5(monkeypatch, fresh_rows):
-    # by 2, so that the small root built on it stays integral; the root
-    # derived from it is not kept
-    honest = recurrences._sqrt_delta
-    monkeypatch.setattr(
-        recurrences, "_sqrt_delta", lambda order, kept=(): _corrupted(honest(order, kept), 12, 2)
-    )
-    passed, detail = _check("5-kernel-certificates")
-    assert not passed and "sqrt(Delta): equation fails" in detail, detail
-
-
 def test_check_5_certifies_the_stored_small_root(fresh_rows):
     # the rows read the root the process keeps, so check 5 must read it too:
     # a longer stored root passes, and a wrong coefficient in it fails
@@ -95,12 +84,19 @@ def test_check_5_certifies_the_stored_small_root(fresh_rows):
 
 @pytest.mark.parametrize("entry", range(len(recurrences._ROOT_POWER)))
 @pytest.mark.parametrize("column", range(4))
-def test_a_corrupted_power_recurrence_fails_check_5(monkeypatch, entry, column):
+def test_a_corrupted_power_recurrence_fails_check_5(monkeypatch, fresh_rows, entry, column):
+    """The root is r^1 of the power recurrence, so a corrupted entry fails the
+    root's certificate, as a named failure; with the root already stored it
+    fails the unroll of r^2."""
+    recurrences.small_root_coeffs(100)  # the kernel step reads past z^50
     table = [list(p) for p in recurrences._ROOT_POWER]
     table[entry][column] += 1
     monkeypatch.setattr(recurrences, "_ROOT_POWER", tuple(map(tuple, table)))
     passed, detail = _check("5-kernel-certificates")
     assert not passed and detail.startswith("r^2 power recurrence: "), detail
+    recurrences._memo.clear()
+    passed, detail = _check("5-kernel-certificates")
+    assert not passed and detail.startswith("small zigzag root: "), detail
 
 
 @pytest.mark.parametrize("index", [13, 31, 49])
