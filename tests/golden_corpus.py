@@ -85,6 +85,12 @@ DP_COUNTS = (
         ("--size", "150", "--first", "up", "--altitude", "-3"),
         ("--size", "60", "--last", "down", "--nonneg"),
     ]
+    # lines whose sweeps retire the cells that can no longer reach them
+    + [("--size", str(n), "--min-y", "-3") for n in (300, 600)]
+    + [
+        ("--size", "600", "--zigzag", "--min-y", "-2", "--nonneg"),
+        ("--size", "800", "--zigzag", "--min-y", "-1", "--first", "up"),
+    ]
 )
 
 # every asym formula, in csv and json, over two size lists that read the
