@@ -40,10 +40,12 @@ generate() shares no code with the sweep: it is the independent oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, zip_longest
-from operator import add, and_, lshift, mul, rshift
-from typing import Callable, Iterator, NamedTuple
+from functools import lru_cache
+from itertools import accumulate, repeat, zip_longest
+from operator import add, and_, lshift, mul, neg, rshift
+from typing import Callable, Generator, Iterator, NamedTuple
 
 from .paths import (
     ALL, DOWN, NONNEG, STEP_ORDER, UP, Path, PathConstraints, Step, reach, validate_path,
@@ -91,6 +93,12 @@ _LOG2_GROWTH = {True: 0.6942419136306174, False: 1.4499843134764958}
 #: sweep whose size needs wider fields keeps lists of cells (see _fields).
 PACKED_BYTES = 128
 
+#: The widest field, in bytes, of a packed line count that retires no cell
+#: (see _sweep): up to it the work a move adds costs more than the smaller
+#: rows save.  Measured, retiring broke even at 17-20 bytes for zigzag lines
+#: (sizes 190-220) and at 9-11 bytes for grand ones (sizes 50-60).
+RETIRE_BYTES = 16
+
 
 def _path_bytes(x: int, zigzag: bool) -> int:
     """Whole bytes that hold the number of paths of size x (with a bit to spare)."""
@@ -133,6 +141,9 @@ class _Fields(NamedTuple):
     #: the altitude filter the counted paths end in, where it narrows the window
     end: AltitudeFilter | None
     packed: bool
+    #: a retiring sweep's floor (min_y, or 0 for NONNEG): the cells of column x
+    #: at y >= retire + reach(size - x) have left their rows; else None
+    retire: int | None = None
 
     def base(self, x: int) -> int:
         """The fewest b in column x that can still reach top, or 0.
@@ -144,22 +155,62 @@ class _Fields(NamedTuple):
 
     def window(self, x: int) -> tuple[int, int]:
         """The index range [i0, i1) of the cells of column x a counted path can occupy."""
-        b0 = self.base(x)  # with b0 wide steps, a kept prefix used at most x - b0 steps
+        if self.top is None:
+            i0, i1, _ = self.columns()[0][x]
+            return i0, i1
+        b0, b1 = self.base(x), min(self.top, x // 2)  # with b0 wide steps, a prefix
+        if b0 > b1:  # used at most x - b0 steps; a rest takes at most size - top - x + b1
+            return 0, 0  # no prefix here can end with c.steps steps
         r = reach(x, self.zigzag, x - b0)
-        ylo, yhi = -r, r
-        if self.end is not None:
-            more = None
-            if self.top is not None:
-                b1 = min(self.top, x // 2)
-                if b0 > b1:
-                    return 0, 0  # no prefix here can end with c.steps steps
-                more = self.size - self.top - x + b1  # the most steps a rest takes
-            back = reach(self.size - x, self.zigzag, more)  # how far the rest moves y
-            if isinstance(self.end, int):
-                ylo, yhi = max(ylo, self.end - back), min(yhi, self.end + back)
-            elif self.end == NONNEG:
-                ylo = max(ylo, -back)
-        return max(0, ylo - self.lo), min(self.width, yhi - self.lo + 1)
+        back = reach(self.size - x, self.zigzag, self.size - self.top - x + b1)
+        (i0,), (i1,) = self._spans([r], [back])
+        return i0, i1
+
+    def _spans(self, ups: list[int], backs: list[int]) -> tuple[list[int], list[int]]:
+        """The windows of columns whose cells lie within ups[j] of the axis and
+        whose rests move y by at most backs[j], near enough to end in `end`."""
+        ylo, yhi = [-r for r in ups], ups
+        if isinstance(self.end, int):
+            ylo = list(map(max, ylo, [self.end - b for b in backs]))
+            yhi = list(map(min, yhi, [self.end + b for b in backs]))
+        elif self.end == NONNEG:
+            ylo = list(map(max, ylo, map(neg, backs)))
+        lo, width = self.lo, self.width
+        i0 = [y - lo if y > lo else 0 for y in ylo]
+        i1 = [y - lo + 1 if y < lo + width else width for y in yhi]
+        return i0, i1
+
+    @lru_cache(maxsize=8)
+    def columns(self) -> tuple[list[tuple[int, int, bool]], dict[int, int]]:
+        """Every column's window, planned once where top is None (see window).
+
+        (i0, i1, cut) for x <= size + 2, the columns past size empty:
+        window(x) is [i0, i1), and cut tells whether its top lies below the
+        reach, where a line, the end window or retirement cuts it.  In a
+        retiring sweep the window of column x > 0 stops below retire +
+        reach(size - x), and may be empty.  And the columns at which a
+        packed sweep's fields widen, with their field_bytes, which only grows
+        with x.  Without y a row is one cell, at y = 0, with no field to
+        carry into, so it keeps its first width.  Cached: a count plans its
+        sweep and unpacks its last column from one plan.
+        """
+        n = self.size
+        if self.stride == 1:
+            return [(0, 1, False)] * (n + 1) + [(0, 0, False)] * 2, {0: self.field_bytes(0)}
+        xs = range(n + 1)
+        ups = list(map(reach, xs, repeat(self.zigzag)))
+        backs = ups[::-1]  # the rest of column x has size - x
+        i0, i1 = self._spans(ups, backs)
+        if self.retire is not None:  # but column 0's: the empty path has no last direction
+            caps = [self.retire + b - self.lo for b in backs[1:]]  # the lowest index retired
+            i1[1:] = map(max, i0[1:], map(min, i1[1:], caps))
+        cut = [b < r - self.lo + 1 for b, r in zip(i1, ups)]
+        spans = list(zip(i0, i1, cut)) + [(0, 0, False)] * 2
+        widths, x = {}, 0
+        while x <= n:
+            widths[x] = b = self.field_bytes(x)
+            x = bisect_right(xs, b, x + 1, key=self.field_bytes)
+        return spans, widths
 
     def field_bytes(self, x: int) -> int:
         """The bytes of a field of column x in a packed sweep.
@@ -273,8 +324,9 @@ def _fields(
     end: AltitudeFilter | None = None,
     by_y: bool = True,
     every: bool = False,
+    retire: bool = False,
 ) -> _Fields:
-    """The band and the layout of _sweep(n_max, c, by_steps, end, by_y, every)'s rows.
+    """The band and the layout of _sweep(n_max, c, by_steps, end, by_y, every, retire)'s rows.
 
     Without steps, the rows are packed when a row is one cell, or when a
     field of size n_max takes at most PACKED_BYTES bytes; a sweep that
@@ -282,6 +334,11 @@ def _fields(
     PACKED_BYTES // 2 bytes.  Above those widths, for mirrored bands, and
     when the caller reads every column (every), whose unpacking costs an
     int per cell per column, list rows measured faster.
+
+    With retire, which only a count of the paths of size n_max passes, a
+    packed sweep of one min_y line, no max_y and no last_dir, ending in ALL
+    or NONNEG, retires its cells once their every completion counts (see
+    _sweep), when its fields take more than RETIRE_BYTES bytes.
     """
     lo = _floor(n_max, c, by_y)
     reach_y = reach(n_max, c.zigzag) if by_y else 0
@@ -299,7 +356,12 @@ def _fields(
     else:
         packed = wide <= PACKED_BYTES
     packed = packed and not every or width == 1
-    return _Fields(0, n_max, None, lo, width, 2 if by_y else 1, c.zigzag, end, packed)
+    line = by_y and c.min_y is not None and (c.max_y, c.last_dir) == (None, None)
+    if retire and packed and line and end in (None, NONNEG) and wide > RETIRE_BYTES:
+        floor = 0 if end == NONNEG else c.min_y
+    else:
+        floor = None
+    return _Fields(0, n_max, None, lo, width, 2 if by_y else 1, c.zigzag, end, packed, floor)
 
 
 def _sweep(
@@ -309,8 +371,9 @@ def _sweep(
     end: AltitudeFilter | None = None,
     by_y: bool = True,
     every: bool = False,
-) -> Iterator[dict]:
-    """Yield the DP column at x = 0, 1, ..., n_max.
+    retire: bool = False,
+) -> Generator[dict, None, int]:
+    """Yield the DP column at x = 0, 1, ..., n_max; return the paths retired.
 
     A column maps a last direction to a row.  The empty path has direction
     0.  A row is keyed by its last direction only where something reads
@@ -332,7 +395,24 @@ def _sweep(
     is one shift by (dy + i0(x) - i0(x + dx)) W bits, which as a right
     shift drops the cells that fall under the target's window (a line, or
     an end window), one AND where a line or an end window cuts the
-    target's window below the reach, and one add: no int per cell.
+    target's window below the reach, and one add: no int per cell.  The
+    windows, their cuts and the columns where W grows are planned once,
+    before the first column (_Fields.columns), so a column's moves do only
+    shifts, ANDs and adds.
+
+    With retire, a packed count above a min_y line (see _fields) retires
+    the cells whose every completion counts.  With floor = min_y, or 0 for
+    NONNEG, a cell of column x at y >= floor + reach(n_max - x) can no
+    longer cross the line or end below the axis, since paths.reach bounds
+    every run of steps.  So its count times T(n_max - x) goes to the
+    answer, and the cell leaves its row: the target window's top is capped
+    below that altitude, and a move sums the fields above the cap before
+    the AND drops them.  T(s) counts the completions of size s.  A zigzag
+    one starts against the row's last direction, so T is 1, 1, 2, 3, 5,
+    ..., T(s) = T(s - 1) + T(s - 2); a grand one is any grand path, 1, 2,
+    6, 16, ..., T(s) = 2 T(s - 1) + 2 T(s - 2).  The last column is then
+    empty, and the sweep returns the number of paths it retired: 0 without
+    retire.
 
     Otherwise a row is a list of cells indexed by y - _floor(n_max, c, by_y).
     When by_steps or c.steps asks for steps, a cell is one int that holds
@@ -386,9 +466,9 @@ def _sweep(
     `end`, every column but the last holds only part of its counts, so
     only the last one is an answer.
     """
-    fields = _fields(n_max, c, by_steps, end, by_y, every)
+    fields = _fields(n_max, c, by_steps, end, by_y, every, retire)
     bits, top, base, window = fields.bits, fields.top, fields.base, fields.window
-    lo, width, packed = fields.lo, fields.width, fields.packed
+    lo, width, packed, floor = fields.lo, fields.width, fields.packed, fields.retire
     hi = lo + width - 1
     zigzag, first = c.zigzag, c.first_dir
     mirror = zigzag and lo == -hi and first is None and not packed
@@ -421,41 +501,38 @@ def _sweep(
             origins[b0, d] = fields.origins(b0, d)
         return origins[b0, d]
 
-    def frame(x: int) -> tuple[int, int, bool]:
-        """Column x's window, and whether a line or the end window cuts it below the reach."""
-        i0, i1 = window(x)
-        return i0, i1, i0 < i1 < reach(x, zigzag) - lo + 1
-
+    retired = 0
     if packed:
-        i0, i1 = window(0)
-        col = {0: int(i0 < i1)}  # the empty path, at field 0
-        held, s0, s1 = fields.field_bytes(0), 0, 1
+        spans, widths = fields.columns()
+        col = {0: int(spans[0][0] < spans[0][1])}  # the empty path, at field 0
+        held = widths[0]
         w = 8 * held
-        frames = {x: frame(x) for x in range(min(2, n_max) + 1)} if by_y else {}
-        targets = [(0, 1, 0)] * 2  # without y, every row is one field
         masks: dict = {}  # the mask of k fields of the held width, by k
+        gone = [0, 0, 0]  # the retired fields of columns x, x + 1 and x + 2
+        if floor is not None:  # T(s), the completions of size s
+            a = 1 if zigzag else 2
+            completions = [1, a]
+            while len(completions) <= n_max:
+                completions.append(a * (completions[-1] + completions[-2]))
     else:
         col = {0: [0] * -lo + [1] + [0] * hi}
     ahead: list[dict] = [{}, {}]  # the columns at x + 1 and x + 2
     for x in range(n_max + 1):
-        if packed and by_y:
-            size = fields.field_bytes(x) if _path_bytes(x + 2, zigzag) > held else held
+        if packed:
+            if gone[0]:  # fields of the width they were moved at
+                v, ones, paths = gone[0], (1 << w) - 1, 0
+                while v:
+                    paths, v = paths + (v & ones), v >> w
+                retired += paths * completions[n_max - x]
+            size = widths.get(x, held)
             if size > held:  # col and ahead[0] widen their fields to reach column x + 2
                 for rows in (col, ahead[0]):
                     for d, v in rows.items():
                         rows[d] = _respace(v, held, size)
-                held = size
+                gone[1] = _respace(gone[1], held, size)
+                held, w = size, 8 * size
                 masks.clear()
-            if x + 2 <= n_max:
-                frames[x + 2] = frame(x + 2)
-            frames.pop(x - 1, None)
-            s0, s1, _ = frames[x]
-            w, targets = 8 * held, []
-            for dx in (1, 2):
-                t0, t1, cut = frames.get(x + dx, (0, 0, False))
-                if cut and t1 - t0 not in masks:
-                    masks[t1 - t0] = (1 << (t1 - t0) * w) - 1
-                targets.append((t0, t1, masks[t1 - t0] if cut else 0))
+            s0, s1, _ = spans[x]
         elif mirror and UP in col:
             col[DOWN] = col[UP][::-1]
         yield col
@@ -475,12 +552,17 @@ def _sweep(
                 if x + dx > n_max:
                     continue
                 if packed:  # one shift, the window's cut and one add
-                    t0, t1, mask = targets[dx - 1]
-                    if t0 >= t1 or not row:
+                    t0, t1, cut = spans[x + dx]
+                    if not row or t0 >= t1 and floor is None:
                         continue
                     k = (s0 + dy - t0) * w
                     cells = row << k if k > 0 else row >> -k if k else row
-                    if mask and s1 + dy > t1:
+                    if cut and s1 + dy > t1:  # fields above the target's top
+                        if floor is not None:
+                            gone[dx] += cells >> (t1 - t0) * w
+                        mask = masks.get(t1 - t0)
+                        if mask is None:
+                            mask = masks[t1 - t0] = (1 << (t1 - t0) * w) - 1
                         cells &= mask
                     target = ahead[dx - 1].get(to)
                     ahead[dx - 1][to] = cells if target is None else target + cells
@@ -509,6 +591,9 @@ def _sweep(
                 else:
                     target[i0 + dy : i1 + dy] = map(add, target[i0 + dy : i1 + dy], cells)
         col, ahead = ahead[0], [ahead[1], {}]
+        if floor is not None:
+            gone = [gone[1], gone[2], 0]
+    return retired
 
 
 def _final(
@@ -613,15 +698,25 @@ def count(query: CountQuery) -> int:
 
     With no min_y, max_y, first_dir or last_dir, from half a sweep joined
     with itself (_join); otherwise from a sweep to the size whose end
-    window skips the prefixes that cannot end in the query.  Either sweep
-    tracks y only under a line bound or an altitude filter other than ALL.
+    window skips the prefixes that cannot end in the query, and which
+    above a line may retire the cells whose every completion counts.
+    Either sweep tracks y only under a line bound or an altitude filter
+    other than ALL.
     """
     size, altitude, c = query.size, query.altitude, query.constraints
     by_y = (c.min_y, c.max_y, altitude) != (None, None, ALL)  # does anything read y?
     if (c.min_y, c.max_y, c.first_dir, c.last_dir) == (None,) * 4:
         return _join(size, altitude, c, by_y)
-    col, lo = _final(size, c, altitude, by_y=by_y), _floor(size, c, by_y)
-    return _select(_tally(col, lo, c, lambda y, d, used: y), altitude)
+    sweep = _sweep(size, c, end=altitude, by_y=by_y, retire=True)
+    while True:  # to the last column, and the number of paths the sweep retired
+        try:
+            col = next(sweep)
+        except StopIteration as done:
+            retired = done.value
+            break
+    fields = _fields(size, c, end=altitude, by_y=by_y, retire=True)
+    ends = _tally(fields.unpack(col, size, c.steps), fields.lo, c, lambda y, d, used: y)
+    return retired + _select(ends, altitude)
 
 
 def count_paths(

@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
+from operator import ne
 
 UP = 1
 DOWN = -1
@@ -24,25 +26,21 @@ NONNEG = "nonneg"
 
 
 class Step(Enum):
-    """The four knight moves, each with horizontal and vertical displacement."""
+    """The four knight moves, each with horizontal and vertical displacement.
+
+    dx, dy and direction (UP (+1) if the step rises, DOWN (-1) if it falls)
+    are plain attributes, set once per member: the path summaries read
+    them step by step.
+    """
 
     N = (1, 2)
     NB = (1, -2)
     E = (2, 1)
     EB = (2, -1)
 
-    @property
-    def dx(self) -> int:
-        return self.value[0]
-
-    @property
-    def dy(self) -> int:
-        return self.value[1]
-
-    @property
-    def direction(self) -> int:
-        """UP (+1) if the step rises, DOWN (-1) if it falls."""
-        return UP if self.value[1] > 0 else DOWN
+    def __init__(self, dx: int, dy: int) -> None:
+        self.dx, self.dy = dx, dy
+        self.direction = UP if dy > 0 else DOWN
 
     @property
     def token(self) -> str:
@@ -87,12 +85,8 @@ class Path:
     @cached_property
     def heights(self) -> tuple[int, int]:
         """(min, max) y-coordinate over all visited vertices, origin included."""
-        y = lo = hi = 0
-        for s in self.steps:
-            y += s.dy
-            lo = min(lo, y)
-            hi = max(hi, y)
-        return lo, hi
+        ys = list(accumulate([s.dy for s in self.steps], initial=0))
+        return min(ys), max(ys)
 
     @property
     def min_height(self) -> int:
@@ -117,9 +111,8 @@ class Path:
         return out
 
     def is_zigzag(self) -> bool:
-        return all(
-            a.direction != b.direction for a, b in zip(self.steps, self.steps[1:])
-        )
+        directions = [s.direction for s in self.steps]
+        return all(map(ne, directions, directions[1:]))
 
     def reflected(self) -> Path:
         return Path(tuple(s.reflected() for s in self.steps))

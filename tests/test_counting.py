@@ -477,7 +477,7 @@ def test_only_counts_that_read_no_altitude_drop_it(monkeypatch):
         fields = counting._fields(*args, **kw)
         assert len(fields.unpack(first, 0)[0, 0]) == widths[-1]  # the empty path's row
         yield first
-        yield from cols
+        return (yield from cols)  # the paths the sweep retired
 
     monkeypatch.setattr(counting, "_sweep", spy)
     for c in (
@@ -512,7 +512,12 @@ def test_a_steps_sweep_keeps_one_row_per_direction(monkeypatch):
     sweep, rows = counting._sweep, []
 
     def spy(*args, **kw):
-        for col in sweep(*args, **kw):
+        cols = sweep(*args, **kw)
+        while True:
+            try:
+                col = next(cols)
+            except StopIteration as done:
+                return done.value  # the paths the sweep retired
             rows.append(len(col))
             yield col
 
@@ -726,3 +731,104 @@ def test_sizes_on_both_sides_of_the_crossover():
     # a mirrored band keeps lists at every size
     mirrored = PathConstraints(zigzag=True, min_y=-3, max_y=3)
     assert not any(counting._fields(n, mirrored).packed for n in (20, 200))
+
+
+def _window_by_hand(fields, x):
+    """Column x's window and cut flag, worked out for that column alone."""
+    r = reach(x, fields.zigzag) if fields.stride == 2 else 0
+    back = reach(fields.size - x, fields.zigzag)
+    ylo, yhi = -r, r
+    if isinstance(fields.end, int):
+        ylo, yhi = max(ylo, fields.end - back), min(yhi, fields.end + back)
+    elif fields.end == NONNEG:
+        ylo = max(ylo, -back)
+    i0, i1 = max(0, ylo - fields.lo), min(fields.width, yhi - fields.lo + 1)
+    if fields.retire is not None and x > 0:  # the cells that can still reach the line
+        i1 = max(i0, min(i1, fields.retire + back - fields.lo))
+    return i0, i1, i1 < r - fields.lo + 1
+
+
+@pytest.mark.parametrize("zigzag", [True, False])
+@pytest.mark.parametrize(
+    "bounds",
+    [{}, dict(min_y=-2), dict(min_y=0), dict(min_y=-60), dict(max_y=3), dict(min_y=-2, max_y=3)],
+)
+def test_the_plan_is_every_columns_window(zigzag, bounds):
+    # the plan (_Fields.columns) is the only window code where top is None,
+    # so a reference worked column by column checks it
+    c = PathConstraints(zigzag=zigzag, **bounds)
+    line = list(bounds) == ["min_y"]
+    for n in (0, 1, 2, 7, 30, 250 if zigzag else 100):
+        for end in (None, ALL, NONNEG, 0, 3, -5):
+            for retire in (False, True):
+                fields = counting._fields(n, c, end=end, retire=retire)
+                spans, widths = fields.columns()
+                assert spans[n + 1 :] == [(0, 0, False)] * 2
+                for x in range(n + 1):
+                    assert spans[x] == _window_by_hand(fields, x), (n, end, retire, x)
+                    assert fields.window(x) == spans[x][:2], (n, end, retire, x)
+                size = fields.field_bytes
+                grows = [x for x in range(n + 1) if x == 0 or size(x) > size(x - 1)]
+                assert widths == {x: size(x) for x in grows}, (n, end)
+                # retirement takes a line alone, ALL or NONNEG, and wide fields
+                wide = counting._path_bytes(n, zigzag) > counting.RETIRE_BYTES
+                retires = retire and line and end in (None, ALL, NONNEG) and wide
+                floor = 0 if end == NONNEG else c.min_y
+                assert fields.retire == (floor if retires else None), (n, end, retire)
+    if not bounds:  # a row without y is one cell at y = 0, and never widens
+        fields = counting._fields(40, c, by_y=False)
+        spans = [(0, 1, False)] * 41 + [(0, 0, False)] * 2
+        assert fields.columns() == (spans, {0: fields.field_bytes(0)})
+
+
+def test_retiring_counts_match_generation(paths_of, monkeypatch):
+    # every sweep here retires, so small sizes check the rule itself: the
+    # empty path stays, lines no path reaches retire whole columns, and the
+    # completions count from size 0
+    monkeypatch.setattr(counting, "RETIRE_BYTES", 0)
+    for zigzag, sizes in ((True, range(15)), (False, range(11))):
+        line = PathConstraints(zigzag=zigzag, min_y=-1)
+        assert counting._fields(1, line, retire=True).retire == -1
+        for n in sizes:
+            paths = paths_of(n, PathConstraints(zigzag=zigzag))
+            firsts = [p.steps[0].direction if p.steps else 0 for p in paths]
+            ends = [(p.min_height, p.altitude, d) for p, d in zip(paths, firsts)]
+            for m in (0, 1, 2, 5, 30):
+                for first in (None, UP, DOWN):
+                    c = PathConstraints(zigzag=zigzag, min_y=-m, first_dir=first)
+                    kept = [y for low, y, d in ends if low >= -m and first in (None, d)]
+                    assert count_paths(n, ALL, c) == len(kept), (n, c)
+                    assert count_paths(n, NONNEG, c) == sum(y >= 0 for y in kept), (n, c)
+
+
+def test_retiring_counts_match_the_list_rows():
+    # the rows of count_row are lists and retire nothing; each set's sizes
+    # lie on both sides of RETIRE_BYTES
+    sets = ((True, (100, 190, 200, 599, 1000)), (False, (40, 60, 90, 150, 300)))
+    for zigzag, sizes in sets:
+        bytes_ = [counting._path_bytes(n, zigzag) for n in sizes]
+        assert min(bytes_) <= counting.RETIRE_BYTES < max(bytes_)
+        for m in (0, 2, 60):
+            for first in (None, UP):
+                c = PathConstraints(zigzag=zigzag, min_y=-m, first_dir=first)
+                fields = counting._fields(sizes[-1], c, every=True)
+                for x, col in enumerate(counting._sweep(sizes[-1], c, every=True)):
+                    if x in sizes:
+                        dist = _tally(fields.unpack(col, x), fields.lo, c, lambda y, d, used: y)
+                        for altitude in (ALL, NONNEG):
+                            want = _select(dist, altitude)
+                            assert count_paths(x, altitude, c) == want, (x, altitude, c)
+
+
+def test_a_packed_count_plans_its_windows_once(monkeypatch):
+    # the packed sweep reads its plan; only the caller's unpacking asks
+    # _Fields.window, once per column it reads
+    window, calls = counting._Fields.window, []
+    spy = lambda self, x: calls.append(x) or window(self, x)  # noqa: E731
+    monkeypatch.setattr(counting._Fields, "window", spy)
+    line, grand = PathConstraints(zigzag=True, min_y=-2), PathConstraints(min_y=-3)
+    for n, altitude, c in ((600, ALL, line), (600, NONNEG, line), (400, 6, ZZ), (300, ALL, grand)):
+        assert counting._fields(n, c, end=altitude).packed
+        calls.clear()
+        count_paths(n, altitude, c)
+        assert len(calls) <= 4, (n, altitude, c, len(calls))
