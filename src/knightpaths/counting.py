@@ -4,8 +4,9 @@ The ground-truth engine.  Every counting entry point is a view over one
 forward sweep along x (_sweep) with state (y, last direction).  Without a
 step count, each row (one per last direction) is one int whose fixed-width
 fields are its cells, so a move is one shift and one add, not one int per
-cell; past a measured field width, and for bands the list layout mirrors,
-a row is a list of cells.  When the steps used are asked for, each cell
+cell, and every column's window is planned once, before the first one;
+past a measured field width, and for bands the list layout mirrors, a row
+is a list of cells.  When the steps used are asked for, each cell
 packs its counts by step count into one int (_Fields), so a column keeps
 one row per direction whatever the step counts.  The last direction is 0
 for the empty prefix, and it is tracked only where the query reads it
@@ -33,7 +34,12 @@ of the same size, altitude change and step count whose last direction is
 the rest's first, so the sweep's own columns at n - h and n - h - 1 count
 it.  Any other single-size count (a band, one line, a first or last
 direction) sweeps to n and skips prefixes that can no longer end with its
-altitude and step count.  Counts are exact integers.
+altitude and step count.  Above a min_y line alone, ending in ALL or NONNEG
+with no last direction, a packed such sweep with fields past RETIRE_BYTES
+also retires each cell whose every completion counts (one that no run of
+the remaining size can take below the line or the axis): its count times
+the number of completions goes straight into the answer, so the rows
+shrink as the sweep nears n.  Counts are exact integers.
 
 generate() shares no code with the sweep: it is the independent oracle.
 """
@@ -154,7 +160,10 @@ class _Fields(NamedTuple):
         return 0 if self.top is None else max(0, self.top - (self.size - x) // 2)
 
     def window(self, x: int) -> tuple[int, int]:
-        """The index range [i0, i1) of the cells of column x a counted path can occupy."""
+        """The index range [i0, i1) of the cells of column x a counted path can occupy.
+
+        Read from the plan (columns) where top is None.
+        """
         if self.top is None:
             i0, i1, _ = self.columns()[0][x]
             return i0, i1
@@ -180,7 +189,7 @@ class _Fields(NamedTuple):
         i1 = [y - lo + 1 if y < lo + width else width for y in yhi]
         return i0, i1
 
-    @lru_cache(maxsize=8)
+    @lru_cache(maxsize=2)
     def columns(self) -> tuple[list[tuple[int, int, bool]], dict[int, int]]:
         """Every column's window, planned once where top is None (see window).
 
@@ -191,8 +200,8 @@ class _Fields(NamedTuple):
         reach(size - x), and may be empty.  And the columns at which a
         packed sweep's fields widen, with their field_bytes, which only grows
         with x.  Without y a row is one cell, at y = 0, with no field to
-        carry into, so it keeps its first width.  Cached: a count plans its
-        sweep and unpacks its last column from one plan.
+        carry into, so it keeps its first width.  The last two plans are
+        kept: a count sweeps and then unpacks its last column with one plan.
         """
         n = self.size
         if self.stride == 1:
