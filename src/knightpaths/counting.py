@@ -167,9 +167,11 @@ class _Fields(NamedTuple):
         if self.top is None:
             i0, i1, _ = self.columns()[0][x]
             return i0, i1
-        b0, b1 = self.base(x), min(self.top, x // 2)  # with b0 wide steps, a prefix
-        if b0 > b1:  # used at most x - b0 steps; a rest takes at most size - top - x + b1
+        b0, b1 = self.base(x), min(self.top, x // 2)
+        if b0 > b1:
             return 0, 0  # no prefix here can end with c.steps steps
+        # with b0 wide steps, a kept prefix used at most x - b0 steps; a rest
+        # takes at most size - top - x + b1, and moves y by at most back
         r = reach(x, self.zigzag, x - b0)
         back = reach(self.size - x, self.zigzag, self.size - self.top - x + b1)
         (i0,), (i1,) = self._spans([r], [back])
@@ -201,7 +203,8 @@ class _Fields(NamedTuple):
         packed sweep's fields widen, with their field_bytes, which only grows
         with x.  Without y a row is one cell, at y = 0, with no field to
         carry into, so it keeps its first width.  The last two plans are
-        kept: a count sweeps and then unpacks its last column with one plan.
+        kept, and shared, so read only: a count sweeps and then unpacks its
+        last column with one plan.
         """
         n = self.size
         if self.stride == 1:
