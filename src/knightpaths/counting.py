@@ -12,19 +12,25 @@ one row per direction whatever the step counts.  The last direction is 0
 for the empty prefix, and it is tracked only where the query reads it
 (always for zigzag paths, for grand paths only under a last_dir filter).
 The altitude y is likewise tracked only where the query reads it: a
-single-size count with no line bound and any final altitude (ALL) sweeps
-one cell per row, every move's dy taken as 0, and the view functions,
-which return distributions, keep full columns.  A zigzag sweep of list
+count or a row of sizes with no line bound and any final altitude (ALL)
+sweeps one cell per row, every move's dy taken as 0, and the views that
+return distributions keep full columns.  A zigzag sweep of list
 rows over a band symmetric about the axis, with no first_dir, builds only
 its rising rows and reads each falling row as their mirror image.  A list
 row's first contribution is copied into it; only later ones are added
 cell by cell.  Steps advance x by 1 or 2, so the sweep keeps a rolling
 window of three columns: O(n) cells for a size-n count (one per
 row without y), each an int of O(n) bits, or of O(n^2) bits when it packs
-the O(n) step counts it can hold.  It yields every column, so a whole row of
-sizes costs one pass.  The band is clipped to the reach of a size-n path
-(paths.reach: |y| <= 2n, and (n + 5) // 3 for zigzag paths), and each
-column extends only the cells a path can occupy.
+the O(n) step counts it can hold.  The band is clipped to the reach of a
+size-n path (paths.reach: |y| <= 2n, and (n + 5) // 3 for zigzag paths),
+and each column extends only the cells a path can occupy.
+
+The sweep yields every column, so a whole row of sizes costs one pass.
+count_row sweeps in count()'s layout with no end window and reads one
+number per column straight off the rows, with no distribution built: a
+packed sum of rows is folded by halves over the fields its altitude filter
+keeps, a list row summed over a slice.  primitive_row and
+step_count_distributions likewise read every column of one sweep.
 
 A single-size count with no line bound and no first or last direction
 sweeps only to h = ceil(n/2) and joins that sweep's columns (_join): every
@@ -32,9 +38,10 @@ size-n path has one last vertex with x <= h, at x = h or at h - 1 before a
 wide step, and the rest of the path, reversed, is a path from the origin
 of the same size, altitude change and step count whose last direction is
 the rest's first, so the sweep's own columns at n - h and n - h - 1 count
-it.  Any other single-size count (a band, one line, a first or last
-direction) sweeps to n and skips prefixes that can no longer end with its
-altitude and step count.  Above a min_y line alone, ending in ALL or NONNEG
+it.  So does a count whose lines no path of the size can cross, when it
+has no first or last direction.  Any other single-size count (a band, one
+line, a first or last direction) sweeps to n and skips prefixes that can
+no longer end with its altitude and step count.  Above a min_y line alone, ending in ALL or NONNEG
 with no last direction, a packed such sweep with fields past RETIRE_BYTES
 also retires each cell whose every completion counts (one that no run of
 the remaining size can take below the line or the axis): its count times
@@ -705,17 +712,27 @@ def _join(size: int, altitude: AltitudeFilter, c: PathConstraints, by_y: bool) -
     return total
 
 
+def _out_of_reach(size: int, c: PathConstraints) -> bool:
+    """Whether c has a line bound and no path of the size can cross any of them."""
+    r = reach(size, c.zigzag)
+    low, high = c.min_y is None or c.min_y <= -r, c.max_y is None or c.max_y >= r
+    return (c.min_y, c.max_y) != (None, None) and low and high
+
+
 def count(query: CountQuery) -> int:
     """Exact number of paths matching the query.
 
     With no min_y, max_y, first_dir or last_dir, from half a sweep joined
-    with itself (_join); otherwise from a sweep to the size whose end
-    window skips the prefixes that cannot end in the query, and which
-    above a line may retire the cells whose every completion counts.
+    with itself (_join), which also counts lines that no path of the size
+    can cross when no direction is set; otherwise from a sweep to the size
+    whose end window skips the prefixes that cannot end in the query, and
+    which above a line may retire the cells whose every completion counts.
     Either sweep tracks y only under a line bound or an altitude filter
     other than ALL.
     """
     size, altitude, c = query.size, query.altitude, query.constraints
+    if (c.first_dir, c.last_dir) == (None, None) and _out_of_reach(size, c):
+        c = replace(c, min_y=None, max_y=None)  # no path of the size meets its lines
     by_y = (c.min_y, c.max_y, altitude) != (None, None, ALL)  # does anything read y?
     if (c.min_y, c.max_y, c.first_dir, c.last_dir) == (None,) * 4:
         return _join(size, altitude, c, by_y)
@@ -748,10 +765,71 @@ def count_row(
     constraints: PathConstraints | None = None,
     **kwargs,
 ) -> list[int]:
-    """[count(size=0), ..., count(size=n_max)] for a fixed query template."""
+    """[count(size=0), ..., count(size=n_max)] for a fixed query template.
+
+    One sweep in count()'s layout with no end window, y dropped where
+    count() drops it, read one number per column: the rows the direction
+    filters keep are added, and a packed sum folded by halves over the
+    fields the altitude filter keeps (_folded), a list sum summed over its
+    slice.  With c.steps, from the distributions.
+    """
     c = constraints if constraints is not None else PathConstraints(**kwargs)
     CountQuery(0, altitude, c)  # validates the altitude filter
-    return [_select(dist, altitude) for dist in altitude_distributions(n_max, c)]
+    if c.steps is not None:
+        return [_select(dist, altitude) for dist in altitude_distributions(n_max, c)]
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    by_y = (c.min_y, c.max_y, altitude) != (None, None, ALL)
+    fields = _fields(n_max, c, by_y=by_y)
+    lo, width = fields.lo, fields.width
+    # the cells [a, b) the altitude filter keeps
+    if altitude == ALL:
+        a, b = 0, width
+    elif altitude == NONNEG:
+        a, b = -lo, width
+    else:
+        a, b = (min(max(i, 0), width) for i in (altitude - lo, altitude - lo + 1))
+    keys = [c.last_dir] if c.last_dir is not None else [UP, DOWN, ANY]
+    if c.first_dir is None and c.last_dir is None:
+        keys.append(0)  # the empty path's row
+    out = []
+    if fields.packed:
+        spans, widths = fields.columns()
+        held, masks = widths[0], {}
+        for x, col in enumerate(_sweep(n_max, c, by_y=by_y)):
+            held = widths.get(x, held)
+            w, (i0, i1, _) = 8 * held, spans[x]
+            j0, j1 = max(a, i0) - i0, min(b, i1) - i0  # the kept fields of the window
+            v = sum(col[d] for d in keys if d in col) >> j0 * w if j0 < j1 else 0
+            if isinstance(altitude, int):
+                out.append(v & _mask(w, masks))
+            else:
+                out.append(_folded(v, j1 - j0, w, masks))
+        return out
+    for col in _sweep(n_max, c, by_y=by_y):
+        out.append(sum(sum(col[d][a:b]) for d in keys if d in col))
+    return out
+
+
+def _mask(bits: int, masks: dict) -> int:
+    """(1 << bits) - 1, kept in masks by bits."""
+    mask = masks.get(bits)
+    if mask is None:
+        mask = masks[bits] = (1 << bits) - 1
+    return mask
+
+
+def _folded(v: int, n: int, w: int, masks: dict) -> int:
+    """The sum of the n fields of w bits that v holds, when it stays below 2^w.
+
+    Folded by halves: the high half of the fields is added onto the low
+    half, a sum of fields with no carry from one into the next, until one
+    field is left.  About log2 n rounds of a mask, a shift and an add.
+    """
+    while n > 1:
+        h = (n + 1) // 2
+        v, n = (v & _mask(h * w, masks)) + (v >> h * w), h
+    return v
 
 
 def altitude_distribution(
@@ -784,6 +862,18 @@ def step_count_distribution(
     c = replace(constraints, steps=None)
     col, lo = _final(size, c, by_steps=True), _floor(size, c)
     return _tally(col, lo, c, lambda y, d, used: (y, used))
+
+
+def step_count_distributions(
+    n_max: int, constraints: PathConstraints
+) -> Iterator[dict[tuple[int, int], int]]:
+    """step_count_distribution(n, constraints) for n = 0..n_max, from one sweep."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    c = replace(constraints, steps=None)
+    fields = _fields(n_max, c, by_steps=True)
+    for x, col in enumerate(_sweep(n_max, c, by_steps=True)):
+        yield _tally(fields.unpack(col, x), fields.lo, c, lambda y, d, used: (y, used))
 
 
 def generate(
@@ -823,22 +913,34 @@ def generate(
     return out
 
 
+def primitive_row(n_max: int) -> list[int]:
+    """[count_primitive(0), ..., count_primitive(n_max)], from one sweep.
+
+    Zigzag paths of altitude 0 whose interior vertices avoid the x-axis;
+    the empty path counts as 1.  Each column x > 0 is read at y = 0, and
+    those arrivals are then cleared, so none is extended.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    c = PathConstraints(zigzag=True)
+    axis = -_floor(n_max, c)  # index of y = 0
+    out = [1]  # the empty path; a size-0 sweep packs its one cell
+    for x, col in enumerate(_sweep(n_max, c, every=True)):
+        if x:  # list rows, whose axis cells are a mirror-symmetric set
+            out.append(sum(row[axis] for row in col.values()))
+            for row in col.values():
+                row[axis] = 0
+    return out
+
+
 def count_primitive(size: int) -> int:
     """Zigzag paths of altitude 0 whose interior vertices avoid the x-axis.
 
-    The empty path counts as 1.  The sweep's arrivals at y = 0 are cleared
-    in every column strictly inside (0, size), so none is extended.
+    The empty path counts as 1.  The last entry of primitive_row(size).
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    c = PathConstraints(zigzag=True)
-    fields = _fields(size, c, every=True)
-    axis = -fields.lo  # index of y = 0
-    for x, col in enumerate(_sweep(size, c, every=True)):
-        if 0 < x < size:  # list rows: only a size-0 sweep packs its one cell
-            for row in col.values():
-                row[axis] = 0
-    return sum(row[axis] for row in fields.unpack(col, size).values())
+    return primitive_row(size)[-1]
 
 
 def grand_row_stats(n_max: int) -> dict[str, list[int]]:

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from knightpaths.cli import main
-from knightpaths.counting import altitude_distribution
+from knightpaths.counting import altitude_distribution, count_primitive, step_count_distribution
 from knightpaths.paths import PathConstraints
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,7 +25,7 @@ COMMANDS = [
     ["count", "--size", "30", "--zigzag", "--altitude", "2", "--steps", "22"],
     ["count", "--size", "40", "--zigzag", "--altitude", "-3"],
     ["table", "--zigzag", "--n-max", "12", "--k-max", "4"],
-    # grand_row_stats and count_primitive, then step_count_distribution
+    # grand_row_stats and the primitive row, then the step-count rows
     ["verify", "--level", "quick", "--only", "2-sequence"],
     ["verify", "--level", "quick", "--only", "8-step"],
 ]
@@ -46,9 +46,15 @@ for argv in json.loads(sys.argv[2]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runs.append([cli.main(argv), out.getvalue()])
-# the bench's reference values call altitude_distribution
-dist = counting.altitude_distribution(8, PathConstraints(zigzag=True))
-json.dump({"runs": runs, "dist": sorted(dist.items()), "layers": tracer.metrics(tr)}, sys.stdout)
+# the bench's reference values call altitude_distribution and count_primitive,
+# and the tracer hooks count_primitive and step_count_distribution by name
+zigzag = PathConstraints(zigzag=True)
+dist = counting.altitude_distribution(8, zigzag)
+primitive = counting.count_primitive(14)
+steps = counting.step_count_distribution(6, zigzag)
+json.dump({"runs": runs, "dist": sorted(dist.items()), "primitive": primitive,
+           "steps": sorted([*k, v] for k, v in steps.items()), "layers": tracer.metrics(tr)},
+          sys.stdout)
 """
 
 
@@ -77,9 +83,22 @@ def _traced(commands: list[list[str]], capsys) -> dict:
 
 def test_traced_commands_match_untraced(capsys):
     traced = _traced(COMMANDS, capsys)
-    dist = altitude_distribution(8, PathConstraints(zigzag=True))
+    zigzag = PathConstraints(zigzag=True)
+    dist = altitude_distribution(8, zigzag)
     assert traced["dist"] == [list(kv) for kv in sorted(dist.items())]
+    assert traced["primitive"] == count_primitive(14) == 18
+    steps = step_count_distribution(6, zigzag)
+    assert traced["steps"] == sorted([*k, v] for k, v in steps.items())
     assert traced["layers"]["counting.dp_cells"] > 0
+
+
+def test_hooked_views_are_still_traced(capsys):
+    """The tracer counts DP cells on calls to count_primitive and
+    step_count_distribution by their arguments; verify reads their rows
+    instead, so the traced script calls them itself.  The tracer books
+    (size + 1) times a 4 size + 1 band for each: 15 * 57 and 7 * 25 cells."""
+    layers = _traced([], capsys)["layers"]
+    assert layers["counting.dp_cells"] == 15 * 57 + 7 * 25
 
 
 def test_memoised_kernel_roots_are_still_traced(capsys):

@@ -490,14 +490,16 @@ def test_only_counts_that_read_no_altitude_drop_it(monkeypatch):
         PathConstraints(last_dir=UP, steps=7),
     ):
         count_paths(9, ALL, c)
-    assert widths == [1] * 7
+    count_row(9, ALL, ZZ)  # a row of sizes drops y as a count does
+    count_row(9, ALL, PathConstraints(first_dir=UP))
+    assert widths == [1] * 9
     widths.clear()
     count_paths(9, NONNEG, ZZ)
     count_paths(9, 1)
     count_paths(9, ALL, zigzag=True, min_y=-2)
     count_paths(9, ALL, max_y=2)
     count_paths(9, 0, zigzag=True, first_dir=UP)
-    count_row(9, ALL, ZZ)
+    count_row(9, NONNEG, ZZ)
     altitude_distribution(9, ZZ)
     altitude_distribution(9, PathConstraints())
     step_count_distribution(9, ZZ)
@@ -634,7 +636,7 @@ def test_steps_counts_with_a_line_match_generation(paths_of):
 def test_yielded_rows_are_their_own_lists(c, kw):
     """A list row is a list of its own and a packed row an int in a column of
     its own, so a caller may clear cells of a yielded column in place, as
-    count_primitive does."""
+    primitive_row does."""
     fields = counting._fields(12, c, **kw)
     cols = list(counting._sweep(12, c, **kw))
     assert fields.packed == all(isinstance(row, int) for col in cols for row in col.values())
@@ -688,9 +690,10 @@ def test_packed_rows_widen_their_fields_at_every_size():
                 assert count_paths(n, -5, zigzag=True) == closedforms.zigzag_count_closed(n, -5), n
             else:
                 assert count_paths(n, 2) == row[n], n
-    # the views read every column, so they keep list rows, and agree
+    # the distributions read every cell, so they keep list rows; count_row
+    # reads the packed rows, and agrees
     assert not counting._fields(400, ZZ, every=True).packed
-    assert count_row(400, NONNEG, ZZ) == nonneg
+    assert counting._fields(400, ZZ).packed and count_row(400, NONNEG, ZZ) == nonneg
 
 
 def _first_size(c, n, packed, size_of=lambda n: n):
@@ -802,7 +805,7 @@ def test_retiring_counts_match_generation(paths_of, monkeypatch):
 
 
 def test_retiring_counts_match_the_list_rows():
-    # the rows of count_row are lists and retire nothing; each set's sizes
+    # the rows of the distributions are lists and retire nothing; each set's sizes
     # lie on both sides of RETIRE_BYTES
     sets = ((True, (100, 190, 200, 599, 1000)), (False, (40, 60, 90, 150, 300)))
     for zigzag, sizes in sets:
@@ -832,3 +835,143 @@ def test_a_packed_count_plans_its_windows_once(monkeypatch):
         calls.clear()
         count_paths(n, altitude, c)
         assert len(calls) <= 4, (n, altitude, c, len(calls))
+
+
+# -- rows of sizes from one sweep ------------------------------------------------
+
+ROW_BOUNDS = [{}, dict(min_y=-2), dict(min_y=0), dict(max_y=3), dict(min_y=-1, max_y=2)]
+ROW_DIRECTIONS = [{}, dict(first_dir=UP), dict(last_dir=DOWN), dict(first_dir=DOWN, last_dir=UP)]
+ROW_ALTITUDES = (ALL, NONNEG, 0, 1, -2, 3, -7, 30)  # the last two lie outside some windows
+
+
+@pytest.mark.parametrize("zigzag", [True, False])
+def test_count_row_reads_packed_and_list_rows_as_generation(paths_of, monkeypatch, zigzag):
+    # count_row reads one number per column, folded from a packed row or
+    # summed over a list row's slice; both layouts against generation
+    top = 12 if zigzag else 9
+    free = [paths_of(n, PathConstraints(zigzag=zigzag)) for n in range(top + 1)]
+    for bounds in ROW_BOUNDS:
+        for dirs in ROW_DIRECTIONS:
+            c = PathConstraints(zigzag=zigzag, **bounds, **dirs)
+            kept = [[p for p in paths if validate_path(p, c)] for paths in free]
+            for altitude in ROW_ALTITUDES:
+                want = [sum(_alt_ok(p, altitude) for p in paths) for paths in kept]
+                assert count_row(top, altitude, c) == want, (c, altitude)
+                assert count_row(0, altitude, c) == want[:1], (c, altitude)
+                with monkeypatch.context() as m:  # list rows, but for rows of one cell
+                    m.setattr(counting, "PACKED_BYTES", 0)
+                    assert count_row(top, altitude, c) == want, (c, altitude)
+
+
+def _distribution_row(n_max, altitude, c):
+    """count_row by the distributions, which read every cell of every column."""
+    return [_select(dist, altitude) for dist in counting.altitude_distributions(n_max, c)]
+
+
+def test_count_row_on_both_sides_of_the_packed_widths():
+    # a line's rows pack up to PACKED_BYTES, an unbounded zigzag sweep's (which
+    # list rows mirror) from 9 to PACKED_BYTES // 2 bytes
+    line = PathConstraints(zigzag=True, min_y=-2)
+    n = _first_size(line, 1400, False)
+    above = recurrences.above_line_row(2, n + 1)
+    assert counting._fields(n - 1, line).packed
+    assert count_row(n - 1, ALL, line) == above[:n] and count_row(n, ALL, line) == above
+    low = _first_size(ZZ, 2, True)
+    high = _first_size(ZZ, low, False)
+    assert counting._path_bytes(low, True) == 9
+    assert counting._path_bytes(high, True) > counting.PACKED_BYTES // 2
+    nonneg = recurrences.zigzag_nonneg_row(high + 1)
+    six = recurrences.zigzag_altitude_row(6, high + 1)
+    for size in (low - 1, low, high - 1, high):
+        assert count_row(size, NONNEG, ZZ) == nonneg[: size + 1], size
+        assert count_row(size, -6, ZZ) == six[: size + 1], size
+    # a grand band, and a directed zigzag line, against the distributions
+    band = PathConstraints(min_y=-2, max_y=5)
+    n = _first_size(band, 600, False)
+    row = transfer.band_gf(band, 1).expand(n + 1)
+    assert count_row(n - 1, 1, band) == row[:n] and count_row(n, 1, band) == row
+    directed = PathConstraints(zigzag=True, min_y=-3, first_dir=UP, last_dir=DOWN)
+    for altitude in (ALL, NONNEG, 2):
+        assert count_row(200, altitude, directed) == _distribution_row(200, altitude, directed)
+
+
+def test_count_row_with_steps_reads_the_distributions(paths_of):
+    directed = PathConstraints(steps=4, min_y=-1, first_dir=UP)
+    for c in (PathConstraints(zigzag=True, steps=5), directed):
+        for altitude in (ALL, NONNEG, 1):
+            want = [sum(_alt_ok(p, altitude) for p in paths_of(n, c)) for n in range(10)]
+            assert count_row(9, altitude, c) == want, (c, altitude)
+    with pytest.raises(ValueError):
+        count_row(-1, ALL, ZZ)
+    with pytest.raises(ValueError):
+        count_row(3, "some", ZZ)
+
+
+def test_primitive_row_is_every_primitive_count(paths_of):
+    row = counting.primitive_row(40)
+    assert row == [count_primitive(n) for n in range(41)]
+    assert row[:23] == list(fixtures.SEQUENCES["zigzag-primitive"].terms)
+    assert counting.primitive_row(0) == [1] and counting.primitive_row(1) == [1, 0]
+    for n in range(1, 13):
+        brute = sum(
+            p.altitude == 0 and all(y != 0 for (x, y) in p.vertices()[1:-1])
+            for p in paths_of(n, ZZ)
+        )
+        assert row[n] == brute, n
+    with pytest.raises(ValueError):
+        counting.primitive_row(-1)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        ZZ,
+        PathConstraints(zigzag=True, first_dir=UP),
+        PathConstraints(zigzag=True, first_dir=DOWN, min_y=-2),
+        PathConstraints(zigzag=True, last_dir=UP, max_y=3, steps=4),  # steps is ignored
+        PathConstraints(),
+        PathConstraints(min_y=-1, max_y=2, first_dir=UP),
+    ],
+)
+def test_step_count_rows_are_every_size_distribution(c):
+    for n_max in (0, 1, 14):
+        rows = list(counting.step_count_distributions(n_max, c))
+        assert rows == [step_count_distribution(n, c) for n in range(n_max + 1)], n_max
+    with pytest.raises(ValueError):
+        next(counting.step_count_distributions(-1, c))
+
+
+@pytest.mark.parametrize("zigzag", [True, False])
+def test_a_line_no_path_crosses_counts_as_none(paths_of, monkeypatch, zigzag):
+    # without a direction filter, a count whose lines lie past the reach
+    # takes the unbounded route; it equals the sweep that keeps the line
+    joins = []
+    join = counting._join
+    monkeypatch.setattr(counting, "_join", lambda *a: joins.append(a) or join(*a))
+    for n in (0, 1, 4, 9, 40):
+        r = reach(n, zigzag)
+        lines = [dict(min_y=-r), dict(min_y=-r - 1), dict(max_y=r + 3), dict(min_y=-r, max_y=r)]
+        reachable = [dict(min_y=-r + 1), dict(max_y=r - 1), dict(min_y=-r - 2, max_y=r - 1)]
+        for bounds in lines + reachable:
+            if bounds.get("min_y", 0) > 0 or bounds.get("max_y", 0) < 0:
+                continue  # no such line at size 0
+            for steps in (None, n - n // 3 or None):
+                c = PathConstraints(zigzag=zigzag, steps=steps, **bounds)
+                free = paths_of(n, PathConstraints(zigzag=zigzag)) if n <= 9 else ()
+                kept_paths = [p for p in free if validate_path(p, c)]
+                for altitude in (ALL, NONNEG, 0, -1):
+                    joins.clear()
+                    got = count_paths(n, altitude, c)
+                    assert bool(joins) == (bounds in lines), (n, bounds)
+                    with monkeypatch.context() as m:
+                        m.setattr(counting, "_out_of_reach", lambda size, c: False)
+                        kept = count_paths(n, altitude, c)
+                    assert got == kept, (n, bounds, steps, altitude)
+                    if n <= 9:
+                        want = sum(_alt_ok(p, altitude) for p in kept_paths)
+                        assert got == want, (n, bounds, steps, altitude)
+    # a directed count keeps its line, which it retires against
+    c = PathConstraints(zigzag=zigzag, min_y=-reach(30, zigzag), first_dir=UP)
+    joins.clear()
+    assert count_paths(30, NONNEG, c) == count_paths(30, NONNEG, replace(c, min_y=None))
+    assert not joins

@@ -7,16 +7,17 @@ products of the root;
 check 3 compares every band's transfer row with the DP and certifies its
 reduced fraction against the elimination's, and checks 1, 3 and 6 read the
 zigzag altitude and line rows that `gf` prints.  Each test
-below corrupts one input and expects its check to go red, so a check that
-always passes would show here.
+below but the last corrupts one input and expects its check to go red, so
+a check that always passes would show here; the last bounds the DP sweeps
+a quick run makes.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from knightpaths import poly, recurrences, transfer, verification
-from knightpaths.paths import PathConstraints
+from knightpaths import counting, poly, recurrences, transfer, verification
+from knightpaths.paths import DOWN, UP, PathConstraints
 
 
 def _corrupted(row: list[int], index: int, by: int = 1) -> list[int]:
@@ -180,3 +181,43 @@ def test_a_corrupted_gf_row_fails_each_check_that_reads_it(
     passed, detail = _check(check)
     assert not passed and detail.startswith(want), detail
 
+
+
+def test_a_corrupted_primitive_row_fails_check_2(monkeypatch):
+    """Check 2 reads the primitive row of the DP from one sweep."""
+    honest = counting.primitive_row
+    monkeypatch.setattr(counting, "primitive_row", lambda n: _corrupted(honest(n), 14))
+    passed, detail = _check("2-sequence-fixtures")
+    assert not passed and detail.startswith("zigzag-primitive: "), detail
+
+
+@pytest.mark.parametrize("first", [UP, DOWN])
+def test_a_corrupted_step_count_row_fails_check_8(monkeypatch, first):
+    """Check 8 reads one row of step-count tables per first direction."""
+    honest = counting.step_count_distributions
+
+    def patched(n_max, c):
+        for n, table in enumerate(honest(n_max, c)):
+            if n == 5 and c.first_dir == first:
+                table = {**table, (1, 3): table.get((1, 3), 0) + 1}
+            yield table
+
+    monkeypatch.setattr(counting, "step_count_distributions", patched)
+    passed, detail = _check("8-step-refinement")
+    assert not passed and detail.startswith("(5,1,3,"), detail
+
+
+def test_a_quick_verify_sweeps_each_row_once(monkeypatch):
+    """A quick run reads its DP rows of sizes from one sweep each: 53 sweeps,
+    where reading the primitive and step-count tables one size at a time
+    took 89."""
+    sweep, sizes = counting._sweep, []
+
+    def spy(n_max, *args, **kwargs):
+        sizes.append(n_max)
+        return sweep(n_max, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "_sweep", spy)
+    results = list(verification.run_checks("quick"))
+    assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
+    assert len(sizes) <= 53, len(sizes)
