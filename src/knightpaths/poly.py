@@ -52,6 +52,23 @@ def mul(p: Poly, q: Poly) -> Poly:
     return out
 
 
+def mul_low(p: Poly, q: Poly, n: int) -> Poly:
+    """p q mod z^n as exactly n coefficients, zeros included.
+
+    No product above z^(n - 1) is formed, and none with a zero factor: the
+    root's powers that `verify` multiplies are odd or even series.
+    """
+    out = [0] * n
+    taps = [(j, e) for j, e in enumerate(q[:n]) if e]
+    for i, c in enumerate(p[:n]):
+        if c:
+            for j, e in taps:
+                if i + j >= n:
+                    break
+                out[i + j] += c * e
+    return out
+
+
 def shift(p: Poly, k: int, factor: int = 1) -> Poly:
     """factor * z^k * p."""
     return [0] * k + [factor * c for c in p] if p else []

@@ -32,6 +32,12 @@ a grand step by at most 2.  A row with zeros left of the pivot column is
 only ever scaled by the elimination, so it is left alone until the column
 reaches it, and the cost grows with the band's span, not with the order.
 
+`band_gf` keeps each fraction per process in a bounded cache and shares it
+read-only, as `recurrences` keeps its rows: verify's checks, the rows of
+`span_exact_row` across k, and a process that asks for several rows of one
+band derive each band once.  `band_gfs`, which takes a list of filters, is
+not cached.
+
 The engine is independent of the DP and of the kernel-method series.
 `verify` and the tests check its bands against the DP.  Its polynomial
 arithmetic is that of `poly`, which it shares with `recurrences` but not
@@ -40,6 +46,7 @@ with the DP, the closed forms or `LaurentSeries`.
 
 from __future__ import annotations
 
+import functools
 from operator import add, sub
 from typing import Sequence
 
@@ -194,12 +201,19 @@ def band_gfs(c: PathConstraints, altitudes: Sequence) -> list[RationalGF]:
         _, p_red, q_red = poly.cofactors(p, q)
         unit = q_red[0]  # the gcd divides Q and Q(0) = 1, so Q_red(0) = +-1: make it 1
         out.append(RationalGF(poly.shift(p_red, 0, unit), poly.shift(q_red, 0, unit)))
-        out[-1].unreduced = p, q
+        out[-1].unreduced = tuple(p), tuple(q)
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def band_gf(c: PathConstraints, altitude=ALL) -> RationalGF:
-    """The rational generating function of one altitude filter in a band, in lowest terms."""
+    """The rational generating function of one altitude filter in a band, in lowest terms.
+
+    Each fraction is kept per process, up to the 64 used last, and shared
+    read-only: its parts are tuples, and a caller expands it, never changes
+    it.  The cache keys the arguments as passed, so the callers here always
+    pass the altitude and one fraction has one entry.
+    """
     return band_gfs(c, (altitude,))[0]
 
 
@@ -211,7 +225,8 @@ def span_exact_row(k: int, count: int) -> list[int]:
     touch both, and summing every window m = 0..k counts each path once.
     Folding to half the windows with a factor 2 would overcount when k is
     even: the symmetric window is its own mirror image.  Band totals are
-    reflection-invariant, so each band and its mirror image are derived once.
+    reflection-invariant, so a band and its mirror image share one fraction,
+    which `band_gf` keeps for every later k.
     No zigzag path of these sizes leaves [-r, r], r = paths.reach(count - 1,
     True), so a wall past r is never touched: each window is clamped to
     [-r, r] first, and the cost is bounded by the sizes, however large k is.
@@ -228,7 +243,7 @@ def span_exact_row(k: int, count: int) -> list[int]:
         key = (min(m, top), max(m, top))
         if key not in rows:
             c = PathConstraints(zigzag=True, min_y=-key[0], max_y=key[1])
-            rows[key] = band_gf(c).expand(count)
+            rows[key] = band_gf(c, ALL).expand(count)
         return rows[key]
 
     out = [0] * count

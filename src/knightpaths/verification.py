@@ -21,8 +21,12 @@ root's own products.
 
 Levels: "quick" runs reduced ranges; "full" runs the complete ranges,
 including the large-size asymptotic gates.  On a 2-core VM the checks take
-about 24 ms and 0.11 s on a first run in a fresh process (20 and 90 ms
-warm).  The DP rows of sizes they read come from one sweep each.
+about 24 ms and 0.11 s on a first run in a fresh process (14 and 76 ms
+warm, when the band fractions are kept from the first run).  The DP rows
+of sizes they read come from one sweep each, and check 1 sums each span's
+band rows once for every k that reads them.  Each band fraction is derived
+once per process (`transfer.band_gf`), and check 4 maps each composition
+pair once.
 """
 
 from __future__ import annotations
@@ -73,33 +77,35 @@ def check_table_fixtures(level: str = "quick") -> tuple[bool, str]:
             got = closedforms.zigzag_count_closed(n, k)
             if got != want:
                 problems.append(f"zigzag closed ({n},{k})={got} != {want}")
+    sums: dict[int, list[int]] = {}
     for k in (1, 2, 3):
         row = transfer.span_exact_row(k, 17)
         if tuple(row) != SPAN_TABLE[k - 1]:
             problems.append(f"span transfer k={k}: {row}")
-        dp_row = _span_row_dp(16, k)
+        dp_row = _span_row_dp(16, k, sums)
         if tuple(dp_row) != SPAN_TABLE[k - 1]:
             problems.append(f"span DP k={k}: {dp_row}")
     return not problems, "; ".join(problems) or "3 tables, 2 or 3 engines each"
 
 
-def _span_row_dp(n_max: int, k: int) -> list[int]:
+def _span_row_dp(n_max: int, k: int, sums: dict[int, list[int]] | None = None) -> list[int]:
     """Exact-span counts for sizes 0..n_max from banded DP rows.
 
     S(j) sums the rows of the span-j bands [-m, j - m], m = 0..j.  A path of
     span s lies in max(0, j - s + 1) of them, so by inclusion-exclusion the
-    paths of span exactly k number S(k) - 2 S(k - 1) + S(k - 2).
+    paths of span exactly k number S(k) - 2 S(k - 1) + S(k - 2).  Each S(j)
+    is summed into sums, keyed by j, unless sums holds it already: check 1
+    passes one dict, at one n_max, for every k, so each S(j) is summed once.
     """
-
-    def spans(j: int) -> list[int]:
-        total = [0] * (n_max + 1)
-        for m in range(j + 1):
-            row = counting.count_row(n_max, ALL, _zigzag(min_y=-m, max_y=j - m))
-            total = [a + b for a, b in zip(total, row)]
-        return total
-
-    s_k, s_k1, s_k2 = spans(k), spans(k - 1), spans(k - 2)
-    return [a - 2 * b + c for a, b, c in zip(s_k, s_k1, s_k2)]
+    sums = {} if sums is None else sums
+    for j in range(k - 2, k + 1):
+        if j not in sums:
+            total = [0] * (n_max + 1)
+            for m in range(j + 1):
+                row = counting.count_row(n_max, ALL, _zigzag(min_y=-m, max_y=j - m))
+                total = [a + b for a, b in zip(total, row)]
+            sums[j] = total
+    return [a - 2 * b + c for a, b, c in zip(sums[k], sums[k - 1], sums[k - 2])]
 
 
 # -- criterion 2: sequence fixtures ------------------------------------------
@@ -165,7 +171,7 @@ def check_cross_engine(level: str = "quick") -> tuple[bool, str]:
         for M in range(max(m, 1), 4):
             band = _zigzag(min_y=-m, max_y=M)
             dp_row = counting.count_row(band_top, ALL, band)
-            gf = transfer.band_gf(band)
+            gf = transfer.band_gf(band, ALL)
             transfer_row = gf.expand(band_top + 1)
             if transfer_row != dp_row:
                 problems.append(f"band m={m} M={M}: transfer={transfer_row} dp={dp_row}")
@@ -183,11 +189,14 @@ def check_bijections(level: str = "quick") -> tuple[bool, str]:
     band_size_top = 16 if level == "full" else 12
     problems = []
     pairs = 0
+    images: dict[tuple[int, int], set] = {}  # (n, m) -> the distinct rising images
     for n in range(weight_top + 1):
         for m in range(weight_top + 1 - n):
+            seen = images[n, m] = set()
             for pair in bijections.composition_pairs(n, m):
                 pairs += 1
                 path = bijections.pair_to_path(pair)
+                seen.add(path.steps)
                 if path.size != n + m or path.altitude != m - n:
                     problems.append(f"size/altitude bookkeeping {pair}")
                 if path.steps and path.steps[0].direction != UP:
@@ -206,13 +215,10 @@ def check_bijections(level: str = "quick") -> tuple[bool, str]:
         for k in range(-n, n + 1):
             if (n - k) % 2:
                 continue
-            images = {
-                bijections.pair_to_path(p).steps
-                for p in bijections.composition_pairs((n - k) // 2, (n + k) // 2)
-            }
+            got = len(images[(n - k) // 2, (n + k) // 2])
             want = closedforms.zigzag_count_one_sided(n, k)
-            if len(images) != want:
-                problems.append(f"image count ({n},{k}): {len(images)} != {want}")
+            if got != want:
+                problems.append(f"image count ({n},{k}): {got} != {want}")
     # narrow band: round trip over every qualifying path
     band = _zigzag(min_y=-1, max_y=1)
     for size in range(4, band_size_top + 1, 2):
@@ -241,8 +247,8 @@ def _residual(equation, row: list[int]) -> list[int]:
     n = len(row)
     total, power = [], [1]
     for c in equation:
-        total = poly.add(total, poly.mul(c, power)[:n])
-        power = poly.mul(power, row)[:n]
+        total = poly.add(total, poly.mul_low(c, power, n))
+        power = poly.mul_low(power, row, n)
     return total
 
 
@@ -292,7 +298,7 @@ def check_kernel_certificates(level: str = "quick") -> tuple[bool, str]:
         return False, "; ".join(problems)
     root, powers = rows["small zigzag root"], [[1]]
     for _ in range(8):  # r^0, ..., r^8 by integer products
-        powers.append((poly.mul(powers[-1], root) + [0] * n)[:n])
+        powers.append(poly.mul_low(powers[-1], root, n))
     derived = [(f"r^{a} power recurrence", a, recurrences._unroll_power) for a in (2, 3, 7)]
     derived += [(f"r^{a + 1} from r^{a}", a + 1, _next_power) for a in (2, 3, 7)]
     for label, alpha, derive in derived:

@@ -6,7 +6,7 @@ from functools import cache
 
 import pytest
 
-from knightpaths import recurrences
+from knightpaths import recurrences, transfer
 from knightpaths.counting import generate
 from knightpaths.paths import Path, PathConstraints
 
@@ -32,3 +32,12 @@ def fresh_rows():
     recurrences._memo.clear()
     yield
     recurrences._memo.clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_band_fractions():
+    """No band fraction kept from another test: each test's `band_gf` runs its
+    own elimination, so a patched step or a spy on one is reached."""
+    transfer.band_gf.cache_clear()
+    yield
+    transfer.band_gf.cache_clear()

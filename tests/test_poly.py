@@ -36,6 +36,13 @@ def test_division_undoes_multiplication(p, q, unit):
     assert poly.divide(poly.mul(p, q), q, len(p)) == p
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(polys, polys, st.integers(0, 18))
+def test_low_product_is_the_cut_full_product(p, q, n):
+    """Zeros and untrimmed factors included: the first n coefficients of `mul`, zero-padded."""
+    assert poly.mul_low(p, q, n) == (poly.mul(p, q) + [0] * n)[:n]
+
+
 def test_division_names_the_first_coefficient_that_is_not_an_integer():
     assert poly.divide([1, 1], [1, -2, -2], 4) == [1, 3, 8, 22]
     # (2 + z^2) / (2 - 4z - 4z^2): z^0 and z^1 divide, z^2 leaves 13 / 2

@@ -142,6 +142,27 @@ def test_coverage_needs_two_bounds_and_no_steps(monkeypatch):
         transfer.band_gf(PathConstraints(min_y=-1, max_y=1), altitude="some")
 
 
+def test_a_kept_band_fraction_is_a_fresh_elimination_of_its_own_band():
+    """`band_gf` keeps one fraction per band and filter: the grand, zigzag and
+    directed variants of one band, whose fractions all differ, each get their
+    own entry, and a second call returns what `band_gfs` derives afresh."""
+    variants = [
+        (PathConstraints(zigzag=zigzag, min_y=-2, max_y=3, first_dir=first, last_dir=last), a)
+        for zigzag in (False, True)
+        for first in (None, UP, DOWN)
+        for last in (None, UP, DOWN)
+        for a in (ALL, NONNEG)
+    ]
+    kept = [transfer.band_gf(c, a) for c, a in variants]
+    assert len({(gf.num, gf.den) for gf in kept}) == len(variants)
+    assert transfer.band_gf.cache_info().currsize == len(variants)
+    for (c, a), gf in zip(variants, kept):
+        again, (fresh,) = transfer.band_gf(c, a), transfer.band_gfs(c, [a])
+        assert again is gf
+        assert (gf.num, gf.den, gf.unreduced) == (fresh.num, fresh.den, fresh.unreduced), (c, a)
+    assert transfer.band_gf.cache_info().hits == len(variants)
+
+
 def test_span_exact_row_is_clamped_to_the_sizes(monkeypatch):
     """A span wider than any path of the sizes reads bands no wider than
     [-r, r], r = reach(count - 1), and its row is all zeros."""
@@ -275,6 +296,7 @@ def test_band_fractions_come_in_lowest_terms(band):
 def test_a_planted_non_divisor_gcd_raises_not_rounds(monkeypatch):
     c = PathConstraints(zigzag=True, min_y=-1, max_y=2)
     want = transfer.band_gf(c).expand(40)
+    transfer.band_gf.cache_clear()  # the planted gcds must reach a fresh elimination
     monkeypatch.setattr(poly, "_heuristic_gcd", lambda p, q: None)
     monkeypatch.setattr(poly, "_remainder_gcd", lambda p, q: [1, 3])  # 1 + 3z divides neither
     with pytest.raises(ArithmeticError):

@@ -6,17 +6,20 @@ compares the powers of the root that the altitude and line rows read with
 products of the root;
 check 3 compares every band's transfer row with the DP and certifies its
 reduced fraction against the elimination's, and checks 1, 3 and 6 read the
-zigzag altitude and line rows that `gf` prints.  Each test
-below but the last corrupts one input and expects its check to go red, so
-a check that always passes would show here; the last bounds the DP sweeps
-a quick run makes.
+zigzag altitude and line rows that `gf` prints; check 4 counts each pair's
+image once.  Each test below but the last two corrupts one input and
+expects its check to go red, so a check that always passes would show
+here; the last two bound the DP sweeps, band eliminations and bijection
+images a quick run makes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from knightpaths import counting, poly, recurrences, transfer, verification
+from knightpaths import bijections, closedforms, counting, poly, recurrences, transfer, verification
 from knightpaths.paths import DOWN, UP, PathConstraints
 
 
@@ -207,17 +210,76 @@ def test_a_corrupted_step_count_row_fails_check_8(monkeypatch, first):
     assert not passed and detail.startswith("(5,1,3,"), detail
 
 
-def test_a_quick_verify_sweeps_each_row_once(monkeypatch):
-    """A quick run reads its DP rows of sizes from one sweep each: 53 sweeps,
-    where reading the primitive and step-count tables one size at a time
-    took 89."""
-    sweep, sizes = counting._sweep, []
+def test_a_wrong_one_sided_closed_form_fails_check_4(monkeypatch):
+    honest = closedforms.zigzag_count_one_sided
+    monkeypatch.setattr(
+        closedforms,
+        "zigzag_count_one_sided",
+        lambda n, k: honest(n, k) + ((n, k) == (8, 0)),
+    )
+    passed, detail = _check("4-bijections")
+    assert not passed and detail == "image count (8,0): 11 != 12", detail
 
-    def spy(n_max, *args, **kwargs):
-        sizes.append(n_max)
-        return sweep(n_max, *args, **kwargs)
 
-    monkeypatch.setattr(counting, "_sweep", spy)
+def test_two_pairs_with_one_image_fail_check_4(monkeypatch):
+    """The image counts are read off the round-trip loop's images, so a pair
+    sent to another pair's path shows there as well as in its round trip."""
+    honest = bijections.pair_to_path
+    a, b = list(bijections.composition_pairs(2, 3))[:2]
+    monkeypatch.setattr(bijections, "pair_to_path", lambda p: honest(a if p == b else p))
+    passed, detail = _check("4-bijections")
+    assert not passed, detail
+    assert detail.startswith(f"rising round trip failed: {b}"), detail
+    assert "image count (5,1): " in detail, detail
+
+
+def test_a_corrupted_band_row_fails_check_1_for_each_span_that_reads_it(monkeypatch):
+    """The span-2 band [-1, 1] enters S(2), which spans 2 and 3 both read:
+    keeping S(2) for both must not hide a wrong row from either."""
+    honest = counting.count_row
+    target = PathConstraints(zigzag=True, min_y=-1, max_y=1)
+
+    def patched(n_max, altitude, c):
+        row = honest(n_max, altitude, c)
+        return _corrupted(row, 6) if c == target else row
+
+    monkeypatch.setattr(counting, "count_row", patched)
+    passed, detail = _check("1-table-fixtures")
+    assert not passed, detail
+    assert [p.split(":")[0] for p in detail.split("; ")] == ["span DP k=2", "span DP k=3"], detail
+
+
+def _calls_in_a_quick_run(monkeypatch, *targets) -> list[int]:
+    """How often a passing quick run calls each (module, name) in targets."""
+    calls = Counter()
+
+    def spying(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return spy
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, spying(name, getattr(module, name)))
     results = list(verification.run_checks("quick"))
     assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
-    assert len(sizes) <= 53, len(sizes)
+    return [calls[name] for _, name in targets]
+
+
+def test_a_quick_verify_sweeps_each_row_once(monkeypatch):
+    """A quick run reads its DP rows of sizes from one sweep each, and check 1
+    sums each span's bands once: 45 sweeps, where reading the primitive and
+    step-count tables one size at a time took 89, and summing the span rows
+    once per k took 53."""
+    (sweeps,) = _calls_in_a_quick_run(monkeypatch, (counting, "_sweep"))
+    assert sweeps <= 45, sweeps
+
+
+def test_a_quick_verify_derives_each_band_and_image_once(monkeypatch):
+    """12 distinct (band, filter) pairs, each eliminated once (22 before the
+    fractions were kept), and 72 composition pairs, each mapped once (144)."""
+    solves, images = _calls_in_a_quick_run(
+        monkeypatch, (transfer, "_solve"), (bijections, "pair_to_path")
+    )
+    assert (solves, images) == (12, 72)
