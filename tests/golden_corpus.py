@@ -91,7 +91,23 @@ DP_COUNTS = (
         ("--size", "600", "--zigzag", "--min-y", "-2", "--nonneg"),
         ("--size", "800", "--zigzag", "--min-y", "-1", "--first", "up"),
     ]
+    # step counts: the grand end window, the zigzag join and the y-free layout
+    + [
+        ("--size", "200", "--steps", "150", "--min-y", "-2"),
+        ("--size", "200", "--steps", "140", "--first", "up", "--altitude", "2"),
+        ("--size", "120", "--zigzag", "--steps", "96", "--altitude", "-2"),
+        ("--size", "300", "--zigzag", "--steps", "199", "--first", "up", "--altitude", "1"),
+        ("--size", "200", "--zigzag", "--steps", "150", "--min-y", "-3", "--nonneg"),
+        ("--size", "120", "--steps", "90"),
+        ("--size", "240", "--zigzag", "--steps", "180"),
+    ]
 )
+# size-by-altitude tables, which read every column of one mirrored list sweep
+TABLES = [
+    ("--zigzag", "--n-max", "200", "--k-max", "6"),
+    ("--n-max", "80", "--k-max", "5", "--header"),
+    ("--zigzag", "--n-max", "20", "--k-max", "4", "--header"),
+]
 
 # every asym formula, in csv and json, over two size lists that read the
 # rows to n = 697 and to n = 2000; a formula with a band depth runs at each m
@@ -139,6 +155,7 @@ def grid() -> list[list[str]]:
     for flags in OTHER_COUNTS:
         commands += [["count", "--size", str(n), *flags, *every] for n in OTHER_SIZES]
     commands += [["count", *flags] for flags in DP_COUNTS]
+    commands += [["table", *flags] for flags in TABLES]
     for formula, entry in asymptotics.FORMULAS.items():
         depths = [("--m", str(m)) for m in ASYM_DEPTHS] if entry.takes_m else [()]
         commands += [
