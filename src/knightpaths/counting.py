@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
 from operator import add, and_, lshift, mul, neg, rshift
 from typing import Callable, Generator, Iterator, NamedTuple
@@ -85,17 +84,6 @@ class CountQuery:
             raise ValueError("size must be non-negative")
         if isinstance(self.altitude, str) and self.altitude not in (ALL, NONNEG):
             raise ValueError(f"unknown altitude filter {self.altitude!r}")
-
-
-def _floor(n_max: int, c: PathConstraints, by_y: bool = True) -> int:
-    """Lowest altitude of the sweep's band; index 0 of every column list.
-
-    0 when the sweep does not track y: each of its rows is one cell.
-    """
-    if not by_y:
-        return 0
-    r = reach(n_max, c.zigzag)
-    return -r if c.min_y is None else max(c.min_y, -r)
 
 
 # log2 of the growth of the number of paths by size: 2 F(x + 1) <= 2 phi^x zigzag
@@ -130,7 +118,7 @@ def _respace(v: int, size: int, new: int) -> int:
 
 
 class _Fields(NamedTuple):
-    """The layout of _sweep(n_max, c, by_steps, end, by_y)'s rows (see _sweep).
+    """The layout of a sweep's rows, which _fields decides and _sweep runs.
 
     A packed sweep (no steps) keeps each row as one int: field i, of
     field_bytes(x) bytes, counts cell window(x)[0] + i of column x, at
@@ -143,6 +131,8 @@ class _Fields(NamedTuple):
 
     bits: int
     size: int
+    #: the constraints the swept paths keep
+    c: PathConstraints
     #: b = size - c.steps of every counted path, when a grand sweep ends in c.steps
     top: int | None
     #: the altitude of cell 0 and the number of cells of a row
@@ -150,13 +140,18 @@ class _Fields(NamedTuple):
     width: int
     #: 2 when the sweep tracks y, which has the parity of b; else 1
     stride: int
-    zigzag: bool
     #: the altitude filter the counted paths end in, where it narrows the window
     end: AltitudeFilter | None
     packed: bool
+    #: whether the sweep builds its rising list rows alone and mirrors them (see _sweep)
+    mirror: bool
     #: a retiring sweep's floor (min_y, or 0 for NONNEG): the cells of column x
     #: at y >= retire + reach(size - x) have left their rows; else None
     retire: int | None = None
+    #: the plan where top is None (see columns): every column's (i0, i1, cut),
+    #: and the columns at which a packed sweep's fields widen, with their bytes
+    spans: list[tuple[int, int, bool]] | None = None
+    widths: dict[int, int] | None = None
 
     def base(self, x: int) -> int:
         """The fewest b in column x that can still reach top, or 0.
@@ -169,18 +164,18 @@ class _Fields(NamedTuple):
     def window(self, x: int) -> tuple[int, int]:
         """The index range [i0, i1) of the cells of column x a counted path can occupy.
 
-        Read from the plan (columns) where top is None.
+        Read from the plan (spans) where top is None.
         """
         if self.top is None:
-            i0, i1, _ = self.columns()[0][x]
+            i0, i1, _ = self.spans[x]
             return i0, i1
         b0, b1 = self.base(x), min(self.top, x // 2)
         if b0 > b1:
             return 0, 0  # no prefix here can end with c.steps steps
         # with b0 wide steps, a kept prefix used at most x - b0 steps; a rest
         # takes at most size - top - x + b1, and moves y by at most back
-        r = reach(x, self.zigzag, x - b0)
-        back = reach(self.size - x, self.zigzag, self.size - self.top - x + b1)
+        r = reach(x, self.c.zigzag, x - b0)
+        back = reach(self.size - x, self.c.zigzag, self.size - self.top - x + b1)
         (i0,), (i1,) = self._spans([r], [back])
         return i0, i1
 
@@ -198,10 +193,10 @@ class _Fields(NamedTuple):
         i1 = [y - lo + 1 if y < lo + width else width for y in yhi]
         return i0, i1
 
-    @lru_cache(maxsize=2)
     def columns(self) -> tuple[list[tuple[int, int, bool]], dict[int, int]]:
-        """Every column's window, planned once where top is None (see window).
+        """Every column's window, and the widths of a packed sweep's fields.
 
+        _fields plans them once, into spans and widths, where top is None.
         (i0, i1, cut) for x <= size + 2, the columns past size empty:
         window(x) is [i0, i1), and cut tells whether its top lies below the
         reach, where a line, the end window or retirement cuts it.  In a
@@ -209,15 +204,13 @@ class _Fields(NamedTuple):
         reach(size - x), and may be empty.  And the columns at which a
         packed sweep's fields widen, with their field_bytes, which only grows
         with x.  Without y a row is one cell, at y = 0, with no field to
-        carry into, so it keeps its first width.  The last two plans are
-        kept, and shared, so read only: a count sweeps and then unpacks its
-        last column with one plan.
+        carry into, so it keeps its first width.
         """
         n = self.size
         if self.stride == 1:
             return [(0, 1, False)] * (n + 1) + [(0, 0, False)] * 2, {0: self.field_bytes(0)}
         xs = range(n + 1)
-        ups = list(map(reach, xs, repeat(self.zigzag)))
+        ups = list(map(reach, xs, repeat(self.c.zigzag)))
         backs = ups[::-1]  # the rest of column x has size - x
         i0, i1 = self._spans(ups, backs)
         if self.retire is not None:  # but column 0's: the empty path has no last direction
@@ -238,9 +231,9 @@ class _Fields(NamedTuple):
         rounded up to 8, 12, 16, 24, 32, 48, ... (two significant bits), so a
         sweep widens its fields O(log n) times, never past its size's.
         """
-        need = max(_path_bytes(min(x + 2, self.size), self.zigzag), 8)
+        need = max(_path_bytes(min(x + 2, self.size), self.c.zigzag), 8)
         drop = need.bit_length() - 2
-        return min(-(-need >> drop) << drop, _path_bytes(self.size, self.zigzag))
+        return min(-(-need >> drop) << drop, _path_bytes(self.size, self.c.zigzag))
 
     def origins(self, b0: int, d: int | None) -> list[int]:
         """The b of field 0 of each cell of row d in a column with base b0.
@@ -251,7 +244,7 @@ class _Fields(NamedTuple):
         d, the last direction, so b >= w_u + w_v >= max(d y - 2, -d y).
         """
         ys, stride = range(self.lo, self.lo + self.width), self.stride
-        if self.zigzag and d in (UP, DOWN):  # d y - 2 and -d y have y's parity
+        if self.c.zigzag and d in (UP, DOWN):  # d y - 2 and -d y have y's parity
             return [max(b0 + (y - b0) % stride, d * y - 2, -d * y) for y in ys]
         return [b0 + (y - b0) % stride for y in ys]
 
@@ -345,7 +338,11 @@ def _fields(
     every: bool = False,
     retire: bool = False,
 ) -> _Fields:
-    """The band and the layout of _sweep(n_max, c, by_steps, end, by_y, every, retire)'s rows.
+    """The band and the layout of one sweep to n_max under c, which _sweep(fields) runs.
+
+    Built once per sweep: every column's window is planned here where top
+    is None (_Fields.columns), and here a zigzag band symmetric about the
+    axis with no first_dir is found to mirror its list rows (see _sweep).
 
     Without steps, the rows are packed when a row is one cell, or when a
     field of size n_max takes at most PACKED_BYTES bytes; a sweep that
@@ -359,40 +356,44 @@ def _fields(
     or NONNEG, retires its cells once their every completion counts (see
     _sweep), when its fields take more than RETIRE_BYTES bytes.
     """
-    lo = _floor(n_max, c, by_y)
-    reach_y = reach(n_max, c.zigzag) if by_y else 0
+    reach_y = reach(n_max, c.zigzag) if by_y else 0  # no line bound without by_y
+    lo = -reach_y if c.min_y is None else max(c.min_y, -reach_y)
     hi = reach_y if c.max_y is None else min(c.max_y, reach_y)
-    width, wide = hi - lo + 1, _path_bytes(n_max, c.zigzag)
+    width, wide, stride = hi - lo + 1, _path_bytes(n_max, c.zigzag), 2 if by_y else 1
+    mirror = c.zigzag and lo == -hi and c.first_dir is None
     if end == ALL and c.steps is None:
         end = None  # every prefix can end in ALL
     if by_steps or c.steps is not None:  # the paths of size n_max bound every field
         # the window of b that can still end at c.steps pays for its per-column
         # plans in the grand world only; a zigzag sweep keeps every field
         top = None if end is None or c.steps is None or c.zigzag else n_max - c.steps
-        return _Fields(8 * wide, n_max, top, lo, width, 2 if by_y else 1, c.zigzag, end, False)
-    if c.zigzag and lo == -hi and c.first_dir is None:  # lists would mirror (see _sweep)
-        packed = lo == -reach_y and 8 < wide <= PACKED_BYTES // 2
+        fields = _Fields(8 * wide, n_max, c, top, lo, width, stride, end, False, mirror)
     else:
-        packed = wide <= PACKED_BYTES
-    packed = packed and not every or width == 1
-    line = by_y and c.min_y is not None and (c.max_y, c.last_dir) == (None, None)
-    if retire and packed and line and end in (None, NONNEG) and wide > RETIRE_BYTES:
-        floor = 0 if end == NONNEG else c.min_y
-    else:
-        floor = None
-    return _Fields(0, n_max, None, lo, width, 2 if by_y else 1, c.zigzag, end, packed, floor)
+        if mirror:
+            packed = lo == -reach_y and 8 < wide <= PACKED_BYTES // 2
+        else:
+            packed = wide <= PACKED_BYTES
+        packed = packed and not every or width == 1
+        line = by_y and c.min_y is not None and (c.max_y, c.last_dir) == (None, None)
+        if retire and packed and line and end in (None, NONNEG) and wide > RETIRE_BYTES:
+            floor = 0 if end == NONNEG else c.min_y
+        else:
+            floor = None
+        mirror = mirror and not packed  # packed rows are not mirrored (see _sweep)
+        fields = _Fields(0, n_max, c, None, lo, width, stride, end, packed, mirror, floor)
+    if fields.top is None:
+        spans, widths = fields.columns()
+        fields = fields._replace(spans=spans, widths=widths)
+    return fields
 
 
-def _sweep(
-    n_max: int,
-    c: PathConstraints,
-    by_steps: bool = False,
-    end: AltitudeFilter | None = None,
-    by_y: bool = True,
-    every: bool = False,
-    retire: bool = False,
-) -> Generator[dict, None, int]:
+def _sweep(fields: _Fields) -> Generator[dict, None, int]:
     """Yield the DP column at x = 0, 1, ..., n_max; return the paths retired.
+
+    The sweep runs the layout that _fields(n_max, c, by_steps, end, by_y,
+    every, retire) built, and the names below are that call's arguments:
+    n_max is fields.size and c is fields.c, and y is tracked (by_y) where
+    fields.stride is 2.
 
     A column maps a last direction to a row.  The empty path has direction
     0.  A row is keyed by its last direction only where something reads
@@ -401,7 +402,7 @@ def _sweep(
     Without by_y, which only a sweep with no line bound and `end` None or
     ALL may drop, y is not tracked: every row is one cell and every move
     keeps y at 0.  _Fields.unpack reads a column as (direction, steps used)
-    -> list of cells indexed by y - _floor(n_max, c, by_y).
+    -> list of cells indexed by y - fields.lo.
 
     A sweep that tracks no steps keeps each row as one int (packed, see
     _fields for the field widths where lists measured faster): field i, of
@@ -416,12 +417,12 @@ def _sweep(
     an end window), one AND where a line or an end window cuts the
     target's window below the reach, and one add: no int per cell.  The
     windows, their cuts and the columns where W grows are planned once,
-    before the first column (_Fields.columns), so a column's moves do only
+    with the layout (_Fields.spans and widths), so a column's moves do only
     shifts, ANDs and adds.
 
-    With retire, a packed count above a min_y line (see _fields) retires
-    the cells whose every completion counts.  With floor = min_y, or 0 for
-    NONNEG, a cell of column x at y >= floor + reach(n_max - x) can no
+    With retire, a packed count above a min_y line (fields.retire, see
+    _fields) retires the cells whose every completion counts.  With floor =
+    min_y, or 0 for NONNEG, a cell of column x at y >= floor + reach(n_max - x) can no
     longer cross the line or end below the axis, since paths.reach bounds
     every run of steps.  So its count times T(n_max - x) goes to the
     answer, and the cell leaves its row: the target window's top is capped
@@ -433,7 +434,7 @@ def _sweep(
     empty, and the sweep returns the number of paths it retired: 0 without
     retire.
 
-    Otherwise a row is a list of cells indexed by y - _floor(n_max, c, by_y).
+    Otherwise a row is a list of cells indexed by y - fields.lo.
     When by_steps or c.steps asks for steps, a cell is one int that holds
     its counts by the wide steps taken, b = x - used, in fields of W bits
     (_Fields): one row per direction, whatever the step counts.  W bounds
@@ -460,13 +461,13 @@ def _sweep(
     yielded column of list rows: the sweep extends what it finds there.
 
     A zigzag sweep of list rows with no first_dir, over a band that is
-    symmetric about the axis once clipped to the reach, is its own up/down
-    mirror image (y -> -y swaps rising and falling steps, and keeps every
-    origin).  So only the rising rows are built: each falling row is
-    yielded as the reverse of its rising twin, and it extends into rising
-    targets alone, whose mirror images are the falling targets.  A caller
-    that clears cells of such a column must clear a mirror-symmetric set in
-    every row.  Packed rows are not mirrored: reversing a row's fields
+    symmetric about the axis once clipped to the reach (fields.mirror), is
+    its own up/down mirror image (y -> -y swaps rising and falling steps,
+    and keeps every origin).  So only the rising rows are built: each
+    falling row is yielded as the reverse of its rising twin, and it
+    extends into rising targets alone, whose mirror images are the falling
+    targets.  A caller that clears cells of such a column must clear a
+    mirror-symmetric set in every row.  Packed rows are not mirrored: reversing a row's fields
     would reverse the bytes within each field too.
 
     Only the cells a counted path can occupy are extended: |y| within
@@ -485,12 +486,11 @@ def _sweep(
     `end`, every column but the last holds only part of its counts, so
     only the last one is an answer.
     """
-    fields = _fields(n_max, c, by_steps, end, by_y, every, retire)
+    n_max, c, by_y = fields.size, fields.c, fields.stride == 2
     bits, top, base, window = fields.bits, fields.top, fields.base, fields.window
     lo, width, packed, floor = fields.lo, fields.width, fields.packed, fields.retire
-    hi = lo + width - 1
+    hi, mirror = lo + width - 1, fields.mirror
     zigzag, first = c.zigzag, c.first_dir
-    mirror = zigzag and lo == -hi and first is None and not packed
 
     # plain ints, read per row: the moves out of a row by its key,
     # as (direction, dx, dy, key of the target row)
@@ -522,7 +522,7 @@ def _sweep(
 
     retired = 0
     if packed:
-        spans, widths = fields.columns()
+        spans, widths = fields.spans, fields.widths
         col = {0: int(spans[0][0] < spans[0][1])}  # the empty path, at field 0
         held = widths[0]
         w = 8 * held
@@ -615,31 +615,35 @@ def _sweep(
     return retired
 
 
-def _final(
-    size: int,
-    c: PathConstraints,
-    altitude: AltitudeFilter = ALL,
-    by_steps: bool = False,
-    by_y: bool = True,
-) -> dict:
-    """The sweep's column at x = size, for paths ending in the altitude filter.
+def _ends(fields: _Fields, key: Callable) -> tuple[int, dict]:
+    """The paths one sweep retired, and its last column tallied by key(y, dir, steps).
 
-    As (direction, steps used) -> row, of c.steps steps alone when set.
+    The tally counts the paths of size fields.size that pass the end
+    filters (_tally), of c.steps steps alone when set.
     """
-    for col in _sweep(size, c, by_steps, end=altitude, by_y=by_y):
-        pass
-    return _fields(size, c, by_steps, altitude, by_y).unpack(col, size, c.steps)
+    if fields.size < 0:
+        raise ValueError("size must be non-negative")
+    sweep = _sweep(fields)
+    while True:  # to the last column, and the number of paths the sweep retired
+        try:
+            col = next(sweep)
+        except StopIteration as done:
+            retired = done.value
+            break
+    c = fields.c
+    return retired, _tally(fields.unpack(col, fields.size, c.steps), fields.lo, c, key)
+
+
+def _keeps(c: PathConstraints, d: int | None) -> bool:
+    """Whether the direction filters keep the paths of the row keyed d (0: the empty path's)."""
+    return not (d == 0 and c.first_dir is not None) and c.last_dir in (None, d)
 
 
 def _tally(col: dict, lo: int, c: PathConstraints, key: Callable) -> dict:
     """Counts of a column's paths that pass the end filters, by key(y, dir, steps)."""
     out: dict = {}
     for (d, used), row in col.items():
-        if d == 0 and c.first_dir is not None:
-            continue  # the empty path has no first step
-        if c.last_dir is not None and d != c.last_dir:
-            continue
-        if c.steps is not None and used != c.steps:
+        if not _keeps(c, d) or c.steps is not None and used != c.steps:
             continue
         for i, n in enumerate(row):
             if n:
@@ -685,9 +689,9 @@ def _join(size: int, altitude: AltitudeFilter, c: PathConstraints, by_y: bool) -
     """
     h = (size + 1) // 2
     keep = (h - 1, h, size - h, size - h - 1)
-    cols = {x: col for x, col in enumerate(_sweep(h, c, by_y=by_y)) if x in keep}
     fields = _fields(h, c, by_y=by_y)
-    z = -2 * _floor(h, c, by_y)  # i + j of two cells whose altitudes add up to 0
+    cols = {x: col for x, col in enumerate(_sweep(fields)) if x in keep}
+    z = -2 * fields.lo  # i + j of two cells whose altitudes add up to 0
     joins = [(h, size - h, [None])]
     if size - h - 1 >= 0:
         joins.append((h - 1, size - h - 1, [s for s in STEP_ORDER if s.dx == 2]))
@@ -736,15 +740,8 @@ def count(query: CountQuery) -> int:
     by_y = (c.min_y, c.max_y, altitude) != (None, None, ALL)  # does anything read y?
     if (c.min_y, c.max_y, c.first_dir, c.last_dir) == (None,) * 4:
         return _join(size, altitude, c, by_y)
-    sweep = _sweep(size, c, end=altitude, by_y=by_y, retire=True)
-    while True:  # to the last column, and the number of paths the sweep retired
-        try:
-            col = next(sweep)
-        except StopIteration as done:
-            retired = done.value
-            break
     fields = _fields(size, c, end=altitude, by_y=by_y, retire=True)
-    ends = _tally(fields.unpack(col, size, c.steps), fields.lo, c, lambda y, d, used: y)
+    retired, ends = _ends(fields, lambda y, d, used: y)
     return retired + _select(ends, altitude)
 
 
@@ -789,25 +786,21 @@ def count_row(
         a, b = -lo, width
     else:
         a, b = (min(max(i, 0), width) for i in (altitude - lo, altitude - lo + 1))
-    keys = [c.last_dir] if c.last_dir is not None else [UP, DOWN, ANY]
-    if c.first_dir is None and c.last_dir is None:
-        keys.append(0)  # the empty path's row
     out = []
     if fields.packed:
-        spans, widths = fields.columns()
-        held, masks = widths[0], {}
-        for x, col in enumerate(_sweep(n_max, c, by_y=by_y)):
-            held = widths.get(x, held)
-            w, (i0, i1, _) = 8 * held, spans[x]
+        masks: dict = {}
+        for x, col in enumerate(_sweep(fields)):
+            # a row without y is one field, read whole, whatever its width
+            w, (i0, i1, _) = 8 * fields.field_bytes(x), fields.spans[x]
             j0, j1 = max(a, i0) - i0, min(b, i1) - i0  # the kept fields of the window
-            v = sum(col[d] for d in keys if d in col) >> j0 * w if j0 < j1 else 0
+            v = sum(row for d, row in col.items() if _keeps(c, d)) >> j0 * w if j0 < j1 else 0
             if isinstance(altitude, int):
                 out.append(v & _mask(w, masks))
             else:
                 out.append(_folded(v, j1 - j0, w, masks))
         return out
-    for col in _sweep(n_max, c, by_y=by_y):
-        out.append(sum(sum(col[d][a:b]) for d in keys if d in col))
+    for col in _sweep(fields):
+        out.append(sum(sum(row[a:b]) for d, row in col.items() if _keeps(c, d)))
     return out
 
 
@@ -836,8 +829,7 @@ def altitude_distribution(
     size: int, constraints: PathConstraints
 ) -> dict[int, int]:
     """Counts of matching paths by final altitude."""
-    c = constraints
-    return _tally(_final(size, c), _floor(size, c), c, lambda y, d, used: y)
+    return _ends(_fields(size, constraints, end=ALL), lambda y, d, used: y)[1]
 
 
 def altitude_distributions(
@@ -846,10 +838,10 @@ def altitude_distributions(
     """altitude_distribution(n, constraints) for n = 0..n_max, from one sweep."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    lo, fields = _floor(n_max, constraints), _fields(n_max, constraints, every=True)
-    for x, col in enumerate(_sweep(n_max, constraints, every=True)):
+    fields = _fields(n_max, constraints, every=True)
+    for x, col in enumerate(_sweep(fields)):
         col = fields.unpack(col, x, constraints.steps)
-        yield _tally(col, lo, constraints, lambda y, d, used: y)
+        yield _tally(col, fields.lo, constraints, lambda y, d, used: y)
 
 
 def step_count_distribution(
@@ -860,8 +852,7 @@ def step_count_distribution(
     The steps filter is not applied: every step count is listed.
     """
     c = replace(constraints, steps=None)
-    col, lo = _final(size, c, by_steps=True), _floor(size, c)
-    return _tally(col, lo, c, lambda y, d, used: (y, used))
+    return _ends(_fields(size, c, by_steps=True), lambda y, d, used: (y, used))[1]
 
 
 def step_count_distributions(
@@ -872,7 +863,7 @@ def step_count_distributions(
         raise ValueError("n_max must be non-negative")
     c = replace(constraints, steps=None)
     fields = _fields(n_max, c, by_steps=True)
-    for x, col in enumerate(_sweep(n_max, c, by_steps=True)):
+    for x, col in enumerate(_sweep(fields)):
         yield _tally(fields.unpack(col, x), fields.lo, c, lambda y, d, used: (y, used))
 
 
@@ -923,9 +914,10 @@ def primitive_row(n_max: int) -> list[int]:
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     c = PathConstraints(zigzag=True)
-    axis = -_floor(n_max, c)  # index of y = 0
+    fields = _fields(n_max, c, every=True)
+    axis = -fields.lo  # index of y = 0
     out = [1]  # the empty path; a size-0 sweep packs its one cell
-    for x, col in enumerate(_sweep(n_max, c, every=True)):
+    for x, col in enumerate(_sweep(fields)):
         if x:  # list rows, whose axis cells are a mirror-symmetric set
             out.append(sum(row[axis] for row in col.values()))
             for row in col.values():

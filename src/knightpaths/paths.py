@@ -128,12 +128,19 @@ class Path:
 
     @classmethod
     def from_json(cls, text: str) -> Path:
-        data = json.loads(text)
+        """The path to_json wrote; malformed text raises a ValueError that names the problem."""
+        data = json.loads(text)  # invalid JSON raises json.JSONDecodeError, a ValueError
+        if not isinstance(data, dict) or "steps" not in data:
+            raise ValueError('expected a JSON object with a "steps" list')
+        tokens = data["steps"]
+        if not isinstance(tokens, list):
+            kind = type(tokens).__name__
+            raise ValueError(f'"steps" must be a list of step tokens, got {kind}')
         by_token = {v: k for k, v in _TOKENS.items()}
-        try:
-            return cls(tuple(by_token[t] for t in data["steps"]))
-        except KeyError as exc:
-            raise ValueError(f"unknown step token {exc.args[0]!r}") from None
+        for t in tokens:
+            if not isinstance(t, str) or t not in by_token:
+                raise ValueError(f"unknown step token {t!r}")
+        return cls(tuple(by_token[t] for t in tokens))
 
 
 def parse_path(text: str) -> Path:

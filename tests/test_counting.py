@@ -16,8 +16,8 @@ from knightpaths.counting import (
     ANY,
     NONNEG,
     CountQuery,
-    _final,
-    _floor,
+    _ends,
+    _fields,
     _joined,
     _select,
     _tally,
@@ -207,6 +207,11 @@ def test_count_query_validation():
     with pytest.raises(ValueError):
         CountQuery(3, "sideways")
     assert count(CountQuery(7, 0, ZZ)) == 6
+    # the single-size distributions reject a negative size as count does
+    for c in (ZZ, PathConstraints(), PathConstraints(zigzag=True, steps=3)):
+        for view in (altitude_distribution, step_count_distribution):
+            with pytest.raises(ValueError, match="size must be non-negative"):
+                view(-1, c)
 
 
 def test_grand_row_stats_consistency():
@@ -378,7 +383,7 @@ def test_row_layouts_match_generation(paths_of, query):
         if c.steps is None or p.step_count == c.steps:
             last = 0 if not p.steps else p.steps[-1].direction if tracked else ANY
             ends[p.altitude, last] = ends.get((p.altitude, last), 0) + 1
-    assert _tally(_final(n_max, c), _floor(n_max, c), c, lambda y, d, used: (y, d)) == ends, query
+    assert _ends(_fields(n_max, c, end=ALL), lambda y, d, used: (y, d)) == (0, ends), query
     assert step_count_distribution(n_max, c) == steps, query
     if c.zigzag:
         # count_primitive clears the axis, a mirror-symmetric set
@@ -408,7 +413,7 @@ def test_middle_column_join_matches_the_full_sweep():
         for n in range(19):
             for steps in (None, *range(1, n + 1)):
                 c = PathConstraints(zigzag=zigzag, steps=steps)
-                by_y = _tally(_final(n, c), _floor(n, c), c, lambda y, d, used: y)
+                _, by_y = _ends(_fields(n, c, end=ALL), lambda y, d, used: y)
                 for altitude in (ALL, NONNEG, *range(-8, 9)):
                     want = _select(by_y, altitude)
                     assert count(CountQuery(n, altitude, c)) == want, (n, altitude, c)
@@ -436,9 +441,8 @@ def test_middle_column_join_at_bench_sizes():
 
 def test_only_unbounded_counts_take_the_join(monkeypatch):
     sweep, ends = counting._sweep, []
-    monkeypatch.setattr(
-        counting, "_sweep", lambda n_max, *args, **kw: ends.append(n_max) or sweep(n_max, *args, **kw)
-    )
+    spy = lambda fields: ends.append(fields.size) or sweep(fields)  # noqa: E731
+    monkeypatch.setattr(counting, "_sweep", spy)
     count_paths(9, NONNEG, zigzag=True, steps=6)
     count_paths(9, 1)
     for bound in (dict(min_y=-2), dict(max_y=2), dict(first_dir=UP), dict(last_dir=DOWN)):
@@ -470,11 +474,10 @@ def test_counts_that_read_no_altitude_at_bench_sizes():
 def test_only_counts_that_read_no_altitude_drop_it(monkeypatch):
     sweep, widths = counting._sweep, []
 
-    def spy(*args, **kw):
-        widths.append(counting._fields(*args, **kw).width)  # the cells of a row
-        cols = sweep(*args, **kw)
+    def spy(fields):
+        widths.append(fields.width)  # the cells of a row
+        cols = sweep(fields)
         first = next(cols)
-        fields = counting._fields(*args, **kw)
         assert len(fields.unpack(first, 0)[0, 0]) == widths[-1]  # the empty path's row
         yield first
         return (yield from cols)  # the paths the sweep retired
@@ -508,13 +511,47 @@ def test_only_counts_that_read_no_altitude_drop_it(monkeypatch):
     assert len(widths) == 11 and min(widths) > 1, widths
 
 
+def test_every_view_builds_one_layout_per_sweep(monkeypatch):
+    # _sweep runs the layout its caller built, so no view builds it twice
+    calls = {"_fields": 0, "_sweep": 0}
+
+    def spying(name):
+        real = getattr(counting, name)
+
+        def spy(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(counting, name, spying(name))
+    views = [
+        lambda: count_paths(30, NONNEG, ZZ),  # the join
+        lambda: count_paths(30, 2, zigzag=True, steps=24),  # the join, by steps
+        lambda: count_paths(30, ALL, zigzag=True, min_y=-2),  # the sweep
+        lambda: count_paths(30, 1, steps=20, first_dir=UP),  # the sweep, with top
+        lambda: count_row(30, NONNEG, ZZ),
+        lambda: count_row(30, 1, PathConstraints(min_y=-1, max_y=4)),
+        lambda: altitude_distribution(30, ZZ),
+        lambda: list(counting.altitude_distributions(30, PathConstraints())),
+        lambda: step_count_distribution(30, ZZ),
+        lambda: list(counting.step_count_distributions(30, PathConstraints())),
+        lambda: counting.primitive_row(30),
+    ]
+    for k, view in enumerate(views):
+        calls.update(_fields=0, _sweep=0)
+        view()
+        assert calls == {"_fields": 1, "_sweep": 1}, (k, calls)
+
+
 def test_a_steps_sweep_keeps_one_row_per_direction(monkeypatch):
     # a cell packs its counts by step count, so a column holds the empty
     # path's row and one row per last direction, whatever the step count
     sweep, rows = counting._sweep, []
 
-    def spy(*args, **kw):
-        cols = sweep(*args, **kw)
+    def spy(fields):
+        cols = sweep(fields)
         while True:
             try:
                 col = next(cols)
@@ -549,7 +586,7 @@ def test_packed_cells_hold_few_zero_fields():
     # zigzag prefix needs about |y| of them
     for c, n in ((ZZ, 120), (PathConstraints(), 80)):
         fields = counting._fields(n, c, by_steps=True)
-        for col in counting._sweep(n, c, by_steps=True):
+        for col in counting._sweep(fields):
             pass
         mask, packed = (1 << fields.bits) - 1, []
         for v in (v for row in col.values() for v in row if v):
@@ -638,7 +675,7 @@ def test_yielded_rows_are_their_own_lists(c, kw):
     its own, so a caller may clear cells of a yielded column in place, as
     primitive_row does."""
     fields = counting._fields(12, c, **kw)
-    cols = list(counting._sweep(12, c, **kw))
+    cols = list(counting._sweep(fields))
     assert fields.packed == all(isinstance(row, int) for col in cols for row in col.values())
     for x, col in enumerate(cols):
         assert not any(col is earlier for earlier in cols[:x]), x
@@ -660,7 +697,7 @@ def _packed_columns(n_max, c):
     """Every column of a packed sweep, unpacked: as (y, steps) -> count."""
     fields = counting._fields(n_max, c)
     assert fields.packed
-    for x, col in enumerate(counting._sweep(n_max, c)):
+    for x, col in enumerate(counting._sweep(fields)):
         yield _tally(fields.unpack(col, x), fields.lo, c, lambda y, d, used: y)
 
 
@@ -738,8 +775,8 @@ def test_sizes_on_both_sides_of_the_crossover():
 
 def _window_by_hand(fields, x):
     """Column x's window and cut flag, worked out for that column alone."""
-    r = reach(x, fields.zigzag) if fields.stride == 2 else 0
-    back = reach(fields.size - x, fields.zigzag)
+    r = reach(x, fields.c.zigzag) if fields.stride == 2 else 0
+    back = reach(fields.size - x, fields.c.zigzag)
     ylo, yhi = -r, r
     if isinstance(fields.end, int):
         ylo, yhi = max(ylo, fields.end - back), min(yhi, fields.end + back)
@@ -765,7 +802,7 @@ def test_the_plan_is_every_columns_window(zigzag, bounds):
         for end in (None, ALL, NONNEG, 0, 3, -5):
             for retire in (False, True):
                 fields = counting._fields(n, c, end=end, retire=retire)
-                spans, widths = fields.columns()
+                spans, widths = fields.spans, fields.widths
                 assert spans[n + 1 :] == [(0, 0, False)] * 2
                 for x in range(n + 1):
                     assert spans[x] == _window_by_hand(fields, x), (n, end, retire, x)
@@ -781,7 +818,7 @@ def test_the_plan_is_every_columns_window(zigzag, bounds):
     if not bounds:  # a row without y is one cell at y = 0, and never widens
         fields = counting._fields(40, c, by_y=False)
         spans = [(0, 1, False)] * 41 + [(0, 0, False)] * 2
-        assert fields.columns() == (spans, {0: fields.field_bytes(0)})
+        assert (fields.spans, fields.widths) == (spans, {0: fields.field_bytes(0)})
 
 
 def test_retiring_counts_match_generation(paths_of, monkeypatch):
@@ -815,7 +852,7 @@ def test_retiring_counts_match_the_list_rows():
             for first in (None, UP):
                 c = PathConstraints(zigzag=zigzag, min_y=-m, first_dir=first)
                 fields = counting._fields(sizes[-1], c, every=True)
-                for x, col in enumerate(counting._sweep(sizes[-1], c, every=True)):
+                for x, col in enumerate(counting._sweep(fields)):
                     if x in sizes:
                         dist = _tally(fields.unpack(col, x), fields.lo, c, lambda y, d, used: y)
                         for altitude in (ALL, NONNEG):

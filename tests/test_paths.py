@@ -68,6 +68,26 @@ def test_json_round_trip():
         Path.from_json('{"steps": ["Q"]}')
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("{}", 'a JSON object with a "steps" list'),
+        ("[]", 'a JSON object with a "steps" list'),
+        ('["N"]', 'a JSON object with a "steps" list'),
+        ('{"steps": 5}', '"steps" must be a list of step tokens, got int'),
+        ('{"steps": "N E"}', '"steps" must be a list of step tokens, got str'),
+        ('{"steps": ["N", 1]}', "unknown step token 1"),
+        ('{"steps": [["N"]]}', "unknown step token ['N']"),
+        ('{"steps": ["N", "Q"]}', "unknown step token 'Q'"),
+        ('{"steps": ', "Expecting value"),
+    ],
+)
+def test_malformed_json_raises_a_value_error_naming_the_problem(text, problem):
+    with pytest.raises(ValueError) as err:
+        Path.from_json(text)
+    assert problem in str(err.value), err.value
+
+
 def test_validate_zigzag_examples():
     assert validate_path(parse_path("N Nb N Nb"), PathConstraints(zigzag=True))
     assert not validate_path(parse_path("N E"), PathConstraints(zigzag=True))

@@ -271,9 +271,12 @@ def test_a_quick_verify_sweeps_each_row_once(monkeypatch):
     """A quick run reads its DP rows of sizes from one sweep each, and check 1
     sums each span's bands once: 45 sweeps, where reading the primitive and
     step-count tables one size at a time took 89, and summing the span rows
-    once per k took 53."""
-    (sweeps,) = _calls_in_a_quick_run(monkeypatch, (counting, "_sweep"))
-    assert sweeps <= 45, sweeps
+    once per k took 53.  Each sweep runs the one layout its caller built
+    (89 layouts for 45 sweeps when _sweep built its own)."""
+    layouts, sweeps = _calls_in_a_quick_run(
+        monkeypatch, (counting, "_fields"), (counting, "_sweep")
+    )
+    assert sweeps <= 45 and layouts == sweeps, (layouts, sweeps)
 
 
 def test_a_quick_verify_derives_each_band_and_image_once(monkeypatch):
