@@ -786,6 +786,7 @@ def count_row(
         a, b = -lo, width
     else:
         a, b = (min(max(i, 0), width) for i in (altitude - lo, altitude - lo + 1))
+    keys = [d for d in (0, UP, DOWN, ANY) if _keeps(c, d)]  # the rows the filters keep
     out = []
     if fields.packed:
         masks: dict = {}
@@ -793,14 +794,14 @@ def count_row(
             # a row without y is one field, read whole, whatever its width
             w, (i0, i1, _) = 8 * fields.field_bytes(x), fields.spans[x]
             j0, j1 = max(a, i0) - i0, min(b, i1) - i0  # the kept fields of the window
-            v = sum(row for d, row in col.items() if _keeps(c, d)) >> j0 * w if j0 < j1 else 0
+            v = sum(col[d] for d in keys if d in col) >> j0 * w if j0 < j1 else 0
             if isinstance(altitude, int):
                 out.append(v & _mask(w, masks))
             else:
                 out.append(_folded(v, j1 - j0, w, masks))
         return out
     for col in _sweep(fields):
-        out.append(sum(sum(row[a:b]) for d, row in col.items() if _keeps(c, d)))
+        out.append(sum(sum(col[d][a:b]) for d in keys if d in col))
     return out
 
 
