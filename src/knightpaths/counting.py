@@ -149,9 +149,9 @@ class _Fields(NamedTuple):
     #: at y >= retire + reach(size - x) have left their rows; else None
     retire: int | None = None
     #: the plan where top is None (see columns): every column's (i0, i1, cut),
-    #: and the columns at which a packed sweep's fields widen, with their bytes
+    #: and the bytes of its fields in a packed sweep
     spans: list[tuple[int, int, bool]] | None = None
-    widths: dict[int, int] | None = None
+    widths: list[int] | None = None
 
     def base(self, x: int) -> int:
         """The fewest b in column x that can still reach top, or 0.
@@ -193,7 +193,7 @@ class _Fields(NamedTuple):
         i1 = [y - lo + 1 if y < lo + width else width for y in yhi]
         return i0, i1
 
-    def columns(self) -> tuple[list[tuple[int, int, bool]], dict[int, int]]:
+    def columns(self) -> tuple[list[tuple[int, int, bool]], list[int]]:
         """Every column's window, and the widths of a packed sweep's fields.
 
         _fields plans them once, into spans and widths, where top is None.
@@ -201,14 +201,14 @@ class _Fields(NamedTuple):
         window(x) is [i0, i1), and cut tells whether its top lies below the
         reach, where a line, the end window or retirement cuts it.  In a
         retiring sweep the window of column x > 0 stops below retire +
-        reach(size - x), and may be empty.  And the columns at which a
-        packed sweep's fields widen, with their field_bytes, which only grows
-        with x.  Without y a row is one cell, at y = 0, with no field to
-        carry into, so it keeps its first width.
+        reach(size - x), and may be empty.  And each column's field_bytes,
+        for x <= size, which only grows with x, and which is worked out at
+        the O(log n) columns where it grows.  Without y a row is one cell,
+        at y = 0, with no field to carry into, so it keeps its first width.
         """
         n = self.size
         if self.stride == 1:
-            return [(0, 1, False)] * (n + 1) + [(0, 0, False)] * 2, {0: self.field_bytes(0)}
+            return [(0, 1, False)] * (n + 1) + [(0, 0, False)] * 2, [self.field_bytes(0)] * (n + 1)
         xs = range(n + 1)
         ups = list(map(reach, xs, repeat(self.c.zigzag)))
         backs = ups[::-1]  # the rest of column x has size - x
@@ -218,10 +218,12 @@ class _Fields(NamedTuple):
             i1[1:] = map(max, i0[1:], map(min, i1[1:], caps))
         cut = [b < r - self.lo + 1 for b, r in zip(i1, ups)]
         spans = list(zip(i0, i1, cut)) + [(0, 0, False)] * 2
-        widths, x = {}, 0
-        while x <= n:
-            widths[x] = b = self.field_bytes(x)
-            x = bisect_right(xs, b, x + 1, key=self.field_bytes)
+        widths, x = [], 0
+        while x <= n:  # a run of columns of one width, up to the first wider one
+            b = self.field_bytes(x)
+            wider = bisect_right(xs, b, x + 1, key=self.field_bytes)
+            widths += [b] * (wider - x)
+            x = wider
         return spans, widths
 
     def field_bytes(self, x: int) -> int:
@@ -390,10 +392,9 @@ def _fields(
 def _sweep(fields: _Fields) -> Generator[dict, None, int]:
     """Yield the DP column at x = 0, 1, ..., n_max; return the paths retired.
 
-    The sweep runs the layout that _fields(n_max, c, by_steps, end, by_y,
-    every, retire) built, and the names below are that call's arguments:
-    n_max is fields.size and c is fields.c, and y is tracked (by_y) where
-    fields.stride is 2.
+    It runs the layout _fields(n_max, c, by_steps, end, by_y, every, retire)
+    built; the names below are those arguments: n_max is fields.size, c is
+    fields.c, and y is tracked (by_y) where fields.stride is 2.
 
     A column maps a last direction to a row.  The empty path has direction
     0.  A row is keyed by its last direction only where something reads
@@ -416,9 +417,9 @@ def _sweep(fields: _Fields) -> Generator[dict, None, int]:
     shift drops the cells that fall under the target's window (a line, or
     an end window), one AND where a line or an end window cuts the
     target's window below the reach, and one add: no int per cell.  The
-    windows, their cuts and the columns where W grows are planned once,
-    with the layout (_Fields.spans and widths), so a column's moves do only
-    shifts, ANDs and adds.
+    windows, their cuts and every column's W are planned once, with the
+    layout (_Fields.spans and widths), so a column's moves do only shifts,
+    ANDs and adds.
 
     With retire, a packed count above a min_y line (fields.retire, see
     _fields) retires the cells whose every completion counts.  With floor =
@@ -543,7 +544,7 @@ def _sweep(fields: _Fields) -> Generator[dict, None, int]:
                 while v:
                     paths, v = paths + (v & ones), v >> w
                 retired += paths * completions[n_max - x]
-            size = widths.get(x, held)
+            size = widths[x]
             if size > held:  # col and ahead[0] widen their fields to reach column x + 2
                 for rows in (col, ahead[0]):
                     for d, v in rows.items():
@@ -616,11 +617,7 @@ def _sweep(fields: _Fields) -> Generator[dict, None, int]:
 
 
 def _ends(fields: _Fields, key: Callable) -> tuple[int, dict]:
-    """The paths one sweep retired, and its last column tallied by key(y, dir, steps).
-
-    The tally counts the paths of size fields.size that pass the end
-    filters (_tally), of c.steps steps alone when set.
-    """
+    """The paths one sweep retired, and its paths of size fields.size tallied (_tally)."""
     if fields.size < 0:
         raise ValueError("size must be non-negative")
     sweep = _sweep(fields)
@@ -630,8 +627,7 @@ def _ends(fields: _Fields, key: Callable) -> tuple[int, dict]:
         except StopIteration as done:
             retired = done.value
             break
-    c = fields.c
-    return retired, _tally(fields.unpack(col, fields.size, c.steps), fields.lo, c, key)
+    return retired, _tally(fields, col, fields.size, key)
 
 
 def _keeps(c: PathConstraints, d: int | None) -> bool:
@@ -639,11 +635,14 @@ def _keeps(c: PathConstraints, d: int | None) -> bool:
     return not (d == 0 and c.first_dir is not None) and c.last_dir in (None, d)
 
 
-def _tally(col: dict, lo: int, c: PathConstraints, key: Callable) -> dict:
-    """Counts of a column's paths that pass the end filters, by key(y, dir, steps)."""
-    out: dict = {}
-    for (d, used), row in col.items():
-        if not _keeps(c, d) or c.steps is not None and used != c.steps:
+def _tally(fields: _Fields, col: dict, x: int, key: Callable) -> dict:
+    """Counts of the paths of column x that pass the end filters, by key(y, dir, steps).
+
+    Of c.steps steps alone when set: the column is unpacked at that step count.
+    """
+    c, lo, out = fields.c, fields.lo, {}
+    for (d, used), row in fields.unpack(col, x, c.steps).items():
+        if not _keeps(c, d):
             continue
         for i, n in enumerate(row):
             if n:
@@ -791,8 +790,7 @@ def count_row(
     if fields.packed:
         masks: dict = {}
         for x, col in enumerate(_sweep(fields)):
-            # a row without y is one field, read whole, whatever its width
-            w, (i0, i1, _) = 8 * fields.field_bytes(x), fields.spans[x]
+            w, (i0, i1, _) = 8 * fields.widths[x], fields.spans[x]
             j0, j1 = max(a, i0) - i0, min(b, i1) - i0  # the kept fields of the window
             v = sum(col[d] for d in keys if d in col) >> j0 * w if j0 < j1 else 0
             if isinstance(altitude, int):
@@ -841,8 +839,7 @@ def altitude_distributions(
         raise ValueError("n_max must be non-negative")
     fields = _fields(n_max, constraints, every=True)
     for x, col in enumerate(_sweep(fields)):
-        col = fields.unpack(col, x, constraints.steps)
-        yield _tally(col, fields.lo, constraints, lambda y, d, used: y)
+        yield _tally(fields, col, x, lambda y, d, used: y)
 
 
 def step_count_distribution(
@@ -865,7 +862,7 @@ def step_count_distributions(
     c = replace(constraints, steps=None)
     fields = _fields(n_max, c, by_steps=True)
     for x, col in enumerate(_sweep(fields)):
-        yield _tally(fields.unpack(col, x), fields.lo, c, lambda y, d, used: (y, used))
+        yield _tally(fields, col, x, lambda y, d, used: (y, used))
 
 
 def generate(

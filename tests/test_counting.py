@@ -698,7 +698,7 @@ def _packed_columns(n_max, c):
     fields = counting._fields(n_max, c)
     assert fields.packed
     for x, col in enumerate(counting._sweep(fields)):
-        yield _tally(fields.unpack(col, x), fields.lo, c, lambda y, d, used: y)
+        yield _tally(fields, col, x, lambda y, d, used: y)
 
 
 def test_packed_rows_widen_their_fields_at_every_size():
@@ -807,9 +807,7 @@ def test_the_plan_is_every_columns_window(zigzag, bounds):
                 for x in range(n + 1):
                     assert spans[x] == _window_by_hand(fields, x), (n, end, retire, x)
                     assert fields.window(x) == spans[x][:2], (n, end, retire, x)
-                size = fields.field_bytes
-                grows = [x for x in range(n + 1) if x == 0 or size(x) > size(x - 1)]
-                assert widths == {x: size(x) for x in grows}, (n, end)
+                assert widths == [fields.field_bytes(x) for x in range(n + 1)], (n, end)
                 # retirement takes a line alone, ALL or NONNEG, and wide fields
                 wide = counting._path_bytes(n, zigzag) > counting.RETIRE_BYTES
                 retires = retire and line and end in (None, ALL, NONNEG) and wide
@@ -818,7 +816,7 @@ def test_the_plan_is_every_columns_window(zigzag, bounds):
     if not bounds:  # a row without y is one cell at y = 0, and never widens
         fields = counting._fields(40, c, by_y=False)
         spans = [(0, 1, False)] * 41 + [(0, 0, False)] * 2
-        assert (fields.spans, fields.widths) == (spans, {0: fields.field_bytes(0)})
+        assert (fields.spans, fields.widths) == (spans, [fields.field_bytes(0)] * 41)
 
 
 def test_retiring_counts_match_generation(paths_of, monkeypatch):
@@ -854,7 +852,7 @@ def test_retiring_counts_match_the_list_rows():
                 fields = counting._fields(sizes[-1], c, every=True)
                 for x, col in enumerate(counting._sweep(fields)):
                     if x in sizes:
-                        dist = _tally(fields.unpack(col, x), fields.lo, c, lambda y, d, used: y)
+                        dist = _tally(fields, col, x, lambda y, d, used: y)
                         for altitude in (ALL, NONNEG):
                             want = _select(dist, altitude)
                             assert count_paths(x, altitude, c) == want, (x, altitude, c)
