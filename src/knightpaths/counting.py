@@ -423,17 +423,17 @@ def _sweep(fields: _Fields) -> Generator[dict, None, int]:
 
     With retire, a packed count above a min_y line (fields.retire, see
     _fields) retires the cells whose every completion counts.  With floor =
-    min_y, or 0 for NONNEG, a cell of column x at y >= floor + reach(n_max - x) can no
-    longer cross the line or end below the axis, since paths.reach bounds
-    every run of steps.  So its count times T(n_max - x) goes to the
-    answer, and the cell leaves its row: the target window's top is capped
-    below that altitude, and a move sums the fields above the cap before
-    the AND drops them.  T(s) counts the completions of size s.  A zigzag
-    one starts against the row's last direction, so T is 1, 1, 2, 3, 5,
-    ..., T(s) = T(s - 1) + T(s - 2); a grand one is any grand path, 1, 2,
-    6, 16, ..., T(s) = 2 T(s - 1) + 2 T(s - 2).  The last column is then
-    empty, and the sweep returns the number of paths it retired: 0 without
-    retire.
+    min_y, or 0 for NONNEG, a cell of column x at y >= floor +
+    reach(n_max - x) can no longer cross the line or end below the axis,
+    since paths.reach bounds every run of steps.  So its count times
+    T(n_max - x) goes to the answer, and the cell leaves its row: the
+    target window's top is capped below that altitude, and a move sums the
+    fields above the cap before the AND drops them.  T(s) counts the
+    completions of size s.  A zigzag one starts against the row's last
+    direction, so T is 1, 1, 2, 3, 5, ..., T(s) = T(s - 1) + T(s - 2); a
+    grand one is any grand path, 1, 2, 6, 16, ..., T(s) = 2 T(s - 1) +
+    2 T(s - 2).  The last column is then empty, and the sweep returns the
+    number of paths it retired: 0 without retire.
 
     Otherwise a row is a list of cells indexed by y - fields.lo.
     When by_steps or c.steps asks for steps, a cell is one int that holds
